@@ -130,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a scenario key (repeatable)")
     p_run.add_argument("--t-step", type=float, default=None,
                        help="override the sampling time t_s")
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="seed for noise experiments (unused when "
-                            "the scenario is noise-free)")
     p_run.set_defaults(func=cmd_run)
 
     p_list = sub.add_parser("list", help="list builtin scenarios")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .scenario import DetectionConfig
 from .trace import SimTrace
 
@@ -121,8 +120,3 @@ def detect_contacts(trace: SimTrace, cfg: DetectionConfig) -> DetectionReport:
         config=cfg,
     )
 
-
-def require_columns(trace: SimTrace) -> None:
-    for col in ("q_i_hat", "pump_on"):
-        if not hasattr(trace, col):
-            raise ConfigError(f"trace is missing the {col} column")

@@ -259,12 +259,6 @@ def pump_step(h: PumpHysteresis, T_meas: float,
 #: Deadband on (setpoint - water temperature) for heat/cool preset switching.
 MODE_DEADBAND = 0.1
 
-#: Innovation gains of the offset observer (state / output disturbance).
-#: L1 = 0, L2 = 1 keeps the model state open loop and assigns the whole
-#: innovation to the disturbance, the classic step-response (DMC) update.
-_OBS_L1 = 0.0
-_OBS_L2 = 1.0
-
 
 @dataclass
 class ThermalController:
@@ -299,6 +293,12 @@ class ThermalController:
         if self.mode is None:
             raise ConfigError("controller has not stepped yet")
         return self._params[self.mode]
+
+    @property
+    def preview_length(self) -> int:
+        """Longest setpoint preview any mode's horizon consumes."""
+        return max(self.cfg.effective_horizon(m.d)
+                   for m in self._models.values())
 
     def _select_mode(self, setpoint: float, T_w: float) -> Mode:
         delta = setpoint - T_w
@@ -339,19 +339,17 @@ class ThermalController:
         self.hysteresis, pump_on = pump_step(self.hysteresis, measurement,
                                              r_now)
 
-        # Offset correction: a two-state innovation observer splits the
-        # measurement into the model state x_hat and a slowly varying output
-        # disturbance p_hat.  Shifting the reference by p_hat gives integral
-        # action, removing the steady-state error the gain-mismatched unit-DC
-        # model would otherwise leave.  While the pump is off the commands
-        # cannot reach the load, so x_hat is re-anchored instead of updated
-        # and the learned disturbance is kept for the next on-phase.
+        # Offset correction, the DMC output-disturbance update (Cutler &
+        # Ramaker, 1980): the model state x_hat runs open loop and the whole
+        # measurement mismatch goes into the output disturbance p_hat.
+        # Shifting the reference by p_hat gives integral action against the
+        # gain mismatch of the unit-DC model.  While the pump is off the
+        # commands cannot reach the load, so x_hat is re-anchored instead and
+        # the learned disturbance is kept for the next on-phase.
         if self._x_hat is None:
             self._x_hat = measurement - self._p_hat
         if pump_on:
-            innovation = measurement - (self._x_hat + self._p_hat)
-            self._x_hat += _OBS_L1 * innovation
-            self._p_hat += _OBS_L2 * innovation
+            self._p_hat += measurement - (self._x_hat + self._p_hat)
         else:
             self._x_hat = measurement - self._p_hat
 

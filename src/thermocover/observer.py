@@ -22,13 +22,7 @@ from scipy.signal import cont2discrete, lfilter
 
 from .errors import ConfigError
 from .params import AmbientConfig, PlantParams
-
-
-def estimate_q_aw(T_w: float, T_amb: float, R_aw: float) -> float:
-    """Ambient-exchange heat flow into the water pipe (negative = loss)."""
-    if R_aw <= 0.0:
-        raise ConfigError("R_aw must be positive")
-    return (T_amb - T_w) / R_aw
+from .plant import estimate_q_aw, pump_flow
 
 
 def _observer_canonical(num_rows, den):
@@ -57,10 +51,6 @@ class ObserverState:
     q_hat: float        # last estimate, W
     t_s: float
     filter_time_constants: tuple
-
-    def reset(self) -> "ObserverState":
-        """Zero the filter state (cold start)."""
-        return replace(self, x=(0.0, 0.0), q_hat=0.0)
 
     def warm_start(self, T_w: float, q: float) -> "ObserverState":
         """Set the state to its fixed point for constant inputs.
@@ -118,8 +108,8 @@ def observer_step(obs: ObserverState, T_w: float, T_co: float, pump_on: bool,
     q_w is closed from the measurable tank/pipe difference and gated by the
     pump; the filter keeps integrating with q_w = 0 while the pump is off.
     """
-    q_w = (T_co - T_w) / params.R_w if pump_on else 0.0
-    q = q_w + estimate_q_aw(T_w, ambient.T_amb, params.R_aw)
+    q = pump_flow(T_co, T_w, pump_on, params) \
+        + estimate_q_aw(T_w, ambient.T_amb, params.R_aw)
     u = np.array([T_w, q])
     x = np.asarray(obs.x)
     q_hat = (obs.Cd @ x + obs.Dd @ u).item()
@@ -134,25 +124,6 @@ def observer_frequency_response(obs: ObserverState, omega: float) -> np.ndarray:
     M = z * np.eye(2) - obs.Ad
     X = np.linalg.solve(M, obs.Bd)
     return (obs.Cd @ X + obs.Dd).ravel()
-
-
-@dataclass(frozen=True)
-class LowPassSmoother:
-    """Optional first-order smoothing for the raw estimate."""
-
-    alpha: float
-    y: float = 0.0
-
-    @staticmethod
-    def from_cutoff(cutoff: float, t_s: float) -> "LowPassSmoother":
-        if cutoff <= 0.0:
-            raise ConfigError("cutoff must be positive")
-        alpha = 1.0 - np.exp(-cutoff * t_s)
-        return LowPassSmoother(alpha=float(alpha))
-
-    def step(self, value: float) -> tuple["LowPassSmoother", float]:
-        y = self.y + self.alpha * (value - self.y)
-        return replace(self, y=y), y
 
 
 # ---------------------------------------------------------------------------

@@ -93,14 +93,21 @@ def pump_flow(T_co: float, T_w: float, pump_on: bool,
     return (T_co - T_w) / params.R_w
 
 
+def estimate_q_aw(T_w: float, T_amb: float, R_aw: float) -> float:
+    """Ambient-exchange heat flow q_aw into the water pipe (negative = loss)."""
+    if R_aw <= 0.0:
+        raise ConfigError("R_aw must be positive")
+    return (T_amb - T_w) / R_aw
+
+
 def _derivs(T_p, T_co, T_w, T_c, T_p_cmd, pump_on, q_i, params, ambient,
             peltier_lag, peltier_power):
     if peltier_lag > 0.0:
         dT_p = (T_p_cmd - T_p) / peltier_lag
     else:
         dT_p = 0.0
-    q_w = (T_co - T_w) / params.R_w if pump_on else 0.0
-    q_aw = (ambient.T_amb - T_w) / params.R_aw
+    q_w = pump_flow(T_co, T_w, pump_on, params)
+    q_aw = estimate_q_aw(T_w, ambient.T_amb, params.R_aw)
     # actuator limit: the plate can hold at most peltier_power across R_co
     q_p = (T_p - T_co) / params.R_co
     if math.isfinite(peltier_power):

@@ -7,6 +7,7 @@ serialize to the flat key-value format and round-trip exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,21 +59,27 @@ class ScenarioSpec:
 
     def __post_init__(self):
         for value, hold in self.setpoints:
-            if hold <= 0.0:
+            if not hold > 0.0:
                 raise ConfigError("setpoint hold durations must be positive")
-        if self.t_s <= 0.0 or self.dt <= 0.0:
-            raise ConfigError("t_s and dt must be positive")
+        if not (0.0 < self.t_s < math.inf and 0.0 < self.dt < math.inf):
+            raise ConfigError("t_s and dt must be positive and finite")
         n_sub = self.t_s / self.dt
-        if abs(n_sub - round(n_sub)) > 1e-9:
+        if not math.isfinite(n_sub) or abs(n_sub - round(n_sub)) > 1e-9:
             raise ConfigError("dt must divide t_s")
         if round(n_sub) < 10:
             raise ConfigError("need at least 10 plant substeps per sample")
+        if not (self.peltier_lag >= 0.0 and self.observer_tc >= 0.0):
+            raise ConfigError("peltier_lag and observer_tc must be >= 0")
+        if not self.peltier_power > 0.0:
+            raise ConfigError("peltier_power must be positive (inf: no limit)")
         if self.controller.t_s != self.t_s:
             # the controller's internal model must be discretized at the
             # rate the loop actually runs
             object.__setattr__(self, "controller",
                                replace(self.controller, t_s=self.t_s))
         dur = self.duration
+        if not 0.0 <= dur < math.inf:
+            raise ConfigError("run duration must be finite and non-negative")
         for c in self.contacts:
             if c.start < 0.0 or c.start + c.duration > dur:
                 raise ConfigError(
@@ -172,146 +179,137 @@ def builtin_scenarios() -> dict:
 # ---------------------------------------------------------------------------
 # Flat key-value serialization
 
-def scenario_to_kv(spec: ScenarioSpec) -> dict:
-    out = {
-        "name": spec.name,
-        "target": spec.target.value,
-        "t_s": spec.t_s,
-        "dt": spec.dt,
-        "initial_temp": "ambient" if spec.initial_temp is None
-        else spec.initial_temp,
-        "peltier_lag": spec.peltier_lag,
-        "peltier_power": spec.peltier_power,
-        "observer_tc": spec.observer_tc,
-        "setpoints": " ".join(f"{v:g}:{h:g}" for v, h in spec.setpoints),
-    }
-    if spec.total_duration is not None:
-        out["total_duration"] = spec.total_duration
-    for i, c in enumerate(spec.contacts):
-        out[f"contact.{i}.start"] = c.start
-        out[f"contact.{i}.duration"] = c.duration
-        out[f"contact.{i}.kind"] = c.kind.value
-        out[f"contact.{i}.conductance"] = c.contact_conductance
-        out[f"contact.{i}.t_skin"] = c.T_skin
-    out["ambient.t_amb"] = spec.ambient.T_amb
-    out["ambient.q_a"] = spec.ambient.q_a
-    out["ambient.t_skin"] = spec.ambient.T_skin
-    out["controller.H"] = spec.controller.H
-    out["controller.W1"] = spec.controller.W1
-    out["controller.W2"] = spec.controller.W2
-    out["controller.T_min_th"] = spec.controller.T_min_th
-    out["controller.T_max_th"] = spec.controller.T_max_th
-    out["controller.penalty_form"] = spec.controller.penalty_form.value
-    out["pump.on_band"] = spec.pump.on_band
-    out["pump.off_band"] = spec.pump.off_band
-    out["detection.threshold"] = spec.detection.threshold
-    out["detection.min_hold"] = spec.detection.min_hold
-    out["detection.switch_gate"] = spec.detection.switch_gate
-    out["detection.smoothing_cutoff"] = spec.detection.smoothing_cutoff
-    return out
+def _same(value):
+    return value
+
+
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {value!r}")
+    return number
+
+
+def _integer(value) -> int:
+    number = _finite(value)
+    if not number.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(number)
+
+
+def _choice(kind):
+    """(parse, format) pair for an enum written as its lower-case value."""
+    return (lambda value: kind(str(value).lower()),
+            lambda member: member.value)
+
+
+def _parse_initial(value):
+    return None if str(value).lower() == "ambient" else _finite(value)
 
 
 def _parse_setpoints(text) -> tuple:
-    if not str(text).strip():
-        return ()
-    out = []
-    for chunk in str(text).split():
-        value, _, hold = chunk.partition(":")
-        try:
-            out.append((float(value), float(hold)))
-        except ValueError as exc:
-            raise ConfigError(f"bad setpoint entry {chunk!r}") from exc
-    return tuple(out)
+    pairs = (chunk.partition(":") for chunk in str(text).split())
+    return tuple((_finite(value), _finite(hold)) for value, _, hold in pairs)
+
+
+_FLOAT = (_finite, _same)
+
+#: (key, owner, attribute, (parse, format)) in output order.  Owner None is
+#: the spec itself, any other owner names one of its parts.  A format that
+#: returns None leaves the key out.
+_FIELDS = (
+    ("name", None, "name", (str, _same)),
+    ("target", None, "target", _choice(Target)),
+    ("t_s", None, "t_s", _FLOAT),
+    ("dt", None, "dt", _FLOAT),
+    ("initial_temp", None, "initial_temp",
+     (_parse_initial, lambda v: "ambient" if v is None else v)),
+    ("peltier_lag", None, "peltier_lag", _FLOAT),
+    # inf is allowed and means no power limit
+    ("peltier_power", None, "peltier_power", (float, _same)),
+    ("observer_tc", None, "observer_tc", _FLOAT),
+    ("setpoints", None, "setpoints",
+     (_parse_setpoints, lambda sp: " ".join(f"{v:g}:{h:g}" for v, h in sp))),
+    ("total_duration", None, "total_duration", _FLOAT),
+    ("ambient.t_amb", "ambient", "T_amb", _FLOAT),
+    ("controller.H", "controller", "H", (_integer, _same)),
+    ("controller.W1", "controller", "W1", _FLOAT),
+    ("controller.W2", "controller", "W2", _FLOAT),
+    ("controller.T_min_th", "controller", "T_min_th", _FLOAT),
+    ("controller.T_max_th", "controller", "T_max_th", _FLOAT),
+    ("controller.penalty_form", "controller", "penalty_form",
+     _choice(PenaltyForm)),
+    ("pump.on_band", "pump", "on_band", _FLOAT),
+    ("pump.off_band", "pump", "off_band", _FLOAT),
+    ("detection.threshold", "detection", "threshold", _FLOAT),
+    ("detection.min_hold", "detection", "min_hold", _FLOAT),
+    ("detection.switch_gate", "detection", "switch_gate", _FLOAT),
+    ("detection.smoothing_cutoff", "detection", "smoothing_cutoff", _FLOAT),
+)
+
+_PARTS = {"ambient": AmbientConfig, "controller": MpcConfig,
+          "pump": PumpHysteresis, "detection": DetectionConfig}
+
+#: contact.N.* keys: (name, attribute, (parse, format), value when absent).
+_CONTACT_FIELDS = (
+    ("start", "start", _FLOAT, 0.0),
+    ("duration", "duration", _FLOAT, 5.0),
+    ("kind", "kind", _choice(ContactKind), "grasp"),
+    ("conductance", "contact_conductance", _FLOAT, 0.8),
+    ("t_skin", "T_skin", _FLOAT, 33.0),
+)
+
+#: The contact.N.* keys are written between the spec's own keys and the
+#: keys of its parts.
+_CONTACTS_AT = next(i for i, row in enumerate(_FIELDS) if row[1] is not None)
+
+
+def _parse(key, parse, value):
+    try:
+        return parse(value)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} = {value!r}: {exc}") from None
+
+
+def scenario_to_kv(spec: ScenarioSpec) -> dict:
+    out = {}
+    for i, (key, owner, attr, (_, fmt)) in enumerate(_FIELDS):
+        if i == _CONTACTS_AT:
+            for n, c in enumerate(spec.contacts):
+                for name, c_attr, (_, c_fmt), _ in _CONTACT_FIELDS:
+                    out[f"contact.{n}.{name}"] = c_fmt(getattr(c, c_attr))
+        value = fmt(getattr(spec if owner is None else getattr(spec, owner),
+                            attr))
+        if value is not None:
+            out[key] = value
+    return out
 
 
 def scenario_from_kv(items: dict) -> ScenarioSpec:
     items = dict(items)
-
-    def take(key, default):
-        return items.pop(key, default)
-
-    name = str(take("name", "scenario"))
-    try:
-        target = Target(str(take("target", "cover")).lower())
-    except ValueError as exc:
-        raise ConfigError("target must be cover or pipe") from exc
-    initial = take("initial_temp", "ambient")
-    initial_temp = None if str(initial).lower() == "ambient" else float(initial)
+    own = {"name": "scenario", "setpoints": ()}
+    parts = {owner: {} for owner in _PARTS}
+    for key, owner, attr, (parse, _) in _FIELDS:
+        if key in items:
+            value = _parse(key, parse, items.pop(key))
+            (own if owner is None else parts[owner])[attr] = value
 
     contacts = []
-    i = 0
-    while f"contact.{i}.start" in items:
-        try:
-            kind = ContactKind(str(take(f"contact.{i}.kind", "grasp")).lower())
-        except ValueError as exc:
-            raise ConfigError("contact kind must be grasp or soft_touch") \
-                from exc
-        contacts.append(ContactEvent(
-            start=float(take(f"contact.{i}.start", 0.0)),
-            duration=float(take(f"contact.{i}.duration", 5.0)),
-            kind=kind,
-            contact_conductance=float(take(f"contact.{i}.conductance", 0.8)),
-            T_skin=float(take(f"contact.{i}.t_skin", 33.0)),
-        ))
-        i += 1
+    while f"contact.{len(contacts)}.start" in items:
+        prefix = f"contact.{len(contacts)}."
+        contacts.append(ContactEvent(**{
+            attr: _parse(prefix + name, parse,
+                         items.pop(prefix + name, default))
+            for name, attr, (parse, _), default in _CONTACT_FIELDS
+        }))
 
-    ambient = AmbientConfig(
-        T_amb=float(take("ambient.t_amb", 21.0)),
-        q_a=float(take("ambient.q_a", 0.0)),
-        T_skin=float(take("ambient.t_skin", 33.0)),
-    )
-    base_ctrl = MpcConfig(t_s=float(items.get("t_s", 1.0)))
-    try:
-        penalty = PenaltyForm(
-            str(take("controller.penalty_form",
-                     base_ctrl.penalty_form.value)).lower())
-    except ValueError as exc:
-        raise ConfigError("penalty_form must be magnitude or increment") \
-            from exc
-    controller = MpcConfig(
-        H=int(take("controller.H", base_ctrl.H)),
-        W1=float(take("controller.W1", base_ctrl.W1)),
-        W2=float(take("controller.W2", base_ctrl.W2)),
-        T_min_th=float(take("controller.T_min_th", base_ctrl.T_min_th)),
-        T_max_th=float(take("controller.T_max_th", base_ctrl.T_max_th)),
-        t_s=base_ctrl.t_s,
-        penalty_form=penalty,
-    )
-    pump = PumpHysteresis(
-        on_band=float(take("pump.on_band", 0.3)),
-        off_band=float(take("pump.off_band", 0.1)),
-    )
-    detection = DetectionConfig(
-        threshold=float(take("detection.threshold",
-                             DetectionConfig.threshold)),
-        min_hold=float(take("detection.min_hold", DetectionConfig.min_hold)),
-        switch_gate=float(take("detection.switch_gate",
-                               DetectionConfig.switch_gate)),
-        smoothing_cutoff=float(take("detection.smoothing_cutoff",
-                                    DetectionConfig.smoothing_cutoff)),
-    )
-
-    total = take("total_duration", None)
-    spec = ScenarioSpec(
-        name=name,
-        setpoints=_parse_setpoints(take("setpoints", "")),
-        target=target,
-        contacts=tuple(contacts),
-        ambient=ambient,
-        controller=controller,
-        detection=detection,
-        pump=pump,
-        t_s=float(take("t_s", 1.0)),
-        dt=float(take("dt", 0.1)),
-        total_duration=None if total is None else float(total),
-        initial_temp=initial_temp,
-        peltier_lag=float(take("peltier_lag", DEFAULT_PELTIER_LAG)),
-        peltier_power=float(take("peltier_power", DEFAULT_PELTIER_POWER)),
-        observer_tc=float(take("observer_tc", DEFAULT_OBSERVER_TC)),
-    )
     if items:
         raise ConfigError(f"unknown scenario keys: {sorted(items)}")
-    return spec
+    return ScenarioSpec(
+        contacts=tuple(contacts),
+        **{owner: cls(**parts[owner]) for owner, cls in _PARTS.items()},
+        **own,
+    )
 
 
 def load_scenario(path) -> ScenarioSpec:

@@ -11,16 +11,10 @@ from .errors import NumericError, ThermocoverError
 from .mpc import ThermalController
 from .observer import build_observer, observer_step
 from .params import Mode
-from .plant import PlantState, contact_heat_flow, pump_flow, step_plant
+from .plant import (PlantState, contact_heat_flow, estimate_q_aw, pump_flow,
+                    step_plant)
 from .scenario import ScenarioSpec
 from .trace import SimTrace
-
-
-def _observer_for(scenario: ScenarioSpec, controller: ThermalController):
-    tc = scenario.observer_tc
-    filt = None if tc <= 0.0 else (tc, tc)
-    return build_observer(controller.params, scenario.t_s,
-                          filter_time_constants=filt)
 
 
 def simulate(scenario: ScenarioSpec) -> SimTrace:
@@ -36,10 +30,9 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
         target=scenario.target,
         hysteresis=scenario.pump,
     )
-    preview_len = max(
-        scenario.controller.effective_horizon(m.d)
-        for m in controller._models.values()
-    )
+    preview_len = controller.preview_length
+    tc = scenario.observer_tc
+    observer_filter = None if tc <= 0.0 else (tc, tc)
 
     state = PlantState.uniform(scenario.start_temp)
     observer = None
@@ -53,12 +46,12 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
         preview = scenario.setpoint_preview(t, preview_len)
         cmd, pump_on = controller.step(measurement, state.T_w, preview)
         params = controller.params
+        q_w = pump_flow(state.T_co, state.T_w, pump_on, params)
 
         if observer is None or controller.mode is not observer_mode:
-            observer = _observer_for(scenario, controller)
-            q_w0 = pump_flow(state.T_co, state.T_w, pump_on, params)
-            q_aw0 = (ambient.T_amb - state.T_w) / params.R_aw
-            observer = observer.warm_start(state.T_w, q_w0 + q_aw0)
+            q_aw = estimate_q_aw(state.T_w, ambient.T_amb, params.R_aw)
+            observer = build_observer(params, t_s, observer_filter) \
+                .warm_start(state.T_w, q_w + q_aw)
             observer_mode = controller.mode
 
         observer, q_hat = observer_step(observer, state.T_w, state.T_co,
@@ -67,7 +60,6 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
         q_i_true = sum(contact_heat_flow(c, state.T_c, t)
                        for c in scenario.contacts)
         in_contact = any(c.active(t) for c in scenario.contacts)
-        q_w = pump_flow(state.T_co, state.T_w, pump_on, params)
         rows.append((t, cmd, state.T_p, state.T_co, state.T_w, state.T_c,
                      pump_on, q_w, q_i_true, q_hat, in_contact))
 

@@ -88,17 +88,17 @@ class SimTrace:
                     f"unexpected trace header {header!r}; "
                     f"expected {','.join(COLUMNS)}"
                 )
-            data = np.loadtxt(fh, delimiter=",", ndmin=2) if _has_rows(path) \
-                else np.empty((0, len(COLUMNS)))
+            rows = fh.readlines()
+        data = np.empty((0, len(COLUMNS)))
+        if any(row.strip() for row in rows):
+            try:
+                data = np.loadtxt(rows, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad trace row: {exc}") from None
+            if data.shape[1] != len(COLUMNS):
+                raise ConfigError(f"{path}: expected {len(COLUMNS)} columns")
         arrays = {}
         for j, c in enumerate(COLUMNS):
-            col = data[:, j] if data.size else np.empty(0)
-            arrays[c] = col.astype(bool) if c in _BOOL_COLUMNS \
-                else col.astype(float)
+            arrays[c] = data[:, j].astype(bool) if c in _BOOL_COLUMNS \
+                else data[:, j].astype(float)
         return SimTrace(name=name, **arrays)
-
-
-def _has_rows(path) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        return bool(fh.readline().strip())

@@ -55,10 +55,3 @@ def water_transfer_direct(params: PlantParams, s: complex) -> complex:
         + (params.C_w + params.C_c) * s
     return num / den
 
-
-def contact_transfer_direct(params: PlantParams, s: complex) -> complex:
-    """q_i (into the cover node) -> T_w transfer of the physical network."""
-    s = complex(s)
-    den = params.R_c * params.C_w * params.C_c * s ** 2 \
-        + (params.C_w + params.C_c) * s
-    return 1.0 / den

@@ -1,13 +1,20 @@
 """Command-line verbs, exit codes, and artifact outputs."""
 
+import contextlib
+import io
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_fopdt_trace
 from thermocover import kvio
 from thermocover.cli import main
 from thermocover.params import Mode, preset_params
 from thermocover.report import parse_report
-from thermocover.trace import SimTrace
+from thermocover.scenario import builtin_scenarios, scenario_to_kv
+from thermocover.trace import COLUMNS, SimTrace
 
 
 SHORT_SCENARIO = """\
@@ -61,14 +68,49 @@ def test_run_unknown_scenario(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
-def test_run_bad_override(tmp_path, capsys):
+@pytest.mark.parametrize("override", [
+    "nonsense", "t_s=abc", "t_s=nan", "controller.W1=nan",
+    "detection.threshold=nan", "controller.H=2.5",
+])
+def test_run_bad_override(tmp_path, capsys, override):
     scenario = tmp_path / "mini.txt"
     scenario.write_text(SHORT_SCENARIO)
-    assert main(["run", str(scenario), "--set", "nonsense"]) == 2
+    assert main(["run", str(scenario), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# every scenario key: the table's own keys, one contact's keys, and the
+# optional total_duration that built-in scenarios leave unset
+SCENARIO_KEYS = sorted(scenario_to_kv(builtin_scenarios()["exp2_grasp"])) \
+    + ["total_duration"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(key=st.sampled_from(SCENARIO_KEYS),
+       value=st.one_of(st.text(), st.integers(),
+                       st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from(["nan", "-inf", "1e400", "1e308",
+                                        "2.5", "ambient", "23:1e308"])))
+def test_any_override_value_exits_ok_or_config_error(key, value):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["print-config", "exp1_heat", "--set", f"{key}={value}"])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_fit_missing_file(capsys):
     assert main(["fit", "/definitely/not/here.csv"]) == 4
+
+
+def test_fit_truncated_file(tmp_path, capsys):
+    csv = tmp_path / "cut.csv"
+    csv.write_text(",".join(COLUMNS) + "\n" + "0," * 10 + "0\n" + "1,2,3")
+    assert main(["fit", str(csv)]) == 2
+    assert str(csv) in capsys.readouterr().err
 
 
 def test_fit_fopdt_round_trip(tmp_path, capsys):

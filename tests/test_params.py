@@ -82,7 +82,5 @@ def test_file_round_trip(tmp_path, cool_params):
 
 
 def test_ambient_defaults():
-    amb = AmbientConfig()
-    assert amb.T_skin > amb.T_amb
     with pytest.raises(ConfigError):
         AmbientConfig(T_amb=float("nan"))

@@ -73,6 +73,17 @@ def test_substep_granularity_enforced():
         ScenarioSpec(name="bad", setpoints=((23.0, 10.0),), t_s=1.0, dt=0.5)
 
 
+def test_lag_power_observer_and_duration_ranges_enforced():
+    for bad in ({"peltier_lag": -1.0}, {"peltier_power": 0.0},
+                {"peltier_power": float("nan")}, {"observer_tc": -0.5},
+                {"total_duration": -1.0}, {"total_duration": float("inf")}):
+        with pytest.raises(ConfigError):
+            ScenarioSpec(name="bad", setpoints=((23.0, 10.0),), **bad)
+    # an infinite power limit means "no limit" and stays allowed
+    ScenarioSpec(name="ok", setpoints=((23.0, 10.0),),
+                 peltier_power=float("inf"))
+
+
 def test_kv_round_trip_every_builtin():
     for spec in builtin_scenarios().values():
         assert scenario_from_kv(scenario_to_kv(spec)) == spec
