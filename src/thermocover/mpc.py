@@ -4,20 +4,33 @@ The predictor is the discrete first-order-plus-dead-time model; the cost
 trades tracking error against a command penalty (either command magnitude
 relative to a reference temperature, or command increments).  The solver is
 projected gradient descent with exact line search on the quadratic, which is
-plenty for the small horizons involved.  Pump actuation is bang-bang with
-hysteresis, mirroring the stop-at-setpoint behaviour of the rig.
+plenty for the small horizons involved.  What depends only on the model,
+horizon and weights (the prediction map, the Hessian and its largest
+eigenvalue) is built once and cached read-only, so a sample forms only the
+free response and the gradient offset before it solves.  Pump actuation is
+bang-bang with hysteresis, mirroring the stop-at-setpoint behaviour of the
+rig.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ConvergenceError
 from .fopdt import DiscreteFOPDT, discretize_fopdt
 from .params import AmbientConfig, Mode, PlantParams, Target, preset_params
+
+
+#: Largest horizon, and largest setpoint preview a controller accepts.  The QP
+#: keeps a few H x H matrices per mode, 8 MB each at this size.
+MAX_HORIZON = 1000
 
 
 class PenaltyForm(enum.Enum):
@@ -36,14 +49,20 @@ class MpcConfig:
     penalty_form: PenaltyForm = PenaltyForm.MAGNITUDE
 
     def __post_init__(self):
-        if self.H < 1:
-            raise ConfigError("horizon must be at least 1")
-        if self.W1 <= 0.0 or self.W2 < 0.0:
-            raise ConfigError("need W1 > 0 and W2 >= 0")
-        if self.T_min_th >= self.T_max_th:
-            raise ConfigError("command bounds must satisfy min < max")
-        if self.t_s <= 0.0:
-            raise ConfigError("sampling time must be positive")
+        try:
+            H = operator.index(self.H)
+        except TypeError:
+            raise ConfigError(
+                f"horizon must be an integer, got {self.H!r}") from None
+        if not 1 <= H <= MAX_HORIZON:
+            raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}]")
+        if not (0.0 < self.W1 < math.inf and 0.0 <= self.W2 < math.inf):
+            raise ConfigError("need finite W1 > 0 and W2 >= 0")
+        if not (math.isfinite(self.T_min_th) and math.isfinite(self.T_max_th)
+                and self.T_min_th < self.T_max_th):
+            raise ConfigError("command bounds must be finite with min < max")
+        if not 0.0 < self.t_s < math.inf:
+            raise ConfigError("sampling time must be positive and finite")
 
     def effective_horizon(self, d: int) -> int:
         """Horizon actually used for a model with d samples of dead time.
@@ -60,11 +79,36 @@ class MpcConfig:
 class PredictionData:
     """Affine map from future commands to predicted temperatures."""
 
-    Phi: np.ndarray    # H x H, strictly zero in the first d rows
+    Phi: np.ndarray    # H x H, strictly zero in the first d rows; cached,
+                       # so shared and read-only
     free: np.ndarray   # response to current state and past commands
     refs: np.ndarray   # setpoint preview
     d: int
     model: DiscreteFOPDT
+
+
+#: Entries kept by each constant-matrix cache: both modes of two scenarios.
+_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _prediction_constants(a: float, b: float, d: int, H: int):
+    """Read-only (a**i for i = 1..H, Phi, G) of one model and horizon.
+
+    G[m-1, i-1] is the weight of the past command u(k-m) in the prediction
+    i samples ahead.
+    """
+    apow = a ** np.arange(H + 1)
+    Phi = np.zeros((H, H))
+    for i in range(d + 1, H + 1):
+        j = np.arange(0, i - d)
+        Phi[i - 1, j] = b * apow[i - 1 - d - j]
+    # G[m-1, i-1] = b*a**(i-m) for i >= m and 0 before: every row is the
+    # same ramp, shifted one place per row, so G is a view of one vector.
+    ramp = np.concatenate((np.zeros(d), b * apow[:H]))
+    G = sliding_window_view(ramp, H)[:0:-1]   # a read-only view
+    apow.flags.writeable = Phi.flags.writeable = False
+    return apow[1:], Phi, G
 
 
 def build_prediction(model: DiscreteFOPDT, T_now: float, past_inputs,
@@ -84,19 +128,13 @@ def build_prediction(model: DiscreteFOPDT, T_now: float, past_inputs,
         raise ConfigError(
             f"need exactly {model.d} past commands, got {len(past)}"
         )
-    a, b, d = model.a, model.b, model.d
-
-    apow = a ** np.arange(H + 1)
-    free = apow[1:] * T_now
-    # contribution of past commands u(k-d) .. u(k-1)
-    for m in range(1, d + 1):
-        i = np.arange(m, H + 1)
-        free[i - 1] += b * apow[i - m] * past[m - 1]
-    Phi = np.zeros((H, H))
-    for i in range(d + 1, H + 1):
-        j = np.arange(0, i - d)
-        Phi[i - 1, j] = b * apow[i - 1 - d - j]
-    return PredictionData(Phi=Phi, free=free, refs=refs, d=d, model=model)
+    powers, Phi, G = _prediction_constants(model.a, model.b, model.d, H)
+    # response to the current state plus that to each past command u(k-m),
+    # m = 1..d, added in that order row by row
+    free = np.add.reduce(np.vstack((powers * T_now, G * past[:, None])),
+                         axis=0)
+    return PredictionData(Phi=Phi, free=free, refs=refs, d=model.d,
+                          model=model)
 
 
 @dataclass(frozen=True)
@@ -117,15 +155,22 @@ _MAX_ITER = 10_000
 _KKT_TOL = 1e-8
 
 
-def _penalty_matrix(form: PenaltyForm, H: int, u_ref: float, u_prev: float):
-    if form is PenaltyForm.MAGNITUDE:
-        P = np.eye(H)
-        v = np.full(H, u_ref)
-    else:
-        P = np.eye(H) - np.eye(H, k=-1)
-        v = np.zeros(H)
-        v[0] = u_prev
-    return P, v
+def _hessian(Phi: np.ndarray, W1: float, W2: float, form: PenaltyForm):
+    """Read-only Hessian of the QP and its largest eigenvalue."""
+    H = len(Phi)
+    # the penalty acts on P @ u: the commands themselves or their increments
+    P = np.eye(H)
+    if form is PenaltyForm.INCREMENT:
+        P -= np.eye(H, k=-1)
+    Hm = 2.0 * (W1 * Phi.T @ Phi + W2 * P.T @ P)
+    Hm.flags.writeable = False
+    return Hm, float(np.linalg.eigvalsh(Hm)[-1])
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _cached_hessian(a: float, b: float, d: int, H: int, W1: float,
+                    W2: float, form: PenaltyForm):
+    return _hessian(_prediction_constants(a, b, d, H)[1], W1, W2, form)
 
 
 def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
@@ -135,16 +180,27 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
     H = len(qp.refs)
     if u_prev is None:
         u_prev = u_ref
-    P, v = _penalty_matrix(cfg.penalty_form, H, u_ref, u_prev)
+    form = cfg.penalty_form
+    # target of P @ u, which P.T maps onto itself in both forms
+    if form is PenaltyForm.MAGNITUDE:
+        v = np.full(H, u_ref)
+    else:
+        v = np.zeros(H)
+        v[0] = u_prev
     e = qp.free - qp.refs
 
-    Hm = 2.0 * (cfg.W1 * qp.Phi.T @ qp.Phi + cfg.W2 * P.T @ P)
-    g0 = 2.0 * (cfg.W1 * qp.Phi.T @ e - cfg.W2 * P.T @ v)
+    a, b, d = qp.model.a, qp.model.b, qp.model.d
+    if qp.Phi is _prediction_constants(a, b, d, H)[1]:
+        Hm, eigmax = _cached_hessian(a, b, d, H, cfg.W1, cfg.W2, form)
+    else:
+        Hm, eigmax = _hessian(qp.Phi, cfg.W1, cfg.W2, form)
+    g0 = 2.0 * (cfg.W1 * qp.Phi.T @ e - cfg.W2 * v)
     lo, hi = cfg.T_min_th, cfg.T_max_th
 
     def cost_of(u):
         r1 = qp.Phi @ u + e
-        r2 = P @ u - v
+        Pu = u if form is PenaltyForm.MAGNITUDE else np.diff(u, prepend=0.0)
+        r2 = Pu - v
         return float(cfg.W1 * r1 @ r1 + cfg.W2 * r2 @ r2)
 
     def grad(u):
@@ -164,7 +220,6 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
         if cost_of(w) < cost_of(u):
             u = w
 
-    eigmax = float(np.linalg.eigvalsh(Hm)[-1])
     if eigmax <= 0.0:
         return _finish(u, cost_of, grad, lo, hi, 0)
     step = 1.0 / eigmax
@@ -280,6 +335,12 @@ class ThermalController:
             m: discretize_fopdt(p, self.cfg.t_s)
             for m, p in self._params.items()
         }
+        if self.preview_length > MAX_HORIZON:
+            raise ConfigError(
+                f"setpoint preview of {self.preview_length} samples exceeds "
+                f"{MAX_HORIZON}: the dead time spans too many samples of "
+                f"t_s = {self.cfg.t_s} s"
+            )
         max_d = max(m.d for m in self._models.values())
         self._history: list[float] = []
         self._max_history = max(max_d, 1)

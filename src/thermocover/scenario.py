@@ -24,6 +24,10 @@ from .plant import (DEFAULT_PELTIER_LAG, DEFAULT_PELTIER_POWER, ContactEvent,
 #: slow to see a 5 s touch.
 DEFAULT_OBSERVER_TC = 1.0
 
+#: Most plant substeps (samples x substeps per sample) one run may take;
+#: the built-in protocols take 18 000 at most.
+MAX_PLANT_STEPS = 10_000_000
+
 
 @dataclass(frozen=True)
 class DetectionConfig:
@@ -33,10 +37,12 @@ class DetectionConfig:
     smoothing_cutoff: float = 0.0  # rad/s first-order smoothing; 0 = off
 
     def __post_init__(self):
-        if self.threshold <= 0.0:
-            raise ConfigError("detection threshold must be positive")
-        if self.min_hold < 0.0 or self.switch_gate < 0.0:
-            raise ConfigError("min_hold and switch_gate must be non-negative")
+        if not 0.0 < self.threshold < math.inf:
+            raise ConfigError("detection threshold must be positive and finite")
+        for value in (self.min_hold, self.switch_gate, self.smoothing_cutoff):
+            if not 0.0 <= value < math.inf:
+                raise ConfigError("min_hold, switch_gate and smoothing_cutoff "
+                                  "must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,10 @@ class ScenarioSpec:
         dur = self.duration
         if not 0.0 <= dur < math.inf:
             raise ConfigError("run duration must be finite and non-negative")
+        steps = dur / self.t_s * round(n_sub)
+        if steps > MAX_PLANT_STEPS:
+            raise ConfigError(f"run needs {steps:.3g} plant substeps, more "
+                              f"than the {MAX_PLANT_STEPS} allowed")
         for c in self.contacts:
             if c.start < 0.0 or c.start + c.duration > dur:
                 raise ConfigError(
@@ -229,7 +239,8 @@ _FIELDS = (
     ("peltier_power", None, "peltier_power", (float, _same)),
     ("observer_tc", None, "observer_tc", _FLOAT),
     ("setpoints", None, "setpoints",
-     (_parse_setpoints, lambda sp: " ".join(f"{v:g}:{h:g}" for v, h in sp))),
+     (_parse_setpoints, lambda sp: " ".join(f"{float(v)!r}:{float(h)!r}"
+                                          for v, h in sp))),
     ("total_duration", None, "total_duration", _FLOAT),
     ("ambient.t_amb", "ambient", "T_amb", _FLOAT),
     ("controller.H", "controller", "H", (_integer, _same)),

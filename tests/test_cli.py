@@ -13,7 +13,8 @@ from thermocover import kvio
 from thermocover.cli import main
 from thermocover.params import Mode, preset_params
 from thermocover.report import parse_report
-from thermocover.scenario import builtin_scenarios, scenario_to_kv
+from thermocover.scenario import (builtin_scenarios, scenario_from_kv,
+                                  scenario_to_kv)
 from thermocover.trace import COLUMNS, SimTrace
 
 
@@ -71,13 +72,24 @@ def test_run_unknown_scenario(capsys):
 @pytest.mark.parametrize("override", [
     "nonsense", "t_s=abc", "t_s=nan", "controller.W1=nan",
     "detection.threshold=nan", "controller.H=2.5",
+    # QP or run too large: horizon, preview past the dead time, run size
+    "controller.H=1001", "t_s=0.01 dt=0.001", "total_duration=1e7",
+    "dt=1e-300",
 ])
 def test_run_bad_override(tmp_path, capsys, override):
     scenario = tmp_path / "mini.txt"
     scenario.write_text(SHORT_SCENARIO)
-    assert main(["run", str(scenario), "--set", override]) == 2
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    assert main(["run", str(scenario), *sets]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_print_config_round_trips_setpoints(capsys):
+    assert main(["print-config", "exp1_heat",
+                 "--set", "setpoints=23.1234567:60.25"]) == 0
+    spec = scenario_from_kv(kvio.loads(capsys.readouterr().out))
+    assert spec.setpoints == ((23.1234567, 60.25),)
 
 
 # every scenario key: the table's own keys, one contact's keys, and the

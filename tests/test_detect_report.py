@@ -78,10 +78,14 @@ def test_gated_burst_not_detected():
 
 
 def test_detection_config_validation():
-    with pytest.raises(ConfigError):
-        DetectionConfig(threshold=0.0)
-    with pytest.raises(ConfigError):
-        DetectionConfig(min_hold=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"threshold": 0.0}, {"threshold": nan}, {"threshold": inf},
+                {"min_hold": -1.0}, {"min_hold": nan}, {"min_hold": inf},
+                {"switch_gate": nan}, {"switch_gate": inf},
+                {"smoothing_cutoff": -1.0}, {"smoothing_cutoff": nan},
+                {"smoothing_cutoff": inf}):
+        with pytest.raises(ConfigError):
+            DetectionConfig(**bad)
 
 
 def test_report_round_trip():

@@ -1,14 +1,17 @@
 """Preview controller: prediction map, box-constrained solver, pump logic."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from thermocover.errors import ConfigError
-from thermocover.fopdt import DiscreteFOPDT
-from thermocover.mpc import (MpcConfig, PenaltyForm, PumpHysteresis,
-                             ThermalController, build_prediction, pump_step,
+from thermocover.fopdt import DiscreteFOPDT, discretize_fopdt
+from thermocover.mpc import (MAX_HORIZON, MpcConfig, PenaltyForm,
+                             PumpHysteresis, ThermalController,
+                             _cached_hessian, build_prediction, pump_step,
                              solve_mpc)
-from thermocover.params import AmbientConfig, Target
+from thermocover.params import AmbientConfig, Mode, Target, preset_params
 
 
 def _model(a=0.9, d=0):
@@ -27,6 +30,66 @@ def test_constant_command_fixed_point():
     qp = build_prediction(_model(a=0.95, d=2), c, [c, c], np.full(6, c))
     pred = qp.Phi @ np.full(6, c) + qp.free
     assert np.allclose(pred, c, atol=1e-12)
+
+
+def _preset_models():
+    """The controller's models: both modes of both targets, at the sampling
+    time of the built-in protocols for that target."""
+    for target, t_s in ((Target.COVER, 1.0), (Target.PIPE, 0.5)):
+        for mode in Mode:
+            yield discretize_fopdt(preset_params(mode, target), t_s)
+
+
+def _free_response_loop(model, T_now, past, H):
+    """Reference: the free response summed one past command at a time."""
+    a, b, d = model.a, model.b, model.d
+    apow = a ** np.arange(H + 1)
+    free = apow[1:] * T_now
+    for m in range(1, d + 1):
+        i = np.arange(m, H + 1)
+        free[i - 1] += b * apow[i - m] * past[m - 1]
+    return free
+
+
+def test_free_response_bit_equal_to_loop():
+    rng = np.random.default_rng(3)
+    for model in _preset_models():
+        H = MpcConfig().effective_horizon(model.d)
+        for _ in range(5):
+            T_now = float(rng.uniform(15.0, 35.0))
+            past = rng.uniform(5.0, 60.0, size=model.d)
+            qp = build_prediction(model, T_now, past, np.full(H, 25.0))
+            assert np.array_equal(qp.free,
+                                  _free_response_loop(model, T_now, past, H))
+
+
+def test_cached_and_hand_built_prediction_solve_alike():
+    rng = np.random.default_rng(5)
+    for form in PenaltyForm:
+        cfg = MpcConfig(penalty_form=form)
+        for model in _preset_models():
+            H = cfg.effective_horizon(model.d)
+            for ref in (15.0, 25.0, 40.0):
+                past = rng.uniform(20.0, 30.0, size=model.d)
+                qp = build_prediction(model, 25.0, past, np.full(H, ref))
+                # a writable copy of Phi is not the cached matrix
+                own = replace(qp, Phi=qp.Phi.copy())
+                cached = solve_mpc(qp, cfg, u_ref=21.0, u_prev=24.0)
+                built = solve_mpc(own, cfg, u_ref=21.0, u_prev=24.0)
+                assert np.array_equal(cached.sequence, built.sequence)
+                assert cached.iterations == built.iterations
+
+
+def test_cached_constants_are_read_only():
+    model = _model(a=0.95, d=3)
+    qp = build_prediction(model, 20.0, [20.0] * 3, np.zeros(8))
+    assert build_prediction(model, 21.0, [21.0] * 3, np.ones(8)).Phi \
+        is qp.Phi
+    Hm, _ = _cached_hessian(model.a, model.b, model.d, 8, 1.0, 1e-4,
+                            PenaltyForm.MAGNITUDE)
+    for array in (qp.Phi, Hm):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
 
 
 def test_dead_time_blocks_early_rows():
@@ -86,12 +149,22 @@ def test_increment_penalty_freezes_command():
 
 
 def test_config_validation():
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"H": 0}, {"H": 2.5}, {"H": MAX_HORIZON + 1},
+                {"W1": 0.0}, {"W1": nan}, {"W1": inf},
+                {"W2": -1.0}, {"W2": nan}, {"W2": inf},
+                {"T_min_th": 30.0, "T_max_th": 20.0}, {"T_min_th": nan},
+                {"T_min_th": -inf}, {"T_max_th": nan}, {"T_max_th": inf},
+                {"t_s": nan}, {"t_s": inf}):
+        with pytest.raises(ConfigError):
+            MpcConfig(**bad)
+    assert MpcConfig(H=MAX_HORIZON).H == MAX_HORIZON
+
+
+def test_controller_rejects_too_long_preview():
+    # the cover's dead time spans 4 500 samples of 0.01 s
     with pytest.raises(ConfigError):
-        MpcConfig(H=0)
-    with pytest.raises(ConfigError):
-        MpcConfig(W1=0.0)
-    with pytest.raises(ConfigError):
-        MpcConfig(T_min_th=30.0, T_max_th=20.0)
+        ThermalController(cfg=MpcConfig(t_s=0.01), ambient=AmbientConfig())
 
 
 def test_effective_horizon_covers_dead_time():

@@ -76,7 +76,8 @@ def test_substep_granularity_enforced():
 def test_lag_power_observer_and_duration_ranges_enforced():
     for bad in ({"peltier_lag": -1.0}, {"peltier_power": 0.0},
                 {"peltier_power": float("nan")}, {"observer_tc": -0.5},
-                {"total_duration": -1.0}, {"total_duration": float("inf")}):
+                {"total_duration": -1.0}, {"total_duration": float("inf")},
+                {"total_duration": 1e7}):
         with pytest.raises(ConfigError):
             ScenarioSpec(name="bad", setpoints=((23.0, 10.0),), **bad)
     # an infinite power limit means "no limit" and stays allowed
