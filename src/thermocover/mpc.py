@@ -417,8 +417,9 @@ class ThermalController:
         qp = build_prediction(model, self._x_hat, past, refs - self._p_hat)
         warm = None
         if self._last_solution is not None and len(self._last_solution) == H:
-            warm = np.roll(self._last_solution, -1)
-            warm[-1] = warm[-2]
+            # shift one sample ahead and hold the last command
+            seq = self._last_solution
+            warm = np.concatenate((seq[1:], seq[-1:]))
         sol = solve_mpc(qp, self.cfg, u_ref=self.ambient.T_amb,
                         u_prev=self._last_cmd, warm_start=warm)
         cmd = sol.command

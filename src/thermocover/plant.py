@@ -100,24 +100,6 @@ def estimate_q_aw(T_w: float, T_amb: float, R_aw: float) -> float:
     return (T_amb - T_w) / R_aw
 
 
-def _derivs(T_p, T_co, T_w, T_c, T_p_cmd, pump_on, q_i, params, ambient,
-            peltier_lag, peltier_power):
-    if peltier_lag > 0.0:
-        dT_p = (T_p_cmd - T_p) / peltier_lag
-    else:
-        dT_p = 0.0
-    q_w = pump_flow(T_co, T_w, pump_on, params)
-    q_aw = estimate_q_aw(T_w, ambient.T_amb, params.R_aw)
-    # actuator limit: the plate can hold at most peltier_power across R_co
-    q_p = (T_p - T_co) / params.R_co
-    if math.isfinite(peltier_power):
-        q_p = max(-peltier_power, min(peltier_power, q_p))
-    dT_co = (q_p - q_w) / params.C_co
-    dT_w = (q_w + q_aw - (T_w - T_c) / params.R_c) / params.C_w
-    dT_c = ((T_w - T_c) / params.R_c + q_i) / params.C_c
-    return dT_p, dT_co, dT_w, dT_c
-
-
 def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
                params: PlantParams, ambient: AmbientConfig, dt: float,
                peltier_lag: float = DEFAULT_PELTIER_LAG,
@@ -125,32 +107,59 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
     """Advance the plant one RK4 step of length dt.
 
     The contact heat flow ``q_i`` is held constant across the step; callers
-    re-evaluate it at the substep rate.
+    re-evaluate it at the substep rate.  ``peltier_lag`` = 0 snaps the plate
+    to its command; ``peltier_power`` = inf removes the actuator limit.
     """
-    if dt <= 0.0:
+    # written as `not x > 0` so that NaN fails too
+    if not dt > 0.0:
         raise ConfigError("dt must be positive")
-    limit = 0.5 * min(params.R_c * params.C_c, params.R_co * params.C_co)
+    if not peltier_lag >= 0.0:
+        raise ConfigError("peltier_lag must be non-negative")
+    if not peltier_power > 0.0:
+        raise ConfigError("peltier_power must be positive (inf: no limit)")
+    R_co, R_c, R_aw = params.R_co, params.R_c, params.R_aw
+    C_co, C_w, C_c = params.C_co, params.C_w, params.C_c
+    limit = 0.5 * min(R_c * C_c, R_co * C_co)
     if dt > limit:
         raise ConfigError(
             f"dt = {dt} s exceeds the stability margin {limit:.3g} s"
         )
+    T_amb = ambient.T_amb
+    lagged = peltier_lag > 0.0
+    capped = peltier_power < math.inf
 
-    T_p0 = state.T_p if peltier_lag > 0.0 else T_p_cmd
-    y = (T_p0, state.T_co, state.T_w, state.T_c)
+    def f(T_p, T_co, T_w, T_c):
+        dT_p = (T_p_cmd - T_p) / peltier_lag if lagged else 0.0
+        q_w = pump_flow(T_co, T_w, pump_on, params)
+        q_aw = estimate_q_aw(T_w, T_amb, R_aw)
+        # actuator limit: the plate can hold at most peltier_power across R_co
+        q_p = (T_p - T_co) / R_co
+        if capped:
+            if q_p > peltier_power:
+                q_p = peltier_power
+            elif q_p < -peltier_power:
+                q_p = -peltier_power
+        q_c = (T_w - T_c) / R_c
+        return (dT_p, (q_p - q_w) / C_co, (q_w + q_aw - q_c) / C_w,
+                (q_c + q_i) / C_c)
 
-    def f(v):
-        return _derivs(*v, T_p_cmd, pump_on, q_i, params, ambient,
-                       peltier_lag, peltier_power)
-
-    k1 = f(y)
-    k2 = f(tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1)))
-    k3 = f(tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2)))
-    k4 = f(tuple(yi + dt * ki for yi, ki in zip(y, k3)))
-    new = tuple(
-        yi + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
-    if not all(math.isfinite(v) for v in new):
-        raise NumericError(f"non-finite plant state at t = {state.t + dt:.6g} s")
-    return PlantState(T_p=new[0], T_co=new[1], T_w=new[2], T_c=new[3],
-                      pump_on=pump_on, t=state.t + dt)
+    # RK4 on plain floats.  Keep the order of every operation (y + h * k
+    # with h = dt / 2, no reciprocals): reordering changes the trace bits.
+    y0 = state.T_p if lagged else T_p_cmd
+    y1, y2, y3 = state.T_co, state.T_w, state.T_c
+    h = 0.5 * dt
+    a0, a1, a2, a3 = f(y0, y1, y2, y3)
+    b0, b1, b2, b3 = f(y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3)
+    c0, c1, c2, c3 = f(y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3)
+    d0, d1, d2, d3 = f(y0 + dt * c0, y1 + dt * c1, y2 + dt * c2,
+                       y3 + dt * c3)
+    T_p = y0 + dt * (a0 + 2.0 * b0 + 2.0 * c0 + d0) / 6.0
+    T_co = y1 + dt * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0
+    T_w = y2 + dt * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0
+    T_c = y3 + dt * (a3 + 2.0 * b3 + 2.0 * c3 + d3) / 6.0
+    t = state.t + dt
+    if not (math.isfinite(T_p) and math.isfinite(T_co)
+            and math.isfinite(T_w) and math.isfinite(T_c)):
+        raise NumericError(f"non-finite plant state at t = {t:.6g} s")
+    return PlantState(T_p=T_p, T_co=T_co, T_w=T_w, T_c=T_c,
+                      pump_on=pump_on, t=t)

@@ -7,7 +7,9 @@ produces a bit-identical trace.
 
 from __future__ import annotations
 
-from .errors import NumericError, ThermocoverError
+import copy
+
+from .errors import ThermocoverError
 from .mpc import ThermalController
 from .observer import build_observer, observer_step
 from .params import Mode
@@ -41,29 +43,29 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
     rows = []
     for k in range(n_samples):
         t = k * t_s
-        measurement = state.T_c if scenario.target.value == "cover" \
-            else state.T_w
-        preview = scenario.setpoint_preview(t, preview_len)
-        cmd, pump_on = controller.step(measurement, state.T_w, preview)
-        params = controller.params
-        q_w = pump_flow(state.T_co, state.T_w, pump_on, params)
-
-        if observer is None or controller.mode is not observer_mode:
-            q_aw = estimate_q_aw(state.T_w, ambient.T_amb, params.R_aw)
-            observer = build_observer(params, t_s, observer_filter) \
-                .warm_start(state.T_w, q_w + q_aw)
-            observer_mode = controller.mode
-
-        observer, q_hat = observer_step(observer, state.T_w, state.T_co,
-                                        pump_on, params, ambient)
-
-        q_i_true = sum(contact_heat_flow(c, state.T_c, t)
-                       for c in scenario.contacts)
-        in_contact = any(c.active(t) for c in scenario.contacts)
-        rows.append((t, cmd, state.T_p, state.T_co, state.T_w, state.T_c,
-                     pump_on, q_w, q_i_true, q_hat, in_contact))
-
         try:
+            measurement = state.T_c if scenario.target.value == "cover" \
+                else state.T_w
+            preview = scenario.setpoint_preview(t, preview_len)
+            cmd, pump_on = controller.step(measurement, state.T_w, preview)
+            params = controller.params
+            q_w = pump_flow(state.T_co, state.T_w, pump_on, params)
+
+            if observer is None or controller.mode is not observer_mode:
+                q_aw = estimate_q_aw(state.T_w, ambient.T_amb, params.R_aw)
+                observer = build_observer(params, t_s, observer_filter) \
+                    .warm_start(state.T_w, q_w + q_aw)
+                observer_mode = controller.mode
+
+            observer, q_hat = observer_step(observer, state.T_w, state.T_co,
+                                            pump_on, params, ambient)
+
+            q_i_true = sum(contact_heat_flow(c, state.T_c, t)
+                           for c in scenario.contacts)
+            in_contact = any(c.active(t) for c in scenario.contacts)
+            rows.append((t, cmd, state.T_p, state.T_co, state.T_w, state.T_c,
+                         pump_on, q_w, q_i_true, q_hat, in_contact))
+
             for j in range(n_sub):
                 t_sub = t + j * scenario.dt
                 q_i = sum(contact_heat_flow(c, state.T_c, t_sub)
@@ -72,13 +74,16 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
                                    scenario.dt,
                                    peltier_lag=scenario.peltier_lag,
                                    peltier_power=scenario.peltier_power)
-        except NumericError as exc:
-            raise NumericError(
-                f"{scenario.name}: plant step failed at t = {t:.6g} s: {exc}"
-            ) from exc
         except ThermocoverError as exc:
-            raise type(exc)(f"{scenario.name}: at t = {t:.6g} s: {exc}") \
+            raise _in_context(exc, f"{scenario.name}: at t = {t:.6g} s") \
                 from exc
 
     return SimTrace.from_rows(rows, name=scenario.name,
                               meta={"scenario": scenario})
+
+
+def _in_context(exc: ThermocoverError, where: str) -> ThermocoverError:
+    """A copy of ``exc``, same type and attributes, its message prefixed."""
+    new = copy.copy(exc)
+    new.args = (f"{where}: {exc}",)
+    return new

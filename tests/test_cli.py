@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_fopdt_trace
-from thermocover import kvio
+from thermocover import kvio, mpc
 from thermocover.cli import main
+from thermocover.errors import ConvergenceError
 from thermocover.params import Mode, preset_params
 from thermocover.report import parse_report
 from thermocover.scenario import (builtin_scenarios, scenario_from_kv,
@@ -62,6 +63,20 @@ def test_run_scenario_file_with_override(tmp_path, capsys):
     report = (tmp_path / "out" / "mini_report.txt").read_text()
     assert "# override: detection.threshold=0.2" in report
     assert parse_report(report)["detection.threshold"] == "0.2"
+
+
+def test_run_solver_failure_exits_numeric(tmp_path, capsys, monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise ConvergenceError("projected gradient hit 10000 iterations",
+                               residual=0.25)
+
+    monkeypatch.setattr(mpc, "solve_mpc", failing_solve)
+    scenario = tmp_path / "mini.txt"
+    scenario.write_text(SHORT_SCENARIO)
+    assert main(["run", str(scenario), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: mini: at t = 0 s: projected gradient hit 10000 "
+                   "iterations"]
 
 
 def test_run_unknown_scenario(capsys):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from thermocover import mpc
 from thermocover.errors import ConfigError
 from thermocover.fopdt import DiscreteFOPDT, discretize_fopdt
 from thermocover.mpc import (MAX_HORIZON, MpcConfig, PenaltyForm,
@@ -203,3 +204,24 @@ def test_controller_mode_switch_resets_offset_state():
     heat_mode = ctrl.mode
     ctrl.step(25.0, 25.0, np.full(30, 20.0))
     assert ctrl.mode is not heat_mode
+
+
+def test_warm_start_is_last_solution_shifted(monkeypatch):
+    seen = []
+
+    def recording_solve(qp, cfg, **kw):
+        sol = solve_mpc(qp, cfg, **kw)
+        seen.append((kw["warm_start"], sol.sequence))
+        return sol
+
+    monkeypatch.setattr(mpc, "solve_mpc", recording_solve)
+    ctrl = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig(),
+                             target=Target.COVER)
+    for k in range(30):
+        ctrl.step(21.0 + 0.1 * k, 21.0, np.full(ctrl.preview_length, 30.0))
+    assert len(seen) == 30 and seen[0][0] is None
+    for (_, previous), (warm, _) in zip(seen, seen[1:]):
+        # roll one sample ahead, then hold the last command
+        expected = np.roll(previous, -1)
+        expected[-1] = expected[-2]
+        assert np.array_equal(warm, expected)

@@ -1,5 +1,7 @@
 """Fixed-step plant integration: equilibria, flows, stability, convergence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from thermocover.errors import ConfigError
 from thermocover.params import AmbientConfig
 from thermocover.plant import (ContactEvent, ContactKind,
                                DEFAULT_CONDUCTANCE, PlantState,
-                               contact_heat_flow, pump_flow, step_plant)
+                               contact_heat_flow, estimate_q_aw, pump_flow,
+                               step_plant)
 
 
 AMBIENT = AmbientConfig()
@@ -95,3 +98,89 @@ def test_peltier_power_cap_limits_tank_rate(heat_params):
     max_rise = 60.0 / heat_params.C_co * 0.1
     assert capped.T_co - 21.0 <= max_rise * (1.0 + 1e-9)
     assert ideal.T_co - 21.0 > 5.0 * (capped.T_co - 21.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("dt", float("nan")),
+    ("dt", -0.1),
+    ("peltier_lag", -1.0),
+    ("peltier_lag", float("nan")),
+    ("peltier_power", float("nan")),
+    ("peltier_power", -5.0),
+    ("peltier_power", 0.0),
+])
+def test_bad_arguments_rejected(heat_params, name, value):
+    args = dict(dt=0.1, peltier_lag=2.0, peltier_power=60.0)
+    args[name] = value
+    with pytest.raises(ConfigError):
+        step_plant(PlantState.uniform(21.0), 40.0, True, 0.0, heat_params,
+                   AMBIENT, **args)
+
+
+# The tuple-based RK4 that step_plant replaced, kept verbatim as the
+# reference its traces must match bit for bit.
+
+def _reference_derivs(T_p, T_co, T_w, T_c, T_p_cmd, pump_on, q_i, params,
+                      ambient, peltier_lag, peltier_power):
+    if peltier_lag > 0.0:
+        dT_p = (T_p_cmd - T_p) / peltier_lag
+    else:
+        dT_p = 0.0
+    q_w = pump_flow(T_co, T_w, pump_on, params)
+    q_aw = estimate_q_aw(T_w, ambient.T_amb, params.R_aw)
+    # actuator limit: the plate can hold at most peltier_power across R_co
+    q_p = (T_p - T_co) / params.R_co
+    if math.isfinite(peltier_power):
+        q_p = max(-peltier_power, min(peltier_power, q_p))
+    dT_co = (q_p - q_w) / params.C_co
+    dT_w = (q_w + q_aw - (T_w - T_c) / params.R_c) / params.C_w
+    dT_c = ((T_w - T_c) / params.R_c + q_i) / params.C_c
+    return dT_p, dT_co, dT_w, dT_c
+
+
+def _reference_step(state, T_p_cmd, pump_on, q_i, params, ambient, dt,
+                    peltier_lag, peltier_power):
+    T_p0 = state.T_p if peltier_lag > 0.0 else T_p_cmd
+    y = (T_p0, state.T_co, state.T_w, state.T_c)
+
+    def f(v):
+        return _reference_derivs(*v, T_p_cmd, pump_on, q_i, params, ambient,
+                                 peltier_lag, peltier_power)
+
+    k1 = f(y)
+    k2 = f(tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1)))
+    k3 = f(tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2)))
+    k4 = f(tuple(yi + dt * ki for yi, ki in zip(y, k3)))
+    new = tuple(
+        yi + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
+        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )
+    return PlantState(T_p=new[0], T_co=new[1], T_w=new[2], T_c=new[3],
+                      pump_on=pump_on, t=state.t + dt)
+
+
+@pytest.mark.parametrize("pump_on", [True, False])
+@pytest.mark.parametrize("peltier_lag", [0.0, 2.0])
+@pytest.mark.parametrize("peltier_power", [float("inf"), 60.0, 0.5])
+@pytest.mark.parametrize("q_i", [0.0, 3.0])
+@pytest.mark.parametrize("dt", [0.1, 1.0])
+@pytest.mark.parametrize("start", [
+    PlantState(T_p=-0.5, T_co=-0.03, T_w=-0.02, T_c=-0.01, pump_on=True,
+               t=0.0),
+    PlantState(T_p=70.0, T_co=-5.0, T_w=0.01, T_c=-0.01, pump_on=False,
+               t=12.3),
+])
+def test_step_bit_equal_to_reference(heat_params, pump_on, peltier_lag,
+                                     peltier_power, q_i, dt, start):
+    # Nodes that start near 0 deg C and cross it have small ulps next to
+    # their increments, so a reordered or reciprocal operation shows within
+    # 20 steps; near room temperature it mostly rounds away.  0.5 W makes
+    # the actuator cap bind.
+    new = ref = start
+    for k in range(20):
+        cmd = 45.0 if k < 10 else -10.0
+        new = step_plant(new, cmd, pump_on, q_i, heat_params, AMBIENT, dt,
+                         peltier_lag=peltier_lag, peltier_power=peltier_power)
+        ref = _reference_step(ref, cmd, pump_on, q_i, heat_params, AMBIENT,
+                              dt, peltier_lag, peltier_power)
+        assert new == ref

@@ -1,7 +1,12 @@
 """Closed-loop simulation wiring: determinism, trace shape, contact truth."""
 
-import numpy as np
+import importlib
 
+import numpy as np
+import pytest
+
+from thermocover import mpc
+from thermocover.errors import ConvergenceError, NumericError
 from thermocover.plant import ContactEvent, ContactKind
 from thermocover.scenario import ScenarioSpec
 from thermocover.simulate import simulate
@@ -46,3 +51,31 @@ def test_contact_truth_confined_to_window():
 def test_cover_heats_toward_setpoint():
     trace = simulate(_short_scenario(setpoints=((24.0, 300.0),)))
     assert trace.T_c[-1] > trace.T_c[0] + 1.0
+
+
+def test_controller_failure_names_scenario_and_time(monkeypatch):
+    solve, calls = mpc.solve_mpc, []
+
+    def solve_then_fail(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 5:
+            raise ConvergenceError("projected gradient hit 10000 iterations",
+                                   residual=0.25)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mpc, "solve_mpc", solve_then_fail)
+    with pytest.raises(ConvergenceError) as info:
+        simulate(_short_scenario())
+    assert str(info.value).startswith("short: at t = 5 s: projected gradient")
+    assert info.value.residual == 0.25
+
+
+def test_observer_failure_names_scenario_and_time(monkeypatch):
+    def failing_observer(observer, *args):
+        raise NumericError("observer diverged")
+
+    # the package exports the function `simulate` under the module's name
+    module = importlib.import_module("thermocover.simulate")
+    monkeypatch.setattr(module, "observer_step", failing_observer)
+    with pytest.raises(NumericError, match="^short: at t = 0 s: observer"):
+        simulate(_short_scenario())
