@@ -18,6 +18,7 @@ Two fitters mirror how the hardware constants were derived:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -25,6 +26,11 @@ from scipy.optimize import least_squares
 from .errors import ConfigError, IllConditionedFitError
 from .params import AmbientConfig, Mode
 from .trace import SimTrace
+
+# Largest |value| a trace's input level or measurement may take.  Traces are
+# temperatures in degrees Celsius, so a larger value is a unit or recording
+# error; near 1e154 the fits' squared residuals would also overflow.
+MAX_ABS_TEMPERATURE = 1e6
 
 
 @dataclass(frozen=True)
@@ -42,15 +48,35 @@ class StepTrace:
         t = np.asarray(self.t, dtype=float)
         if t.size < 3:
             raise ConfigError("trace too short to fit")
-        steps = np.diff(t)
+        u = np.asarray(self.u, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        for name, values in (("t", t), ("u", u), (self.signal, y)):
+            if values.shape != t.shape:
+                raise ConfigError(f"trace {name} has {values.size} samples, "
+                                  f"t has {t.size}")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ConfigError(
+                    f"trace {name} is not finite at sample {bad[0]}")
+        for name, values in (("u", u), (self.signal, y)):
+            if np.max(np.abs(values)) > MAX_ABS_TEMPERATURE:
+                raise ConfigError(
+                    f"trace {name} exceeds +-{MAX_ABS_TEMPERATURE:g}")
+        with np.errstate(over="ignore"):
+            steps = np.diff(t)
+        if not 0.0 < steps[0] < np.inf:
+            raise ConfigError("trace time must increase in finite steps")
         if np.max(np.abs(steps - steps[0])) > 1e-6 * max(steps[0], 1e-12):
             raise ConfigError("trace must be uniformly sampled")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "y", y)
         if self.pump_on is not None:
-            object.__setattr__(self, "pump_on",
-                               np.asarray(self.pump_on, dtype=bool))
+            pump = np.asarray(self.pump_on, dtype=bool)
+            if pump.shape != t.shape:
+                raise ConfigError(f"trace pump_on has {pump.size} samples, "
+                                  f"t has {t.size}")
+            object.__setattr__(self, "pump_on", pump)
 
     @property
     def t_s(self) -> float:
@@ -241,64 +267,103 @@ def _plant_matrices(R_w, C_w, R_c, C_c, R_aw, C_co, R_co, pump_on):
     return A, B
 
 
-def _segment_bounds(trace: StepTrace):
-    pump = trace.pump_on if trace.pump_on is not None \
-        else np.zeros(len(trace.t), dtype=bool)
-    change = (np.diff(trace.u) != 0.0) | (np.diff(pump) != 0)
-    cuts = np.concatenate(([0], np.flatnonzero(change) + 1, [len(trace.t)]))
-    return cuts, pump
+class _Segment(NamedTuple):
+    """Stretch of a recording with one input level and one pump state."""
+
+    a: int                 # first sample
+    b: int                 # one past the last sample
+    pump_on: bool
+    level: float           # input level over the stretch
+    dt_rel: np.ndarray     # sample times from the stretch start, as a column
+    t_end: float           # time to the start of the next stretch
 
 
-def _simulate_trace(theta, trace: StepTrace, C_co, R_co,
-                    ambient: AmbientConfig, x0):
-    """Piecewise-constant-input response via eigendecomposition."""
-    R_w, C_w, R_c, C_c, R_aw = theta
-    cuts, pump = _segment_bounds(trace)
-    t = trace.t
-    x = np.array(x0, dtype=float)
-    out = np.empty((len(t), 3))
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        A, B = _plant_matrices(R_w, C_w, R_c, C_c, R_aw, C_co, R_co,
-                               bool(pump[a]))
-        u = np.array([trace.u[a], ambient.T_amb])
-        x_ss = np.linalg.solve(A, -B @ u)
-        lam, V = np.linalg.eig(A)
-        c0 = np.linalg.solve(V, x - x_ss)
-        dt_rel = (t[a:b] - t[a])[:, None]
-        modes = np.exp(lam[None, :] * dt_rel)
-        seg = np.real(modes * c0[None, :] @ V.T) + x_ss[None, :]
-        out[a:b] = seg
-        # continue from the segment's true endpoint, one sample past t[b-1]
-        t_end = t[b - 1] - t[a] + (t[1] - t[0])
-        x = np.real(V @ (c0 * np.exp(lam * t_end))) + x_ss
-    return out
+def _segments(t, u, pump) -> tuple:
+    change = (np.diff(u) != 0.0) | (np.diff(pump) != 0)
+    cuts = np.concatenate(([0], np.flatnonzero(change) + 1, [len(t)]))
+    # each stretch continues from its true endpoint, one sample past t[b-1]
+    return tuple(_Segment(a, b, bool(pump[a]), u[a],
+                          (t[a:b] - t[a])[:, None],
+                          t[b - 1] - t[a] + (t[1] - t[0]))
+                 for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+def _recordings(traces) -> list:
+    """Group traces that share t, u and pump_on into one recording each.
+
+    Returns ``(segments, members)`` pairs; a member is ``(offset, column,
+    y, x0)``, with ``offset`` the trace's first row in the stacked residual.
+    """
+    groups = {}
+    offset = 0
+    for tr in traces:
+        pump = tr.pump_on if tr.pump_on is not None \
+            else np.zeros(len(tr.t), dtype=bool)
+        key = (tr.t.tobytes(), tr.u.tobytes(), pump.tobytes())
+        if key not in groups:
+            groups[key] = (_segments(tr.t, tr.u, pump), [])
+        groups[key][1].append((offset, _SIGNAL_INDEX[tr.signal], tr.y,
+                               np.full(3, float(tr.y[0]))))
+        offset += len(tr.t)
+    return list(groups.values())
+
+
+def _simulate_residual(theta, recordings, C_co, R_co, T_amb, out):
+    """Write each trace's modelled minus measured values into ``out``.
+
+    Piecewise-constant-input response via eigendecomposition: one per pump
+    state, then each segment's steady state and modal exponentials once per
+    recording, shared by the traces measured in it.
+    """
+    system = {}
+    for segments, members in recordings:
+        xs = [x0 for *_, x0 in members]
+        for seg in segments:
+            if seg.pump_on not in system:
+                A, B = _plant_matrices(*theta, C_co, R_co, seg.pump_on)
+                system[seg.pump_on] = (A, B, *np.linalg.eig(A))
+            A, B, lam, V = system[seg.pump_on]
+            x_ss = np.linalg.solve(A, -B @ np.array([seg.level, T_amb]))
+            modes = np.exp(lam[None, :] * seg.dt_rel)
+            decay = np.exp(lam * seg.t_end)
+            for k, (offset, j, y, _) in enumerate(members):
+                c0 = np.linalg.solve(V, xs[k] - x_ss)
+                sim = np.real(modes * c0[None, :] @ V.T)
+                out[offset + seg.a:offset + seg.b] = \
+                    sim[:, j] + x_ss[j] - y[seg.a:seg.b]
+                xs[k] = np.real(V @ (c0 * decay)) + x_ss
 
 
 def fit_two_node(traces, C_co: float, R_co: float,
                  ambient: AmbientConfig | None = None) -> FitReport:
-    """Least-squares fit of the RC-network constants to one or more traces."""
+    """Least-squares fit of the RC-network constants to one or more traces.
+
+    Traces with equal ``t``, ``u`` and ``pump_on`` (several sensors of one
+    run) are simulated together: per parameter vector, one
+    eigendecomposition per pump state and one set of modal exponentials
+    per segment of each recording.
+    """
     if ambient is None:
         ambient = AmbientConfig()
     traces = list(traces)
     if not traces:
         raise ConfigError("need at least one trace")
-
-    x0_list = []
+    for name, value in (("C_co", C_co), ("R_co", R_co)):
+        if not 0.0 < value < np.inf:
+            raise ConfigError(
+                f"{name} must be finite and positive, got {value!r}")
     for tr in traces:
         if tr.signal not in _SIGNAL_INDEX:
             raise ConfigError(f"unknown measured signal {tr.signal!r}")
-        x0_list.append(np.full(3, float(tr.y[0])))
-
+    recordings = _recordings(traces)
     n_res = sum(len(tr.t) for tr in traces)
 
     def residual(log_theta):
         theta = np.exp(log_theta)
-        parts = []
+        res = np.empty(n_res)
         try:
-            for tr, x0 in zip(traces, x0_list):
-                sim = _simulate_trace(theta, tr, C_co, R_co, ambient, x0)
-                parts.append(sim[:, _SIGNAL_INDEX[tr.signal]] - tr.y)
-            res = np.concatenate(parts)
+            _simulate_residual(theta, recordings, C_co, R_co, ambient.T_amb,
+                               res)
         except np.linalg.LinAlgError:
             return np.full(n_res, 1e6)
         if not np.all(np.isfinite(res)):

@@ -99,6 +99,11 @@ class SimTrace:
                 raise ConfigError(f"{path}: expected {len(COLUMNS)} columns")
         arrays = {}
         for j, c in enumerate(COLUMNS):
-            arrays[c] = data[:, j].astype(bool) if c in _BOOL_COLUMNS \
-                else data[:, j].astype(float)
+            col = data[:, j]
+            if c not in _BOOL_COLUMNS:
+                arrays[c] = col.astype(float)
+            elif np.all((col == 0.0) | (col == 1.0)):
+                arrays[c] = col.astype(bool)
+            else:
+                raise ConfigError(f"{path}: column {c} must be 0 or 1")
         return SimTrace(name=name, **arrays)

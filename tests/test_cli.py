@@ -1,14 +1,17 @@
 """Command-line verbs, exit codes, and artifact outputs."""
 
 import contextlib
+import functools
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_fopdt_trace
+from conftest import make_fopdt_trace, make_plant_step_run
 from thermocover import kvio, mpc
 from thermocover.cli import main
 from thermocover.errors import ConvergenceError
@@ -161,3 +164,95 @@ def test_fit_fopdt_round_trip(tmp_path, capsys):
     assert abs(items["R_com_C_com"] - params.R_com_C_com) \
         < 0.01 * params.R_com_C_com
     assert abs(items["L_d"] - params.L_d) < 0.01 * params.L_d
+
+
+# a short open-loop recording, pump stopped halfway, as an 11-column CSV
+STEP_ROWS = 60
+
+
+@functools.lru_cache(maxsize=1)
+def _step_csv_rows():
+    t, u, y_co, y_w, y_c, pump = make_plant_step_run(
+        preset_params(Mode.HEAT), n=STEP_ROWS, pump_off_at=STEP_ROWS // 2)
+    z = np.zeros(STEP_ROWS)
+    trace = SimTrace(t=t, T_p_cmd=u, T_p=u, T_co=y_co, T_w=y_w, T_c=y_c,
+                     pump_on=pump, q_w=z, q_i_true=z, q_i_hat=z,
+                     contact_flag=z.astype(bool))
+    return tuple(trace.to_csv_text().splitlines())
+
+
+def _step_csv(column=None, row=0, value=""):
+    """The recording's CSV text, with one cell replaced by ``value``."""
+    lines = list(_step_csv_rows())
+    if column is not None:
+        cells = lines[row + 1].split(",")
+        cells[COLUMNS.index(column)] = value
+        lines[row + 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def _fit_exit(path, *args):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["fit", str(path), *args])
+    return code, err.getvalue()
+
+
+def test_fit_step_recording_ok(tmp_path):
+    csv = tmp_path / "step.csv"
+    csv.write_text(_step_csv())
+    for model in ("fopdt", "two-node"):
+        assert _fit_exit(csv, "--model", model)[0] == 0
+
+
+@pytest.mark.parametrize("model", ["fopdt", "two-node"])
+@pytest.mark.parametrize("column,row,value", [
+    ("T_w", 10, "nan"), ("T_w", 10, "inf"), ("T_w", 0, "-inf"),
+    ("T_w", 10, "1e300"), ("T_p_cmd", 1, "-1e300"),
+    ("t", 10, "nan"), ("pump_on", 10, "nan"), ("pump_on", 10, "0.5"),
+])
+def test_fit_bad_trace_value_exits_config(tmp_path, model, column, row,
+                                          value):
+    csv = tmp_path / "step.csv"
+    csv.write_text(_step_csv(column, row, value))
+    code, err = _fit_exit(csv, "--model", model)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model", ["fopdt", "two-node"])
+def test_fit_reversed_time_exits_config(tmp_path, model):
+    header, *rows = _step_csv_rows()
+    csv = tmp_path / "reversed.csv"
+    csv.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    code, err = _fit_exit(csv, "--model", model)
+    assert code == 2
+    assert err == "error: trace time must increase in finite steps\n"
+
+
+@pytest.mark.parametrize("flag", ["--c-co", "--r-co"])
+@pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+def test_fit_bad_tank_constant_exits_config(tmp_path, flag, value):
+    csv = tmp_path / "step.csv"
+    csv.write_text(_step_csv())
+    code, err = _fit_exit(csv, "--model", "two-node", f"{flag}={value}")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(column=st.sampled_from(["t", "T_p_cmd", "T_w", "pump_on"]),
+       row=st.integers(0, STEP_ROWS - 1),
+       value=st.one_of(st.sampled_from(["nan", "inf", "-inf", "1e300",
+                                        "-1e300", ""]),
+                       st.text()))
+def test_any_trace_cell_exits_ok_config_or_numeric(column, row, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "step.csv"
+        csv.write_text(_step_csv(column, row, value), encoding="utf-8")
+        for model in ("fopdt", "two-node"):
+            code, err = _fit_exit(csv, "--model", model, "--signal", "T_w")
+            assert code in (0, 2, 3)
+            if code != 0:
+                assert err.startswith("error: ")

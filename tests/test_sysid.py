@@ -6,10 +6,15 @@ acceptance suite; this file covers the input checks and diagnostics.
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from conftest import make_fopdt_trace, make_plant_step_run
 from thermocover.errors import ConfigError, IllConditionedFitError
-from thermocover.sysid import StepTrace, fit_fopdt, fit_two_node
+from thermocover.params import AmbientConfig
+from thermocover.sysid import (_SIGNAL_INDEX, _TWO_NODE_INIT,
+                               _TWO_NODE_NAMES, StepTrace, _plant_matrices,
+                               _recordings, _simulate_residual, fit_fopdt,
+                               fit_two_node)
 
 
 def test_trace_must_be_uniform():
@@ -20,6 +25,41 @@ def test_trace_must_be_uniform():
 def test_trace_too_short():
     with pytest.raises(ConfigError):
         StepTrace(t=[0.0, 1.0], u=[0, 1], y=[0, 0])
+
+
+@pytest.mark.parametrize("column", ["t", "u", "y"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_non_finite_values(column, value):
+    cols = {"t": [0.0, 1.0, 2.0, 3.0], "u": [0.0, 1.0, 1.0, 1.0],
+            "y": [0.0, 0.0, 1.0, 2.0]}
+    cols[column][2] = value
+    name = "T_w" if column == "y" else column
+    with pytest.raises(ConfigError, match=f"trace {name} is not finite"):
+        StepTrace(**cols, signal="T_w")
+
+
+@pytest.mark.parametrize("column", ["u", "y"])
+def test_trace_rejects_values_beyond_temperature_range(column):
+    cols = {"t": [0.0, 1.0, 2.0], "u": [0.0, 1.0, 1.0], "y": [0.0, 0.0, 1.0]}
+    cols[column][1] = -1e300
+    with pytest.raises(ConfigError, match="exceeds"):
+        StepTrace(**cols)
+
+
+@pytest.mark.parametrize("t", [[2.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                               [-1e308, 1e308, 1e308]])
+def test_trace_time_must_increase_in_finite_steps(t):
+    with pytest.raises(ConfigError, match="must increase"):
+        StepTrace(t=t, u=[0, 1, 1], y=[0, 0, 1])
+
+
+@pytest.mark.parametrize("field", ["u", "y", "pump_on"])
+def test_trace_columns_must_match_time(field):
+    cols = {"t": [0.0, 1.0, 2.0], "u": [0, 1, 1], "y": [0, 0, 1],
+            "pump_on": [True, True, False]}
+    cols[field] = cols[field][:2]
+    with pytest.raises(ConfigError, match="samples"):
+        StepTrace(**cols)
 
 
 def test_single_step_required():
@@ -72,6 +112,15 @@ def test_two_node_needs_traces(heat_params):
         fit_two_node([], C_co=heat_params.C_co, R_co=heat_params.R_co)
 
 
+@pytest.mark.parametrize("name", ["C_co", "R_co"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_two_node_rejects_bad_tank_constants(heat_params, name, value):
+    tr = StepTrace(t=[0.0, 1.0, 2.0], u=[0, 1, 1], y=[0, 0, 1])
+    known = {"C_co": heat_params.C_co, "R_co": heat_params.R_co, name: value}
+    with pytest.raises(ConfigError, match=name):
+        fit_two_node([tr], **known)
+
+
 def test_unknown_signal_rejected(heat_params):
     tr = StepTrace(t=[0.0, 1.0, 2.0], u=[0, 1, 1], y=[0, 0, 1],
                    signal="T_x")
@@ -96,3 +145,156 @@ def test_fit_invariant_to_offsets(heat_params):
     b = fit_fopdt(shifted).parameters
     assert b["R_com_C_com"] == pytest.approx(a["R_com_C_com"], rel=1e-6)
     assert b["L_d"] == pytest.approx(a["L_d"], abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Two-node residual against the per-trace simulation it replaced
+
+def _reference_segment_bounds(trace: StepTrace):
+    pump = trace.pump_on if trace.pump_on is not None \
+        else np.zeros(len(trace.t), dtype=bool)
+    change = (np.diff(trace.u) != 0.0) | (np.diff(pump) != 0)
+    cuts = np.concatenate(([0], np.flatnonzero(change) + 1, [len(trace.t)]))
+    return cuts, pump
+
+
+def _reference_simulate(theta, trace: StepTrace, C_co, R_co,
+                        ambient: AmbientConfig, x0):
+    """Piecewise-constant-input response via eigendecomposition.
+
+    The one-trace-at-a-time simulation that ``fit_two_node`` ran before
+    traces of one recording shared their segment work, kept unchanged.
+    """
+    R_w, C_w, R_c, C_c, R_aw = theta
+    cuts, pump = _reference_segment_bounds(trace)
+    t = trace.t
+    x = np.array(x0, dtype=float)
+    out = np.empty((len(t), 3))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        A, B = _plant_matrices(R_w, C_w, R_c, C_c, R_aw, C_co, R_co,
+                               bool(pump[a]))
+        u = np.array([trace.u[a], ambient.T_amb])
+        x_ss = np.linalg.solve(A, -B @ u)
+        lam, V = np.linalg.eig(A)
+        c0 = np.linalg.solve(V, x - x_ss)
+        dt_rel = (t[a:b] - t[a])[:, None]
+        modes = np.exp(lam[None, :] * dt_rel)
+        seg = np.real(modes * c0[None, :] @ V.T) + x_ss[None, :]
+        out[a:b] = seg
+        # continue from the segment's true endpoint, one sample past t[b-1]
+        t_end = t[b - 1] - t[a] + (t[1] - t[0])
+        x = np.real(V @ (c0 * np.exp(lam * t_end))) + x_ss
+    return out
+
+
+def _reference_residual(traces, C_co, R_co, ambient):
+    """``fit_two_node``'s residual over ``_reference_simulate``."""
+    x0_list = [np.full(3, float(tr.y[0])) for tr in traces]
+    n_res = sum(len(tr.t) for tr in traces)
+
+    def residual(log_theta):
+        theta = np.exp(log_theta)
+        parts = []
+        try:
+            for tr, x0 in zip(traces, x0_list):
+                sim = _reference_simulate(theta, tr, C_co, R_co, ambient, x0)
+                parts.append(sim[:, _SIGNAL_INDEX[tr.signal]] - tr.y)
+            res = np.concatenate(parts)
+        except np.linalg.LinAlgError:
+            return np.full(n_res, 1e6)
+        if not np.all(np.isfinite(res)):
+            return np.full(n_res, 1e6)
+        return res
+
+    return residual
+
+
+def _recording_traces(t, u, pump, y0s, seed):
+    """One trace per (signal, starting value), all measured in one run."""
+    rng = np.random.default_rng(seed)
+    traces = []
+    for y0 in y0s:
+        for signal in _SIGNAL_INDEX:
+            y = y0 + np.cumsum(rng.normal(0.0, 0.3, len(t)))
+            traces.append(StepTrace(t=t, u=u, y=y, signal=signal,
+                                    pump_on=pump))
+    return traces
+
+
+def _mixed_traces():
+    n = 40
+    t = np.arange(n, dtype=float)
+    u = np.full(n, 40.0)
+    u[0] = 21.0
+    u[[7, 8, 9]] = [30.0, 35.0, 25.0]      # one-sample input segments
+    u[25:] = 18.0
+    pump = np.ones(n, dtype=bool)
+    pump[[4, 12, 13, 30]] = False           # toggled, one-sample stretches
+    pump[33:] = False
+    other_u = u.copy()
+    other_u[20] = 33.0
+    return [
+        # shared recording: several starting values and all three signals
+        *_recording_traces(t, u, pump, (21.0, 35.0), seed=0),
+        # the same run on a shifted clock is a recording of its own
+        *_recording_traces(t + 1000.0, u, pump, (24.0,), seed=1),
+        # a different input, pump always on, always off, and no pump column
+        *_recording_traces(t, other_u, pump, (21.0,), seed=2),
+        StepTrace(t=t, u=u, y=np.full(n, 22.0), signal="T_w",
+                  pump_on=np.ones(n, dtype=bool)),
+        StepTrace(t=t, u=u, y=np.full(n, 22.0), signal="T_c",
+                  pump_on=np.zeros(n, dtype=bool)),
+        StepTrace(t=t, u=u, y=np.full(n, 26.0), signal="T_co"),
+        # t_s = 0.5 s
+        StepTrace(t=0.5 * t, u=u, y=np.full(n, 23.0), signal="T_w",
+                  pump_on=pump),
+    ]
+
+
+def test_traces_of_one_run_share_a_recording():
+    traces = _mixed_traces()
+    recordings = _recordings(traces)
+    # the shared run, the shifted clock, the other input, pump on, pump
+    # off and no pump column (the same segments as pump off), t_s = 0.5 s
+    assert [len(members) for _, members in recordings] == [6, 3, 3, 1, 2, 1]
+    offsets = [offset for _, members in recordings
+               for offset, *_ in members]
+    assert sorted(offsets) == [40 * k for k in range(len(traces))]
+
+
+@pytest.mark.parametrize("theta", [
+    [_TWO_NODE_INIT[n] for n in _TWO_NODE_NAMES],
+    [5.9, 200.0, 460.0, 0.1, 2.08],
+    [0.4, 3.0e3, 2.0, 15.0, 0.05],
+])
+def test_shared_residual_bit_equal_to_per_trace_simulation(heat_params,
+                                                           theta):
+    traces = _mixed_traces()
+    ambient = AmbientConfig()
+    log_theta = np.log(theta)
+    out = np.empty(sum(len(tr.t) for tr in traces))
+    _simulate_residual(np.exp(log_theta), _recordings(traces),
+                       heat_params.C_co, heat_params.R_co, ambient.T_amb, out)
+    expected = _reference_residual(traces, heat_params.C_co,
+                                   heat_params.R_co, ambient)(log_theta)
+    assert np.all(np.isfinite(expected))
+    assert np.array_equal(out, expected)
+
+
+def test_two_node_fit_equals_reference_least_squares(heat_params):
+    # criterion 08's noiseless recording, all three sensors
+    t, u, y_co, y_w, y_c, pump = make_plant_step_run(heat_params)
+    traces = [StepTrace(t=t, u=u, y=y, signal=s, pump_on=pump)
+              for y, s in ((y_co, "T_co"), (y_w, "T_w"), (y_c, "T_c"))]
+    report = fit_two_node(traces, C_co=heat_params.C_co,
+                          R_co=heat_params.R_co)
+
+    x_init = np.log([_TWO_NODE_INIT[n] for n in _TWO_NODE_NAMES])
+    sol = least_squares(
+        _reference_residual(traces, heat_params.C_co, heat_params.R_co,
+                            AmbientConfig()),
+        x0=x_init, method="trf", bounds=(x_init - 8.0, x_init + 8.0),
+        x_scale="jac", xtol=1e-12, ftol=1e-12)
+    assert report.parameters == {n: float(v) for n, v in
+                                 zip(_TWO_NODE_NAMES, np.exp(sol.x))}
+    assert report.residual_rms == float(np.sqrt(np.mean(sol.fun ** 2)))
