@@ -23,7 +23,7 @@ def fopdt_trace(params, sigma=0.0, seed=0):
                   for k in range(n)])
     if sigma > 0.0:
         y = y + np.random.default_rng(seed).normal(0.0, sigma, n)
-    return StepTrace(t=t, u=u, y=y, mode=params.mode)
+    return StepTrace(t=t, u=u, y=y)
 
 
 def plant_traces(params, sigma=0.0, seed=0):

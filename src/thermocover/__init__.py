@@ -8,8 +8,7 @@ from .mpc import (MpcConfig, MpcSolution, PenaltyForm, PumpHysteresis,
                   ThermalController, build_prediction, pump_step, solve_mpc)
 from .observer import (ObserverState, build_observer, estimate_q_aw,
                        observer_step)
-from .params import (AmbientConfig, Mode, PlantParams, Target, load_params,
-                     preset_params, save_params)
+from .params import AmbientConfig, Mode, PlantParams, Target, preset_params
 from .plant import (ContactEvent, ContactKind, PlantState, contact_heat_flow,
                     step_plant)
 from .scenario import (DetectionConfig, ScenarioSpec, builtin_scenarios,
@@ -29,9 +28,8 @@ __all__ = [
     "build_observer", "build_prediction", "builtin_scenarios",
     "contact_heat_flow", "detect_contacts", "discretize_fopdt",
     "estimate_q_aw", "fit_fopdt", "fit_two_node", "fopdt_step_response",
-    "load_params", "load_scenario", "observer_step", "preset_params",
-    "pump_step", "save_params", "save_scenario", "simulate", "solve_mpc",
-    "step_plant", "two_node_model",
+    "load_scenario", "observer_step", "preset_params", "pump_step",
+    "save_scenario", "simulate", "solve_mpc", "step_plant", "two_node_model",
 ]
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ from . import kvio
 from .detect import detect_contacts
 from .errors import (ConfigError, IllConditionedFitError, NumericError,
                      ThermocoverError)
-from .params import Mode
 from .report import analyze_segments, render_report
 from .scenario import (ScenarioSpec, apply_overrides, builtin_scenarios,
                        load_scenario, scenario_to_kv)
@@ -42,9 +41,7 @@ def _resolve_scenario(name: str) -> ScenarioSpec:
 
 def cmd_run(args) -> int:
     spec = _resolve_scenario(args.scenario)
-    overrides = list(args.set or [])
-    if args.t_step is not None:
-        overrides.append(f"t_s={args.t_step}")
+    overrides = args.set or []
     if overrides:
         spec = apply_overrides(spec, overrides)
 
@@ -88,9 +85,8 @@ def cmd_print_config(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    mode = Mode(args.mode)
     try:
-        trace = StepTrace.from_csv(args.csv, signal=args.signal, mode=mode)
+        trace = StepTrace.from_csv(args.csv, signal=args.signal)
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
     if args.model == "fopdt":
@@ -128,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out-dir", default=".", help="output directory")
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a scenario key (repeatable)")
-    p_run.add_argument("--t-step", type=float, default=None,
-                       help="override the sampling time t_s")
     p_run.set_defaults(func=cmd_run)
 
     p_list = sub.add_parser("list", help="list builtin scenarios")
@@ -147,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="fopdt")
     p_fit.add_argument("--signal", default="T_w",
                        help="measured column (T_w, T_c or T_co)")
-    p_fit.add_argument("--mode", choices=["heat", "cool"], default="heat")
     p_fit.add_argument("--c-co", type=float, default=1152.57,
                        help="known tank capacitance for the two-node fit")
     p_fit.add_argument("--r-co", type=float, default=0.09,

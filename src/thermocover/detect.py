@@ -1,9 +1,9 @@
 """Contact detection on top of the heat-flow estimate.
 
-A contact is declared when the (optionally smoothed) estimate magnitude
-stays above the threshold for at least ``min_hold`` seconds.  Samples close
-after a pump toggle are ignored: the pump switching is known, and its
-transients are the dominant source of false positives.
+A contact is declared when the estimate magnitude stays above the threshold
+for at least ``min_hold`` seconds.  Samples close after a pump toggle are
+ignored: the pump switching is known, and its transients are the dominant
+source of false positives.
 """
 
 from __future__ import annotations
@@ -36,18 +36,6 @@ def _runs(mask: np.ndarray):
     return list(zip(edges[::2], edges[1::2]))
 
 
-def _smooth(values: np.ndarray, cutoff: float, t_s: float) -> np.ndarray:
-    if cutoff <= 0.0:
-        return values
-    alpha = 1.0 - np.exp(-cutoff * t_s)
-    out = np.empty_like(values)
-    acc = 0.0
-    for i, v in enumerate(values):
-        acc += alpha * (v - acc)
-        out[i] = acc
-    return out
-
-
 def gate_mask(pump_on: np.ndarray, t_s: float, switch_gate: float) -> np.ndarray:
     """True for samples to ignore because a known event just happened.
 
@@ -74,8 +62,7 @@ def detect_contacts(trace: SimTrace, cfg: DetectionConfig) -> DetectionReport:
     else:
         t_s = 1.0
 
-    q = _smooth(np.abs(trace.q_i_hat), cfg.smoothing_cutoff, t_s) \
-        if cfg.smoothing_cutoff > 0.0 else np.abs(trace.q_i_hat)
+    q = np.abs(trace.q_i_hat)
     gated = gate_mask(trace.pump_on, t_s, cfg.switch_gate)
     above = (q > cfg.threshold) & ~gated
 
@@ -106,8 +93,7 @@ def detect_contacts(trace: SimTrace, cfg: DetectionConfig) -> DetectionReport:
         else:
             misses += 1
         sel = (t >= w0) & (t <= w1 + pad)
-        peaks.append(float(np.max(np.abs(trace.q_i_hat)[sel]))
-                     if np.any(sel) else 0.0)
+        peaks.append(float(np.max(q[sel])) if np.any(sel) else 0.0)
     fp = int(np.count_nonzero(~matched))
 
     return DetectionReport(

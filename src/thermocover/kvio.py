@@ -1,9 +1,9 @@
-"""Flat ``name = value`` text format used for parameters, configs and scenarios.
+"""Flat ``name = value`` text format used for scenarios and fit reports.
 
 One assignment per line, ``#`` starts a comment, dotted keys give section
-structure (``controller.H = 40``).  Values are parsed as bool, int, float or
-bare string, in that order.  Serialization is deterministic (keys written in
-the order given) so files round-trip byte-identically.
+structure (``controller.H = 40``).  Values are read back as stripped text;
+the reader of each key parses its own type.  Serialization is deterministic
+(keys written in the order given) so files round-trip byte-identically.
 """
 
 from __future__ import annotations
@@ -11,34 +11,14 @@ from __future__ import annotations
 from .errors import ConfigError
 
 
-def parse_value(text: str):
-    text = text.strip()
-    low = text.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))  # normalizes numpy scalars too
     return str(value)
 
 
 def loads(text: str) -> dict:
-    """Parse key-value text into a flat dict keyed by the dotted names."""
+    """Split key-value text into a flat dict of dotted name -> value text."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -50,7 +30,7 @@ def loads(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        out[key] = parse_value(value)
+        out[key] = value.strip()
     return out
 
 
@@ -75,11 +55,14 @@ def dump(items: dict, path, header: str | None = None) -> None:
 
 
 def apply_overrides(items: dict, overrides) -> dict:
-    """Apply ``key=value`` strings on top of a flat dict, returning a copy."""
+    """Apply ``key=value`` strings on top of a flat dict, returning a copy.
+
+    The applied values stay text, as ``loads`` returns them.
+    """
     merged = dict(items)
     for entry in overrides:
         if "=" not in entry:
             raise ConfigError(f"override must look like key=value, got {entry!r}")
         key, _, value = entry.partition("=")
-        merged[key.strip()] = parse_value(value)
+        merged[key.strip()] = value.strip()
     return merged

@@ -75,18 +75,6 @@ class MpcConfig:
         return max(self.H, d + 20)
 
 
-@dataclass(frozen=True)
-class PredictionData:
-    """Affine map from future commands to predicted temperatures."""
-
-    Phi: np.ndarray    # H x H, strictly zero in the first d rows; cached,
-                       # so shared and read-only
-    free: np.ndarray   # response to current state and past commands
-    refs: np.ndarray   # setpoint preview
-    d: int
-    model: DiscreteFOPDT
-
-
 #: Entries kept by each constant-matrix cache: both modes of two scenarios.
 _CACHE_SIZE = 4
 
@@ -111,6 +99,22 @@ def _prediction_constants(a: float, b: float, d: int, H: int):
     return apow[1:], Phi, G
 
 
+@dataclass(frozen=True)
+class PredictionData:
+    """Affine map from future commands to predicted temperatures."""
+
+    free: np.ndarray   # response to current state and past commands
+    refs: np.ndarray   # setpoint preview
+    model: DiscreteFOPDT
+
+    @property
+    def Phi(self) -> np.ndarray:
+        """H x H command map, strictly zero in the first d rows; cached, so
+        shared and read-only."""
+        m = self.model
+        return _prediction_constants(m.a, m.b, m.d, len(self.refs))[1]
+
+
 def build_prediction(model: DiscreteFOPDT, T_now: float, past_inputs,
                      setpoints) -> PredictionData:
     """Assemble the prediction map for one receding-horizon solve.
@@ -128,19 +132,17 @@ def build_prediction(model: DiscreteFOPDT, T_now: float, past_inputs,
         raise ConfigError(
             f"need exactly {model.d} past commands, got {len(past)}"
         )
-    powers, Phi, G = _prediction_constants(model.a, model.b, model.d, H)
+    powers, _, G = _prediction_constants(model.a, model.b, model.d, H)
     # response to the current state plus that to each past command u(k-m),
     # m = 1..d, added in that order row by row
     free = np.add.reduce(np.vstack((powers * T_now, G * past[:, None])),
                          axis=0)
-    return PredictionData(Phi=Phi, free=free, refs=refs, d=model.d,
-                          model=model)
+    return PredictionData(free=free, refs=refs, model=model)
 
 
 @dataclass(frozen=True)
 class MpcSolution:
     sequence: np.ndarray
-    cost: float
     active_lower: np.ndarray
     active_upper: np.ndarray
     iterations: int
@@ -155,9 +157,11 @@ _MAX_ITER = 10_000
 _KKT_TOL = 1e-8
 
 
-def _hessian(Phi: np.ndarray, W1: float, W2: float, form: PenaltyForm):
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _cached_hessian(a: float, b: float, d: int, H: int, W1: float,
+                    W2: float, form: PenaltyForm):
     """Read-only Hessian of the QP and its largest eigenvalue."""
-    H = len(Phi)
+    Phi = _prediction_constants(a, b, d, H)[1]
     # the penalty acts on P @ u: the commands themselves or their increments
     P = np.eye(H)
     if form is PenaltyForm.INCREMENT:
@@ -165,12 +169,6 @@ def _hessian(Phi: np.ndarray, W1: float, W2: float, form: PenaltyForm):
     Hm = 2.0 * (W1 * Phi.T @ Phi + W2 * P.T @ P)
     Hm.flags.writeable = False
     return Hm, float(np.linalg.eigvalsh(Hm)[-1])
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_hessian(a: float, b: float, d: int, H: int, W1: float,
-                    W2: float, form: PenaltyForm):
-    return _hessian(_prediction_constants(a, b, d, H)[1], W1, W2, form)
 
 
 def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
@@ -189,16 +187,15 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
         v[0] = u_prev
     e = qp.free - qp.refs
 
-    a, b, d = qp.model.a, qp.model.b, qp.model.d
-    if qp.Phi is _prediction_constants(a, b, d, H)[1]:
-        Hm, eigmax = _cached_hessian(a, b, d, H, cfg.W1, cfg.W2, form)
-    else:
-        Hm, eigmax = _hessian(qp.Phi, cfg.W1, cfg.W2, form)
-    g0 = 2.0 * (cfg.W1 * qp.Phi.T @ e - cfg.W2 * v)
+    model = qp.model
+    Phi = qp.Phi
+    Hm, eigmax = _cached_hessian(model.a, model.b, model.d, H, cfg.W1,
+                                 cfg.W2, form)
+    g0 = 2.0 * (cfg.W1 * Phi.T @ e - cfg.W2 * v)
     lo, hi = cfg.T_min_th, cfg.T_max_th
 
     def cost_of(u):
-        r1 = qp.Phi @ u + e
+        r1 = Phi @ u + e
         Pu = u if form is PenaltyForm.MAGNITUDE else np.diff(u, prepend=0.0)
         r2 = Pu - v
         return float(cfg.W1 * r1 @ r1 + cfg.W2 * r2 @ r2)
@@ -210,7 +207,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
     try:
         u_star = np.linalg.solve(Hm, -g0)
         if np.all(u_star >= lo) and np.all(u_star <= hi):
-            return _finish(u_star, cost_of, grad, lo, hi, 0)
+            return _finish(u_star, grad, lo, hi, 0)
         u = np.clip(u_star, lo, hi)
     except np.linalg.LinAlgError:
         u = np.clip(np.full(H, u_ref), lo, hi)
@@ -221,7 +218,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
             u = w
 
     if eigmax <= 0.0:
-        return _finish(u, cost_of, grad, lo, hi, 0)
+        return _finish(u, grad, lo, hi, 0)
     step = 1.0 / eigmax
     tol = 1e-9 * max(1.0, hi - lo)
 
@@ -229,7 +226,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
         g = grad(u)
         residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
         if residual < _KKT_TOL:
-            return _finish(u, cost_of, grad, lo, hi, it - 1)
+            return _finish(u, grad, lo, hi, it - 1)
         # projected gradient step with exact line search settles the
         # active set ...
         trial = np.clip(u - step * g, lo, hi)
@@ -268,13 +265,12 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
     )
 
 
-def _finish(u, cost_of, grad, lo, hi, iterations):
+def _finish(u, grad, lo, hi, iterations):
     g = grad(u)
     residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
     tol = 1e-9 * max(1.0, hi - lo)
     return MpcSolution(
         sequence=u,
-        cost=cost_of(u),
         active_lower=u <= lo + tol,
         active_upper=u >= hi - tol,
         iterations=iterations,

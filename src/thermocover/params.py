@@ -13,7 +13,6 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from . import kvio
 from .errors import ConfigError
 
 
@@ -42,8 +41,8 @@ class PlantParams:
     R_c: float      # water pipe <-> cover
     R_co: float     # Peltier surface <-> copper tank
     R_aw: float     # water pipe <-> ambient
-    # R_a is identified paper data kept in the parameter-file format; no
-    # dynamics in this package use it.
+    # R_a is identified data from the paper, kept with the other constants;
+    # no dynamics in this package use it.
     R_a: float      # combined-model surface loss scale
     C_w: float      # water pipe
     C_c: float      # cover
@@ -119,36 +118,3 @@ def preset_params(mode: Mode, target: Target = Target.COVER) -> PlantParams:
     overrides = _TARGET_OVERRIDES[(mode, target)]
     return replace(base, **overrides) if overrides else base
 
-
-_PARAM_FIELDS = (
-    "R_w", "R_c", "R_co", "R_aw", "R_a",
-    "C_w", "C_c", "C_co", "R_com_C_com", "L_d",
-)
-
-
-def params_to_kv(params: PlantParams) -> dict:
-    out = {"mode": params.mode.value}
-    for name in _PARAM_FIELDS:
-        out[name] = getattr(params, name)
-    return out
-
-
-def params_from_kv(items: dict) -> PlantParams:
-    try:
-        mode = Mode(str(items["mode"]).lower())
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("parameter set needs mode = heat|cool") from exc
-    kwargs = {}
-    for name in _PARAM_FIELDS:
-        if name not in items:
-            raise ConfigError(f"parameter set is missing {name}")
-        kwargs[name] = float(items[name])
-    return PlantParams(mode=mode, **kwargs)
-
-
-def save_params(params: PlantParams, path, header="robotic cover parameters") -> None:
-    kvio.dump(params_to_kv(params), path, header=header)
-
-
-def load_params(path) -> PlantParams:
-    return params_from_kv(kvio.load(path))

@@ -49,6 +49,7 @@ def analyze_segments(trace: SimTrace, spec: ScenarioSpec) -> list:
         if idx.size == 0:
             continue
         err = y[idx] - setpoint
+        tail_error = float(np.mean(np.abs(err[-max(1, idx.size // 10):])))
         band = spec.pump.off_band
 
         settle_time = None
@@ -68,7 +69,7 @@ def analyze_segments(trace: SimTrace, spec: ScenarioSpec) -> list:
             sse = float(abs(err[j]))
             pump_off = True
         else:
-            sse = float(np.mean(np.abs(err[-max(1, idx.size // 10):])))
+            sse = tail_error
             pump_off = None
 
         y0 = float(y[idx[0]])
@@ -86,8 +87,7 @@ def analyze_segments(trace: SimTrace, spec: ScenarioSpec) -> list:
             start=start, end=end, setpoint=setpoint,
             settle_time=settle_time,
             steady_state_error=sse,
-            mean_abs_error_tail=float(
-                np.mean(np.abs(err[-max(1, idx.size // 10):]))),
+            mean_abs_error_tail=tail_error,
             rise_time_90=rise,
             max_command=float(np.max(trace.T_p_cmd[idx])),
             min_command=float(np.min(trace.T_p_cmd[idx])),

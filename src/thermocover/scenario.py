@@ -31,18 +31,17 @@ MAX_PLANT_STEPS = 10_000_000
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    threshold: float = 0.12      # W, on the (optionally smoothed) estimate
+    threshold: float = 0.12      # W, on the estimate's magnitude
     min_hold: float = 1.0        # s the threshold must stay exceeded
     switch_gate: float = 6.0     # s ignored after each pump toggle
-    smoothing_cutoff: float = 0.0  # rad/s first-order smoothing; 0 = off
 
     def __post_init__(self):
         if not 0.0 < self.threshold < math.inf:
             raise ConfigError("detection threshold must be positive and finite")
-        for value in (self.min_hold, self.switch_gate, self.smoothing_cutoff):
+        for value in (self.min_hold, self.switch_gate):
             if not 0.0 <= value < math.inf:
-                raise ConfigError("min_hold, switch_gate and smoothing_cutoff "
-                                  "must be finite and non-negative")
+                raise ConfigError("min_hold and switch_gate must be finite "
+                                  "and non-negative")
 
 
 @dataclass(frozen=True)
@@ -225,8 +224,9 @@ def _parse_setpoints(text) -> tuple:
 _FLOAT = (_finite, _same)
 
 #: (key, owner, attribute, (parse, format)) in output order.  Owner None is
-#: the spec itself, any other owner names one of its parts.  A format that
-#: returns None leaves the key out.
+#: the spec itself, any other owner names one of its parts.  A parse takes
+#: the value text or the value its format wrote.  A format that returns None
+#: leaves the key out.
 _FIELDS = (
     ("name", None, "name", (str, _same)),
     ("target", None, "target", _choice(Target)),
@@ -255,7 +255,6 @@ _FIELDS = (
     ("detection.threshold", "detection", "threshold", _FLOAT),
     ("detection.min_hold", "detection", "min_hold", _FLOAT),
     ("detection.switch_gate", "detection", "switch_gate", _FLOAT),
-    ("detection.smoothing_cutoff", "detection", "smoothing_cutoff", _FLOAT),
 )
 
 _PARTS = {"ambient": AmbientConfig, "controller": MpcConfig,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ConfigError, IllConditionedFitError
-from .params import AmbientConfig, Mode
+from .params import AmbientConfig
 from .trace import SimTrace
 
 # Largest |value| a trace's input level or measurement may take.  Traces are
@@ -42,7 +42,6 @@ class StepTrace:
     y: np.ndarray          # measured temperature
     signal: str = "T_c"    # which node y was measured at
     pump_on: np.ndarray | None = None
-    mode: Mode = Mode.HEAT
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -93,17 +92,15 @@ class StepTrace:
         return int(changes[0] + 1)
 
     @staticmethod
-    def from_sim_trace(trace: SimTrace, signal: str = "T_w",
-                       mode: Mode = Mode.HEAT) -> "StepTrace":
+    def from_sim_trace(trace: SimTrace, signal: str = "T_w") -> "StepTrace":
         return StepTrace(t=trace.t, u=trace.T_p_cmd,
                          y=trace.column(signal), signal=signal,
-                         pump_on=trace.pump_on, mode=mode)
+                         pump_on=trace.pump_on)
 
     @staticmethod
-    def from_csv(path, signal: str = "T_w",
-                 mode: Mode = Mode.HEAT) -> "StepTrace":
+    def from_csv(path, signal: str = "T_w") -> "StepTrace":
         return StepTrace.from_sim_trace(SimTrace.from_csv(path),
-                                        signal=signal, mode=mode)
+                                        signal=signal)
 
 
 @dataclass(frozen=True)

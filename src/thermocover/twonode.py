@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .observer import water_channel_tf
 from .params import PlantParams
 
 
@@ -48,10 +49,8 @@ def water_response(model: TwoNodeModel, s: complex) -> complex:
 
 
 def water_transfer_direct(params: PlantParams, s: complex) -> complex:
-    """u -> T_w transfer evaluated from its rational form."""
+    """u -> T_w transfer evaluated from the observer's rational form."""
     s = complex(s)
-    num = params.R_c * params.C_c * s + 1.0
-    den = params.R_c * params.C_w * params.C_c * s ** 2 \
-        + (params.C_w + params.C_c) * s
-    return num / den
+    num, den = water_channel_tf(params)
+    return complex(np.polyval(num, s) / np.polyval(den, s))
 

@@ -36,7 +36,7 @@ def make_fopdt_trace(params, step=19.0, base=21.0, n=3000, t_s=1.0,
     if sigma > 0.0:
         rng = np.random.default_rng(seed)
         y = y + rng.normal(0.0, sigma, size=y.shape)
-    return StepTrace(t=t, u=u, y=y, mode=params.mode)
+    return StepTrace(t=t, u=u, y=y)
 
 
 def make_plant_step_run(params, n=3000, pump_off_at=1500, base=21.0,

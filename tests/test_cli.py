@@ -43,13 +43,13 @@ def test_print_config(capsys):
     assert main(["print-config", "exp2_grasp"]) == 0
     items = kvio.loads(capsys.readouterr().out)
     assert items["name"] == "exp2_grasp"
-    assert items["contact.0.duration"] == 5.0
+    assert float(items["contact.0.duration"]) == 5.0
 
 
 def test_print_config_with_override(capsys):
     assert main(["print-config", "exp1_heat",
                  "--set", "controller.H=7"]) == 0
-    assert kvio.loads(capsys.readouterr().out)["controller.H"] == 7
+    assert int(kvio.loads(capsys.readouterr().out)["controller.H"]) == 7
 
 
 def test_run_scenario_file_with_override(tmp_path, capsys):
@@ -90,6 +90,8 @@ def test_run_unknown_scenario(capsys):
 @pytest.mark.parametrize("override", [
     "nonsense", "t_s=abc", "t_s=nan", "controller.W1=nan",
     "detection.threshold=nan", "controller.H=2.5",
+    # each key parses its own type: true is not a number
+    "controller.H=true", "t_s=true", "detection.threshold=true",
     # QP or run too large: horizon, preview past the dead time, run size
     "controller.H=1001", "t_s=0.01 dt=0.001", "total_duration=1e7",
     "dt=1e-300",
@@ -103,11 +105,33 @@ def test_run_bad_override(tmp_path, capsys, override):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_scenario_file_unknown_key_exits_config(tmp_path, capsys):
+    scenario = tmp_path / "mini.txt"
+    scenario.write_text(SHORT_SCENARIO + "detection.smoothing_cutoff = 0\n")
+    assert main(["run", str(scenario), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown scenario keys") \
+        and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["run", "exp1_heat", "--t-step", "1"],
+                                  ["fit", "step.csv", "--mode", "heat"]],
+                         ids=["run--t-step", "fit--mode"])
+def test_unknown_flag_exits_config(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count("error:") == 1
+
+
 def test_print_config_round_trips_setpoints(capsys):
-    assert main(["print-config", "exp1_heat",
-                 "--set", "setpoints=23.1234567:60.25"]) == 0
-    spec = scenario_from_kv(kvio.loads(capsys.readouterr().out))
-    assert spec.setpoints == ((23.1234567, 60.25),)
+    # the name is text whatever it looks like
+    for name in ("exp1_heat", "1e3", "true"):
+        assert main(["print-config", "exp1_heat", "--set", f"name={name}",
+                     "--set", "setpoints=23.1234567:60.25"]) == 0
+        spec = scenario_from_kv(kvio.loads(capsys.readouterr().out))
+        assert spec.setpoints == ((23.1234567, 60.25),)
+        assert spec.name == name
 
 
 # every scenario key: the table's own keys, one contact's keys, and the
@@ -121,7 +145,8 @@ SCENARIO_KEYS = sorted(scenario_to_kv(builtin_scenarios()["exp2_grasp"])) \
        value=st.one_of(st.text(), st.integers(),
                        st.floats(allow_nan=True, allow_infinity=True),
                        st.sampled_from(["nan", "-inf", "1e400", "1e308",
-                                        "2.5", "ambient", "23:1e308"])))
+                                        "2.5", "ambient", "23:1e308",
+                                        "true", "false", "1e3", "007"])))
 def test_any_override_value_exits_ok_or_config_error(key, value):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -161,9 +186,9 @@ def test_fit_fopdt_round_trip(tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     items = kvio.load(out)
-    assert abs(items["R_com_C_com"] - params.R_com_C_com) \
+    assert abs(float(items["R_com_C_com"]) - params.R_com_C_com) \
         < 0.01 * params.R_com_C_com
-    assert abs(items["L_d"] - params.L_d) < 0.01 * params.L_d
+    assert abs(float(items["L_d"]) - params.L_d) < 0.01 * params.L_d
 
 
 # a short open-loop recording, pump stopped halfway, as an 11-column CSV

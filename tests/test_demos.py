@@ -1,4 +1,5 @@
-"""Smoke test for the demos that drive the plant directly."""
+"""Smoke test for the demos that drive the plant directly, and for the one
+that rebuilds a scenario from ``key=value`` overrides."""
 
 import os
 import subprocess
@@ -11,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_step_response.py",
+                                  "03_contact_detection.py",
                                   "04_identification.py"])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)

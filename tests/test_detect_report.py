@@ -81,9 +81,7 @@ def test_detection_config_validation():
     nan, inf = float("nan"), float("inf")
     for bad in ({"threshold": 0.0}, {"threshold": nan}, {"threshold": inf},
                 {"min_hold": -1.0}, {"min_hold": nan}, {"min_hold": inf},
-                {"switch_gate": nan}, {"switch_gate": inf},
-                {"smoothing_cutoff": -1.0}, {"smoothing_cutoff": nan},
-                {"smoothing_cutoff": inf}):
+                {"switch_gate": nan}, {"switch_gate": inf}):
         with pytest.raises(ConfigError):
             DetectionConfig(**bad)
 

@@ -1,11 +1,10 @@
-"""Identified parameter presets and their key-value serialization."""
+"""Identified parameter presets."""
 
 import pytest
 
 from thermocover.errors import ConfigError
 from thermocover.params import (AmbientConfig, Mode, PlantParams, Target,
-                                load_params, params_from_kv, params_to_kv,
-                                preset_params, save_params)
+                                preset_params)
 
 
 def test_heat_preset_values(heat_params):
@@ -62,23 +61,6 @@ def test_negative_dead_time_rejected(heat_params):
                     C_c=heat_params.C_c, C_co=heat_params.C_co,
                     R_com_C_com=heat_params.R_com_C_com,
                     L_d=-1.0, mode=Mode.HEAT)
-
-
-def test_kv_round_trip(heat_params):
-    assert params_from_kv(params_to_kv(heat_params)) == heat_params
-
-
-def test_kv_missing_field_rejected(heat_params):
-    items = params_to_kv(heat_params)
-    del items["R_w"]
-    with pytest.raises(ConfigError):
-        params_from_kv(items)
-
-
-def test_file_round_trip(tmp_path, cool_params):
-    path = tmp_path / "params.txt"
-    save_params(cool_params, path)
-    assert load_params(path) == cool_params
 
 
 def test_ambient_defaults():

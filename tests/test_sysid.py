@@ -139,8 +139,7 @@ def test_fit_report_serializes(heat_params):
 def test_fit_invariant_to_offsets(heat_params):
     # shifting the clock and adding a constant temperature changes nothing
     tr = make_fopdt_trace(heat_params)
-    shifted = StepTrace(t=tr.t + 1000.0, u=tr.u + 5.0, y=tr.y + 5.0,
-                        mode=tr.mode)
+    shifted = StepTrace(t=tr.t + 1000.0, u=tr.u + 5.0, y=tr.y + 5.0)
     a = fit_fopdt(tr).parameters
     b = fit_fopdt(shifted).parameters
     assert b["R_com_C_com"] == pytest.approx(a["R_com_C_com"], rel=1e-6)
