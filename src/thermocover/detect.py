@@ -19,7 +19,6 @@ from .trace import SimTrace
 @dataclass(frozen=True)
 class DetectionReport:
     intervals: tuple          # ((t_start, t_end), ...) detected contacts
-    truth_windows: tuple      # ground-truth contact windows from the trace
     true_positives: int
     false_positives: int
     misses: int
@@ -55,7 +54,7 @@ def gate_mask(pump_on: np.ndarray, t_s: float, switch_gate: float) -> np.ndarray
 
 def detect_contacts(trace: SimTrace, cfg: DetectionConfig) -> DetectionReport:
     if len(trace) == 0:
-        return DetectionReport((), (), 0, 0, 0, (), cfg)
+        return DetectionReport((), 0, 0, 0, (), cfg)
     t = trace.t
     if len(t) > 1:
         t_s = float(t[1] - t[0])
@@ -98,7 +97,6 @@ def detect_contacts(trace: SimTrace, cfg: DetectionConfig) -> DetectionReport:
 
     return DetectionReport(
         intervals=tuple(intervals),
-        truth_windows=tuple(truth),
         true_positives=tp,
         false_positives=fp,
         misses=misses,

@@ -172,8 +172,7 @@ def _cached_hessian(a: float, b: float, d: int, H: int, W1: float,
 
 
 def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
-              u_prev: float | None = None,
-              warm_start=None) -> MpcSolution:
+              u_prev: float | None = None) -> MpcSolution:
     """Minimize the tracking-plus-penalty quadratic over the command box."""
     H = len(qp.refs)
     if u_prev is None:
@@ -211,11 +210,6 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
         u = np.clip(u_star, lo, hi)
     except np.linalg.LinAlgError:
         u = np.clip(np.full(H, u_ref), lo, hi)
-
-    if warm_start is not None and len(warm_start) == H:
-        w = np.clip(np.asarray(warm_start, dtype=float), lo, hi)
-        if cost_of(w) < cost_of(u):
-            u = w
 
     if eigmax <= 0.0:
         return _finish(u, grad, lo, hi, 0)
@@ -288,6 +282,9 @@ class PumpHysteresis:
     state: bool = False
 
     def __post_init__(self):
+        if not (0.0 <= self.off_band < math.inf
+                and 0.0 <= self.on_band < math.inf):
+            raise ConfigError("pump bands must be finite and non-negative")
         if self.off_band > self.on_band:
             raise ConfigError("off_band must not exceed on_band")
 
@@ -316,14 +313,14 @@ class ThermalController:
     """Composes the preview solver, mode switching and pump hysteresis.
 
     One instance drives one simulation; all persistent state (command
-    history, pump latch, previous solution) lives here.
+    history, pump latch, offset estimate) lives here.
     """
 
     cfg: MpcConfig
     ambient: AmbientConfig
     target: Target = Target.COVER
     hysteresis: PumpHysteresis = field(default_factory=PumpHysteresis)
-    mode: Mode | None = None
+    mode: Mode | None = field(default=None, init=False)
 
     def __post_init__(self):
         self._params = {m: preset_params(m, self.target) for m in Mode}
@@ -340,8 +337,6 @@ class ThermalController:
         max_d = max(m.d for m in self._models.values())
         self._history: list[float] = []
         self._max_history = max(max_d, 1)
-        self._last_solution = None
-        self._last_cmd: float | None = None
         self._x_hat: float | None = None
         self._p_hat = 0.0
 
@@ -378,7 +373,6 @@ class ThermalController:
         new_mode = self._select_mode(r_now, T_w)
         if new_mode is not self.mode:
             self.mode = new_mode
-            self._last_solution = None
             self._x_hat = None
             self._p_hat = 0.0
         model = self._models[new_mode]
@@ -411,16 +405,9 @@ class ThermalController:
             self._x_hat = measurement - self._p_hat
 
         qp = build_prediction(model, self._x_hat, past, refs - self._p_hat)
-        warm = None
-        if self._last_solution is not None and len(self._last_solution) == H:
-            # shift one sample ahead and hold the last command
-            seq = self._last_solution
-            warm = np.concatenate((seq[1:], seq[-1:]))
-        sol = solve_mpc(qp, self.cfg, u_ref=self.ambient.T_amb,
-                        u_prev=self._last_cmd, warm_start=warm)
-        cmd = sol.command
-        self._last_solution = sol.sequence
-        self._last_cmd = cmd
+        u_prev = self._history[-1] if self._history else None
+        cmd = solve_mpc(qp, self.cfg, u_ref=self.ambient.T_amb,
+                        u_prev=u_prev).command
         self._history.append(cmd)
         if len(self._history) > self._max_history:
             del self._history[: len(self._history) - self._max_history]

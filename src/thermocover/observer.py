@@ -48,7 +48,6 @@ class ObserverState:
     Cd: np.ndarray
     Dd: np.ndarray
     x: tuple            # filter state, 2 entries
-    q_hat: float        # last estimate, W
     t_s: float
     filter_time_constants: tuple
 
@@ -60,8 +59,7 @@ class ObserverState:
         """
         u = np.array([T_w, q])
         x = np.linalg.solve(np.eye(2) - self.Ad, self.Bd @ u)
-        q_hat = (self.Cd @ x + self.Dd @ u).item()
-        return replace(self, x=(float(x[0]), float(x[1])), q_hat=q_hat)
+        return replace(self, x=(float(x[0]), float(x[1])))
 
 
 def build_observer(params: PlantParams, t_s: float,
@@ -95,7 +93,7 @@ def build_observer(params: PlantParams, t_s: float,
     Ad, Bd, Cd, Dd, _ = cont2discrete((A, B, C, D), t_s, method="bilinear")
     return ObserverState(
         Ad=Ad, Bd=Bd, Cd=Cd, Dd=Dd,
-        x=(0.0, 0.0), q_hat=0.0, t_s=t_s,
+        x=(0.0, 0.0), t_s=t_s,
         filter_time_constants=(g1, g2),
     )
 
@@ -114,8 +112,7 @@ def observer_step(obs: ObserverState, T_w: float, T_co: float, pump_on: bool,
     x = np.asarray(obs.x)
     q_hat = (obs.Cd @ x + obs.Dd @ u).item()
     x_next = obs.Ad @ x + obs.Bd @ u
-    new = replace(obs, x=(float(x_next[0]), float(x_next[1])), q_hat=q_hat)
-    return new, q_hat
+    return replace(obs, x=(float(x_next[0]), float(x_next[1]))), q_hat
 
 
 def observer_frequency_response(obs: ObserverState, omega: float) -> np.ndarray:

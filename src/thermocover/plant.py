@@ -31,13 +31,10 @@ class PlantState:
     T_co: float     # copper tank
     T_w: float      # water pipe
     T_c: float      # cover
-    pump_on: bool
-    t: float        # simulation clock, s
 
     @staticmethod
-    def uniform(temp: float, t: float = 0.0) -> "PlantState":
-        return PlantState(T_p=temp, T_co=temp, T_w=temp, T_c=temp,
-                          pump_on=False, t=t)
+    def uniform(temp: float) -> "PlantState":
+        return PlantState(T_p=temp, T_co=temp, T_w=temp, T_c=temp)
 
 
 class ContactKind(enum.Enum):
@@ -62,10 +59,13 @@ class ContactEvent:
     T_skin: float = 33.0
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ConfigError("contact duration must be positive")
-        if self.contact_conductance <= 0.0:
-            raise ConfigError("contact conductance must be positive")
+        if not (math.isfinite(self.start) and math.isfinite(self.T_skin)):
+            raise ConfigError("contact start and T_skin must be finite")
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError("contact duration must be positive and finite")
+        if not 0.0 < self.contact_conductance < math.inf:
+            raise ConfigError(
+                "contact conductance must be positive and finite")
 
     @staticmethod
     def preset(kind: ContactKind, start: float, duration: float = 5.0,
@@ -157,9 +157,7 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
     T_co = y1 + dt * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0
     T_w = y2 + dt * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0
     T_c = y3 + dt * (a3 + 2.0 * b3 + 2.0 * c3 + d3) / 6.0
-    t = state.t + dt
     if not (math.isfinite(T_p) and math.isfinite(T_co)
             and math.isfinite(T_w) and math.isfinite(T_c)):
-        raise NumericError(f"non-finite plant state at t = {t:.6g} s")
-    return PlantState(T_p=T_p, T_co=T_co, T_w=T_w, T_c=T_c,
-                      pump_on=pump_on, t=t)
+        raise NumericError("non-finite plant state")
+    return PlantState(T_p=T_p, T_co=T_co, T_w=T_w, T_c=T_c)

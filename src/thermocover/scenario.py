@@ -8,6 +8,7 @@ serialize to the flat key-value format and round-trip exactly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +24,10 @@ from .plant import (DEFAULT_PELTIER_LAG, DEFAULT_PELTIER_POWER, ContactEvent,
 #: 0 selects the natural (identification-exact) constants, which are far too
 #: slow to see a 5 s touch.
 DEFAULT_OBSERVER_TC = 1.0
+
+#: A scenario name is the stem of its output files, so it may not leave the
+#: output directory or hold a comment character.
+_NAME = re.compile(r"[A-Za-z0-9_.+-]+")
 
 #: Most plant substeps (samples x substeps per sample) one run may take;
 #: the built-in protocols take 18 000 at most.
@@ -63,6 +68,9 @@ class ScenarioSpec:
     observer_tc: float = DEFAULT_OBSERVER_TC
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and _NAME.fullmatch(self.name)):
+            raise ConfigError(f"scenario name {self.name!r} must be letters, "
+                              "digits and _ . + - only")
         for value, hold in self.setpoints:
             if not hold > 0.0:
                 raise ConfigError("setpoint hold durations must be positive")

@@ -78,8 +78,7 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
             raise _in_context(exc, f"{scenario.name}: at t = {t:.6g} s") \
                 from exc
 
-    return SimTrace.from_rows(rows, name=scenario.name,
-                              meta={"scenario": scenario})
+    return SimTrace.from_rows(rows)
 
 
 def _in_context(exc: ThermocoverError, where: str) -> ThermocoverError:

@@ -9,7 +9,7 @@ are written as 0/1.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,6 @@ class SimTrace:
     q_i_true: np.ndarray
     q_i_hat: np.ndarray
     contact_flag: np.ndarray
-    name: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.t)
@@ -48,7 +46,7 @@ class SimTrace:
         return getattr(self, name)
 
     @staticmethod
-    def from_rows(rows, name="", meta=None) -> "SimTrace":
+    def from_rows(rows) -> "SimTrace":
         cols = {c: [] for c in COLUMNS}
         for row in rows:
             for c, v in zip(COLUMNS, row):
@@ -57,7 +55,7 @@ class SimTrace:
         for c in COLUMNS:
             dtype = bool if c in _BOOL_COLUMNS else float
             arrays[c] = np.asarray(cols[c], dtype=dtype)
-        return SimTrace(name=name, meta=dict(meta or {}), **arrays)
+        return SimTrace(**arrays)
 
     # -- CSV ---------------------------------------------------------------
 
@@ -80,7 +78,7 @@ class SimTrace:
             fh.write(self.to_csv_text())
 
     @staticmethod
-    def from_csv(path, name="") -> "SimTrace":
+    def from_csv(path) -> "SimTrace":
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             if tuple(header) != COLUMNS:
@@ -106,4 +104,4 @@ class SimTrace:
                 arrays[c] = col.astype(bool)
             else:
                 raise ConfigError(f"{path}: column {c} must be 0 or 1")
-        return SimTrace(name=name, **arrays)
+        return SimTrace(**arrays)

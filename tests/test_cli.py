@@ -95,14 +95,20 @@ def test_run_unknown_scenario(capsys):
     # QP or run too large: horizon, preview past the dead time, run size
     "controller.H=1001", "t_s=0.01 dt=0.001", "total_duration=1e7",
     "dt=1e-300",
+    # the name is a file-name stem: no path, no comment, not empty
+    "name=../escape", "name=a#b", "name=",
+    # pump bands below zero
+    "pump.on_band=-1 pump.off_band=-2", "pump.off_band=-1",
 ])
 def test_run_bad_override(tmp_path, capsys, override):
     scenario = tmp_path / "mini.txt"
     scenario.write_text(SHORT_SCENARIO)
     sets = [arg for item in override.split() for arg in ("--set", item)]
-    assert main(["run", str(scenario), *sets]) == 2
+    assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out"),
+                 *sets]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [scenario]
 
 
 def test_scenario_file_unknown_key_exits_config(tmp_path, capsys):

@@ -39,7 +39,7 @@ def test_kv_overrides():
 def _toy_trace(n=5):
     rows = [(float(k), 40.0, 39.5, 30.0, 25.0 + 0.1 * k, 24.0,
              k % 2 == 0, 0.8, 0.0, 1e-3 * k, False) for k in range(n)]
-    return SimTrace.from_rows(rows, name="toy")
+    return SimTrace.from_rows(rows)
 
 
 def test_csv_round_trip(tmp_path):

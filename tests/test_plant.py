@@ -33,8 +33,7 @@ def test_pump_flow_value(heat_params):
 def test_pump_off_decouples_tank(heat_params):
     # with the pump stopped the tank relaxes toward the commanded plate
     # while the pipe/cover pair drifts toward ambient
-    state = PlantState(T_p=40.0, T_co=40.0, T_w=30.0, T_c=30.0,
-                       pump_on=False, t=0.0)
+    state = PlantState(T_p=40.0, T_co=40.0, T_w=30.0, T_c=30.0)
     for _ in range(5000):
         state = step_plant(state, 40.0, False, 0.0, heat_params, AMBIENT,
                            1.0, peltier_power=float("inf"))
@@ -79,12 +78,18 @@ def test_contact_kind_ordering():
 
 
 def test_contact_event_validation():
-    with pytest.raises(ConfigError):
-        ContactEvent(start=0.0, duration=0.0, kind=ContactKind.GRASP,
-                     contact_conductance=0.8)
-    with pytest.raises(ConfigError):
-        ContactEvent(start=0.0, duration=5.0, kind=ContactKind.GRASP,
-                     contact_conductance=-0.1)
+    nan, inf = float("nan"), float("inf")
+    args = dict(start=0.0, duration=5.0, kind=ContactKind.GRASP,
+                contact_conductance=0.8)
+    ContactEvent(**args)
+    # NaN fails every comparison, so each field needs its own finite check
+    for bad in ({"duration": 0.0}, {"contact_conductance": -0.1},
+                {"start": nan}, {"start": inf},
+                {"duration": nan}, {"duration": inf},
+                {"contact_conductance": nan}, {"contact_conductance": inf},
+                {"T_skin": inf}, {"T_skin": nan}):
+        with pytest.raises(ConfigError):
+            ContactEvent(**{**args, **bad})
 
 
 def test_peltier_power_cap_limits_tank_rate(heat_params):
@@ -155,8 +160,7 @@ def _reference_step(state, T_p_cmd, pump_on, q_i, params, ambient, dt,
         yi + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
         for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
     )
-    return PlantState(T_p=new[0], T_co=new[1], T_w=new[2], T_c=new[3],
-                      pump_on=pump_on, t=state.t + dt)
+    return PlantState(T_p=new[0], T_co=new[1], T_w=new[2], T_c=new[3])
 
 
 @pytest.mark.parametrize("pump_on", [True, False])
@@ -165,10 +169,8 @@ def _reference_step(state, T_p_cmd, pump_on, q_i, params, ambient, dt,
 @pytest.mark.parametrize("q_i", [0.0, 3.0])
 @pytest.mark.parametrize("dt", [0.1, 1.0])
 @pytest.mark.parametrize("start", [
-    PlantState(T_p=-0.5, T_co=-0.03, T_w=-0.02, T_c=-0.01, pump_on=True,
-               t=0.0),
-    PlantState(T_p=70.0, T_co=-5.0, T_w=0.01, T_c=-0.01, pump_on=False,
-               t=12.3),
+    PlantState(T_p=-0.5, T_co=-0.03, T_w=-0.02, T_c=-0.01),
+    PlantState(T_p=70.0, T_co=-5.0, T_w=0.01, T_c=-0.01),
 ])
 def test_step_bit_equal_to_reference(heat_params, pump_on, peltier_lag,
                                      peltier_power, q_i, dt, start):
