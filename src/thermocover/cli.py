@@ -12,8 +12,7 @@ from pathlib import Path
 
 from . import kvio
 from .detect import detect_contacts
-from .errors import (ConfigError, IllConditionedFitError, NumericError,
-                     ThermocoverError)
+from .errors import ConfigError, IllConditionedFitError, NumericError
 from .report import analyze_segments, render_report
 from .scenario import (ScenarioSpec, apply_overrides, builtin_scenarios,
                        load_scenario, scenario_to_kv)
@@ -50,15 +49,10 @@ def cmd_run(args) -> int:
     segments = analyze_segments(trace, spec)
 
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace.to_csv(out_dir / f"{spec.name}_trace.csv")
-        report = render_report(spec, segments, detection,
-                               overrides=overrides)
-        (out_dir / f"{spec.name}_report.txt").write_text(report,
-                                                         encoding="utf-8")
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
+    trace.to_csv(out_dir / f"{spec.name}_trace.csv")
+    report = render_report(spec, segments, detection, overrides=overrides)
+    (out_dir / f"{spec.name}_report.txt").write_text(report, encoding="utf-8")
     print(f"wrote {out_dir / (spec.name + '_trace.csv')}")
     print(f"wrote {out_dir / (spec.name + '_report.txt')}")
     return EXIT_OK
@@ -85,10 +79,7 @@ def cmd_print_config(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        trace = StepTrace.from_csv(args.csv, signal=args.signal)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
+    trace = StepTrace.from_csv(args.csv, signal=args.signal)
     if args.model == "fopdt":
         report = fit_fopdt(trace)
     else:
@@ -96,20 +87,13 @@ def cmd_fit(args) -> int:
     text = kvio.dumps(report.to_kv(),
                       header=f"{args.model} fit of {args.csv}")
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _IOFailure(str(exc)) from exc
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
-
-
-class _IOFailure(ThermocoverError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,9 +140,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _IOFailure as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, IllConditionedFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,14 +2,15 @@
 
 The predictor is the discrete first-order-plus-dead-time model; the cost
 trades tracking error against a command penalty (either command magnitude
-relative to a reference temperature, or command increments).  The solver is
-projected gradient descent with exact line search on the quadratic, which is
-plenty for the small horizons involved.  What depends only on the model,
-horizon and weights (the prediction map, the Hessian and its largest
-eigenvalue) is built once and cached read-only, so a sample forms only the
-free response and the gradient offset before it solves.  Pump actuation is
-bang-bang with hysteresis, mirroring the stop-at-setpoint behaviour of the
-rig.
+relative to a reference temperature, or command increments).  The solver
+alternates a projected gradient step, which settles the active bounds, with
+a Newton step on the free variables (More & Toraldo, 1991), each ending at
+the least-cost point of its segment; that is plenty for the small horizons
+involved.  What depends only on the model, horizon and weights (the
+prediction map, the Hessian and its largest eigenvalue) is built once and
+cached read-only, so a sample forms only the free response and the gradient
+offset before it solves.  Pump actuation is bang-bang with hysteresis,
+mirroring the stop-at-setpoint behaviour of the rig.
 """
 
 from __future__ import annotations
@@ -187,53 +188,49 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
     e = qp.free - qp.refs
 
     model = qp.model
-    Phi = qp.Phi
     Hm, eigmax = _cached_hessian(model.a, model.b, model.d, H, cfg.W1,
                                  cfg.W2, form)
-    g0 = 2.0 * (cfg.W1 * Phi.T @ e - cfg.W2 * v)
+    g0 = 2.0 * (cfg.W1 * qp.Phi.T @ e - cfg.W2 * v)
     lo, hi = cfg.T_min_th, cfg.T_max_th
-
-    def cost_of(u):
-        r1 = Phi @ u + e
-        Pu = u if form is PenaltyForm.MAGNITUDE else np.diff(u, prepend=0.0)
-        r2 = Pu - v
-        return float(cfg.W1 * r1 @ r1 + cfg.W2 * r2 @ r2)
-
-    def grad(u):
-        return Hm @ u + g0
-
-    # Fast path: interior unconstrained minimizer already satisfies KKT.
-    try:
-        u_star = np.linalg.solve(Hm, -g0)
-        if np.all(u_star >= lo) and np.all(u_star <= hi):
-            return _finish(u_star, grad, lo, hi, 0)
-        u = np.clip(u_star, lo, hi)
-    except np.linalg.LinAlgError:
-        u = np.clip(np.full(H, u_ref), lo, hi)
-
-    if eigmax <= 0.0:
-        return _finish(u, grad, lo, hi, 0)
-    step = 1.0 / eigmax
     tol = 1e-9 * max(1.0, hi - lo)
 
-    for it in range(1, _MAX_ITER + 1):
-        g = grad(u)
-        residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
-        if residual < _KKT_TOL:
-            return _finish(u, grad, lo, hi, it - 1)
-        # projected gradient step with exact line search settles the
-        # active set ...
-        trial = np.clip(u - step * g, lo, hi)
-        dvec = trial - u
+    def toward(u, g, target):
+        """Least-cost point on the segment from u to target, both in the
+        box; the quadratic is convex, so the cost cannot rise."""
+        dvec = target - u
         curv = float(dvec @ Hm @ dvec)
-        if curv <= 0.0:
-            alpha = 1.0
+        slope = float(g @ dvec)
+        if curv > 0.0:
+            alpha = min(1.0, max(0.0, -slope / curv))
         else:
-            alpha = min(1.0, max(0.0, -float(g @ dvec) / curv))
-        u = u + alpha * dvec
+            alpha = 1.0 if slope < 0.0 else 0.0
+        return u + alpha * dvec
+
+    try:
+        u = np.linalg.solve(Hm, -g0)
+        interior = bool(np.all(u >= lo) and np.all(u <= hi))
+    except np.linalg.LinAlgError:
+        u, interior = np.full(H, u_ref), False
+    if not interior:
+        u = np.clip(u, lo, hi)
+
+    for it in range(_MAX_ITER + 1):
+        g = Hm @ u + g0
+        residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
+        # an unconstrained minimizer inside the box is the answer as it
+        # stands, and so is any start when the cost is flat
+        if interior or eigmax <= 0.0 or residual < _KKT_TOL:
+            return MpcSolution(sequence=u, active_lower=u <= lo + tol,
+                               active_upper=u >= hi - tol, iterations=it,
+                               kkt_residual=residual)
+        if it == _MAX_ITER:
+            break
+        # a projected gradient step settles the active set ...
+        step = 1.0 / eigmax
+        u = toward(u, g, np.clip(u - step * g, lo, hi))
         # ... and a Newton step on the free variables finishes quickly even
         # when the quadratic is badly conditioned.
-        g = grad(u)
+        g = Hm @ u + g0
         free = ~(((u <= lo + tol) & (g > 0.0))
                  | ((u >= hi - tol) & (g < 0.0)))
         if np.any(free):
@@ -242,33 +239,12 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
                 dn[free] = np.linalg.solve(Hm[np.ix_(free, free)], -g[free])
             except np.linalg.LinAlgError:
                 continue
-            dvec = np.clip(u + dn, lo, hi) - u
-            curv = float(dvec @ Hm @ dvec)
-            if curv > 0.0:
-                alpha = min(1.0, max(0.0, -float(g @ dvec) / curv))
-                cand = u + alpha * dvec
-                if cost_of(cand) < cost_of(u):
-                    u = cand
+            u = toward(u, g, np.clip(u + dn, lo, hi))
 
-    g = grad(u)
-    residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
     raise ConvergenceError(
         f"projected gradient hit {_MAX_ITER} iterations "
         f"(KKT residual {residual:.3e})",
         residual=residual,
-    )
-
-
-def _finish(u, grad, lo, hi, iterations):
-    g = grad(u)
-    residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
-    tol = 1e-9 * max(1.0, hi - lo)
-    return MpcSolution(
-        sequence=u,
-        active_lower=u <= lo + tol,
-        active_upper=u >= hi - tol,
-        iterations=iterations,
-        kkt_residual=residual,
     )
 
 

@@ -85,6 +85,9 @@ class ScenarioSpec:
             raise ConfigError("peltier_lag and observer_tc must be >= 0")
         if not self.peltier_power > 0.0:
             raise ConfigError("peltier_power must be positive (inf: no limit)")
+        if self.pump.state:
+            raise ConfigError("pump.state is the controller's run-time latch; "
+                              "a run starts with the pump off")
         if self.controller.t_s != self.t_s:
             # the controller's internal model must be discretized at the
             # rate the loop actually runs

@@ -6,8 +6,8 @@ Two fitters mirror how the hardware constants were derived:
   first-order-plus-dead-time approximation from a single step response.
   Dead time makes the least-squares problem nonconvex, so the classic
   fraction-of-rise two-point method seeds the search, the dead time is
-  refined by golden-section with the remaining parameters solved inside,
-  and a final Gauss-Newton polish runs over everything.
+  refined by a bounded Brent search with the remaining parameters solved
+  inside, and a final Gauss-Newton polish runs over everything.
 
 * ``fit_two_node`` recovers the RC-network constants (R_w, C_w, R_c, C_c,
   R_aw) from one or more traces against the three-node plant ODEs, with the
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, minimize_scalar
 
 from .errors import ConfigError, IllConditionedFitError
 from .params import AmbientConfig
@@ -118,28 +118,6 @@ class FitReport:
         return out
 
 
-def golden_section(f, lo: float, hi: float, tol: float = 1e-4,
-                   max_iter: int = 200) -> float:
-    """Minimize a unimodal scalar function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 # ---------------------------------------------------------------------------
 # FOPDT fit
 
@@ -196,17 +174,18 @@ def fit_fopdt(trace: StepTrace) -> FitReport:
             f"trace covers only {span / tau0:.2f} time constants; need >= 3"
         )
 
-    def inner_sse(L_d):
-        def over_tau(tau):
+    def best_tau(L_d):
+        def sse(tau):
             return _linear_fit(y, _fopdt_basis(t, t_step, L_d, tau))[2]
-        tau = golden_section(over_tau, tau0 / 5.0, tau0 * 5.0,
-                             tol=1e-3 * tau0)
-        return over_tau(tau), tau
+        return minimize_scalar(sse, bounds=(tau0 / 5.0, tau0 * 5.0),
+                               method="bounded",
+                               options={"xatol": 1e-3 * tau0})
 
     L_hi = max(2.0 * L0, 0.5 * tau0, 4.0 * trace.t_s)
-    L_opt = golden_section(lambda L: inner_sse(L)[0], 0.0, L_hi,
-                           tol=1e-3 * max(trace.t_s, 1.0))
-    _, tau_opt = inner_sse(L_opt)
+    L_opt = minimize_scalar(lambda L: best_tau(L).fun, bounds=(0.0, L_hi),
+                            method="bounded",
+                            options={"xatol": 1e-3 * max(trace.t_s, 1.0)}).x
+    tau_opt = best_tau(L_opt).x
     y0, K, _ = _linear_fit(y, _fopdt_basis(t, t_step, L_opt, tau_opt))
 
     # Gauss-Newton polish over all four parameters

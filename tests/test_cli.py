@@ -17,8 +17,8 @@ from thermocover.cli import main
 from thermocover.errors import ConvergenceError
 from thermocover.params import Mode, preset_params
 from thermocover.report import parse_report
-from thermocover.scenario import (builtin_scenarios, scenario_from_kv,
-                                  scenario_to_kv)
+from thermocover.scenario import (builtin_scenarios, load_scenario,
+                                  scenario_from_kv, scenario_to_kv)
 from thermocover.trace import COLUMNS, SimTrace
 
 
@@ -120,6 +120,23 @@ def test_scenario_file_unknown_key_exits_config(tmp_path, capsys):
         and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["print-config", "run"])
+def test_scenario_directory_exits_io(tmp_path, capsys, verb):
+    # a path that exists is read as a scenario file
+    assert main([verb, str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scenario_file_not_utf8_exits_config(tmp_path, capsys):
+    scenario = tmp_path / "mini.txt"
+    scenario.write_bytes(SHORT_SCENARIO.encode() + b"# caf\xe9\n")
+    assert main(["run", str(scenario), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [scenario]
+
+
 @pytest.mark.parametrize("argv", [["run", "exp1_heat", "--t-step", "1"],
                                   ["fit", "step.csv", "--mode", "heat"]],
                          ids=["run--t-step", "fit--mode"])
@@ -161,6 +178,54 @@ def test_any_override_value_exits_ok_or_config_error(key, value):
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+@functools.lru_cache(maxsize=None)
+def _printed_config(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["print-config", name]) == 0
+    return out.getvalue().encode()
+
+
+# what one line of a scenario file becomes: None drops it, bytes replace
+# it, and (offset, bytes) insert the bytes into it
+LINE_EDITS = st.one_of(
+    st.none(),
+    st.sampled_from([b"\xff", b"name = caf\xe9", b"t_s = \xc3", b"=",
+                     b"setpoints =", b"controller.H = 0"]),
+    st.binary(max_size=30),
+    st.text(max_size=30).map(str.encode),
+    st.tuples(st.integers(0, 40), st.binary(min_size=1, max_size=3)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(builtin_scenarios())),
+       row=st.integers(0, 40), edit=LINE_EDITS)
+def test_any_scenario_file_exits_ok_or_config_error(name, row, edit):
+    lines = _printed_config(name).splitlines()
+    row %= len(lines)
+    if edit is None:
+        del lines[row]
+    elif isinstance(edit, bytes):
+        lines[row] = edit
+    else:
+        at, junk = edit
+        lines[row] = lines[row][:at] + junk + lines[row][at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(["print-config", str(path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+        else:
+            assert scenario_from_kv(kvio.loads(out.getvalue())) \
+                == load_scenario(path)
 
 
 def test_fit_missing_file(capsys):
@@ -260,6 +325,14 @@ def test_fit_reversed_time_exits_config(tmp_path, model):
     code, err = _fit_exit(csv, "--model", model)
     assert code == 2
     assert err == "error: trace time must increase in finite steps\n"
+
+
+def test_trace_csv_not_utf8_exits_config(tmp_path):
+    csv = tmp_path / "step.csv"
+    csv.write_bytes(_step_csv().encode().replace(b"\n1.0", b"\n\xff1.0", 1))
+    code, err = _fit_exit(csv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", ["--c-co", "--r-co"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thermocover import mpc
-from thermocover.errors import ConfigError
+from thermocover.errors import ConfigError, ConvergenceError
 from thermocover.fopdt import DiscreteFOPDT, discretize_fopdt
 from thermocover.mpc import (MAX_HORIZON, MpcConfig, PenaltyForm,
                              PumpHysteresis, ThermalController,
@@ -207,3 +207,150 @@ def test_builtin_solves_meet_kkt_tolerance(monkeypatch):
         simulate(scenarios[name])
     assert any(sol.iterations >= 1 for sol in solutions)
     assert max(sol.kkt_residual for sol in solutions) < 1e-8
+
+
+def _reference_solve(qp, cfg, u_ref=0.0, u_prev=None):
+    """Reference: the solver before its two line searches were merged, with
+    a cost check on the Newton step."""
+    H = len(qp.refs)
+    if u_prev is None:
+        u_prev = u_ref
+    form = cfg.penalty_form
+    # target of P @ u, which P.T maps onto itself in both forms
+    if form is PenaltyForm.MAGNITUDE:
+        v = np.full(H, u_ref)
+    else:
+        v = np.zeros(H)
+        v[0] = u_prev
+    e = qp.free - qp.refs
+
+    model = qp.model
+    Phi = qp.Phi
+    Hm, eigmax = _cached_hessian(model.a, model.b, model.d, H, cfg.W1,
+                                 cfg.W2, form)
+    g0 = 2.0 * (cfg.W1 * Phi.T @ e - cfg.W2 * v)
+    lo, hi = cfg.T_min_th, cfg.T_max_th
+
+    def cost_of(u):
+        r1 = Phi @ u + e
+        Pu = u if form is PenaltyForm.MAGNITUDE else np.diff(u, prepend=0.0)
+        r2 = Pu - v
+        return float(cfg.W1 * r1 @ r1 + cfg.W2 * r2 @ r2)
+
+    def grad(u):
+        return Hm @ u + g0
+
+    # Fast path: interior unconstrained minimizer already satisfies KKT.
+    try:
+        u_star = np.linalg.solve(Hm, -g0)
+        if np.all(u_star >= lo) and np.all(u_star <= hi):
+            return _reference_finish(u_star, grad, lo, hi, 0)
+        u = np.clip(u_star, lo, hi)
+    except np.linalg.LinAlgError:
+        u = np.clip(np.full(H, u_ref), lo, hi)
+
+    if eigmax <= 0.0:
+        return _reference_finish(u, grad, lo, hi, 0)
+    step = 1.0 / eigmax
+    tol = 1e-9 * max(1.0, hi - lo)
+
+    for it in range(1, mpc._MAX_ITER + 1):
+        g = grad(u)
+        residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
+        if residual < mpc._KKT_TOL:
+            return _reference_finish(u, grad, lo, hi, it - 1)
+        # projected gradient step with exact line search settles the
+        # active set ...
+        trial = np.clip(u - step * g, lo, hi)
+        dvec = trial - u
+        curv = float(dvec @ Hm @ dvec)
+        if curv <= 0.0:
+            alpha = 1.0
+        else:
+            alpha = min(1.0, max(0.0, -float(g @ dvec) / curv))
+        u = u + alpha * dvec
+        # ... and a Newton step on the free variables finishes quickly even
+        # when the quadratic is badly conditioned.
+        g = grad(u)
+        free = ~(((u <= lo + tol) & (g > 0.0))
+                 | ((u >= hi - tol) & (g < 0.0)))
+        if np.any(free):
+            dn = np.zeros_like(u)
+            try:
+                dn[free] = np.linalg.solve(Hm[np.ix_(free, free)], -g[free])
+            except np.linalg.LinAlgError:
+                continue
+            dvec = np.clip(u + dn, lo, hi) - u
+            curv = float(dvec @ Hm @ dvec)
+            if curv > 0.0:
+                alpha = min(1.0, max(0.0, -float(g @ dvec) / curv))
+                cand = u + alpha * dvec
+                if cost_of(cand) < cost_of(u):
+                    u = cand
+
+    g = grad(u)
+    residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
+    raise ConvergenceError(
+        f"projected gradient hit {mpc._MAX_ITER} iterations "
+        f"(KKT residual {residual:.3e})",
+        residual=residual,
+    )
+
+
+def _reference_finish(u, grad, lo, hi, iterations):
+    g = grad(u)
+    residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
+    tol = 1e-9 * max(1.0, hi - lo)
+    return mpc.MpcSolution(
+        sequence=u,
+        active_lower=u <= lo + tol,
+        active_upper=u >= hi - tol,
+        iterations=iterations,
+        kkt_residual=residual,
+    )
+
+
+def _random_qps(n, seed):
+    """Seeded QPs: H 1..80, dead time 0..11, both penalty forms, four
+    penalty weights, and setpoints that often lie beyond the command box."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        H = int(rng.integers(1, 81))
+        a = float(rng.uniform(0.5, 0.995))
+        model = DiscreteFOPDT(a=a, b=1.0 - a, d=int(rng.integers(0, 12)),
+                              t_s=1.0)
+        lo = float(rng.uniform(5.0, 25.0))
+        cfg = MpcConfig(H=H, W2=(0.0, 1e-4, 1e-2, 1.0)[k % 4], T_min_th=lo,
+                        T_max_th=lo + float(rng.uniform(1.0, 30.0)),
+                        penalty_form=list(PenaltyForm)[k // 4 % 2])
+        refs = np.repeat(rng.uniform(0.0, 60.0, size=3), -(-H // 3))[:H]
+        qp = build_prediction(model, float(rng.uniform(10.0, 40.0)),
+                              rng.uniform(5.0, 60.0, size=model.d), refs)
+        yield qp, cfg, float(rng.uniform(0.0, 40.0)), \
+            float(rng.uniform(5.0, 60.0))
+
+
+def test_solver_matches_reference_on_random_qps():
+    bound = iterated = 0
+    for qp, cfg, u_ref, u_prev in _random_qps(300, seed=0):
+        try:
+            ref = _reference_solve(qp, cfg, u_ref, u_prev)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                solve_mpc(qp, cfg, u_ref, u_prev)
+            continue
+        sol = solve_mpc(qp, cfg, u_ref, u_prev)
+        assert np.array_equal(sol.active_lower, ref.active_lower)
+        assert np.array_equal(sol.active_upper, ref.active_upper)
+        if sol.iterations == ref.iterations:
+            assert np.max(np.abs(sol.sequence - ref.sequence)) <= 1e-12
+        else:
+            # the reference's cost check refused a Newton step that
+            # rounding made look uphill, so it crept to its KKT tolerance;
+            # the two answers then agree only to that tolerance
+            assert sol.iterations < ref.iterations
+            assert sol.kkt_residual <= ref.kkt_residual
+            assert np.max(np.abs(sol.sequence - ref.sequence)) <= 1e-6
+        bound += bool(np.any(ref.active_lower | ref.active_upper))
+        iterated += ref.iterations > 0
+    assert bound >= 200 and 100 <= iterated < 300

@@ -1,9 +1,12 @@
 """Built-in protocols, scenario validation, and key-value round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from thermocover.errors import ConfigError
+from thermocover.mpc import PumpHysteresis
 from thermocover.params import Target
 from thermocover.plant import ContactEvent, ContactKind
 from thermocover.scenario import (ScenarioSpec, apply_overrides,
@@ -88,6 +91,14 @@ def test_lag_power_observer_and_duration_ranges_enforced():
 def test_kv_round_trip_every_builtin():
     for spec in builtin_scenarios().values():
         assert scenario_from_kv(scenario_to_kv(spec)) == spec
+
+
+def test_latched_pump_rejected():
+    # the latch is the controller's run-time state, and the key-value form
+    # has no key for it, so a spec holding it could not round-trip
+    spec = builtin_scenarios()["exp1_heat"]
+    with pytest.raises(ConfigError):
+        replace(spec, pump=PumpHysteresis(state=True))
 
 
 def test_file_round_trip(tmp_path):
