@@ -2,15 +2,16 @@
 
 The predictor is the discrete first-order-plus-dead-time model; the cost
 trades tracking error against a command penalty (either command magnitude
-relative to a reference temperature, or command increments).  The solver
-alternates a projected gradient step, which settles the active bounds, with
-a Newton step on the free variables (More & Toraldo, 1991), each ending at
-the least-cost point of its segment; that is plenty for the small horizons
-involved.  What depends only on the model, horizon and weights (the
-prediction map, the Hessian and its largest eigenvalue) is built once and
-cached read-only, so a sample forms only the free response and the gradient
-offset before it solves.  Pump actuation is bang-bang with hysteresis,
-mirroring the stop-at-setpoint behaviour of the rig.
+relative to a reference temperature, or command increments).  With d samples
+of dead time the cost starts at prediction d + 1, as in generalized
+predictive control (Clarke, Mohtadi & Tuffs, 1987), so the QP's unknowns are
+the H commands that reach predictions d+1 ... d+H, and its Hessian is
+positive definite.  The solver alternates a projected gradient step, which
+settles the active bounds, with a Newton step on the free variables (More &
+Toraldo, 1991), each ending at the least-cost point of its segment.  What
+depends only on the model, horizon and weights is built once and cached
+read-only.  Pump actuation is bang-bang with hysteresis, mirroring the
+stop-at-setpoint behaviour of the rig.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .fopdt import DiscreteFOPDT, discretize_fopdt
 from .params import AmbientConfig, Mode, PlantParams, Target, preset_params
 
 
-#: Largest horizon, and largest setpoint preview a controller accepts.  The QP
-#: keeps a few H x H matrices per mode, 8 MB each at this size.
+#: Largest horizon, and largest setpoint preview a controller accepts.  Each
+#: mode caches a square matrix of each size, 8 MB at this size.
 MAX_HORIZON = 1000
 
 
@@ -64,16 +65,6 @@ class MpcConfig:
             raise ConfigError("command bounds must be finite with min < max")
         if not 0.0 < self.t_s < math.inf:
             raise ConfigError("sampling time must be positive and finite")
-
-    def effective_horizon(self, d: int) -> int:
-        """Horizon actually used for a model with d samples of dead time.
-
-        Commands only influence predictions beyond the dead time, so the
-        horizon is stretched to keep a fixed preview window past it.
-        """
-        if d < 20:
-            return self.H
-        return max(self.H, d + 20)
 
 
 #: Entries kept by each constant-matrix cache: both modes of two scenarios.
@@ -126,8 +117,9 @@ def build_prediction(model: DiscreteFOPDT, T_now: float, past_inputs,
     """
     refs = np.asarray(setpoints, dtype=float)
     H = len(refs)
-    if H < 1:
-        raise ConfigError("setpoint preview must contain at least one entry")
+    if H <= model.d:
+        raise ConfigError(f"a preview of {H} samples leaves no command "
+                          f"past a dead time of {model.d} samples")
     past = np.asarray(past_inputs, dtype=float)
     if len(past) != model.d:
         raise ConfigError(
@@ -159,14 +151,15 @@ _KKT_TOL = 1e-8
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_hessian(a: float, b: float, d: int, H: int, W1: float,
+def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
                     W2: float, form: PenaltyForm):
-    """Read-only Hessian of the QP and its largest eigenvalue."""
-    Phi = _prediction_constants(a, b, d, H)[1]
+    """Read-only Hessian of the QP in its n unknowns, the commands that
+    reach predictions d+1 ... d+n, and its largest eigenvalue."""
+    Phi = _prediction_constants(a, b, d, d + n)[1][d:, :n]
     # the penalty acts on P @ u: the commands themselves or their increments
-    P = np.eye(H)
+    P = np.eye(n)
     if form is PenaltyForm.INCREMENT:
-        P -= np.eye(H, k=-1)
+        P -= np.eye(n, k=-1)
     Hm = 2.0 * (W1 * Phi.T @ Phi + W2 * P.T @ P)
     Hm.flags.writeable = False
     return Hm, float(np.linalg.eigvalsh(Hm)[-1])
@@ -175,42 +168,37 @@ def _cached_hessian(a: float, b: float, d: int, H: int, W1: float,
 def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
               u_prev: float | None = None) -> MpcSolution:
     """Minimize the tracking-plus-penalty quadratic over the command box."""
-    H = len(qp.refs)
+    model = qp.model
+    d = model.d
+    n = len(qp.refs) - d
     if u_prev is None:
         u_prev = u_ref
     form = cfg.penalty_form
     # target of P @ u, which P.T maps onto itself in both forms
     if form is PenaltyForm.MAGNITUDE:
-        v = np.full(H, u_ref)
+        v = np.full(n, u_ref)
     else:
-        v = np.zeros(H)
+        v = np.zeros(n)
         v[0] = u_prev
-    e = qp.free - qp.refs
+    e = (qp.free - qp.refs)[d:]
 
-    model = qp.model
-    Hm, eigmax = _cached_hessian(model.a, model.b, model.d, H, cfg.W1,
-                                 cfg.W2, form)
-    g0 = 2.0 * (cfg.W1 * qp.Phi.T @ e - cfg.W2 * v)
+    Hm, eigmax = _cached_hessian(model.a, model.b, d, n, cfg.W1, cfg.W2,
+                                 form)
+    g0 = 2.0 * (cfg.W1 * qp.Phi[d:, :n].T @ e - cfg.W2 * v)
     lo, hi = cfg.T_min_th, cfg.T_max_th
     tol = 1e-9 * max(1.0, hi - lo)
 
     def toward(u, g, target):
         """Least-cost point on the segment from u to target, both in the
-        box; the quadratic is convex, so the cost cannot rise."""
+        box; the Hessian is positive definite, so the cost cannot rise."""
         dvec = target - u
         curv = float(dvec @ Hm @ dvec)
-        slope = float(g @ dvec)
-        if curv > 0.0:
-            alpha = min(1.0, max(0.0, -slope / curv))
-        else:
-            alpha = 1.0 if slope < 0.0 else 0.0
-        return u + alpha * dvec
+        if curv <= 0.0:   # target == u
+            return u
+        return u + min(1.0, max(0.0, -float(g @ dvec) / curv)) * dvec
 
-    try:
-        u = np.linalg.solve(Hm, -g0)
-        interior = bool(np.all(u >= lo) and np.all(u <= hi))
-    except np.linalg.LinAlgError:
-        u, interior = np.full(H, u_ref), False
+    u = np.linalg.solve(Hm, -g0)
+    interior = bool(np.all(u >= lo) and np.all(u <= hi))
     if not interior:
         u = np.clip(u, lo, hi)
 
@@ -218,8 +206,12 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
         g = Hm @ u + g0
         residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
         # an unconstrained minimizer inside the box is the answer as it
-        # stands, and so is any start when the cost is flat
-        if interior or eigmax <= 0.0 or residual < _KKT_TOL:
+        # stands
+        if interior or residual < _KKT_TOL:
+            # the last d commands reach no prediction, so the penalty alone
+            # sets them
+            tail = u[-1] if form is PenaltyForm.INCREMENT else u_ref
+            u = np.concatenate((u, np.full(d, np.clip(tail, lo, hi))))
             return MpcSolution(sequence=u, active_lower=u <= lo + tol,
                                active_upper=u >= hi - tol, iterations=it,
                                kkt_residual=residual)
@@ -235,10 +227,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
                  | ((u >= hi - tol) & (g < 0.0)))
         if np.any(free):
             dn = np.zeros_like(u)
-            try:
-                dn[free] = np.linalg.solve(Hm[np.ix_(free, free)], -g[free])
-            except np.linalg.LinAlgError:
-                continue
+            dn[free] = np.linalg.solve(Hm[np.ix_(free, free)], -g[free])
             u = toward(u, g, np.clip(u + dn, lo, hi))
 
     raise ConvergenceError(
@@ -324,9 +313,9 @@ class ThermalController:
 
     @property
     def preview_length(self) -> int:
-        """Longest setpoint preview any mode's horizon consumes."""
-        return max(self.cfg.effective_horizon(m.d)
-                   for m in self._models.values())
+        """Longest setpoint preview a mode consumes: its dead time in
+        samples plus the H commands that reach a prediction."""
+        return max(m.d for m in self._models.values()) + self.cfg.H
 
     def _select_mode(self, setpoint: float, T_w: float) -> Mode:
         delta = setpoint - T_w
@@ -353,7 +342,7 @@ class ThermalController:
             self._p_hat = 0.0
         model = self._models[new_mode]
 
-        H = self.cfg.effective_horizon(model.d)
+        H = model.d + self.cfg.H
         refs = np.empty(H)
         n = min(H, preview.size)
         refs[:n] = preview[:n]

@@ -72,8 +72,8 @@ class ScenarioSpec:
             raise ConfigError(f"scenario name {self.name!r} must be letters, "
                               "digits and _ . + - only")
         for value, hold in self.setpoints:
-            if not hold > 0.0:
-                raise ConfigError("setpoint hold durations must be positive")
+            if not (math.isfinite(value) and 0.0 < hold < math.inf):
+                raise ConfigError("setpoints need finite values and holds > 0")
         if not (0.0 < self.t_s < math.inf and 0.0 < self.dt < math.inf):
             raise ConfigError("t_s and dt must be positive and finite")
         n_sub = self.t_s / self.dt
@@ -81,8 +81,11 @@ class ScenarioSpec:
             raise ConfigError("dt must divide t_s")
         if round(n_sub) < 10:
             raise ConfigError("need at least 10 plant substeps per sample")
-        if not (self.peltier_lag >= 0.0 and self.observer_tc >= 0.0):
-            raise ConfigError("peltier_lag and observer_tc must be >= 0")
+        if not (0.0 <= self.peltier_lag < math.inf
+                and 0.0 <= self.observer_tc < math.inf):
+            raise ConfigError("peltier_lag, observer_tc must be in [0, inf)")
+        if not math.isfinite(self.start_temp):
+            raise ConfigError("initial_temp must be finite")
         if not self.peltier_power > 0.0:
             raise ConfigError("peltier_power must be positive (inf: no limit)")
         if self.pump.state:

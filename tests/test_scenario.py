@@ -1,6 +1,6 @@
 """Built-in protocols, scenario validation, and key-value round-trips."""
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -86,6 +86,57 @@ def test_lag_power_observer_and_duration_ranges_enforced():
     # an infinite power limit means "no limit" and stays allowed
     ScenarioSpec(name="ok", setpoints=((23.0, 10.0),),
                  peltier_power=float("inf"))
+
+
+def _with(path, value):
+    """exp2_grasp, which holds a contact and an initial temperature, with
+    the float field at ``path`` set to ``value``."""
+    spec = builtin_scenarios()["exp2_grasp"]
+    owner, _, attr = path.rpartition(".")
+    if not owner:
+        return replace(spec, **{attr: value})
+    if owner == "setpoints":
+        first = (value, 90.0) if attr == "value" else (23.0, value)
+        return replace(spec, setpoints=(first,) + spec.setpoints[1:])
+    if owner == "contact":
+        return replace(spec, contacts=(replace(spec.contacts[0],
+                                               **{attr: value}),))
+    return replace(spec, **{owner: replace(getattr(spec, owner),
+                                           **{attr: value})})
+
+
+_FLOAT_FIELDS = (
+    "t_s", "dt", "total_duration", "initial_temp", "peltier_lag",
+    "peltier_power", "observer_tc", "setpoints.value", "setpoints.hold",
+    "ambient.T_amb", "controller.W1", "controller.W2", "controller.T_min_th",
+    "controller.T_max_th", "controller.t_s", "pump.on_band",
+    "pump.off_band", "detection.threshold", "detection.min_hold",
+    "detection.switch_gate", "contact.start", "contact.duration",
+    "contact.contact_conductance", "contact.T_skin",
+)
+
+
+def test_float_field_list_complete():
+    spec = builtin_scenarios()["exp2_grasp"]
+    owners = {"": spec, "contact.": spec.contacts[0],
+              **{f"{f.name}.": getattr(spec, f.name) for f in fields(spec)
+                 if is_dataclass(getattr(spec, f.name))}}
+    found = {prefix + f.name for prefix, obj in owners.items()
+             for f in fields(obj) if isinstance(getattr(obj, f.name), float)}
+    assert found <= set(_FLOAT_FIELDS)
+    assert len(found) == len(_FLOAT_FIELDS) - 3   # + total_duration, setpoints
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("path", _FLOAT_FIELDS)
+def test_non_finite_float_fields_rejected(path, value):
+    if path == "peltier_power" and value == float("inf"):
+        # an infinite power limit means "no limit"
+        assert _with(path, value).peltier_power == value
+        return
+    with pytest.raises(ConfigError):
+        _with(path, value)
 
 
 def test_kv_round_trip_every_builtin():
