@@ -27,7 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ConvergenceError
 from .fopdt import DiscreteFOPDT, discretize_fopdt
-from .params import AmbientConfig, Mode, PlantParams, Target, preset_params
+from .params import (AmbientConfig, Mode, PlantParams, Target, preset_params,
+                     require_temperature)
 
 
 #: Largest horizon, and largest setpoint preview a controller accepts.  Each
@@ -60,9 +61,10 @@ class MpcConfig:
             raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}]")
         if not (0.0 < self.W1 < math.inf and 0.0 <= self.W2 < math.inf):
             raise ConfigError("need finite W1 > 0 and W2 >= 0")
-        if not (math.isfinite(self.T_min_th) and math.isfinite(self.T_max_th)
-                and self.T_min_th < self.T_max_th):
-            raise ConfigError("command bounds must be finite with min < max")
+        require_temperature("T_min_th", self.T_min_th)
+        require_temperature("T_max_th", self.T_max_th)
+        if not self.T_min_th < self.T_max_th:
+            raise ConfigError("command bounds need T_min_th < T_max_th")
         if not 0.0 < self.t_s < math.inf:
             raise ConfigError("sampling time must be positive and finite")
 
@@ -154,15 +156,16 @@ _KKT_TOL = 1e-8
 def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
                     W2: float, form: PenaltyForm):
     """Read-only Hessian of the QP in its n unknowns, the commands that
-    reach predictions d+1 ... d+n, and its largest eigenvalue."""
+    reach predictions d+1 ... d+n, its inverse and its largest eigenvalue."""
     Phi = _prediction_constants(a, b, d, d + n)[1][d:, :n]
     # the penalty acts on P @ u: the commands themselves or their increments
     P = np.eye(n)
     if form is PenaltyForm.INCREMENT:
         P -= np.eye(n, k=-1)
     Hm = 2.0 * (W1 * Phi.T @ Phi + W2 * P.T @ P)
-    Hm.flags.writeable = False
-    return Hm, float(np.linalg.eigvalsh(Hm)[-1])
+    Hinv = np.linalg.inv(Hm)
+    Hm.flags.writeable = Hinv.flags.writeable = False
+    return Hm, Hinv, float(np.linalg.eigvalsh(Hm)[-1])
 
 
 def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
@@ -182,11 +185,15 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
         v[0] = u_prev
     e = (qp.free - qp.refs)[d:]
 
-    Hm, eigmax = _cached_hessian(model.a, model.b, d, n, cfg.W1, cfg.W2,
-                                 form)
+    Hm, Hinv, eigmax = _cached_hessian(model.a, model.b, d, n, cfg.W1,
+                                       cfg.W2, form)
     g0 = 2.0 * (cfg.W1 * qp.Phi[d:, :n].T @ e - cfg.W2 * v)
     lo, hi = cfg.T_min_th, cfg.T_max_th
     tol = 1e-9 * max(1.0, hi - lo)
+
+    def clip(x):
+        """np.clip(x, lo, hi), without its per-call overhead."""
+        return np.minimum(np.maximum(x, lo), hi)
 
     def toward(u, g, target):
         """Least-cost point on the segment from u to target, both in the
@@ -197,21 +204,21 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
             return u
         return u + min(1.0, max(0.0, -float(g @ dvec) / curv)) * dvec
 
-    u = np.linalg.solve(Hm, -g0)
+    u = Hinv @ -g0
     interior = bool(np.all(u >= lo) and np.all(u <= hi))
     if not interior:
-        u = np.clip(u, lo, hi)
+        u = clip(u)
 
     for it in range(_MAX_ITER + 1):
         g = Hm @ u + g0
-        residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
+        residual = float(np.max(np.abs(u - clip(u - g))))
         # an unconstrained minimizer inside the box is the answer as it
         # stands
         if interior or residual < _KKT_TOL:
             # the last d commands reach no prediction, so the penalty alone
             # sets them
-            tail = u[-1] if form is PenaltyForm.INCREMENT else u_ref
-            u = np.concatenate((u, np.full(d, np.clip(tail, lo, hi))))
+            tail = float(u[-1]) if form is PenaltyForm.INCREMENT else u_ref
+            u = np.concatenate((u, np.full(d, min(max(tail, lo), hi))))
             return MpcSolution(sequence=u, active_lower=u <= lo + tol,
                                active_upper=u >= hi - tol, iterations=it,
                                kkt_residual=residual)
@@ -219,7 +226,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
             break
         # a projected gradient step settles the active set ...
         step = 1.0 / eigmax
-        u = toward(u, g, np.clip(u - step * g, lo, hi))
+        u = toward(u, g, clip(u - step * g))
         # ... and a Newton step on the free variables finishes quickly even
         # when the quadratic is badly conditioned.
         g = Hm @ u + g0
@@ -228,7 +235,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
         if np.any(free):
             dn = np.zeros_like(u)
             dn[free] = np.linalg.solve(Hm[np.ix_(free, free)], -g[free])
-            u = toward(u, g, np.clip(u + dn, lo, hi))
+            u = toward(u, g, clip(u + dn))
 
     raise ConvergenceError(
         f"projected gradient hit {_MAX_ITER} iterations "
@@ -263,6 +270,8 @@ def pump_step(h: PumpHysteresis, T_meas: float,
         state = True
     elif err < h.off_band:
         state = False
+    if state == h.state:
+        return h, state
     return replace(h, state=state), state
 
 

@@ -47,6 +47,8 @@ class ObserverState:
     Bd: np.ndarray
     Cd: np.ndarray
     Dd: np.ndarray
+    #: the entries of Ad, Bd, Cd and Dd, row by row, as plain floats
+    coeffs: tuple
     x: tuple            # filter state, 2 entries
     t_s: float
     filter_time_constants: tuple
@@ -91,8 +93,10 @@ def build_observer(params: PlantParams, t_s: float,
 
     A, B, C, D = _observer_canonical([num_Tw, num_q], den)
     Ad, Bd, Cd, Dd, _ = cont2discrete((A, B, C, D), t_s, method="bilinear")
+    coeffs = tuple(np.concatenate([m.ravel() for m in (Ad, Bd, Cd, Dd)])
+                   .tolist())
     return ObserverState(
-        Ad=Ad, Bd=Bd, Cd=Cd, Dd=Dd,
+        Ad=Ad, Bd=Bd, Cd=Cd, Dd=Dd, coeffs=coeffs,
         x=(0.0, 0.0), t_s=t_s,
         filter_time_constants=(g1, g2),
     )
@@ -105,14 +109,17 @@ def observer_step(obs: ObserverState, T_w: float, T_co: float, pump_on: bool,
 
     q_w is closed from the measurable tank/pipe difference and gated by the
     pump; the filter keeps integrating with q_w = 0 while the pump is off.
+    The 2 x 2 products run on plain floats: y = Cd x + Dd u, x' = Ad x + Bd u
+    with u = (T_w, q).
     """
     q = pump_flow(T_co, T_w, pump_on, params) \
         + estimate_q_aw(T_w, ambient.T_amb, params.R_aw)
-    u = np.array([T_w, q])
-    x = np.asarray(obs.x)
-    q_hat = (obs.Cd @ x + obs.Dd @ u).item()
-    x_next = obs.Ad @ x + obs.Bd @ u
-    return replace(obs, x=(float(x_next[0]), float(x_next[1]))), q_hat
+    a00, a01, a10, a11, b00, b01, b10, b11, c0, c1, d0, d1 = obs.coeffs
+    x0, x1 = obs.x
+    q_hat = (c0 * x0 + c1 * x1) + (d0 * T_w + d1 * q)
+    x = ((a00 * x0 + a01 * x1) + (b00 * T_w + b01 * q),
+         (a10 * x0 + a11 * x1) + (b10 * T_w + b11 * q))
+    return replace(obs, x=x), q_hat
 
 
 def observer_frequency_response(obs: ObserverState, omega: float) -> np.ndarray:

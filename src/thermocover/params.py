@@ -15,6 +15,17 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
+#: Lowest temperature a configuration may hold, deg C.
+ABSOLUTE_ZERO = -273.15
+
+
+def require_temperature(name: str, value: float) -> None:
+    """Raise ConfigError unless ``value`` is finite and not below absolute
+    zero."""
+    if not ABSOLUTE_ZERO <= value < math.inf:
+        raise ConfigError(f"{name} = {value!r} must be finite and at least "
+                          f"{ABSOLUTE_ZERO} deg C")
+
 
 class Mode(enum.Enum):
     HEAT = "heat"
@@ -68,8 +79,7 @@ class AmbientConfig:
     T_amb: float = 21.0   # room temperature, deg C
 
     def __post_init__(self):
-        if not math.isfinite(self.T_amb):
-            raise ConfigError("T_amb must be finite")
+        require_temperature("T_amb", self.T_amb)
 
 
 # Identified constants, heating direction.  Values shared by both modes:

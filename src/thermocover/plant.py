@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, NumericError
-from .params import AmbientConfig, PlantParams
+from .params import AmbientConfig, PlantParams, require_temperature
 
 #: Default Peltier-surface lag time constant (s); 0 snaps T_p to its command.
 DEFAULT_PELTIER_LAG = 2.0
@@ -59,8 +59,9 @@ class ContactEvent:
     T_skin: float = 33.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.T_skin)):
-            raise ConfigError("contact start and T_skin must be finite")
+        if not math.isfinite(self.start):
+            raise ConfigError("contact start must be finite")
+        require_temperature("T_skin", self.T_skin)
         if not 0.0 < self.duration < math.inf:
             raise ConfigError("contact duration must be positive and finite")
         if not 0.0 < self.contact_conductance < math.inf:
@@ -103,12 +104,17 @@ def estimate_q_aw(T_w: float, T_amb: float, R_aw: float) -> float:
 def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
                params: PlantParams, ambient: AmbientConfig, dt: float,
                peltier_lag: float = DEFAULT_PELTIER_LAG,
-               peltier_power: float = DEFAULT_PELTIER_POWER) -> PlantState:
-    """Advance the plant one RK4 step of length dt.
+               peltier_power: float = DEFAULT_PELTIER_POWER, *,
+               n_sub: int = 1, contacts: tuple = (),
+               t: float = 0.0) -> PlantState:
+    """Advance the plant ``n_sub`` RK4 substeps of length dt.
 
-    The contact heat flow ``q_i`` is held constant across the step; callers
-    re-evaluate it at the substep rate.  ``peltier_lag`` = 0 snaps the plate
-    to its command; ``peltier_power`` = inf removes the actuator limit.
+    The contact heat flow ``q_i`` is held constant across the call.  Each
+    event in ``contacts`` adds its ``contact_heat_flow`` to it, in order,
+    re-evaluated before substep j from time ``t + j * dt`` and that
+    substep's T_c; so one call covers a whole control sample.
+    ``peltier_lag`` = 0 snaps the plate to its command; ``peltier_power`` =
+    inf removes the actuator limit.
     """
     # written as `not x > 0` so that NaN fails too
     if not dt > 0.0:
@@ -117,6 +123,8 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
         raise ConfigError("peltier_lag must be non-negative")
     if not peltier_power > 0.0:
         raise ConfigError("peltier_power must be positive (inf: no limit)")
+    if not n_sub >= 1:
+        raise ConfigError("n_sub must be at least 1")
     R_co, R_c, R_aw = params.R_co, params.R_c, params.R_aw
     C_co, C_w, C_c = params.C_co, params.C_w, params.C_c
     limit = 0.5 * min(R_c * C_c, R_co * C_co)
@@ -127,6 +135,7 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
     T_amb = ambient.T_amb
     lagged = peltier_lag > 0.0
     capped = peltier_power < math.inf
+    q = q_i
 
     def f(T_p, T_co, T_w, T_c):
         dT_p = (T_p_cmd - T_p) / peltier_lag if lagged else 0.0
@@ -141,23 +150,33 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
                 q_p = -peltier_power
         q_c = (T_w - T_c) / R_c
         return (dT_p, (q_p - q_w) / C_co, (q_w + q_aw - q_c) / C_w,
-                (q_c + q_i) / C_c)
+                (q_c + q) / C_c)
 
     # RK4 on plain floats.  Keep the order of every operation (y + h * k
     # with h = dt / 2, no reciprocals): reordering changes the trace bits.
     y0 = state.T_p if lagged else T_p_cmd
     y1, y2, y3 = state.T_co, state.T_w, state.T_c
     h = 0.5 * dt
-    a0, a1, a2, a3 = f(y0, y1, y2, y3)
-    b0, b1, b2, b3 = f(y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3)
-    c0, c1, c2, c3 = f(y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3)
-    d0, d1, d2, d3 = f(y0 + dt * c0, y1 + dt * c1, y2 + dt * c2,
-                       y3 + dt * c3)
-    T_p = y0 + dt * (a0 + 2.0 * b0 + 2.0 * c0 + d0) / 6.0
-    T_co = y1 + dt * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0
-    T_w = y2 + dt * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0
-    T_c = y3 + dt * (a3 + 2.0 * b3 + 2.0 * c3 + d3) / 6.0
-    if not (math.isfinite(T_p) and math.isfinite(T_co)
-            and math.isfinite(T_w) and math.isfinite(T_c)):
-        raise NumericError("non-finite plant state")
-    return PlantState(T_p=T_p, T_co=T_co, T_w=T_w, T_c=T_c)
+    for j in range(n_sub):
+        if contacts:
+            # a loop, not sum() over a generator: a closure over y3 and dt
+            # would slow every RK4 stage
+            t_sub = t + j * dt
+            q = q_i
+            for c in contacts:
+                q += contact_heat_flow(c, y3, t_sub)
+        a0, a1, a2, a3 = f(y0, y1, y2, y3)
+        b0, b1, b2, b3 = f(y0 + h * a0, y1 + h * a1, y2 + h * a2,
+                           y3 + h * a3)
+        c0, c1, c2, c3 = f(y0 + h * b0, y1 + h * b1, y2 + h * b2,
+                           y3 + h * b3)
+        d0, d1, d2, d3 = f(y0 + dt * c0, y1 + dt * c1, y2 + dt * c2,
+                           y3 + dt * c3)
+        y0 = y0 + dt * (a0 + 2.0 * b0 + 2.0 * c0 + d0) / 6.0
+        y1 = y1 + dt * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0
+        y2 = y2 + dt * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0
+        y3 = y3 + dt * (a3 + 2.0 * b3 + 2.0 * c3 + d3) / 6.0
+        if not (math.isfinite(y0) and math.isfinite(y1)
+                and math.isfinite(y2) and math.isfinite(y3)):
+            raise NumericError("non-finite plant state")
+    return PlantState(T_p=y0, T_co=y1, T_w=y2, T_c=y3)

@@ -16,7 +16,7 @@ import numpy as np
 from . import kvio
 from .errors import ConfigError
 from .mpc import MpcConfig, PenaltyForm, PumpHysteresis
-from .params import AmbientConfig, Target
+from .params import AmbientConfig, Target, require_temperature
 from .plant import (DEFAULT_PELTIER_LAG, DEFAULT_PELTIER_POWER, ContactEvent,
                     ContactKind)
 
@@ -72,8 +72,10 @@ class ScenarioSpec:
             raise ConfigError(f"scenario name {self.name!r} must be letters, "
                               "digits and _ . + - only")
         for value, hold in self.setpoints:
-            if not (math.isfinite(value) and 0.0 < hold < math.inf):
-                raise ConfigError("setpoints need finite values and holds > 0")
+            require_temperature("setpoint", value)
+            if not 0.0 < hold < math.inf:
+                raise ConfigError("setpoint holds must be positive and "
+                                  "finite")
         if not (0.0 < self.t_s < math.inf and 0.0 < self.dt < math.inf):
             raise ConfigError("t_s and dt must be positive and finite")
         n_sub = self.t_s / self.dt
@@ -84,8 +86,7 @@ class ScenarioSpec:
         if not (0.0 <= self.peltier_lag < math.inf
                 and 0.0 <= self.observer_tc < math.inf):
             raise ConfigError("peltier_lag, observer_tc must be in [0, inf)")
-        if not math.isfinite(self.start_temp):
-            raise ConfigError("initial_temp must be finite")
+        require_temperature("initial_temp", self.start_temp)
         if not self.peltier_power > 0.0:
             raise ConfigError("peltier_power must be positive (inf: no limit)")
         if self.pump.state:

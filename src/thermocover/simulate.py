@@ -1,8 +1,8 @@
 """Closed-loop simulation: controller, observer and plant in lockstep.
 
 Controller and observer run at the sample rate t_s; the plant integrates at
-the substep rate dt.  Everything is deterministic: the same scenario always
-produces a bit-identical trace.
+the substep rate dt, in one ``step_plant`` call per sample.  Everything is
+deterministic: the same scenario always produces a bit-identical trace.
 """
 
 from __future__ import annotations
@@ -66,14 +66,10 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
             rows.append((t, cmd, state.T_p, state.T_co, state.T_w, state.T_c,
                          pump_on, q_w, q_i_true, q_hat, in_contact))
 
-            for j in range(n_sub):
-                t_sub = t + j * scenario.dt
-                q_i = sum(contact_heat_flow(c, state.T_c, t_sub)
-                          for c in scenario.contacts)
-                state = step_plant(state, cmd, pump_on, q_i, params, ambient,
-                                   scenario.dt,
-                                   peltier_lag=scenario.peltier_lag,
-                                   peltier_power=scenario.peltier_power)
+            state = step_plant(state, cmd, pump_on, 0.0, params, ambient,
+                               scenario.dt, peltier_lag=scenario.peltier_lag,
+                               peltier_power=scenario.peltier_power,
+                               n_sub=n_sub, contacts=scenario.contacts, t=t)
         except ThermocoverError as exc:
             raise _in_context(exc, f"{scenario.name}: at t = {t:.6g} s") \
                 from exc

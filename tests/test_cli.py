@@ -99,6 +99,8 @@ def test_run_unknown_scenario(capsys):
     "name=../escape", "name=a#b", "name=",
     # pump bands below zero
     "pump.on_band=-1 pump.off_band=-2", "pump.off_band=-1",
+    # temperatures below absolute zero
+    "initial_temp=-500", "controller.T_min_th=-300",
 ])
 def test_run_bad_override(tmp_path, capsys, override):
     scenario = tmp_path / "mini.txt"

@@ -71,9 +71,10 @@ def test_cached_constants_are_read_only():
     qp = build_prediction(model, 20.0, [20.0] * 3, np.zeros(8))
     assert build_prediction(model, 21.0, [21.0] * 3, np.ones(8)).Phi \
         is qp.Phi
-    Hm, _ = _cached_hessian(model.a, model.b, model.d, 8, 1.0, 1e-4,
-                            PenaltyForm.MAGNITUDE)
-    for array in (qp.Phi, Hm):
+    Hm, Hinv, _ = _cached_hessian(model.a, model.b, model.d, 5, 1.0, 1e-4,
+                                  PenaltyForm.MAGNITUDE)
+    assert np.allclose(Hinv @ Hm, np.eye(5), rtol=0.0, atol=1e-12)
+    for array in (qp.Phi, Hm, Hinv):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
 
@@ -175,8 +176,8 @@ def test_pump_hysteresis():
     h = PumpHysteresis(on_band=0.3, off_band=0.1)
     h, on = pump_step(h, 23.0, 25.0)
     assert on
-    h, on = pump_step(h, 24.85, 25.0)   # inside the band: hold state
-    assert on
+    held, on = pump_step(h, 24.85, 25.0)   # inside the band: hold state
+    assert on and held is h
     h, on = pump_step(h, 24.95, 25.0)
     assert not on
     for bad in ({"on_band": 0.1, "off_band": 0.3},
@@ -431,3 +432,39 @@ def test_solver_returns_where_full_reference_stalls(index):
         _reference_solve(qp, cfg, u_ref, u_prev)
     sol = solve_mpc(qp, cfg, u_ref, u_prev)
     assert sol.kkt_residual < 1e-8
+
+
+def _reduced_problem(qp, cfg, u_ref, u_prev):
+    """Cached Hessian, its inverse and the gradient offset of the QP in its
+    unknowns, the commands that reach a prediction."""
+    model = qp.model
+    d, n = model.d, len(qp.refs) - model.d
+    if cfg.penalty_form is PenaltyForm.MAGNITUDE:
+        v = np.full(n, u_ref)
+    else:
+        v = np.zeros(n)
+        v[0] = u_prev
+    Hm, Hinv, _ = _cached_hessian(model.a, model.b, d, n, cfg.W1, cfg.W2,
+                                  cfg.penalty_form)
+    e = (qp.free - qp.refs)[d:]
+    return Hm, Hinv, 2.0 * (cfg.W1 * qp.Phi[d:, :n].T @ e - cfg.W2 * v)
+
+
+def test_inverse_fast_path_matches_lu_solve():
+    # where W2 > 0 the minimizer is unique and the Hessian well conditioned:
+    # the cached inverse must give the LU solve's unconstrained minimizer,
+    # and where that lies in the box it is the answer, to the KKT tolerance
+    interior = 0
+    for qp, cfg, u_ref, u_prev in _random_qps(300, seed=0):
+        if cfg.W2 == 0.0:
+            continue
+        Hm, Hinv, g0 = _reduced_problem(qp, cfg, u_ref, u_prev)
+        u_star = np.linalg.solve(Hm, -g0)
+        assert np.max(np.abs(Hinv @ -g0 - u_star)) <= 1e-9
+        if np.all(u_star >= cfg.T_min_th) and np.all(u_star <= cfg.T_max_th):
+            sol = solve_mpc(qp, cfg, u_ref, u_prev)
+            assert sol.iterations == 0
+            assert np.max(np.abs(sol.sequence[:len(u_star)] - u_star)) <= 1e-9
+            assert sol.kkt_residual < 1e-8
+            interior += 1
+    assert interior >= 5

@@ -1,5 +1,7 @@
 """Heat-flow observer realization: DC behavior, poles, linearity, stability."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from thermocover.errors import ConfigError
 from thermocover.observer import (build_observer, estimate_q_aw,
                                   observer_frequency_response, observer_step,
                                   simulate_design_model)
-from thermocover.params import AmbientConfig
+from thermocover.params import AmbientConfig, Mode, Target, preset_params
+from thermocover.plant import pump_flow
 
 
 AMBIENT = AmbientConfig()
@@ -107,3 +110,36 @@ def test_design_model_zero_contact(heat_params):
     obs = build_observer(heat_params, t_s)
     out = _iterate(obs, T_w, q)
     assert np.max(np.abs(out[100:])) < 1e-6
+
+
+def _reference_observer_step(obs, T_w, T_co, pump_on, params, ambient):
+    """The numpy 2 x 2 observer_step that the float path replaced, kept
+    verbatim as its reference."""
+    q = pump_flow(T_co, T_w, pump_on, params) \
+        + estimate_q_aw(T_w, ambient.T_amb, params.R_aw)
+    u = np.array([T_w, q])
+    x = np.asarray(obs.x)
+    q_hat = (obs.Cd @ x + obs.Dd @ u).item()
+    x_next = obs.Ad @ x + obs.Bd @ u
+    return replace(obs, x=(float(x_next[0]), float(x_next[1]))), q_hat
+
+
+@pytest.mark.parametrize("filter_tc", [None, (0.4, 0.4), (1.0, 1.0)])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_observer_step_matches_matrix_reference(mode, filter_tc):
+    # the float path rounds differently from the matrix products; with the
+    # fast detection filters the state grows to ~1e6, and the estimate may
+    # drift from the reference by 1e-9 W at most (the trace CSV's bound)
+    params = preset_params(mode, Target.PIPE)
+    obs = ref = build_observer(params, 0.5, filter_tc).warm_start(23.0, 0.1)
+    rng = np.random.default_rng(5)
+    T_w = 23.0
+    for k in range(3000):
+        T_w += rng.normal(0.0, 0.02)
+        T_co = T_w + rng.normal(0.0, 1.0)
+        pump_on = k // 300 % 2 == 0
+        obs, q_hat = observer_step(obs, T_w, T_co, pump_on, params, AMBIENT)
+        ref, q_ref = _reference_observer_step(ref, T_w, T_co, pump_on,
+                                              params, AMBIENT)
+        assert abs(q_hat - q_ref) <= 1e-9
+    assert np.allclose(obs.x, ref.x, rtol=1e-12, atol=0.0)

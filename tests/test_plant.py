@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thermocover.errors import ConfigError
+from thermocover.errors import ConfigError, NumericError
 from thermocover.params import AmbientConfig
 from thermocover.plant import (ContactEvent, ContactKind,
                                DEFAULT_CONDUCTANCE, PlantState,
@@ -113,6 +113,7 @@ def test_peltier_power_cap_limits_tank_rate(heat_params):
     ("peltier_power", float("nan")),
     ("peltier_power", -5.0),
     ("peltier_power", 0.0),
+    ("n_sub", 0),
 ])
 def test_bad_arguments_rejected(heat_params, name, value):
     args = dict(dt=0.1, peltier_lag=2.0, peltier_power=60.0)
@@ -186,3 +187,48 @@ def test_step_bit_equal_to_reference(heat_params, pump_on, peltier_lag,
         ref = _reference_step(ref, cmd, pump_on, q_i, heat_params, AMBIENT,
                               dt, peltier_lag, peltier_power)
         assert new == ref
+
+
+@pytest.mark.parametrize("pump_on", [True, False])
+@pytest.mark.parametrize("peltier_lag", [0.0, 2.0])
+# no cap, a cap that never binds, and one that always does
+@pytest.mark.parametrize("peltier_power", [float("inf"), 1e4, 0.5])
+@pytest.mark.parametrize("q_i", [0.0, 3.0])
+@pytest.mark.parametrize("contacts", [
+    (),
+    # one window opens and closes inside the second sample, the other
+    # closes in the middle of it
+    (ContactEvent(start=1.35, duration=0.3, kind=ContactKind.GRASP,
+                  contact_conductance=0.8, T_skin=33.0),
+     ContactEvent.preset(ContactKind.SOFT_TOUCH, start=0.0, duration=1.55,
+                         T_skin=-5.0)),
+], ids=["no-contact", "contacts"])
+def test_sample_call_bit_equal_to_substep_calls(heat_params, pump_on,
+                                               peltier_lag, peltier_power,
+                                               q_i, contacts):
+    # one call over a whole sample against its ten substeps one call each,
+    # the contact flow re-evaluated before every substep
+    dt, n_sub = 0.1, 10
+    kw = dict(peltier_lag=peltier_lag, peltier_power=peltier_power)
+    sample = sub = PlantState(T_p=-0.5, T_co=-0.03, T_w=-0.02, T_c=-0.01)
+    for k in range(4):
+        t = k * 1.0
+        cmd = 45.0 if k < 2 else -10.0
+        sample = step_plant(sample, cmd, pump_on, q_i, heat_params, AMBIENT,
+                            dt, n_sub=n_sub, contacts=contacts, t=t, **kw)
+        for j in range(n_sub):
+            flow = q_i
+            for c in contacts:
+                flow += contact_heat_flow(c, sub.T_c, t + j * dt)
+            sub = step_plant(sub, cmd, pump_on, flow, heat_params, AMBIENT,
+                             dt, **kw)
+        assert sample == sub
+
+
+def test_non_finite_substep_raises(heat_params):
+    # a sample call raises on a non-finite state as a substep call does
+    hot = ContactEvent(start=0.0, duration=1.0, kind=ContactKind.GRASP,
+                       contact_conductance=1e300, T_skin=1e9)
+    with pytest.raises(NumericError):
+        step_plant(PlantState.uniform(21.0), 21.0, True, 0.0, heat_params,
+                   AMBIENT, 0.1, n_sub=10, contacts=(hot,))

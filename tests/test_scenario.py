@@ -7,7 +7,7 @@ import pytest
 
 from thermocover.errors import ConfigError
 from thermocover.mpc import PumpHysteresis
-from thermocover.params import Target
+from thermocover.params import ABSOLUTE_ZERO, Target
 from thermocover.plant import ContactEvent, ContactKind
 from thermocover.scenario import (ScenarioSpec, apply_overrides,
                                   builtin_scenarios, load_scenario,
@@ -175,3 +175,22 @@ def test_overrides():
     assert out.pump.on_band == 0.05
     with pytest.raises(ConfigError):
         apply_overrides(spec, ["not-an-assignment"])
+
+
+@pytest.mark.parametrize("path, key", [
+    ("setpoints.value", "setpoints"),
+    ("initial_temp", "initial_temp"),
+    ("ambient.T_amb", "ambient.t_amb"),
+    ("controller.T_min_th", "controller.T_min_th"),
+    ("controller.T_max_th", "controller.T_max_th"),
+    ("contact.T_skin", "contact.0.t_skin"),
+])
+def test_temperature_below_absolute_zero_rejected(path, key):
+    if path != "controller.T_max_th":   # which must exceed T_min_th
+        _with(path, ABSOLUTE_ZERO)
+    cold = ABSOLUTE_ZERO - 0.01
+    with pytest.raises(ConfigError, match="at least -273.15"):
+        _with(path, cold)
+    text = f"{cold!r}:90 24:90 25:90" if key == "setpoints" else repr(cold)
+    with pytest.raises(ConfigError, match="at least -273.15"):
+        apply_overrides(builtin_scenarios()["exp2_grasp"], [f"{key}={text}"])
