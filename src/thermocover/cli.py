@@ -13,6 +13,7 @@ from pathlib import Path
 from . import kvio
 from .detect import detect_contacts
 from .errors import ConfigError, IllConditionedFitError, NumericError
+from .params import Mode, preset_params
 from .report import analyze_segments, render_report
 from .scenario import (ScenarioSpec, apply_overrides, builtin_scenarios,
                        load_scenario, scenario_to_kv)
@@ -125,9 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="fopdt")
     p_fit.add_argument("--signal", default="T_w",
                        help="measured column (T_w, T_c or T_co)")
-    p_fit.add_argument("--c-co", type=float, default=1152.57,
+    tank = preset_params(Mode.HEAT)    # both modes share C_co and R_co
+    p_fit.add_argument("--c-co", type=float, default=tank.C_co,
                        help="known tank capacitance for the two-node fit")
-    p_fit.add_argument("--r-co", type=float, default=0.09,
+    p_fit.add_argument("--r-co", type=float, default=tank.R_co,
                        help="known tank resistance for the two-node fit")
     p_fit.add_argument("--out", default=None,
                        help="write the fitted parameters to this file")

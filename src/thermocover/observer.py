@@ -165,12 +165,6 @@ def simulate_design_model(params: PlantParams, t_s: float,
     T_w = np.zeros_like(q_series)
     for tf, u in ((water_channel_tf(params), q_series),
                   (contact_channel_tf(params), qi_series)):
-        num, den = tf
-        (bz, az), _ = _bilinear_tf(num, den, t_s)
-        T_w += lfilter(bz, az, u)
+        bz, az, _ = cont2discrete(tf, t_s, method="bilinear")
+        T_w += lfilter(np.atleast_1d(np.squeeze(bz)), np.atleast_1d(az), u)
     return T_w
-
-
-def _bilinear_tf(num, den, t_s):
-    bz, az, _ = cont2discrete((num, den), t_s, method="bilinear")
-    return (np.atleast_1d(np.squeeze(bz)), np.atleast_1d(az)), t_s

@@ -10,7 +10,6 @@ a ``target`` as well.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -18,13 +17,19 @@ from .errors import ConfigError
 #: Lowest temperature a configuration may hold, deg C.
 ABSOLUTE_ZERO = -273.15
 
+#: Largest |value| a temperature may take, in a configuration or a trace, deg
+#: C.  A larger value is a unit or recording error; near 1e154 the fits'
+#: squared residuals would also overflow.
+MAX_ABS_TEMPERATURE = 1e6
+
 
 def require_temperature(name: str, value: float) -> None:
-    """Raise ConfigError unless ``value`` is finite and not below absolute
-    zero."""
-    if not ABSOLUTE_ZERO <= value < math.inf:
-        raise ConfigError(f"{name} = {value!r} must be finite and at least "
-                          f"{ABSOLUTE_ZERO} deg C")
+    """Raise ConfigError unless ``value`` lies in [ABSOLUTE_ZERO,
+    MAX_ABS_TEMPERATURE]."""
+    if not ABSOLUTE_ZERO <= value <= MAX_ABS_TEMPERATURE:
+        raise ConfigError(f"{name} = {value!r} must be finite, at least "
+                          f"{ABSOLUTE_ZERO} and at most "
+                          f"{MAX_ABS_TEMPERATURE:g} deg C")
 
 
 class Mode(enum.Enum):
@@ -37,6 +42,11 @@ class Target(enum.Enum):
 
     COVER = "cover"
     PIPE = "pipe"
+
+    @property
+    def node(self) -> str:
+        """The measured node's name in ``PlantState`` and ``SimTrace``."""
+        return "T_c" if self is Target.COVER else "T_w"
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class SegmentStats:
     pump_off_at_settle: bool | None
 
 
-def _measurement(trace: SimTrace, spec: ScenarioSpec) -> np.ndarray:
-    return trace.T_c if spec.target.value == "cover" else trace.T_w
-
-
 def analyze_segments(trace: SimTrace, spec: ScenarioSpec) -> list:
     """Tracking statistics for every setpoint segment.
 
@@ -41,7 +37,7 @@ def analyze_segments(trace: SimTrace, spec: ScenarioSpec) -> list:
     stops the water, matching how the rig behaves.  If the pump never
     switches off, the tail-mean error is used instead.
     """
-    y = _measurement(trace, spec)
+    y = trace.column(spec.target.node)
     out = []
     for start, end, setpoint in spec.segments():
         sel = (trace.t >= start) & (trace.t < end)

@@ -33,6 +33,7 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
         hysteresis=scenario.pump,
     )
     preview_len = controller.preview_length
+    node = scenario.target.node
     tc = scenario.observer_tc
     observer_filter = None if tc <= 0.0 else (tc, tc)
 
@@ -44,10 +45,9 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
     for k in range(n_samples):
         t = k * t_s
         try:
-            measurement = state.T_c if scenario.target.value == "cover" \
-                else state.T_w
             preview = scenario.setpoint_preview(t, preview_len)
-            cmd, pump_on = controller.step(measurement, state.T_w, preview)
+            cmd, pump_on = controller.step(getattr(state, node), state.T_w,
+                                           preview)
             params = controller.params
             q_w = pump_flow(state.T_co, state.T_w, pump_on, params)
 

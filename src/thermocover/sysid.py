@@ -5,9 +5,9 @@ Two fitters mirror how the hardware constants were derived:
 * ``fit_fopdt`` recovers the combined time constant and dead time of the
   first-order-plus-dead-time approximation from a single step response.
   Dead time makes the least-squares problem nonconvex, so the classic
-  fraction-of-rise two-point method seeds the search, the dead time is
-  refined by a bounded Brent search with the remaining parameters solved
-  inside, and a final Gauss-Newton polish runs over everything.
+  fraction-of-rise two-point method seeds all four parameters (time
+  constant, dead time, gain, offset) and one bounded least-squares solve
+  refines them together from there.
 
 * ``fit_two_node`` recovers the RC-network constants (R_w, C_w, R_c, C_c,
   R_aw) from one or more traces against the three-node plant ODEs, with the
@@ -21,16 +21,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import least_squares
 
 from .errors import ConfigError, IllConditionedFitError
-from .params import AmbientConfig
+from .params import MAX_ABS_TEMPERATURE, AmbientConfig
 from .trace import SimTrace
-
-# Largest |value| a trace's input level or measurement may take.  Traces are
-# temperatures in degrees Celsius, so a larger value is a unit or recording
-# error; near 1e154 the fits' squared residuals would also overflow.
-MAX_ABS_TEMPERATURE = 1e6
 
 
 @dataclass(frozen=True)
@@ -122,21 +117,11 @@ class FitReport:
 # FOPDT fit
 
 def _fopdt_basis(t, t_step, L_d, tau):
-    arg = t - t_step - L_d
-    phi = np.where(arg > 0.0, 1.0 - np.exp(-np.maximum(arg, 0.0) / tau), 0.0)
-    return phi
-
-
-def _linear_fit(y, phi):
-    """Best (offset, gain) for y ~ y0 + K*phi; returns (y0, K, sse)."""
-    A = np.column_stack([np.ones_like(phi), phi])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    res = y - A @ coef
-    return coef[0], coef[1], float(res @ res)
+    return 1.0 - np.exp(-np.maximum(t - t_step - L_d, 0.0) / tau)
 
 
 def _two_point_init(t, y, t_step):
-    """Fraction-of-rise initializer for (tau, L_d)."""
+    """Fraction-of-rise seed: (tau, L_d, pre-step level, final level)."""
     y0 = float(np.mean(y[t < t_step])) if np.any(t < t_step) else float(y[0])
     y_inf = float(np.mean(y[t >= t[-1] - 0.05 * (t[-1] - t[0])]))
     rise = y_inf - y0
@@ -168,33 +153,21 @@ def fit_fopdt(trace: StepTrace) -> FitReport:
     t_step = float(t[k_step])
     span = float(t[-1] - t_step)
 
-    tau0, L0, *_ = _two_point_init(t, y, t_step)
+    tau0, L0, y0, y_inf = _two_point_init(t, y, t_step)
     if span < 3.0 * tau0:
         raise IllConditionedFitError(
             f"trace covers only {span / tau0:.2f} time constants; need >= 3"
         )
 
-    def best_tau(L_d):
-        def sse(tau):
-            return _linear_fit(y, _fopdt_basis(t, t_step, L_d, tau))[2]
-        return minimize_scalar(sse, bounds=(tau0 / 5.0, tau0 * 5.0),
-                               method="bounded",
-                               options={"xatol": 1e-3 * tau0})
-
-    L_hi = max(2.0 * L0, 0.5 * tau0, 4.0 * trace.t_s)
-    L_opt = minimize_scalar(lambda L: best_tau(L).fun, bounds=(0.0, L_hi),
-                            method="bounded",
-                            options={"xatol": 1e-3 * max(trace.t_s, 1.0)}).x
-    tau_opt = best_tau(L_opt).x
-    y0, K, _ = _linear_fit(y, _fopdt_basis(t, t_step, L_opt, tau_opt))
-
-    # Gauss-Newton polish over all four parameters
     def residual(p):
         tau, L_d, gain, off = p
-        return off + gain * _fopdt_basis(t, t_step, abs(L_d), abs(tau)) - y
+        return off + gain * _fopdt_basis(t, t_step, L_d, tau) - y
 
-    sol = least_squares(residual, x0=[tau_opt, L_opt, K, y0], method="lm")
-    tau_f, L_f, K_f, y0_f = abs(sol.x[0]), abs(sol.x[1]), sol.x[2], sol.x[3]
+    # bounds keep tau and L_d non-negative; a zero best delay sits on its
+    # bound, where folding the sign in with abs() would stall at the kink
+    sol = least_squares(residual, x0=[tau0, L0, y_inf - y0, y0], method="trf",
+                        bounds=([0.0, 0.0, -np.inf, -np.inf], np.inf))
+    tau_f, L_f, K_f, y0_f = sol.x
     rms = float(np.sqrt(np.mean(sol.fun ** 2)))
 
     u_step = float(trace.u[k_step] - trace.u[k_step - 1])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from thermocover.errors import ConfigError, NumericError
-from thermocover.params import AmbientConfig
+from thermocover.params import MAX_ABS_TEMPERATURE, AmbientConfig
 from thermocover.plant import (ContactEvent, ContactKind,
                                DEFAULT_CONDUCTANCE, PlantState,
                                contact_heat_flow, estimate_q_aw, pump_flow,
@@ -228,7 +228,8 @@ def test_sample_call_bit_equal_to_substep_calls(heat_params, pump_on,
 def test_non_finite_substep_raises(heat_params):
     # a sample call raises on a non-finite state as a substep call does
     hot = ContactEvent(start=0.0, duration=1.0, kind=ContactKind.GRASP,
-                       contact_conductance=1e300, T_skin=1e9)
+                       contact_conductance=1e300,
+                       T_skin=MAX_ABS_TEMPERATURE)
     with pytest.raises(NumericError):
         step_plant(PlantState.uniform(21.0), 21.0, True, 0.0, heat_params,
                    AMBIENT, 0.1, n_sub=10, contacts=(hot,))

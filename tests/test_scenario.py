@@ -7,7 +7,7 @@ import pytest
 
 from thermocover.errors import ConfigError
 from thermocover.mpc import PumpHysteresis
-from thermocover.params import ABSOLUTE_ZERO, Target
+from thermocover.params import ABSOLUTE_ZERO, MAX_ABS_TEMPERATURE, Target
 from thermocover.plant import ContactEvent, ContactKind
 from thermocover.scenario import (ScenarioSpec, apply_overrides,
                                   builtin_scenarios, load_scenario,
@@ -188,9 +188,13 @@ def test_overrides():
 def test_temperature_below_absolute_zero_rejected(path, key):
     if path != "controller.T_max_th":   # which must exceed T_min_th
         _with(path, ABSOLUTE_ZERO)
+    # the same rule puts a ceiling on every temperature field
     cold = ABSOLUTE_ZERO - 0.01
-    with pytest.raises(ConfigError, match="at least -273.15"):
-        _with(path, cold)
-    text = f"{cold!r}:90 24:90 25:90" if key == "setpoints" else repr(cold)
-    with pytest.raises(ConfigError, match="at least -273.15"):
-        apply_overrides(builtin_scenarios()["exp2_grasp"], [f"{key}={text}"])
+    hot = 2.0 * MAX_ABS_TEMPERATURE
+    for bad, message in ((cold, "at least -273.15"), (hot, r"at most 1e\+06")):
+        with pytest.raises(ConfigError, match=message):
+            _with(path, bad)
+        text = f"{bad!r}:90 24:90 25:90" if key == "setpoints" else repr(bad)
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(builtin_scenarios()["exp2_grasp"],
+                            [f"{key}={text}"])

@@ -4,17 +4,20 @@ Full accuracy round-trips (noiseless and Monte-Carlo) live in the
 acceptance suite; this file covers the input checks and diagnostics.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, minimize_scalar
 
 from conftest import make_fopdt_trace, make_plant_step_run
 from thermocover.errors import ConfigError, IllConditionedFitError
-from thermocover.params import AmbientConfig
+from thermocover.params import AmbientConfig, Mode, preset_params
 from thermocover.sysid import (_SIGNAL_INDEX, _TWO_NODE_INIT,
-                               _TWO_NODE_NAMES, StepTrace, _plant_matrices,
-                               _recordings, _simulate_residual, fit_fopdt,
-                               fit_two_node)
+                               _TWO_NODE_NAMES, FitReport, StepTrace,
+                               _confidence, _fopdt_basis, _plant_matrices,
+                               _recordings, _simulate_residual,
+                               _two_point_init, fit_fopdt, fit_two_node)
 
 
 def test_trace_must_be_uniform():
@@ -87,7 +90,6 @@ def test_flat_trace_rejected(heat_params):
 
 
 def test_zero_delay_trace_recovers_zero_delay(heat_params):
-    from dataclasses import replace
     params = replace(heat_params, L_d=0.0)
     tr = make_fopdt_trace(params, n=3000)
     report = fit_fopdt(tr)
@@ -144,6 +146,96 @@ def test_fit_invariant_to_offsets(heat_params):
     b = fit_fopdt(shifted).parameters
     assert b["R_com_C_com"] == pytest.approx(a["R_com_C_com"], rel=1e-6)
     assert b["L_d"] == pytest.approx(a["L_d"], abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# FOPDT fit against the nested bounded-Brent search it replaced
+
+def _reference_linear_fit(y, phi):
+    """Best (offset, gain) for y ~ y0 + K*phi; returns (y0, K, sse)."""
+    A = np.column_stack([np.ones_like(phi), phi])
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    res = y - A @ coef
+    return coef[0], coef[1], float(res @ res)
+
+
+def _reference_fit_fopdt(trace: StepTrace) -> FitReport:
+    """Fit (R_com_C_com, L_d, gain, offset) to a single step response."""
+    t, y = trace.t, trace.y
+    k_step = trace.step_index
+    t_step = float(t[k_step])
+    span = float(t[-1] - t_step)
+
+    tau0, L0, *_ = _two_point_init(t, y, t_step)
+    if span < 3.0 * tau0:
+        raise IllConditionedFitError(
+            f"trace covers only {span / tau0:.2f} time constants; need >= 3"
+        )
+
+    def best_tau(L_d):
+        def sse(tau):
+            return _reference_linear_fit(y, _fopdt_basis(t, t_step, L_d,
+                                                         tau))[2]
+        return minimize_scalar(sse, bounds=(tau0 / 5.0, tau0 * 5.0),
+                               method="bounded",
+                               options={"xatol": 1e-3 * tau0})
+
+    L_hi = max(2.0 * L0, 0.5 * tau0, 4.0 * trace.t_s)
+    L_opt = minimize_scalar(lambda L: best_tau(L).fun, bounds=(0.0, L_hi),
+                            method="bounded",
+                            options={"xatol": 1e-3 * max(trace.t_s, 1.0)}).x
+    tau_opt = best_tau(L_opt).x
+    y0, K, _ = _reference_linear_fit(y, _fopdt_basis(t, t_step, L_opt,
+                                                     tau_opt))
+
+    # Gauss-Newton polish over all four parameters
+    def residual(p):
+        tau, L_d, gain, off = p
+        return off + gain * _fopdt_basis(t, t_step, abs(L_d), abs(tau)) - y
+
+    sol = least_squares(residual, x0=[tau_opt, L_opt, K, y0], method="lm")
+    tau_f, L_f, K_f, y0_f = abs(sol.x[0]), abs(sol.x[1]), sol.x[2], sol.x[3]
+    rms = float(np.sqrt(np.mean(sol.fun ** 2)))
+
+    u_step = float(trace.u[k_step] - trace.u[k_step - 1])
+    params = {
+        "R_com_C_com": tau_f,
+        "L_d": L_f,
+        "gain": K_f,
+        "offset": y0_f,
+        "q_a": u_step - K_f,
+    }
+    conf = _confidence(sol.jac, rms, ("R_com_C_com", "L_d", "gain", "offset"))
+    return FitReport(parameters=params, residual_rms=rms, confidence=conf)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.3])
+@pytest.mark.parametrize("mode", [Mode.HEAT, Mode.COOL])
+def test_fopdt_fit_matches_nested_search_reference(mode, sigma):
+    # Over 50 seeds per case the largest gaps were: residual_rms 4.8e-5
+    # relative above the reference, R_com_C_com 5.4e-4 relative, L_d 0.84 s
+    # (cool, sigma = 0.3).  L_d is compared absolutely because it can be 0.
+    for seed in range(20):
+        trace = make_fopdt_trace(preset_params(mode), sigma=sigma, seed=seed)
+        new = fit_fopdt(trace)
+        ref = _reference_fit_fopdt(trace)
+        assert new.residual_rms <= ref.residual_rms * (1.0 + 1e-4), seed
+        assert new.parameters["R_com_C_com"] == pytest.approx(
+            ref.parameters["R_com_C_com"], rel=1e-3), seed
+        assert new.parameters["L_d"] == pytest.approx(
+            ref.parameters["L_d"], abs=1.0), seed
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.3])
+def test_fopdt_fit_at_zero_delay_never_above_reference(heat_params, sigma):
+    # the best delay sits on its bound; noise may also open a second
+    # minimum a few samples away, so only the residual is compared
+    params = replace(heat_params, L_d=0.0)
+    for seed in range(10):
+        trace = make_fopdt_trace(params, sigma=sigma, seed=seed)
+        new = fit_fopdt(trace)
+        ref = _reference_fit_fopdt(trace)
+        assert new.residual_rms <= ref.residual_rms * (1.0 + 1e-4), seed
 
 
 # ---------------------------------------------------------------------------
