@@ -6,12 +6,15 @@ relative to a reference temperature, or command increments).  With d samples
 of dead time the cost starts at prediction d + 1, as in generalized
 predictive control (Clarke, Mohtadi & Tuffs, 1987), so the QP's unknowns are
 the H commands that reach predictions d+1 ... d+H, and its Hessian is
-positive definite.  The solver alternates a projected gradient step, which
-settles the active bounds, with a Newton step on the free variables (More &
-Toraldo, 1991), each ending at the least-cost point of its segment.  What
-depends only on the model, horizon and weights is built once and cached
-read-only.  Pump actuation is bang-bang with hysteresis, mirroring the
-stop-at-setpoint behaviour of the rig.
+positive definite.  Where no bound is active the minimizer is affine in
+what the controller knows, so the controller takes it from one cached map;
+only the other samples reach the solver.  The solver alternates a projected
+gradient step, which settles the active bounds, with a Newton step on the
+free variables (More & Toraldo, 1991), each ending at the least-cost point
+of its segment, and stops when the projected gradient step is below a
+tolerance in K.  What depends only on the model, horizon and weights is
+built once and cached read-only.  Pump actuation is bang-bang with
+hysteresis, mirroring the stop-at-setpoint behaviour of the rig.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ class MpcSolution:
     active_lower: np.ndarray
     active_upper: np.ndarray
     iterations: int
-    kkt_residual: float
+    kkt_residual: float   # largest entry of the projected gradient step, K
 
     @property
     def command(self) -> float:
@@ -149,23 +152,35 @@ class MpcSolution:
 
 
 _MAX_ITER = 10_000
-_KKT_TOL = 1e-8
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
                     W2: float, form: PenaltyForm):
     """Read-only Hessian of the QP in its n unknowns, the commands that
-    reach predictions d+1 ... d+n, its inverse and its largest eigenvalue."""
-    Phi = _prediction_constants(a, b, d, d + n)[1][d:, :n]
+    reach predictions d+1 ... d+n, its inverse, its largest eigenvalue and
+    the map M from z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or
+    u_prev] to the unconstrained minimizer ``M @ z``."""
+    powers, Phi, G = _prediction_constants(a, b, d, d + n)
+    Phi = Phi[d:, :n]
     # the penalty acts on P @ u: the commands themselves or their increments
     P = np.eye(n)
     if form is PenaltyForm.INCREMENT:
         P -= np.eye(n, k=-1)
     Hm = 2.0 * (W1 * Phi.T @ Phi + W2 * P.T @ P)
     Hinv = np.linalg.inv(Hm)
-    Hm.flags.writeable = Hinv.flags.writeable = False
-    return Hm, Hinv, float(np.linalg.eigvalsh(Hm)[-1])
+    # the gradient offset g0 = 2 (W1 Phi.T (free - refs)[d:] - W2 v) is
+    # linear in z: free[d:] = powers[d:] x_hat + G[:, d:].T @ past, and the
+    # target v of P @ u is u_ref in every entry or u_prev in the first
+    dg0 = np.empty((n, d + n + 2))
+    dg0[:, 0] = 2.0 * W1 * Phi.T @ powers[d:]
+    dg0[:, 1:d + 1] = 2.0 * W1 * Phi.T @ G[:, d:].T
+    dg0[:, d + 1:-1] = -2.0 * W1 * Phi.T
+    dg0[:, -1] = -2.0 * W2 * (np.ones(n) if form is PenaltyForm.MAGNITUDE
+                              else np.eye(n)[0])
+    M = -(Hinv @ dg0)
+    Hm.flags.writeable = Hinv.flags.writeable = M.flags.writeable = False
+    return Hm, Hinv, float(np.linalg.eigvalsh(Hm)[-1]), M
 
 
 def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
@@ -177,17 +192,19 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
     if u_prev is None:
         u_prev = u_ref
     form = cfg.penalty_form
-    # target of P @ u, which P.T maps onto itself in both forms
-    if form is PenaltyForm.MAGNITUDE:
-        v = np.full(n, u_ref)
-    else:
-        v = np.zeros(n)
-        v[0] = u_prev
     e = (qp.free - qp.refs)[d:]
 
-    Hm, Hinv, eigmax = _cached_hessian(model.a, model.b, d, n, cfg.W1,
-                                       cfg.W2, form)
-    g0 = 2.0 * (cfg.W1 * qp.Phi[d:, :n].T @ e - cfg.W2 * v)
+    Hm, Hinv, eigmax, _ = _cached_hessian(model.a, model.b, d, n, cfg.W1,
+                                          cfg.W2, form)
+    # g0 = 2 (W1 Phi.T e - W2 v), where v, the target of P @ u, which P.T
+    # maps onto itself in both forms, is u_ref in every entry or u_prev in
+    # the first
+    g0 = cfg.W1 * qp.Phi[d:, :n].T @ e
+    if form is PenaltyForm.MAGNITUDE:
+        g0 -= cfg.W2 * u_ref
+    else:
+        g0[0] -= cfg.W2 * u_prev
+    g0 *= 2.0
     lo, hi = cfg.T_min_th, cfg.T_max_th
     tol = 1e-9 * max(1.0, hi - lo)
 
@@ -209,12 +226,16 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
     if not interior:
         u = clip(u)
 
+    step = 1.0 / eigmax
     for it in range(_MAX_ITER + 1):
         g = Hm @ u + g0
-        residual = float(np.max(np.abs(u - clip(u - g))))
+        # the projected gradient step, in K: it is zero exactly at a KKT
+        # point, and its scale does not follow the Hessian's
+        trial = clip(u - step * g)
+        residual = float(np.max(np.abs(u - trial)))
         # an unconstrained minimizer inside the box is the answer as it
         # stands
-        if interior or residual < _KKT_TOL:
+        if interior or residual < tol:
             # the last d commands reach no prediction, so the penalty alone
             # sets them
             tail = float(u[-1]) if form is PenaltyForm.INCREMENT else u_ref
@@ -224,9 +245,8 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
                                kkt_residual=residual)
         if it == _MAX_ITER:
             break
-        # a projected gradient step settles the active set ...
-        step = 1.0 / eigmax
-        u = toward(u, g, clip(u - step * g))
+        # the projected gradient step settles the active set ...
+        u = toward(u, g, trial)
         # ... and a Newton step on the free variables finishes quickly even
         # when the quadratic is badly conditioned.
         g = Hm @ u + g0
@@ -239,7 +259,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
 
     raise ConvergenceError(
         f"projected gradient hit {_MAX_ITER} iterations "
-        f"(KKT residual {residual:.3e})",
+        f"(KKT residual {residual:.3e} K)",
         residual=residual,
     )
 
@@ -351,12 +371,6 @@ class ThermalController:
             self._p_hat = 0.0
         model = self._models[new_mode]
 
-        H = model.d + self.cfg.H
-        refs = np.empty(H)
-        n = min(H, preview.size)
-        refs[:n] = preview[:n]
-        refs[n:] = preview[-1]
-
         past = self._history[-model.d:] if model.d else []
         if len(past) < model.d:
             past = [measurement] * (model.d - len(past)) + past
@@ -378,10 +392,7 @@ class ThermalController:
         else:
             self._x_hat = measurement - self._p_hat
 
-        qp = build_prediction(model, self._x_hat, past, refs - self._p_hat)
-        u_prev = self._history[-1] if self._history else None
-        cmd = solve_mpc(qp, self.cfg, u_ref=self.ambient.T_amb,
-                        u_prev=u_prev).command
+        cmd = self._command(model, past, preview)
         self._history.append(cmd)
         if len(self._history) > self._max_history:
             del self._history[: len(self._history) - self._max_history]
@@ -390,3 +401,40 @@ class ThermalController:
             u_delayed = past[0] if model.d else cmd
             self._x_hat = model.a * self._x_hat + model.b * u_delayed
         return cmd, pump_on
+
+    def _command(self, model: DiscreteFOPDT, past, preview) -> float:
+        """First command of the preview QP's minimizer.
+
+        With no bound active the minimizer is affine in what the controller
+        knows, the unconstrained region of explicit MPC (Bemporad, Morari,
+        Dua & Pistikopoulos, 2002): one cached map gives it.  Only where it
+        leaves the command box is the QP built and solved.
+        """
+        cfg = self.cfg
+        d, n = model.d, cfg.H
+        u_ref = self.ambient.T_amb
+        u_prev = self._history[-1] if self._history else None
+        M = _cached_hessian(model.a, model.b, d, n, cfg.W1, cfg.W2,
+                            cfg.penalty_form)[3]
+        # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev], the
+        # preview held at its last value past its end
+        z = np.empty(d + n + 2)
+        z[0] = self._x_hat
+        z[1:d + 1] = past
+        ahead = preview[d:d + n]
+        z[d + 1:d + 1 + ahead.size] = ahead
+        z[d + 1 + ahead.size:-1] = preview[-1]
+        z[d + 1:-1] -= self._p_hat
+        z[-1] = (u_ref if u_prev is None
+                 or cfg.penalty_form is PenaltyForm.MAGNITUDE else u_prev)
+        u = M @ z
+        lo, hi = cfg.T_min_th, cfg.T_max_th
+        if np.all(u >= lo) and np.all(u <= hi):
+            return float(u[0])
+
+        refs = np.empty(d + n)
+        m = min(d + n, preview.size)
+        refs[:m] = preview[:m]
+        refs[m:] = preview[-1]
+        qp = build_prediction(model, self._x_hat, past, refs - self._p_hat)
+        return solve_mpc(qp, cfg, u_ref=u_ref, u_prev=u_prev).command

@@ -82,6 +82,14 @@ def test_run_solver_failure_exits_numeric(tmp_path, capsys, monkeypatch):
                    "iterations"]
 
 
+def test_run_with_large_weights_exits_ok(tmp_path, capsys):
+    # a Hessian scaled by about 1e8 still meets the stopping test in K
+    assert main(["run", "exp1_heat", "--out-dir", str(tmp_path),
+                 "--set", "controller.W1=1e12",
+                 "--set", "controller.W2=1e8"]) == 0
+    capsys.readouterr()
+
+
 def test_run_unknown_scenario(capsys):
     assert main(["run", "no_such_scenario"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Preview controller: prediction map, box-constrained solver, pump logic."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,10 +72,15 @@ def test_cached_constants_are_read_only():
     qp = build_prediction(model, 20.0, [20.0] * 3, np.zeros(8))
     assert build_prediction(model, 21.0, [21.0] * 3, np.ones(8)).Phi \
         is qp.Phi
-    Hm, Hinv, _ = _cached_hessian(model.a, model.b, model.d, 5, 1.0, 1e-4,
-                                  PenaltyForm.MAGNITUDE)
+    cached = _cached_hessian(model.a, model.b, model.d, 5, 1.0, 1e-4,
+                             PenaltyForm.MAGNITUDE)
+    assert _cached_hessian(model.a, model.b, model.d, 5, 1.0, 1e-4,
+                           PenaltyForm.MAGNITUDE) is cached
+    Hm, Hinv, _, M = cached
     assert np.allclose(Hinv @ Hm, np.eye(5), rtol=0.0, atol=1e-12)
-    for array in (qp.Phi, Hm, Hinv):
+    # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev]
+    assert M.shape == (5, model.d + 5 + 2)
+    for array in (qp.Phi, Hm, Hinv, M):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
 
@@ -152,24 +158,33 @@ def test_controller_rejects_too_long_preview():
 
 def test_controller_previews_dead_time_plus_horizon(monkeypatch):
     # t_s = 1.6 s gives the cool mode 19 samples of dead time
-    seen = []
+    built, mapped = [], []
 
     def recording_build(model, T_now, past_inputs, setpoints):
-        seen.append((model.d, len(setpoints)))
+        built.append((model.d, len(setpoints)))
         return build_prediction(model, T_now, past_inputs, setpoints)
 
+    def recording_hessian(a, b, d, n, *rest):
+        cached = _cached_hessian(a, b, d, n, *rest)
+        # the map takes x_hat, the d past commands and the n previewed
+        # setpoints past the dead time, and the penalty's target
+        mapped.append((d, cached[3].shape[1] - 2))
+        return cached
+
     monkeypatch.setattr(mpc, "build_prediction", recording_build)
+    monkeypatch.setattr(mpc, "_cached_hessian", recording_hessian)
     for t_s, dead_times in ((1.0, {45, 30}), (0.5, {90, 60}),
                             (1.6, {28, 19})):
-        seen.clear()
+        built.clear()
+        mapped.clear()
         ctrl = ThermalController(cfg=MpcConfig(H=20, t_s=t_s),
                                  ambient=AmbientConfig())
         n = ctrl.preview_length
         assert n == max(dead_times) + 20
         ctrl.step(21.0, 21.0, np.full(n, 25.0))
         ctrl.step(25.0, 25.0, np.full(n, 20.0))
-        assert {d for d, _ in seen} == dead_times
-        assert all(length == d + 20 for d, length in seen)
+        assert {d for d, _ in mapped} == dead_times
+        assert all(length == d + 20 for d, length in mapped + built)
 
 
 def test_pump_hysteresis():
@@ -207,7 +222,8 @@ def test_controller_mode_switch_resets_offset_state():
 
 
 def _recorded_solves(monkeypatch, specs):
-    """Every solution the controller's solves return over the runs."""
+    """Every solution the controller's solves return over the runs, and
+    the runs' traces."""
     solutions = []
 
     def recording_solve(*args, **kwargs):
@@ -216,17 +232,15 @@ def _recorded_solves(monkeypatch, specs):
         return sol
 
     monkeypatch.setattr(mpc, "solve_mpc", recording_solve)
-    for spec in specs:
-        simulate(spec)
-    return solutions
+    return solutions, [simulate(spec) for spec in specs]
 
 
 def test_builtin_solves_meet_kkt_tolerance(monkeypatch):
     # each solve starts from the clipped unconstrained minimizer alone;
     # the iterative path must still finish to the KKT tolerance
     scenarios = builtin_scenarios()
-    solutions = _recorded_solves(monkeypatch, [scenarios["exp1_heat"],
-                                               scenarios["exp2_grasp"]])
+    solutions, _ = _recorded_solves(monkeypatch, [scenarios["exp1_heat"],
+                                                  scenarios["exp2_grasp"]])
     assert any(sol.iterations >= 1 for sol in solutions)
     assert max(sol.kkt_residual for sol in solutions) < 1e-8
 
@@ -236,10 +250,99 @@ def test_no_command_penalty_solves_quickly(monkeypatch):
     # that reach a prediction is still positive definite
     spec = apply_overrides(builtin_scenarios()["exp1_heat"],
                            ["controller.W2=0", "total_duration=120"])
-    solutions = _recorded_solves(monkeypatch, [spec])
-    assert len(solutions) == 120
+    solutions, (trace,) = _recorded_solves(monkeypatch, [spec])
+    # only the samples with a bound active reach the solver
+    assert len(trace) == 120
+    assert 1 <= len(solutions) <= 120
     assert max(sol.iterations for sol in solutions) <= 200
     assert max(sol.kkt_residual for sol in solutions) < 1e-8
+
+
+def _map_samples(monkeypatch, specs):
+    """Per control sample of the runs: what the controller's command step
+    saw (config, model, x_hat, p_hat, past, preview, previous command,
+    reference), the command it returned and whether the past commands
+    were padded at startup."""
+    samples = []
+    command = ThermalController._command
+
+    def recording(ctrl, model, past, preview):
+        cmd = command(ctrl, model, past, preview)
+        samples.append((ctrl.cfg, model, ctrl._x_hat, ctrl._p_hat,
+                        list(past), preview.copy(),
+                        ctrl._history[-1] if ctrl._history else None,
+                        ctrl.ambient.T_amb, cmd,
+                        len(ctrl._history) < model.d))
+        return cmd
+
+    monkeypatch.setattr(ThermalController, "_command", recording)
+    for spec in specs:
+        simulate(spec)
+    return samples
+
+
+def test_unconstrained_map_matches_solver_on_builtins(monkeypatch):
+    scenarios = builtin_scenarios()
+    increment = apply_overrides(scenarios["exp1_heat"],
+                                ["controller.penalty_form=increment",
+                                 "total_duration=600"])
+    samples = _map_samples(monkeypatch, [scenarios["exp1_heat"],
+                                         scenarios["exp2_grasp"], increment])
+    modes, splits, padded, startup = set(), set(), 0, set()
+    for (cfg, model, x_hat, p_hat, past, preview, u_prev, u_ref, cmd,
+         startup_pad) in samples:
+        d, n = model.d, cfg.H
+        refs = np.concatenate((preview[:d + n],
+                               np.full(max(0, d + n - preview.size),
+                                       preview[-1])))
+        form = cfg.penalty_form
+        last = u_ref if u_prev is None or form is PenaltyForm.MAGNITUDE \
+            else u_prev
+        z = np.concatenate(([x_hat], past, refs[d:] - p_hat, [last]))
+        M = _cached_hessian(model.a, model.b, d, n, cfg.W1, cfg.W2, form)[3]
+        u_map = M @ z
+
+        qp = build_prediction(model, x_hat, past, refs - p_hat)
+        _, Hinv, g0 = _reduced_problem(
+            qp, cfg, u_ref, u_ref if u_prev is None else u_prev)
+        lo, hi = cfg.T_min_th, cfg.T_max_th
+        interior = bool(np.all(u_map >= lo) and np.all(u_map <= hi))
+        u_star = Hinv @ -g0
+        assert interior == bool(np.all(u_star >= lo) and np.all(u_star <= hi))
+        sol = solve_mpc(qp, cfg, u_ref=u_ref, u_prev=u_prev)
+        if interior:
+            assert np.max(np.abs(u_map - sol.sequence[:n])) <= 1e-10
+            assert cmd == u_map[0]
+        else:
+            assert cmd == sol.command
+        modes.add((d, form))
+        splits.add(interior)
+        padded += startup_pad
+        startup.add((form, u_prev is None))
+    # both modes of the cover (d = 45/30) and the pipe's heat mode, both
+    # penalty forms, both sides of the split, startup padding of the past
+    # commands and the first increment solve with no previous command
+    assert {d for d, _ in modes} == {45, 30, 90}
+    assert {form for _, form in modes} == set(PenaltyForm)
+    assert splits == {True, False}
+    assert padded > 0
+    assert (PenaltyForm.INCREMENT, True) in startup
+    assert (PenaltyForm.INCREMENT, False) in startup
+
+
+@pytest.mark.parametrize("name, duration", [("exp1_heat", 700),
+                                            ("exp2_grasp", 150)])
+def test_commands_do_not_depend_on_weight_scale(name, duration):
+    # the minimizer depends only on W2 / W1: scaling both scales the
+    # Hessian, and the stopping test in K must not follow it
+    spec = apply_overrides(builtin_scenarios()[name],
+                           [f"total_duration={duration}"])
+    cfg = spec.controller
+    base = simulate(spec).T_p_cmd
+    for k in (-9, -6, -3, 3, 6, 9, 12):
+        scaled = replace(spec, controller=replace(
+            cfg, W1=cfg.W1 * 10.0 ** k, W2=cfg.W2 * 10.0 ** k))
+        assert np.max(np.abs(simulate(scaled).T_p_cmd - base)) <= 1e-9, k
 
 
 def _reference_hessian(a, b, d, H, W1, W2, form):
@@ -267,6 +370,10 @@ def _full_problem(qp, cfg, u_ref, u_prev):
     Hm, _ = _reference_hessian(model.a, model.b, model.d, H, cfg.W1, cfg.W2,
                                cfg.penalty_form)
     return Hm, 2.0 * (cfg.W1 * qp.Phi.T @ (qp.free - qp.refs) - cfg.W2 * v)
+
+
+#: The reference's stopping test, on a unit gradient step.
+_REFERENCE_KKT_TOL = 1e-8
 
 
 def _reference_solve(qp, cfg, u_ref=0.0, u_prev=None):
@@ -317,7 +424,7 @@ def _reference_solve(qp, cfg, u_ref=0.0, u_prev=None):
     for it in range(1, mpc._MAX_ITER + 1):
         g = grad(u)
         residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
-        if residual < mpc._KKT_TOL:
+        if residual < _REFERENCE_KKT_TOL:
             return _reference_finish(u, grad, lo, hi, it - 1)
         # projected gradient step with exact line search settles the
         # active set ...
@@ -444,8 +551,8 @@ def _reduced_problem(qp, cfg, u_ref, u_prev):
     else:
         v = np.zeros(n)
         v[0] = u_prev
-    Hm, Hinv, _ = _cached_hessian(model.a, model.b, d, n, cfg.W1, cfg.W2,
-                                  cfg.penalty_form)
+    Hm, Hinv, _, _ = _cached_hessian(model.a, model.b, d, n, cfg.W1, cfg.W2,
+                                     cfg.penalty_form)
     e = (qp.free - qp.refs)[d:]
     return Hm, Hinv, 2.0 * (cfg.W1 * qp.Phi[d:, :n].T @ e - cfg.W2 * v)
 
