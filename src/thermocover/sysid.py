@@ -13,6 +13,13 @@ Two fitters mirror how the hardware constants were derived:
   R_aw) from one or more traces against the three-node plant ODEs, with the
   tank constants (C_co, R_co) held known.  Traces must contain both pump-on
   and pump-off stretches or the pump resistance drops out of the dynamics.
+  The network's state matrix is similar to a symmetric one, so the
+  piecewise-constant-input response is simulated in real modal
+  coordinates.  The report adds the cover pole ``tau_c = R_c C_c`` and
+  warns about a constant that ends on its search bound or that the data
+  leave undetermined (relative confidence half-width above 1); under
+  noise that is typically R_c and C_c, of which only the product is
+  determined.
 """
 
 from __future__ import annotations
@@ -182,11 +189,18 @@ def fit_fopdt(trace: StepTrace) -> FitReport:
     return FitReport(parameters=params, residual_rms=rms, confidence=conf)
 
 
-def _confidence(jac, rms, names):
+def _confidence(jac, rms, names, outputs=None):
+    """Half-widths ``rms * sqrt(diag(cov))`` with ``cov = (J^T J)^-1``.
+
+    ``outputs``, a matrix, maps the parameters linearly onto the quantities
+    ``names`` lists (delta method); the default is the parameters themselves.
+    """
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         return {}
+    if outputs is not None:
+        cov = outputs @ cov @ outputs.T
     hw = rms * np.sqrt(np.maximum(np.diag(cov), 0.0))
     return {name: float(h) for name, h in zip(names, hw)}
 
@@ -198,6 +212,8 @@ _TWO_NODE_NAMES = ("R_w", "C_w", "R_c", "C_c", "R_aw")
 _TWO_NODE_INIT = {"R_w": 5.0, "C_w": 150.0, "R_c": 60.0, "C_c": 0.3,
                   "R_aw": 2.0}
 _SIGNAL_INDEX = {"T_co": 0, "T_w": 1, "T_c": 2}
+# the log-parameters, then log tau_c = log R_c + log C_c
+_TWO_NODE_OUTPUTS = np.vstack([np.eye(5), [0.0, 0.0, 1.0, 1.0, 0.0]])
 
 
 def _plant_matrices(R_w, C_w, R_c, C_c, R_aw, C_co, R_co, pump_on):
@@ -237,12 +253,17 @@ def _segments(t, u, pump) -> tuple:
                  for a, b in zip(cuts[:-1], cuts[1:]))
 
 
-def _recordings(traces) -> list:
-    """Group traces that share t, u and pump_on into one recording each.
+class _Recording(NamedTuple):
+    """Traces measured in one run: shared segments, one column each."""
 
-    Returns ``(segments, members)`` pairs; a member is ``(offset, column,
-    y, x0)``, with ``offset`` the trace's first row in the stacked residual.
-    """
+    segments: tuple
+    offsets: tuple         # each member's first row in the stacked residual
+    nodes: np.ndarray      # each member's measured node
+    y: np.ndarray          # measured values, samples x members
+
+
+def _recordings(traces) -> list:
+    """Group traces that share t, u and pump_on into one recording each."""
     groups = {}
     offset = 0
     for tr in traces:
@@ -251,36 +272,56 @@ def _recordings(traces) -> list:
         key = (tr.t.tobytes(), tr.u.tobytes(), pump.tobytes())
         if key not in groups:
             groups[key] = (_segments(tr.t, tr.u, pump), [])
-        groups[key][1].append((offset, _SIGNAL_INDEX[tr.signal], tr.y,
-                               np.full(3, float(tr.y[0]))))
+        groups[key][1].append((offset, _SIGNAL_INDEX[tr.signal], tr.y))
         offset += len(tr.t)
-    return list(groups.values())
+    return [_Recording(segments, tuple(o for o, _, _ in members),
+                       np.array([j for _, j, _ in members]),
+                       np.column_stack([y for *_, y in members]))
+            for segments, members in groups.values()]
+
+
+def _modal_system(theta, C_co, R_co, pump_on):
+    """Steady-state gains and real modes of one pump state's dynamics.
+
+    The network is a capacitance-weighted Laplacian, A = C^-1 K with K
+    symmetric, so S = C^1/2 A C^-1/2 is symmetric: S = Q diag(lam) Q^T
+    gives A = V diag(lam) V^-1 with V = C^-1/2 Q and V^-1 = Q^T C^1/2.
+    Returns (G, lam, V, V^-1), where the steady state is G @ [T_p, T_amb].
+    """
+    A, B = _plant_matrices(*theta, C_co, R_co, pump_on)
+    c = np.sqrt([C_co, theta[1], theta[3]])
+    lam, Q = np.linalg.eigh(A * c[:, None] / c[None, :])
+    return -np.linalg.solve(A, B), lam, Q / c[:, None], Q.T * c[None, :]
 
 
 def _simulate_residual(theta, recordings, C_co, R_co, T_amb, out):
     """Write each trace's modelled minus measured values into ``out``.
 
-    Piecewise-constant-input response via eigendecomposition: one per pump
-    state, then each segment's steady state and modal exponentials once per
-    recording, shared by the traces measured in it.
+    Piecewise-constant-input response in real modal coordinates: one
+    eigendecomposition per pump state, then per segment of a recording one
+    set of modal exponentials and one product that forms every member's
+    measured node.  Each member starts uniform at its first measured value;
+    the members' end states advance together as a 3 x m matrix.
     """
     system = {}
-    for segments, members in recordings:
-        xs = [x0 for *_, x0 in members]
-        for seg in segments:
+    for rec in recordings:
+        res = np.empty_like(rec.y)
+        x = np.repeat(rec.y[:1], 3, axis=0)
+        for seg in rec.segments:
             if seg.pump_on not in system:
-                A, B = _plant_matrices(*theta, C_co, R_co, seg.pump_on)
-                system[seg.pump_on] = (A, B, *np.linalg.eig(A))
-            A, B, lam, V = system[seg.pump_on]
-            x_ss = np.linalg.solve(A, -B @ np.array([seg.level, T_amb]))
-            modes = np.exp(lam[None, :] * seg.dt_rel)
-            decay = np.exp(lam * seg.t_end)
-            for k, (offset, j, y, _) in enumerate(members):
-                c0 = np.linalg.solve(V, xs[k] - x_ss)
-                sim = np.real(modes * c0[None, :] @ V.T)
-                out[offset + seg.a:offset + seg.b] = \
-                    sim[:, j] + x_ss[j] - y[seg.a:seg.b]
-                xs[k] = np.real(V @ (c0 * decay)) + x_ss
+                system[seg.pump_on] = _modal_system(theta, C_co, R_co,
+                                                    seg.pump_on)
+            G, lam, V, V_inv = system[seg.pump_on]
+            x_ss = G @ np.array([seg.level, T_amb])
+            c0 = V_inv @ (x - x_ss[:, None])
+            # W[:, k] = c0_k * V[j_k, :], so column k is member k's node j_k
+            W = c0 * V[rec.nodes].T
+            res[seg.a:seg.b] = np.exp(lam * seg.dt_rel) @ W \
+                + (x_ss[rec.nodes] - rec.y[seg.a:seg.b])
+            x = V @ (c0 * np.exp(lam * seg.t_end)[:, None]) + x_ss[:, None]
+        n = len(res)
+        for k, offset in enumerate(rec.offsets):
+            out[offset:offset + n] = res[:, k]
 
 
 def fit_two_node(traces, C_co: float, R_co: float,
@@ -288,9 +329,17 @@ def fit_two_node(traces, C_co: float, R_co: float,
     """Least-squares fit of the RC-network constants to one or more traces.
 
     Traces with equal ``t``, ``u`` and ``pump_on`` (several sensors of one
-    run) are simulated together: per parameter vector, one
-    eigendecomposition per pump state and one set of modal exponentials
-    per segment of each recording.
+    run) are simulated together: per parameter vector, one symmetric
+    eigendecomposition per pump state, and per segment of each recording
+    one set of modal exponentials and one matrix product for all its
+    traces.
+
+    The fit runs in log coordinates, each constant within a factor e^8 of
+    its initial value.  ``parameters`` holds the five constants and
+    ``tau_c = R_c C_c``; ``confidence`` holds their half-widths, that of
+    ``tau_c`` by the delta method.  ``warnings`` names each constant that
+    is weakly sensitive, at its search bound, or not determined by the
+    data (relative half-width above 1).
     """
     if ambient is None:
         ambient = AmbientConfig()
@@ -323,8 +372,9 @@ def fit_two_node(traces, C_co: float, R_co: float,
     # parameter vectors (singular dynamics, overflowing exponentials) are
     # never visited
     x_init = np.log([_TWO_NODE_INIT[n] for n in _TWO_NODE_NAMES])
+    lower, upper = x_init - 8.0, x_init + 8.0
     sol = least_squares(residual, x0=x_init, method="trf",
-                        bounds=(x_init - 8.0, x_init + 8.0),
+                        bounds=(lower, upper),
                         x_scale="jac", xtol=1e-12, ftol=1e-12)
     theta = np.exp(sol.x)
     rms = float(np.sqrt(np.mean(sol.fun ** 2)))
@@ -339,15 +389,26 @@ def fit_two_node(traces, C_co: float, R_co: float,
             "identified from these traces",
             unidentifiable=dead,
         )
+
+    params = {n: float(v) for n, v in zip(_TWO_NODE_NAMES, theta)}
+    params["tau_c"] = params["R_c"] * params["C_c"]
+    # a half-width in log coordinates is the relative half-width
+    rel_hw = _confidence(sol.jac, rms, tuple(params), _TWO_NODE_OUTPUTS)
+    conf = {n: h * params[n] for n, h in rel_hw.items()}
     warnings = tuple(
         f"{n} weakly identifiable (relative sensitivity "
         f"{c / scale:.2e})"
         for n, c in zip(_TWO_NODE_NAMES, col_norms)
         if c < 1e-4 * scale
+    ) + tuple(
+        f"{n} is at its search bound "
+        f"[{np.exp(lo):.6g}, {np.exp(hi):.6g}]"
+        for n, x, lo, hi in zip(_TWO_NODE_NAMES, sol.x, lower, upper)
+        if min(x - lo, hi - x) < 1e-6
+    ) + tuple(
+        f"{n} is not determined by the data (relative half-width "
+        f"{h:.3g})"
+        for n, h in rel_hw.items() if h > 1.0
     )
-
-    params = {n: float(v) for n, v in zip(_TWO_NODE_NAMES, theta)}
-    conf = {n: float(h * v) for (n, h), v in
-            zip(_confidence(sol.jac, rms, _TWO_NODE_NAMES).items(), theta)}
     return FitReport(parameters=params, residual_rms=rms, confidence=conf,
                      warnings=warnings)

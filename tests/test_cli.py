@@ -312,6 +312,16 @@ def test_fit_step_recording_ok(tmp_path):
         assert _fit_exit(csv, "--model", model)[0] == 0
 
 
+def test_fit_two_node_prints_cover_time_constant(tmp_path, capsys):
+    csv = tmp_path / "step.csv"
+    csv.write_text(_step_csv())
+    assert main(["fit", str(csv), "--model", "two-node"]) == 0
+    items = kvio.loads(capsys.readouterr().out)
+    assert float(items["tau_c"]) == pytest.approx(
+        float(items["R_c"]) * float(items["C_c"]), rel=1e-9)
+    assert "confidence.tau_c" in items
+
+
 @pytest.mark.parametrize("model", ["fopdt", "two-node"])
 @pytest.mark.parametrize("column,row,value", [
     ("T_w", 10, "nan"), ("T_w", 10, "inf"), ("T_w", 0, "-inf"),
