@@ -6,11 +6,10 @@ from .errors import (ConfigError, ConvergenceError, IllConditionedFitError,
 from .fopdt import DiscreteFOPDT, discretize_fopdt, fopdt_step_response
 from .mpc import (MpcConfig, MpcSolution, PenaltyForm, PumpHysteresis,
                   ThermalController, build_prediction, pump_step, solve_mpc)
-from .observer import (ObserverState, build_observer, estimate_q_aw,
-                       observer_step)
+from .observer import ObserverState, build_observer, observer_step
 from .params import AmbientConfig, Mode, PlantParams, Target, preset_params
 from .plant import (ContactEvent, ContactKind, PlantState, contact_heat_flow,
-                    step_plant)
+                    estimate_q_aw, step_plant)
 from .scenario import (DetectionConfig, ScenarioSpec, builtin_scenarios,
                        load_scenario, save_scenario)
 from .simulate import simulate

@@ -45,7 +45,8 @@ def gate_mask(pump_on: np.ndarray, t_s: float, switch_gate: float) -> np.ndarray
     mask = np.zeros(n, dtype=bool)
     if n == 0 or switch_gate <= 0.0:
         return mask
-    width = int(np.ceil(switch_gate / t_s))
+    # a gate past the end of the run covers the rest of it
+    width = int(min(np.ceil(switch_gate / t_s), n))
     toggles = np.flatnonzero(np.diff(pump_on.astype(np.int8))) + 1
     for idx in [0, *toggles]:
         mask[idx:idx + width + 1] = True
@@ -65,7 +66,8 @@ def detect_contacts(trace: SimTrace, cfg: DetectionConfig) -> DetectionReport:
     gated = gate_mask(trace.pump_on, t_s, cfg.switch_gate)
     above = (q > cfg.threshold) & ~gated
 
-    min_samples = max(1, int(np.ceil(cfg.min_hold / t_s)))
+    # a hold longer than the run admits no detection
+    min_samples = max(1, int(min(np.ceil(cfg.min_hold / t_s), len(t) + 1)))
     intervals = []
     for i0, i1 in _runs(above):
         if i1 - i0 >= min_samples:

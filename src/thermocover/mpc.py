@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ConvergenceError
 from .fopdt import DiscreteFOPDT, discretize_fopdt
-from .params import (AmbientConfig, Mode, PlantParams, Target, preset_params,
+from .params import (AmbientConfig, Mode, Target, preset_params,
                      require_temperature)
 
 
@@ -155,6 +155,8 @@ _MAX_ITER = 10_000
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
+# weights near the float range overflow; the check at the end names them
+@np.errstate(over="ignore", invalid="ignore")
 def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
                     W2: float, form: PenaltyForm):
     """Read-only Hessian of the QP in its n unknowns, the commands that
@@ -179,6 +181,10 @@ def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
     dg0[:, -1] = -2.0 * W2 * (np.ones(n) if form is PenaltyForm.MAGNITUDE
                               else np.eye(n)[0])
     M = -(Hinv @ dg0)
+    # the inverse of an overflowed Hm may well be finite
+    if not all(np.all(np.isfinite(m)) for m in (Hm, Hinv, M)):
+        raise ConfigError(f"controller weights W1 = {W1:.6g}, W2 = {W2:.6g} "
+                          f"overflow the QP's Hessian or its inverse")
     Hm.flags.writeable = Hinv.flags.writeable = M.flags.writeable = False
     return Hm, Hinv, float(np.linalg.eigvalsh(Hm)[-1]), M
 
@@ -221,10 +227,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
             return u
         return u + min(1.0, max(0.0, -float(g @ dvec) / curv)) * dvec
 
-    u = Hinv @ -g0
-    interior = bool(np.all(u >= lo) and np.all(u <= hi))
-    if not interior:
-        u = clip(u)
+    u = clip(Hinv @ -g0)
 
     step = 1.0 / eigmax
     for it in range(_MAX_ITER + 1):
@@ -233,9 +236,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
         # point, and its scale does not follow the Hessian's
         trial = clip(u - step * g)
         residual = float(np.max(np.abs(u - trial)))
-        # an unconstrained minimizer inside the box is the answer as it
-        # stands
-        if interior or residual < tol:
+        if residual < tol:
             # the last d commands reach no prediction, so the penalty alone
             # sets them
             tail = float(u[-1]) if form is PenaltyForm.INCREMENT else u_ref
@@ -317,10 +318,9 @@ class ThermalController:
     mode: Mode | None = field(default=None, init=False)
 
     def __post_init__(self):
-        self._params = {m: preset_params(m, self.target) for m in Mode}
         self._models = {
-            m: discretize_fopdt(p, self.cfg.t_s)
-            for m, p in self._params.items()
+            m: discretize_fopdt(preset_params(m, self.target), self.cfg.t_s)
+            for m in Mode
         }
         if self.preview_length > MAX_HORIZON:
             raise ConfigError(
@@ -333,12 +333,6 @@ class ThermalController:
         self._max_history = max(max_d, 1)
         self._x_hat: float | None = None
         self._p_hat = 0.0
-
-    @property
-    def params(self) -> PlantParams:
-        if self.mode is None:
-            raise ConfigError("controller has not stepped yet")
-        return self._params[self.mode]
 
     @property
     def preview_length(self) -> int:

@@ -9,20 +9,22 @@ with the realizability filter F(s) = (g1 s + 1)(g2 s + 1).  The natural
 choice g1 = R_c C_w, g2 = R_c C_c makes the inversion exact for the model's
 own contact channel; faster filter constants trade that exactness for the
 bandwidth needed to catch short touches, in the usual disturbance-observer
-way.  Both inputs are measurable without touching the cover surface: q_w
-follows from the tank/pipe temperature difference, q_aw from ambient.
+way.  The observer is a filter on (T_w, q), q = q_w + q_aw the net heat
+into the water node.  Both are measurable without touching the cover
+surface: q_w follows from the tank/pipe temperature difference, q_aw from
+ambient, and the caller composes q.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import cont2discrete, lfilter
 
 from .errors import ConfigError
-from .params import AmbientConfig, PlantParams
-from .plant import estimate_q_aw, pump_flow
+from .params import PlantParams
 
 
 def _observer_canonical(num_rows, den):
@@ -70,6 +72,18 @@ class ObserverState:
                              x, self.t_s, self.filter_time_constants)
 
 
+#: Largest condition number of a matrix the observer build solves with: a
+#: solve keeps about four of the sixteen significant digits.
+MAX_CONDITION = 1e12
+
+
+def _ill_conditioned(M: np.ndarray) -> bool:
+    """True if M has a non-finite entry or a 1-norm condition number of
+    ``MAX_CONDITION`` or more (inf when M is singular)."""
+    return not (np.all(np.isfinite(M))
+                and np.linalg.cond(M, 1) < MAX_CONDITION)
+
+
 def build_observer(params: PlantParams, t_s: float,
                    filter_time_constants: tuple | None = None) -> ObserverState:
     """Build the discrete-time observer (trapezoidal discretization).
@@ -88,7 +102,14 @@ def build_observer(params: PlantParams, t_s: float,
         if g1 <= 0.0 or g2 <= 0.0:
             raise ConfigError("filter time constants must be positive")
 
+    def unrealizable():
+        return ConfigError(
+            f"observer filter time constants ({g1:.6g}, {g2:.6g}) s have no "
+            f"well-conditioned discrete realization at t_s = {t_s:.6g} s")
+
     lead = g1 * g2
+    if not 0.0 < lead < math.inf:
+        raise unrealizable()
     den = (1.0, (g1 + g2) / lead, 1.0 / lead)
     num_Tw = (
         params.R_c * params.C_w * params.C_c / lead,
@@ -98,9 +119,15 @@ def build_observer(params: PlantParams, t_s: float,
     num_q = (0.0, -params.R_c * params.C_c / lead, -1.0 / lead)
 
     A, B, C, D = _observer_canonical([num_Tw, num_q], den)
+    # the trapezoidal rule solves with I - (t_s/2) A, and warm_start with
+    # I - Ad
+    if _ill_conditioned(np.eye(2) - 0.5 * t_s * A):
+        raise unrealizable()
     Ad, Bd, Cd, Dd, _ = cont2discrete((A, B, C, D), t_s, method="bilinear")
     coeffs = tuple(np.concatenate([m.ravel() for m in (Ad, Bd, Cd, Dd)])
                    .tolist())
+    if not np.all(np.isfinite(coeffs)) or _ill_conditioned(np.eye(2) - Ad):
+        raise unrealizable()
     return ObserverState(
         Ad=Ad, Bd=Bd, Cd=Cd, Dd=Dd, coeffs=coeffs,
         x=(0.0, 0.0), t_s=t_s,
@@ -108,18 +135,15 @@ def build_observer(params: PlantParams, t_s: float,
     )
 
 
-def observer_step(obs: ObserverState, T_w: float, T_co: float, pump_on: bool,
-                  params: PlantParams,
-                  ambient: AmbientConfig) -> tuple[ObserverState, float]:
-    """Advance the observer one sample and return (new state, q_hat).
+def observer_step(obs: ObserverState, T_w: float,
+                  q: float) -> tuple[ObserverState, float]:
+    """Advance the observer one sample on its inputs (T_w, q) and return
+    (new state, q_hat).
 
-    q_w is closed from the measurable tank/pipe difference and gated by the
-    pump; the filter keeps integrating with q_w = 0 while the pump is off.
-    The 2 x 2 products run on plain floats: y = Cd x + Dd u, x' = Ad x + Bd u
-    with u = (T_w, q).
+    q = q_w + q_aw is the net heat into the water node; q_w is zero while the
+    pump is off, and the filter keeps integrating.  The 2 x 2 products run on
+    plain floats: y = Cd x + Dd u, x' = Ad x + Bd u with u = (T_w, q).
     """
-    q = pump_flow(T_co, T_w, pump_on, params) \
-        + estimate_q_aw(T_w, ambient.T_amb, params.R_aw)
     a00, a01, a10, a11, b00, b01, b10, b11, c0, c1, d0, d1 = obs.coeffs
     x0, x1 = obs.x
     q_hat = (c0 * x0 + c1 * x1) + (d0 * T_w + d1 * q)

@@ -12,7 +12,7 @@ import copy
 from .errors import ThermocoverError
 from .mpc import ThermalController
 from .observer import build_observer, observer_step
-from .params import Mode
+from .params import Mode, preset_params
 from .plant import (PlantState, contact_heat_flow, estimate_q_aw, pump_flow,
                     step_plant)
 from .scenario import ScenarioSpec
@@ -32,6 +32,8 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
         target=scenario.target,
         hysteresis=scenario.pump,
     )
+    # the plant constants of each controller mode
+    presets = {m: preset_params(m, scenario.target) for m in Mode}
     preview_len = controller.preview_length
     node = scenario.target.node
     tc = scenario.observer_tc
@@ -48,17 +50,17 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
             preview = scenario.setpoint_preview(t, preview_len)
             cmd, pump_on = controller.step(getattr(state, node), state.T_w,
                                            preview)
-            params = controller.params
+            params = presets[controller.mode]
             q_w = pump_flow(state.T_co, state.T_w, pump_on, params)
+            # the observer's net-heat input, q_w + q_aw
+            q = q_w + estimate_q_aw(state.T_w, ambient.T_amb, params.R_aw)
 
             if observer is None or controller.mode is not observer_mode:
-                q_aw = estimate_q_aw(state.T_w, ambient.T_amb, params.R_aw)
                 observer = build_observer(params, t_s, observer_filter) \
-                    .warm_start(state.T_w, q_w + q_aw)
+                    .warm_start(state.T_w, q)
                 observer_mode = controller.mode
 
-            observer, q_hat = observer_step(observer, state.T_w, state.T_co,
-                                            pump_on, params, ambient)
+            observer, q_hat = observer_step(observer, state.T_w, q)
 
             q_i_true = sum(contact_heat_flow(c, state.T_c, t)
                            for c in scenario.contacts)

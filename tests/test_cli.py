@@ -121,6 +121,26 @@ def test_run_bad_override(tmp_path, capsys, override):
     assert list(tmp_path.iterdir()) == [scenario]
 
 
+@pytest.mark.parametrize("override, code", [
+    # filter constants with no well-conditioned discrete observer
+    ("observer_tc=1e-200", 2), ("observer_tc=1e-160", 2),
+    ("observer_tc=1e-100", 2), ("observer_tc=1e-8", 2),
+    ("observer_tc=1e300", 2),
+    # a hold or a gate longer than the run: no detection
+    ("detection.min_hold=1e308", 0), ("detection.switch_gate=1e308", 0),
+    # weights that overflow the QP's Hessian or the cached map
+    ("controller.W1=1e308", 2), ("controller.W2=1e308", 2),
+])
+def test_run_time_failure_exits_with_one_line(tmp_path, capsys, override,
+                                              code):
+    # these values pass the scenario checks and fail, if at all, in the run
+    assert main(["run", "exp2_nocontact", "--out-dir", str(tmp_path),
+                 "--set", "total_duration=20", "--set", override]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == (code != 0)
+    assert all(line.startswith("error: ") for line in err)
+
+
 def test_scenario_file_unknown_key_exits_config(tmp_path, capsys):
     scenario = tmp_path / "mini.txt"
     scenario.write_text(SHORT_SCENARIO + "detection.smoothing_cutoff = 0\n")

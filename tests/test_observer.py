@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from thermocover.errors import ConfigError
-from thermocover.observer import (build_observer, estimate_q_aw,
-                                  observer_frequency_response, observer_step,
-                                  simulate_design_model)
+from thermocover.observer import (build_observer, observer_frequency_response,
+                                  observer_step, simulate_design_model)
 from thermocover.params import AmbientConfig, Mode, Target, preset_params
-from thermocover.plant import pump_flow
+from thermocover.plant import estimate_q_aw, pump_flow
 
 
 AMBIENT = AmbientConfig()
@@ -83,13 +82,20 @@ def test_bounded_state_long_run(heat_params):
 
 
 def test_observer_step_equilibrium(heat_params):
-    # every temperature at ambient, pump off: the estimate stays at zero
+    # the pipe at ambient with no net heat: the estimate stays at zero
     obs = build_observer(heat_params, 1.0)
     obs = obs.warm_start(AMBIENT.T_amb, 0.0)
     for _ in range(200):
-        obs, q_hat = observer_step(obs, AMBIENT.T_amb, AMBIENT.T_amb, False,
-                                   heat_params, AMBIENT)
+        obs, q_hat = observer_step(obs, AMBIENT.T_amb, 0.0)
         assert abs(q_hat) < 1e-9
+
+
+@pytest.mark.parametrize("tc", [1e-200, 1e-160, 1e-100, 1e-8, 1e8, 1e300])
+def test_unrealizable_filter_constants_rejected(heat_params, tc):
+    # the product underflows or overflows, or the trapezoidal realization
+    # or its warm-start fixed point is singular to working precision
+    with pytest.raises(ConfigError, match="filter time constants"):
+        build_observer(heat_params, 0.5, (tc, tc))
 
 
 def test_warm_start_fixed_point(heat_params):
@@ -112,11 +118,9 @@ def test_design_model_zero_contact(heat_params):
     assert np.max(np.abs(out[100:])) < 1e-6
 
 
-def _reference_observer_step(obs, T_w, T_co, pump_on, params, ambient):
+def _reference_observer_step(obs, T_w, q):
     """The numpy 2 x 2 observer_step that the float path replaced, kept
-    verbatim as its reference."""
-    q = pump_flow(T_co, T_w, pump_on, params) \
-        + estimate_q_aw(T_w, ambient.T_amb, params.R_aw)
+    as its reference."""
     u = np.array([T_w, q])
     x = np.asarray(obs.x)
     q_hat = (obs.Cd @ x + obs.Dd @ u).item()
@@ -138,8 +142,9 @@ def test_observer_step_matches_matrix_reference(mode, filter_tc):
         T_w += rng.normal(0.0, 0.02)
         T_co = T_w + rng.normal(0.0, 1.0)
         pump_on = k // 300 % 2 == 0
-        obs, q_hat = observer_step(obs, T_w, T_co, pump_on, params, AMBIENT)
-        ref, q_ref = _reference_observer_step(ref, T_w, T_co, pump_on,
-                                              params, AMBIENT)
+        q = pump_flow(T_co, T_w, pump_on, params) \
+            + estimate_q_aw(T_w, AMBIENT.T_amb, params.R_aw)
+        obs, q_hat = observer_step(obs, T_w, q)
+        ref, q_ref = _reference_observer_step(ref, T_w, q)
         assert abs(q_hat - q_ref) <= 1e-9
     assert np.allclose(obs.x, ref.x, rtol=1e-12, atol=0.0)

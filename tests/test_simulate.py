@@ -7,8 +7,10 @@ import pytest
 
 from thermocover import mpc
 from thermocover.errors import ConvergenceError, NumericError
-from thermocover.plant import ContactEvent, ContactKind
-from thermocover.scenario import ScenarioSpec
+from thermocover.observer import build_observer, observer_step
+from thermocover.params import Mode, preset_params
+from thermocover.plant import ContactEvent, ContactKind, estimate_q_aw
+from thermocover.scenario import ScenarioSpec, builtin_scenarios
 from thermocover.simulate import simulate
 
 
@@ -79,3 +81,22 @@ def test_observer_failure_names_scenario_and_time(monkeypatch):
     monkeypatch.setattr(module, "observer_step", failing_observer)
     with pytest.raises(NumericError, match="^short: at t = 0 s: observer"):
         simulate(_short_scenario())
+
+
+def test_observer_replays_grasp_run_from_its_inputs():
+    # exp2_grasp heats throughout, so one observer sees the whole run: fed
+    # the trace's T_w and q_w + q_aw it reproduces q_i_hat bit for bit
+    spec = builtin_scenarios()["exp2_grasp"]
+    trace = simulate(spec)
+    params = preset_params(Mode.HEAT, spec.target)
+    q = [q_w + estimate_q_aw(T_w, spec.ambient.T_amb, params.R_aw)
+         for T_w, q_w in zip(trace.T_w, trace.q_w)]
+    tc = spec.observer_tc
+    assert tc > 0.0
+    obs = build_observer(params, spec.t_s, (tc, tc)) \
+        .warm_start(trace.T_w[0], q[0])
+    replay = []
+    for T_w, q_k in zip(trace.T_w, q):
+        obs, q_hat = observer_step(obs, T_w, q_k)
+        replay.append(q_hat)
+    assert np.array_equal(replay, trace.q_i_hat)
