@@ -80,6 +80,10 @@ def cmd_print_config(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    # the fits take a node temperature; other columns are no response
+    if args.signal not in ("T_w", "T_c", "T_co"):
+        raise ConfigError(
+            f"--signal must be T_w, T_c or T_co, got {args.signal!r}")
     trace = StepTrace.from_csv(args.csv, signal=args.signal)
     if args.model == "fopdt":
         report = fit_fopdt(trace)

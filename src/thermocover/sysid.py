@@ -15,11 +15,13 @@ Two fitters mirror how the hardware constants were derived:
   and pump-off stretches or the pump resistance drops out of the dynamics.
   The network's state matrix is similar to a symmetric one, so the
   piecewise-constant-input response is simulated in real modal
-  coordinates.  The report adds the cover pole ``tau_c = R_c C_c`` and
-  warns about a constant that ends on its search bound or that the data
-  leave undetermined (relative confidence half-width above 1); under
-  noise that is typically R_c and C_c, of which only the product is
-  determined.
+  coordinates, and the least-squares solve takes its exact Jacobian from
+  the same modes (the divided-difference form of the derivative of the
+  matrix exponential).  The report adds the cover pole
+  ``tau_c = R_c C_c`` and warns about a constant that ends on its search
+  bound or that the data leave undetermined (relative confidence
+  half-width above 1); under noise that is typically R_c and C_c, of
+  which only the product is determined.
 """
 
 from __future__ import annotations
@@ -214,6 +216,9 @@ _TWO_NODE_INIT = {"R_w": 5.0, "C_w": 150.0, "R_c": 60.0, "C_c": 0.3,
 _SIGNAL_INDEX = {"T_co": 0, "T_w": 1, "T_c": 2}
 # the log-parameters, then log tau_c = log R_c + log C_c
 _TWO_NODE_OUTPUTS = np.vstack([np.eye(5), [0.0, 0.0, 1.0, 1.0, 0.0]])
+# modes closer than this times the fastest rate are differentiated without
+# the divided difference of their exponentials, which would cancel
+_CLOSE_MODES = 1e-3
 
 
 def _plant_matrices(R_w, C_w, R_c, C_c, R_aw, C_co, R_co, pump_on):
@@ -232,6 +237,28 @@ def _plant_matrices(R_w, C_w, R_c, C_c, R_aw, C_co, R_co, pump_on):
     return A, B
 
 
+def _plant_derivatives(R_w, C_w, R_c, C_c, R_aw, C_co, pump_on):
+    """dA/dlog theta_p and dB/dlog theta_p, stacked over _TWO_NODE_NAMES.
+
+    Every entry of ``_plant_matrices`` is a sum of conductance-over-
+    capacitance terms, so each derivative negates the terms its constant
+    divides.
+    """
+    gw = 1.0 / R_w if pump_on else 0.0
+    gc, ga = 1.0 / R_c, 1.0 / R_aw
+    dA = np.zeros((5, 3, 3))
+    dB = np.zeros((5, 3, 2))
+    dA[0, 0, :2] = [gw / C_co, -gw / C_co]                # R_w
+    dA[0, 1, :2] = [-gw / C_w, gw / C_w]
+    dA[1, 1] = [-gw / C_w, (gw + ga + gc) / C_w, -gc / C_w]   # C_w
+    dB[1, 1, 1] = -ga / C_w
+    dA[2, 1, 1:] = [gc / C_w, -gc / C_w]                  # R_c
+    dA[2:4, 2, 1:] = [-gc / C_c, gc / C_c]                # R_c and C_c
+    dA[4, 1, 1] = ga / C_w                                # R_aw
+    dB[4, 1, 1] = -ga / C_w
+    return dA, dB
+
+
 class _Segment(NamedTuple):
     """Stretch of a recording with one input level and one pump state."""
 
@@ -239,7 +266,7 @@ class _Segment(NamedTuple):
     b: int                 # one past the last sample
     pump_on: bool
     level: float           # input level over the stretch
-    dt_rel: np.ndarray     # sample times from the stretch start, as a column
+    dt_rel: np.ndarray     # sample times from the stretch start, as a row
     t_end: float           # time to the start of the next stretch
 
 
@@ -248,7 +275,7 @@ def _segments(t, u, pump) -> tuple:
     cuts = np.concatenate(([0], np.flatnonzero(change) + 1, [len(t)]))
     # each stretch continues from its true endpoint, one sample past t[b-1]
     return tuple(_Segment(a, b, bool(pump[a]), u[a],
-                          (t[a:b] - t[a])[:, None],
+                          (t[a:b] - t[a])[None, :],
                           t[b - 1] - t[a] + (t[1] - t[0]))
                  for a, b in zip(cuts[:-1], cuts[1:]))
 
@@ -316,12 +343,119 @@ def _simulate_residual(theta, recordings, C_co, R_co, T_amb, out):
             c0 = V_inv @ (x - x_ss[:, None])
             # W[:, k] = c0_k * V[j_k, :], so column k is member k's node j_k
             W = c0 * V[rec.nodes].T
-            res[seg.a:seg.b] = np.exp(lam * seg.dt_rel) @ W \
+            res[seg.a:seg.b] = np.exp(lam[:, None] * seg.dt_rel).T @ W \
                 + (x_ss[rec.nodes] - rec.y[seg.a:seg.b])
             x = V @ (c0 * np.exp(lam * seg.t_end)[:, None]) + x_ss[:, None]
         n = len(res)
         for k, offset in enumerate(rec.offsets):
             out[offset:offset + n] = res[:, k]
+
+
+def _modal_derivatives(theta, C_co, pump_on, G, lam, V, V_inv):
+    """Derivatives of one pump state's modal system w.r.t. log theta.
+
+    Returns (dG, E, K, close): dG = dG/dlog theta_p (5 x 3 x 2), from
+    A^-1 = V diag(1/lam) V^-1; E_p = V^-1 dA_p V; K = D o E_p with
+    D_ik = 1/(lam_i - lam_k) for modes further apart than _CLOSE_MODES
+    times the fastest rate, else 0; and the close pairs (i, k), i < k,
+    with lam ascending as ``eigh`` returns it.
+    """
+    dA, dB = _plant_derivatives(*theta, C_co, pump_on)
+    dG = -((V / lam) @ V_inv) @ (dA @ G + dB)
+    E = V_inv @ dA @ V
+    gap = lam[:, None] - lam
+    tol = _CLOSE_MODES * np.max(np.abs(lam))
+    D = np.divide(1.0, gap, out=np.zeros((3, 3)), where=np.abs(gap) > tol)
+    close = [(i, k) for i, k in ((0, 1), (0, 2), (1, 2))
+             if lam[k] - lam[i] <= tol]
+    return dG, E, D * E, close
+
+
+def _simulate_jacobian(theta, recordings, C_co, R_co, T_amb, out):
+    """Write the derivatives of ``_simulate_residual`` w.r.t. log theta.
+
+    ``out`` has one row per residual and one column per constant.  Within
+    a segment the modal response differentiates in closed form (Van Loan
+    1978; Najfeld & Havel 1995):
+
+        dx(t) = dx_ss + V (E_p o Phi(t)) c0 + V e^{lam t} V^-1 (dx0 - dx_ss)
+
+    with E_p = V^-1 dA_p V, dx_ss = -A^-1 (dA_p x_ss + dB_p u),
+    Phi_ik = (e^{lam_i t} - e^{lam_k t}) / (lam_i - lam_k) and
+    Phi_ii = t e^{lam_i t}.  Each Phi_ik is a combination of F = e^{lam t}
+    and t F, so per segment one product of the rows [F, t F] with a
+    coefficient matrix forms every member's five columns.  A pair of modes
+    closer than _CLOSE_MODES times the fastest rate gets its own row
+    e^{lam_k t} expm1((lam_i - lam_k) t) / (lam_i - lam_k), where the
+    difference of the two F would cancel.  The members' end states and
+    their sensitivities advance together as one 3 x 6m matrix, column
+    q * m + k holding member k's state (q = 0) or dx/dlog theta_q-1.
+    """
+    system = {}
+    for rec in recordings:
+        m = len(rec.offsets)
+        jac = np.empty((len(rec.y), 5 * m))     # columns p * m + k
+        # each member starts at a measured value, which theta does not move
+        X = np.zeros((3, 6 * m))
+        X[:, :m] = rec.y[:1]
+        measured = {}
+        for seg in rec.segments:
+            if seg.pump_on not in system:
+                G, lam, V, V_inv = _modal_system(theta, C_co, R_co,
+                                                 seg.pump_on)
+                dG, E, K, close = _modal_derivatives(theta, C_co,
+                                                     seg.pump_on, G, lam,
+                                                     V, V_inv)
+                # rows i * 6 + q: x_ss and dx_ss of node i from one product
+                gains = np.concatenate([G[None], dG]).transpose(1, 0, 2)
+                system[seg.pump_on] = (
+                    gains.reshape(18, 2), lam, V, V_inv, E, K, close,
+                    # rows i * 5 + p, and the diagonal of E, 3 x 5 x 1
+                    K.transpose(1, 0, 2).reshape(15, 3),
+                    E.diagonal(axis1=1, axis2=2).T[:, :, None])
+            gains, lam, V, V_inv, E, K, close, K_rows, E_diag = \
+                system[seg.pump_on]
+            if seg.pump_on not in measured:
+                v = V[rec.nodes].T              # measured rows of V, 3 x m
+                measured[seg.pump_on] = (
+                    v[:, None], -(np.swapaxes(K, 1, 2) @ v)
+                    .transpose(1, 0, 2))
+            # in the 3 x 5 x m layout: v and -(K_p^T v) of each member
+            v, KTv = measured[seg.pump_on]
+            ss = (gains @ np.array([seg.level, T_amb])).reshape(3, 6)
+            X_ss = np.repeat(ss, m, axis=1)
+            C0 = V_inv @ (X - X_ss)
+            c0 = C0[:, None, :m]
+            d = C0[:, m:].reshape(3, 5, m)
+            Kc0 = (K_rows @ C0[:, :m]).reshape(3, 5, m)
+            Ec0 = E_diag * c0
+            # coefficients of F and t F
+            coefs = [v * (Kc0 + d) + c0 * KTv, v * Ec0]
+            F = np.exp(lam[:, None] * seg.dt_rel)
+            basis = [F, seg.dt_rel * F]
+            F_end = np.exp(lam * seg.t_end)[:, None, None]
+            # the modal end state, then E o Phi(t_end) c0 + e^{lam t} d
+            W = np.concatenate([F_end * c0, F_end * (Kc0 + d + seg.t_end
+                                                     * Ec0)], axis=1)
+            W[:, 1:] -= (K_rows @ W[:, 0]).reshape(3, 5, m)
+            for i, k in close:
+                gap = lam[i] - lam[k]
+                basis.append(F[k] * (np.expm1(gap * seg.dt_rel) / gap
+                                     if gap else seg.dt_rel))
+                ik = E[:, i, k, None] * c0[k]
+                ki = E[:, k, i, None] * c0[i]
+                coefs.append((v[i] * ik + v[k] * ki)[None])
+                phi = F_end[k] * (np.expm1(gap * seg.t_end) / gap
+                                  if gap else seg.t_end)
+                W[i, 1:] += phi * ik
+                W[k, 1:] += phi * ki
+            jac[seg.a:seg.b] = np.concatenate(basis).T \
+                @ np.concatenate(coefs).reshape(-1, 5 * m) \
+                + ss[rec.nodes, 1:].T.reshape(-1)
+            X = V @ W.reshape(3, -1) + X_ss
+        n = len(jac)
+        for k, offset in enumerate(rec.offsets):
+            out[offset:offset + n] = jac[:, k::m]
 
 
 def fit_two_node(traces, C_co: float, R_co: float,
@@ -332,7 +466,10 @@ def fit_two_node(traces, C_co: float, R_co: float,
     run) are simulated together: per parameter vector, one symmetric
     eigendecomposition per pump state, and per segment of each recording
     one set of modal exponentials and one matrix product for all its
-    traces.
+    traces.  The Jacobian is exact, from the same eigendecomposition and
+    one more product per segment for all traces and all five constants
+    (``_simulate_jacobian``), so no residual is evaluated for finite
+    differences.
 
     The fit runs in log coordinates, each constant within a factor e^8 of
     its initial value.  ``parameters`` holds the five constants and
@@ -368,12 +505,23 @@ def fit_two_node(traces, C_co: float, R_co: float,
             return np.full(n_res, 1e6)
         return res
 
+    def jacobian(log_theta):
+        jac = np.empty((n_res, len(_TWO_NODE_NAMES)))
+        try:
+            _simulate_jacobian(np.exp(log_theta), recordings, C_co, R_co,
+                               ambient.T_amb, jac)
+        except np.linalg.LinAlgError:
+            return np.zeros_like(jac)
+        if not np.all(np.isfinite(jac)):
+            return np.zeros_like(jac)
+        return jac
+
     # bounds keep the search in a physically generous region so degenerate
     # parameter vectors (singular dynamics, overflowing exponentials) are
     # never visited
     x_init = np.log([_TWO_NODE_INIT[n] for n in _TWO_NODE_NAMES])
     lower, upper = x_init - 8.0, x_init + 8.0
-    sol = least_squares(residual, x0=x_init, method="trf",
+    sol = least_squares(residual, x0=x_init, jac=jacobian, method="trf",
                         bounds=(lower, upper),
                         x_scale="jac", xtol=1e-12, ftol=1e-12)
     theta = np.exp(sol.x)

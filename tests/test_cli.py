@@ -358,6 +358,17 @@ def test_fit_bad_trace_value_exits_config(tmp_path, model, column, row,
 
 
 @pytest.mark.parametrize("model", ["fopdt", "two-node"])
+@pytest.mark.parametrize("signal", ["pump_on", "T_p_cmd", "t", "T_x"])
+def test_fit_signal_other_than_a_node_exits_config(tmp_path, model, signal):
+    csv = tmp_path / "step.csv"
+    csv.write_text(_step_csv())
+    code, err = _fit_exit(csv, "--model", model, "--signal", signal)
+    assert code == 2
+    assert err == ("error: --signal must be T_w, T_c or T_co, "
+                   f"got {signal!r}\n")
+
+
+@pytest.mark.parametrize("model", ["fopdt", "two-node"])
 def test_fit_reversed_time_exits_config(tmp_path, model):
     header, *rows = _step_csv_rows()
     csv = tmp_path / "reversed.csv"

@@ -11,13 +11,15 @@ import pytest
 from scipy.optimize import least_squares, minimize_scalar
 
 from conftest import make_fopdt_trace, make_plant_step_run
+from thermocover import sysid
 from thermocover.errors import ConfigError, IllConditionedFitError
 from thermocover.params import AmbientConfig, Mode, preset_params
 from thermocover.sysid import (_SIGNAL_INDEX, _TWO_NODE_INIT,
                                _TWO_NODE_NAMES, FitReport, StepTrace,
                                _confidence, _fopdt_basis, _plant_matrices,
-                               _recordings, _simulate_residual,
-                               _two_point_init, fit_fopdt, fit_two_node)
+                               _recordings, _simulate_jacobian,
+                               _simulate_residual, _two_point_init,
+                               fit_fopdt, fit_two_node)
 
 
 def test_trace_must_be_uniform():
@@ -357,11 +359,34 @@ def test_traces_of_one_run_share_a_recording():
             assert np.array_equal(rec.y[:, k], tr.y)
 
 
-@pytest.mark.parametrize("theta", [
+def _coinciding_modes_theta():
+    """The initial values with C_c (about 1.76) chosen so that, with the
+    pump off, the tank mode -1/(R_co C_co) is also a water/cover mode."""
+    tank = preset_params(Mode.HEAT)
+    R_w, C_w, R_c, _, R_aw = (_TWO_NODE_INIT[n] for n in _TWO_NODE_NAMES)
+    mu = -1.0 / (tank.R_co * tank.C_co)
+    a = -(1.0 / R_aw + 1.0 / R_c) / C_w
+    b = 1.0 / (R_c * C_w)
+    rate = -(a - mu) * mu / ((a - mu) + b)      # 1 / (R_c C_c)
+    return [R_w, C_w, R_c, 1.0 / (R_c * rate), R_aw]
+
+
+_THETAS = [
     [_TWO_NODE_INIT[n] for n in _TWO_NODE_NAMES],
     [5.9, 200.0, 460.0, 0.1, 2.08],
     [0.4, 3.0e3, 2.0, 15.0, 0.05],
-])
+    pytest.param(_coinciding_modes_theta(), id="coinciding-modes"),
+]
+
+
+def test_coinciding_modes_theta_has_a_double_mode(heat_params):
+    A, _ = _plant_matrices(*_coinciding_modes_theta(), heat_params.C_co,
+                           heat_params.R_co, pump_on=False)
+    lam = np.sort(np.linalg.eigvals(A).real)
+    assert np.min(np.diff(lam)) <= 1e-12 * np.max(np.abs(lam))
+
+
+@pytest.mark.parametrize("theta", _THETAS)
 def test_shared_residual_matches_per_trace_simulation(heat_params, theta):
     # real modal coordinates against the kept complex-eig reference: the
     # largest gap on these cases is about 6e-14 K
@@ -377,6 +402,36 @@ def test_shared_residual_matches_per_trace_simulation(heat_params, theta):
     assert np.max(np.abs(out - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("close_modes", [sysid._CLOSE_MODES, 1.0],
+                         ids=["default", "every-pair-close"])
+@pytest.mark.parametrize("theta", _THETAS)
+def test_jacobian_matches_central_differences(heat_params, theta,
+                                              close_modes, monkeypatch):
+    # central differences of the complex-eig reference with a step of 1e-4
+    # in log theta agree to within 1e-8 of each column's largest entry
+    # (9.4e-9 at the coinciding modes); the tolerance is 1e-7.  theta goes
+    # in unrounded, so the coinciding modes tie exactly, where the plain
+    # divided difference of the modal exponentials is 0/0.  With
+    # close_modes = 1 every pair of modes takes the expm1 rows.
+    monkeypatch.setattr(sysid, "_CLOSE_MODES", close_modes)
+    traces = _mixed_traces()
+    ambient = AmbientConfig()
+    theta = np.array(theta)
+    log_theta = np.log(theta)
+    jac = np.empty((sum(len(tr.t) for tr in traces), len(_TWO_NODE_NAMES)))
+    _simulate_jacobian(theta, _recordings(traces),
+                       heat_params.C_co, heat_params.R_co, ambient.T_amb, jac)
+    reference = _reference_residual(traces, heat_params.C_co,
+                                    heat_params.R_co, ambient)
+    h = 1e-4
+    central = np.column_stack([
+        (reference(log_theta + h * e) - reference(log_theta - h * e))
+        / (2.0 * h) for e in np.eye(len(_TWO_NODE_NAMES))])
+    assert np.all(np.isfinite(jac))
+    scale = np.max(np.abs(central), axis=0)
+    assert np.all(np.abs(jac - central) <= 1e-7 * scale)
+
+
 def _criterion_08_traces(params, order=("T_co", "T_w", "T_c")):
     """Criterion 08's noiseless recording, all three sensors."""
     t, u, *nodes, pump = make_plant_step_run(params)
@@ -386,9 +441,10 @@ def _criterion_08_traces(params, order=("T_co", "T_w", "T_c")):
 
 
 def test_two_node_fit_equals_reference_least_squares(heat_params):
-    # the same least-squares call over the complex-eig reference residual.
-    # R_c and C_c differ by about 6e-10 relative, where the solver's 1e-12
-    # tolerances stop it along their valley; the others by about 1e-12
+    # the same least-squares call over the complex-eig reference residual,
+    # with finite-difference columns where the fit has the exact Jacobian.
+    # R_c and C_c differ by 6.7e-10 relative, where the solver's 1e-12
+    # tolerances stop it along their valley; the others by at most 1.4e-12
     traces = _criterion_08_traces(heat_params)
     report = fit_two_node(traces, C_co=heat_params.C_co,
                           R_co=heat_params.R_co)
