@@ -29,9 +29,8 @@ def main():
             model = ambient.T_amb + fopdt_step_response(params, step, 0.0, t)
             print(f"{t:7.0f} {state.T_co:8.3f} {state.T_w:8.3f} "
                   f"{state.T_c:8.3f} {model:10.3f}")
-        for _ in range(10):
-            state = step_plant(state, cmd, True, 0.0, params, ambient, dt,
-                               peltier_power=float("inf"))
+        state = step_plant(state, cmd, True, 0.0, params, ambient, dt,
+                           peltier_power=float("inf"), n_sub=10)
 
     rise_plant = state.T_c - ambient.T_amb
     print(f"\nOpen-loop static gain: plant {rise_plant / step:.2f} "

@@ -35,9 +35,9 @@ def plant_traces(params, sigma=0.0, seed=0):
         cmd = 21.0 if k == 0 else 40.0
         on = k < 1500   # heat with the pump on, then free-cool
         rows.append((float(k), cmd, state.T_co, state.T_w, state.T_c, on))
-        for _ in range(10):
-            state = step_plant(state, cmd, on, 0.0, params, ambient, 0.1,
-                               peltier_lag=0.0, peltier_power=float("inf"))
+        state = step_plant(state, cmd, on, 0.0, params, ambient, 0.1,
+                           peltier_lag=0.0, peltier_power=float("inf"),
+                           n_sub=10)
     t, u, y_co, y_w, y_c, pump = map(np.asarray, zip(*rows))
     rng = np.random.default_rng(seed)
     out = []

@@ -4,13 +4,28 @@ Three thermal nodes (copper tank, water pipe, cover) plus the Peltier
 surface, which tracks its command through an optional first-order lag.
 Water transport delay is deliberately absent here: the combined model's
 dead time lives in the controller, not in the physical nodes.
+
+``network_matrices`` writes the RC network once; ``sysid`` fits its
+three-node block.  Over one ``step_plant`` call the network is affine in
+[T_p, T_co, T_w, T_c] once its regime is fixed: the pump state, the
+Peltier cap status (slack, +cap or -cap) and the contact windows open
+over the call.  So the call applies a cached map that chains its substeps
+exactly, each one exponential of the augmented block matrix (Van Loan
+1978), with the contact flow held over each substep.  Where the cap status
+changes at a substep end, or a contact window opens or closes inside the
+call, it runs the RK4 substeps instead.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+from scipy.linalg import expm
 
 from .errors import ConfigError, NumericError
 from .params import AmbientConfig, PlantParams, require_temperature
@@ -101,21 +116,52 @@ def estimate_q_aw(T_w: float, T_amb: float, R_aw: float) -> float:
     return (T_amb - T_w) / R_aw
 
 
-def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
-               params: PlantParams, ambient: AmbientConfig, dt: float,
-               peltier_lag: float = DEFAULT_PELTIER_LAG,
-               peltier_power: float = DEFAULT_PELTIER_POWER, *,
-               n_sub: int = 1, contacts: tuple = (),
-               t: float = 0.0) -> PlantState:
-    """Advance the plant ``n_sub`` RK4 substeps of length dt.
+def network_matrices(R_w, C_w, R_c, C_c, R_aw, C_co, R_co, pump_on,
+                     peltier_lag=0.0, at_cap=False):
+    """The network's continuous dynamics dx/dt = A x + B u, as (A, B).
 
-    The contact heat flow ``q_i`` is held constant across the call.  Each
-    event in ``contacts`` adds its ``contact_heat_flow`` to it, in order,
-    re-evaluated before substep j from time ``t + j * dt`` and that
-    substep's T_c; so one call covers a whole control sample.
-    ``peltier_lag`` = 0 snaps the plate to its command; ``peltier_power`` =
-    inf removes the actuator limit.
+    State x = [T_p, T_co, T_w, T_c].  Inputs u = [T_p_cmd, T_amb, q_c,
+    q_p]: the plate command, the room, the heat flow into the cover from
+    outside, and the plate's heat flow into the tank while the actuator is
+    at its power cap (``at_cap``), which then replaces the R_co link.
+    ``peltier_lag`` = 0 holds T_p where it starts.
     """
+    gw = 1.0 / R_w if pump_on else 0.0
+    gp = 0.0 if at_cap else 1.0 / R_co
+    gl = 1.0 / peltier_lag if peltier_lag > 0.0 else 0.0
+    A = np.array([
+        [-gl, 0.0, 0.0, 0.0],
+        [0.0 if at_cap else 1.0 / (R_co * C_co), -(gp + gw) / C_co,
+         gw / C_co, 0.0],
+        [0.0, gw / C_w, -(gw + 1.0 / R_aw + 1.0 / R_c) / C_w,
+         1.0 / (R_c * C_w)],
+        [0.0, 0.0, 1.0 / (R_c * C_c), -1.0 / (R_c * C_c)],
+    ])
+    B = np.array([
+        [gl, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0 / C_co],
+        [0.0, 1.0 / (R_aw * C_w), 0.0, 0.0],
+        [0.0, 0.0, 1.0 / C_c, 0.0],
+    ])
+    return A, B
+
+
+def max_stable_dt(params: PlantParams, peltier_lag: float,
+                  conductance: float = 0.0) -> float:
+    """Longest substep (s) ``step_plant`` accepts.
+
+    Half the cover's, the tank's and the plate lag's time constants, well
+    inside RK4's stability interval; and the cover's time constant with
+    ``conductance`` (W/K) of contact in parallel, because the contact flow
+    is held over each substep and beyond that it overshoots the skin.
+    """
+    limit = 0.5 * min(params.R_c * params.C_c, params.R_co * params.C_co)
+    if peltier_lag > 0.0:
+        limit = min(limit, 0.5 * peltier_lag)
+    return min(limit, params.C_c / (1.0 / params.R_c + conductance))
+
+
+def _check_step(params, dt, peltier_lag, peltier_power, n_sub, conductance):
     # written as `not x > 0` so that NaN fails too
     if not dt > 0.0:
         raise ConfigError("dt must be positive")
@@ -125,13 +171,138 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
         raise ConfigError("peltier_power must be positive (inf: no limit)")
     if not n_sub >= 1:
         raise ConfigError("n_sub must be at least 1")
-    R_co, R_c, R_aw = params.R_co, params.R_c, params.R_aw
-    C_co, C_w, C_c = params.C_co, params.C_w, params.C_c
-    limit = 0.5 * min(R_c * C_c, R_co * C_co)
+    limit = max_stable_dt(params, peltier_lag, conductance)
     if dt > limit:
         raise ConfigError(
             f"dt = {dt} s exceeds the stability margin {limit:.3g} s"
         )
+
+
+class _SampleMap(NamedTuple):
+    """One call's exact map, as coefficients over (T_p, T_co, T_w, T_c,
+    T_p_cmd, T_amb, q, 1), where the held contact flow is q - g T_c."""
+
+    rows: tuple     # the new T_p (lagged plate only), T_co, T_w, T_c
+    slack: tuple    # the plate flow (T_p - T_co) / R_co after each substep
+
+
+#: Maps kept: both modes and pump states of a run, each cap status, and
+#: a few contact loads and plate settings.
+_MAP_CACHE_SIZE = 64
+
+#: Longest call served from a map, which keeps one slack row per substep;
+#: a longer call runs RK4.
+_MAX_MAP_SUBSTEPS = 100
+
+
+@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
+# a constant large enough to overflow is reported by the check at the end
+@np.errstate(all="ignore")
+def _sample_map(params, pump_on, cap, peltier_lag, peltier_power, dt, n_sub,
+                conductance) -> _SampleMap:
+    """Read-only map of ``n_sub`` substeps at cap status ``cap`` (-1, 0 or
+    +1) with contacts of summed ``conductance`` open throughout."""
+    _check_step(params, dt, peltier_lag, peltier_power, n_sub, conductance)
+    A, B = network_matrices(params.R_w, params.C_w, params.R_c, params.C_c,
+                            params.R_aw, params.C_co, params.R_co, pump_on,
+                            peltier_lag, at_cap=cap != 0)
+    aug = np.zeros((8, 8))
+    aug[:4, :4], aug[:4, 4:] = A, B
+    E = expm(aug * dt)
+    # one substep on z = [x, T_p_cmd, T_amb, q, 1], the contact flow
+    # q - g T_c held from the substep's start and q_p at the cap
+    S = np.eye(8)
+    S[:4, :7] = E[:4, :7]
+    S[:4, 3] -= conductance * E[:4, 6]
+    S[:4, 7] = E[:4, 7] * (cap * peltier_power) if cap else 0.0
+    capped = peltier_power < math.inf
+    M = np.eye(8)
+    slack = []
+    for _ in range(n_sub):
+        M = S @ M
+        if capped:
+            slack.append((M[0] - M[1]) / params.R_co)
+    rows = M[:4] if peltier_lag > 0.0 else M[1:4]
+    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(slack))):
+        raise NumericError(f"the plant's map over {n_sub} substeps of "
+                           f"{dt} s is not finite")
+    return _SampleMap(tuple(tuple(r.tolist()) for r in rows),
+                      tuple(tuple(r.tolist()) for r in slack))
+
+
+def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
+               params: PlantParams, ambient: AmbientConfig, dt: float,
+               peltier_lag: float = DEFAULT_PELTIER_LAG,
+               peltier_power: float = DEFAULT_PELTIER_POWER, *,
+               n_sub: int = 1, contacts: tuple = (),
+               t: float = 0.0) -> PlantState:
+    """Advance the plant ``n_sub`` substeps of length dt.
+
+    The contact heat flow ``q_i`` is held constant across the call.  Each
+    event in ``contacts`` adds its ``contact_heat_flow`` to it, in order,
+    re-evaluated before substep j from time ``t + j * dt`` and that
+    substep's T_c, and held over the substep; so one call covers a whole
+    control sample.  ``peltier_lag`` = 0 snaps the plate to its command;
+    ``peltier_power`` = inf removes the actuator limit.
+
+    The call applies its regime's cached exact map on plain floats.  Where
+    a contact window opens or closes inside the call, the cap status at a
+    substep end differs from the start, or the call is longer than
+    ``_MAX_MAP_SUBSTEPS``, it runs ``_rk4`` instead.
+    """
+    # the held contact flow is q - g T_c; g_near adds the windows that
+    # open or close inside the call
+    q, g, g_near, edge = q_i, 0.0, 0.0, False
+    if contacts:
+        last = t + (n_sub - 1) * dt
+        for c in contacts:
+            end = c.start + c.duration
+            if c.start <= last and t <= end:
+                g_near += c.contact_conductance
+                if c.start <= t and last <= end:
+                    g += c.contact_conductance
+                    q += c.contact_conductance * c.T_skin
+                else:
+                    edge = True
+    if edge or n_sub > _MAX_MAP_SUBSTEPS:
+        _check_step(params, dt, peltier_lag, peltier_power, n_sub, g_near)
+        return _rk4(state, T_p_cmd, pump_on, q_i, params, ambient, dt,
+                    peltier_lag, peltier_power, n_sub=n_sub,
+                    contacts=contacts, t=t)
+    lagged = peltier_lag > 0.0
+    T_p = state.T_p if lagged else T_p_cmd
+    T_co, T_w, T_c = state.T_co, state.T_w, state.T_c
+    cap = 0
+    if peltier_power < math.inf:
+        q_p = (T_p - T_co) / params.R_co
+        cap = (q_p > peltier_power) - (q_p < -peltier_power)
+    rows, slack = _sample_map(params, pump_on, cap, peltier_lag,
+                              peltier_power, dt, n_sub, g)
+    T_amb = ambient.T_amb
+    for a0, a1, a2, a3, a4, a5, a6, a7 in slack:
+        q_p = (a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c + a4 * T_p_cmd
+               + a5 * T_amb + a6 * q + a7)
+        if (q_p > peltier_power) - (q_p < -peltier_power) != cap:
+            return _rk4(state, T_p_cmd, pump_on, q_i, params, ambient, dt,
+                        peltier_lag, peltier_power, n_sub=n_sub,
+                        contacts=contacts, t=t)
+    new = [a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c + a4 * T_p_cmd
+           + a5 * T_amb + a6 * q + a7
+           for a0, a1, a2, a3, a4, a5, a6, a7 in rows]
+    if not all(map(math.isfinite, new)):
+        raise NumericError("non-finite plant state")
+    return PlantState(*new) if lagged else PlantState(T_p_cmd, *new)
+
+
+def _rk4(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
+         params: PlantParams, ambient: AmbientConfig, dt: float,
+         peltier_lag: float = DEFAULT_PELTIER_LAG,
+         peltier_power: float = DEFAULT_PELTIER_POWER, *,
+         n_sub: int = 1, contacts: tuple = (),
+         t: float = 0.0) -> PlantState:
+    """``step_plant`` in ``n_sub`` RK4 substeps, its arguments unchecked."""
+    R_co, R_c, R_aw = params.R_co, params.R_c, params.R_aw
+    C_co, C_w, C_c = params.C_co, params.C_w, params.C_c
     T_amb = ambient.T_amb
     lagged = peltier_lag > 0.0
     capped = peltier_power < math.inf

@@ -7,18 +7,21 @@ serialize to the flat key-value format and round-trip exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
 from . import kvio
 from .errors import ConfigError
 from .mpc import MpcConfig, PenaltyForm, PumpHysteresis
-from .params import AmbientConfig, Target, require_temperature
+from .params import (AmbientConfig, Mode, Target, preset_params,
+                     require_temperature)
 from .plant import (DEFAULT_PELTIER_LAG, DEFAULT_PELTIER_POWER, ContactEvent,
-                    ContactKind)
+                    ContactKind, max_stable_dt)
 
 #: Detection-grade observer filter time constant (s), applied to both poles.
 #: 0 selects the natural (identification-exact) constants, which are far too
@@ -109,6 +112,14 @@ class ScenarioSpec:
                 raise ConfigError(
                     f"contact at t = {c.start} s falls outside the run"
                 )
+        # the plant's substep margin in whichever mode the controller picks
+        load = _peak_conductance(self.contacts, self.t_s)
+        limit, mode = _plant_margin(self.target, self.peltier_lag, load)
+        if self.dt > limit:
+            raise ConfigError(
+                f"dt = {self.dt} s exceeds the plant's stability margin "
+                f"{limit:.3g} s in {mode} mode (peltier_lag = "
+                f"{self.peltier_lag} s, contact conductance {load:g} W/K)")
 
     @property
     def duration(self) -> float:
@@ -151,6 +162,25 @@ class ScenarioSpec:
             if acc >= dur:
                 break
         return out
+
+
+@functools.lru_cache(maxsize=16)
+def _plant_margin(target: Target, peltier_lag: float, load: float):
+    """The shortest of the modes' plant substep limits, and its mode."""
+    return min((max_stable_dt(preset_params(mode, target), peltier_lag, load),
+                mode.value) for mode in Mode)
+
+
+def _peak_conductance(contacts, t_s) -> float:
+    """Most contact conductance (W/K) open within any one sample: the peak
+    overlap of the contact windows, each widened by one sample."""
+    if len(contacts) < 2:
+        return contacts[0].contact_conductance if contacts else 0.0
+    # at equal times a window opens (0) before another closes (1)
+    edges = sorted([(c.start, 0, c.contact_conductance) for c in contacts]
+                   + [(c.start + c.duration + t_s, 1, -c.contact_conductance)
+                      for c in contacts])
+    return max(accumulate(g for _, _, g in edges))
 
 
 # ---------------------------------------------------------------------------

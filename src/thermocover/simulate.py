@@ -1,8 +1,10 @@
 """Closed-loop simulation: controller, observer and plant in lockstep.
 
-Controller and observer run at the sample rate t_s; the plant integrates at
-the substep rate dt, in one ``step_plant`` call per sample.  Everything is
-deterministic: the same scenario always produces a bit-identical trace.
+Controller and observer run at the sample rate t_s; the plant steps at the
+substep rate dt, in one ``step_plant`` call per sample: one cached exact map
+of the sample's regime, or RK4 substeps where the Peltier cap status or a
+contact window changes inside the sample.  Everything is deterministic: the
+same scenario always produces a bit-identical trace.
 """
 
 from __future__ import annotations

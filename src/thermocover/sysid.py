@@ -34,6 +34,7 @@ from scipy.optimize import least_squares
 
 from .errors import ConfigError, IllConditionedFitError
 from .params import MAX_ABS_TEMPERATURE, AmbientConfig
+from .plant import network_matrices
 from .trace import SimTrace
 
 
@@ -222,19 +223,10 @@ _CLOSE_MODES = 1e-3
 
 
 def _plant_matrices(R_w, C_w, R_c, C_c, R_aw, C_co, R_co, pump_on):
-    """State [T_co, T_w, T_c], inputs [T_p, T_amb]."""
-    gw = 1.0 / R_w if pump_on else 0.0
-    A = np.array([
-        [-(1.0 / R_co + gw) / C_co, gw / C_co, 0.0],
-        [gw / C_w, -(gw + 1.0 / R_aw + 1.0 / R_c) / C_w, 1.0 / (R_c * C_w)],
-        [0.0, 1.0 / (R_c * C_c), -1.0 / (R_c * C_c)],
-    ])
-    B = np.array([
-        [1.0 / (R_co * C_co), 0.0],
-        [0.0, 1.0 / (R_aw * C_w)],
-        [0.0, 0.0],
-    ])
-    return A, B
+    """State [T_co, T_w, T_c], inputs [T_p, T_amb]: the plant's network
+    with the plate temperature as an input."""
+    A, B = network_matrices(R_w, C_w, R_c, C_c, R_aw, C_co, R_co, pump_on)
+    return A[1:, 1:], np.array([A[1:, 0], B[1:, 1]]).T
 
 
 def _plant_derivatives(R_w, C_w, R_c, C_c, R_aw, C_co, pump_on):

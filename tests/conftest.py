@@ -59,7 +59,7 @@ def make_plant_step_run(params, n=3000, pump_off_at=1500, base=21.0,
         y_w.append(state.T_w)
         y_c.append(state.T_c)
         pump.append(on)
-        for _ in range(10):
-            state = step_plant(state, cmd, on, 0.0, params, ambient, dt,
-                               peltier_lag=0.0, peltier_power=float("inf"))
+        state = step_plant(state, cmd, on, 0.0, params, ambient, dt,
+                           peltier_lag=0.0, peltier_power=float("inf"),
+                           n_sub=10)
     return tuple(np.asarray(a) for a in (t, u, y_co, y_w, y_c, pump))

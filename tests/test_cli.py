@@ -141,6 +141,31 @@ def test_run_time_failure_exits_with_one_line(tmp_path, capsys, override,
     assert all(line.startswith("error: ") for line in err)
 
 
+@pytest.mark.parametrize("scenario, override", [
+    # RK4 diverged on the plate lag pole: exit 3 at t = 12 s
+    ("exp1_heat", "peltier_lag=0.01"),
+    # the held contact flow overshot the skin, g dt / C_c = 2.5: exit 0
+    # with T_c = 6.1e18 in the trace
+    ("exp2_grasp", "contact.0.conductance=20"),
+])
+def test_run_past_plant_stability_margin_exits_config(tmp_path, capsys,
+                                                      scenario, override):
+    out = tmp_path / "out"
+    assert main(["run", scenario, "--out-dir", str(out),
+                 "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "stability margin" in err
+    assert not out.exists()
+
+
+def test_run_grasp_on_cool_staircase_exits_ok(tmp_path):
+    # a grasp in cool mode, g dt / C_c = 0.8, stays inside the margin
+    assert main(["run", "exp1_cool", "--out-dir", str(tmp_path),
+                 "--set", "total_duration=40", "--set", "contact.0.start=10",
+                 "--set", "contact.0.conductance=0.8"]) == 0
+
+
 def test_scenario_file_unknown_key_exits_config(tmp_path, capsys):
     scenario = tmp_path / "mini.txt"
     scenario.write_text(SHORT_SCENARIO + "detection.smoothing_cutoff = 0\n")

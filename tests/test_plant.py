@@ -1,6 +1,9 @@
-"""Fixed-step plant integration: equilibria, flows, stability, convergence."""
+"""Fixed-step plant integration: equilibria, flows, stability, convergence,
+the exact per-sample maps and their RK4 fallback."""
 
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +12,13 @@ from thermocover.errors import ConfigError, NumericError
 from thermocover.params import MAX_ABS_TEMPERATURE, AmbientConfig
 from thermocover.plant import (ContactEvent, ContactKind,
                                DEFAULT_CONDUCTANCE, PlantState,
-                               contact_heat_flow, estimate_q_aw, pump_flow,
+                               _MAX_MAP_SUBSTEPS, _rk4,
+                               contact_heat_flow, estimate_q_aw,
+                               max_stable_dt, network_matrices, pump_flow,
                                step_plant)
+from thermocover.scenario import builtin_scenarios
+from thermocover.simulate import simulate
+from thermocover.sysid import _plant_matrices
 
 
 AMBIENT = AmbientConfig()
@@ -123,8 +131,8 @@ def test_bad_arguments_rejected(heat_params, name, value):
                    AMBIENT, **args)
 
 
-# The tuple-based RK4 that step_plant replaced, kept verbatim as the
-# reference its traces must match bit for bit.
+# The tuple-based RK4 that the float RK4 replaced, kept verbatim as the
+# reference the RK4 fallback must match bit for bit.
 
 def _reference_derivs(T_p, T_co, T_w, T_c, T_p_cmd, pump_on, q_i, params,
                       ambient, peltier_lag, peltier_power):
@@ -182,8 +190,8 @@ def test_step_bit_equal_to_reference(heat_params, pump_on, peltier_lag,
     new = ref = start
     for k in range(20):
         cmd = 45.0 if k < 10 else -10.0
-        new = step_plant(new, cmd, pump_on, q_i, heat_params, AMBIENT, dt,
-                         peltier_lag=peltier_lag, peltier_power=peltier_power)
+        new = _rk4(new, cmd, pump_on, q_i, heat_params, AMBIENT, dt,
+                   peltier_lag=peltier_lag, peltier_power=peltier_power)
         ref = _reference_step(ref, cmd, pump_on, q_i, heat_params, AMBIENT,
                               dt, peltier_lag, peltier_power)
         assert new == ref
@@ -214,14 +222,14 @@ def test_sample_call_bit_equal_to_substep_calls(heat_params, pump_on,
     for k in range(4):
         t = k * 1.0
         cmd = 45.0 if k < 2 else -10.0
-        sample = step_plant(sample, cmd, pump_on, q_i, heat_params, AMBIENT,
-                            dt, n_sub=n_sub, contacts=contacts, t=t, **kw)
+        sample = _rk4(sample, cmd, pump_on, q_i, heat_params, AMBIENT,
+                      dt, n_sub=n_sub, contacts=contacts, t=t, **kw)
         for j in range(n_sub):
             flow = q_i
             for c in contacts:
                 flow += contact_heat_flow(c, sub.T_c, t + j * dt)
-            sub = step_plant(sub, cmd, pump_on, flow, heat_params, AMBIENT,
-                             dt, **kw)
+            sub = _rk4(sub, cmd, pump_on, flow, heat_params, AMBIENT,
+                       dt, **kw)
         assert sample == sub
 
 
@@ -231,5 +239,215 @@ def test_non_finite_substep_raises(heat_params):
                        contact_conductance=1e300,
                        T_skin=MAX_ABS_TEMPERATURE)
     with pytest.raises(NumericError):
-        step_plant(PlantState.uniform(21.0), 21.0, True, 0.0, heat_params,
-                   AMBIENT, 0.1, n_sub=10, contacts=(hot,))
+        _rk4(PlantState.uniform(21.0), 21.0, True, 0.0, heat_params,
+             AMBIENT, 0.1, n_sub=10, contacts=(hot,))
+
+
+def test_stability_margin_covers_lag_and_contact(heat_params, cool_params):
+    state = PlantState.uniform(21.0)
+    # RK4 diverges on a plate lag far below dt
+    with pytest.raises(ConfigError, match="stability margin"):
+        step_plant(state, 40.0, True, 0.0, heat_params, AMBIENT, 0.1,
+                   peltier_lag=0.01, n_sub=10)
+    # a held contact flow with g dt / C_c = 2.5 overshoots the skin
+    strong = ContactEvent(start=0.0, duration=5.0, kind=ContactKind.GRASP,
+                          contact_conductance=20.0)
+    with pytest.raises(ConfigError, match="stability margin"):
+        step_plant(state, 21.0, True, 0.0, heat_params, AMBIENT, 0.05,
+                   n_sub=10, contacts=(strong,))
+    # and where the window opens inside the call, on the RK4 path too
+    with pytest.raises(ConfigError, match="stability margin"):
+        step_plant(state, 21.0, True, 0.0, heat_params, AMBIENT, 0.05,
+                   n_sub=10, contacts=(strong,), t=-0.2)
+    # a hot contact of any conductance is caught before it overflows
+    hot = replace(strong, contact_conductance=1e300)
+    with pytest.raises(ConfigError):
+        step_plant(state, 21.0, True, 0.0, heat_params, AMBIENT, 0.1,
+                   n_sub=10, contacts=(hot,))
+    # the defaults and a grasp in cool mode at the staircase's dt stay
+    grasp = ContactEvent.preset(ContactKind.GRASP, start=0.0)
+    assert max_stable_dt(cool_params, 2.0, 0.8) >= 0.1
+    step_plant(state, 21.0, True, 0.0, cool_params, AMBIENT, 0.1, n_sub=10,
+               contacts=(grasp,))
+
+
+def test_non_finite_result_raises_without_warning(heat_params):
+    # pytest turns a numpy RuntimeWarning into a failure
+    with pytest.raises(NumericError):
+        step_plant(PlantState.uniform(21.0), 21.0, True, 1e308, heat_params,
+                   AMBIENT, 0.1, n_sub=10)
+    with pytest.raises(NumericError):
+        step_plant(PlantState.uniform(21.0), 21.0, True, 0.0,
+                   replace(heat_params, R_w=1e-300), AMBIENT, 0.1)
+
+
+def test_sysid_takes_the_shared_network(heat_params):
+    p = heat_params
+    for pump_on in (True, False):
+        A, B = network_matrices(p.R_w, p.C_w, p.R_c, p.C_c, p.R_aw, p.C_co,
+                                p.R_co, pump_on)
+        A3, B3 = _plant_matrices(p.R_w, p.C_w, p.R_c, p.C_c, p.R_aw,
+                                 p.C_co, p.R_co, pump_on)
+        assert np.array_equal(A3, A[1:, 1:])
+        assert np.array_equal(B3[:, 0], A[1:, 0])
+        assert np.array_equal(B3[:, 1], B[1:, 1])
+
+
+@pytest.mark.parametrize("peltier_lag, peltier_power, cmd", [
+    (0.0, float("inf"), 40.0),
+    (2.0, 60.0, 23.0),      # the cap slack throughout
+    (2.0, 60.0, 70.0),      # held at +cap throughout
+    (0.0, 0.5, -10.0),      # held at -cap throughout
+])
+@pytest.mark.parametrize("contacts", [
+    (),
+    (ContactEvent.preset(ContactKind.GRASP, start=0.0, duration=10.0),
+     ContactEvent.preset(ContactKind.SOFT_TOUCH, start=0.5, duration=3.0,
+                         T_skin=-5.0)),
+], ids=["no-contact", "contacts"])
+def test_sample_call_matches_substep_calls(heat_params, peltier_lag,
+                                           peltier_power, cmd, contacts):
+    # the chained map of a sample against its substeps one call each
+    dt, n_sub = 0.1, 10
+    kw = dict(peltier_lag=peltier_lag, peltier_power=peltier_power,
+              contacts=contacts)
+    sample = sub = PlantState(T_p=cmd, T_co=25.0, T_w=24.0, T_c=23.0)
+    for k in range(4):
+        t = 1.0 + k
+        sample = step_plant(sample, cmd, True, 0.3, heat_params, AMBIENT,
+                            dt, n_sub=n_sub, t=t, **kw)
+        for j in range(n_sub):
+            sub = step_plant(sub, cmd, True, 0.3, heat_params, AMBIENT, dt,
+                             t=t + j * dt, **kw)
+        assert np.allclose(_vector(sample), _vector(sub), rtol=0.0,
+                           atol=1e-12)
+
+
+def test_cap_excursion_inside_sample_falls_back(heat_params):
+    # a fast tank: the plate flow rises past the cap and falls back under
+    # it within one sample, so both ends of the call show the slack status
+    params = replace(heat_params, C_co=1.0)
+    args = (PlantState.uniform(21.0), 40.0, True, 0.0, params, AMBIENT, 0.04)
+    kw = dict(peltier_lag=0.2, n_sub=10)
+    power = 45.0
+    state, statuses = args[0], []
+    for _ in range(10):
+        state = _rk4(state, *args[1:], peltier_lag=0.2, peltier_power=power)
+        statuses.append((state.T_p - state.T_co) / params.R_co > power)
+    assert statuses[0] is False and statuses[-1] is False and any(statuses)
+    assert step_plant(*args, peltier_power=power, **kw) \
+        == _rk4(*args, peltier_power=power, **kw)
+    # without the cap the same call takes the exact map
+    inf = float("inf")
+    assert step_plant(*args, peltier_power=inf, **kw) \
+        != _rk4(*args, peltier_power=inf, **kw)
+
+
+@pytest.mark.parametrize("start", [1.35, 0.0])
+def test_contact_edge_inside_sample_falls_back(heat_params, start):
+    # a window that opens, or closes, inside the sample [1, 2)
+    edge = ContactEvent(start=start, duration=1.55 - start,
+                        kind=ContactKind.GRASP, contact_conductance=0.8)
+    args = (PlantState(T_p=30.0, T_co=25.0, T_w=24.0, T_c=23.0), 25.0, True,
+            0.0, heat_params, AMBIENT, 0.1)
+    kw = dict(n_sub=10, contacts=(edge,), t=1.0)
+    assert step_plant(*args, **kw) == _rk4(*args, **kw)
+
+
+def test_call_longer_than_map_limit_runs_rk4(heat_params):
+    # a map keeps one slack row per substep, so long calls keep RK4's
+    # constant memory
+    args = (PlantState(T_p=30.0, T_co=25.0, T_w=24.0, T_c=23.0), 25.0, True,
+            0.0, heat_params, AMBIENT, 0.01)
+    for n_sub in (_MAX_MAP_SUBSTEPS, _MAX_MAP_SUBSTEPS + 1):
+        assert (step_plant(*args, n_sub=n_sub) == _rk4(*args, n_sub=n_sub)) \
+            is (n_sub > _MAX_MAP_SUBSTEPS)
+
+
+def _vector(state):
+    return np.array([state.T_p, state.T_co, state.T_w, state.T_c])
+
+
+def _recorded_builtin_calls(monkeypatch):
+    """Each built-in's step_plant calls, as (args, kwargs) lists."""
+    calls = {}
+    sim = sys.modules["thermocover.simulate"]
+    real = sim.step_plant
+
+    def record(*args, **kwargs):
+        calls[name].append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "step_plant", record)
+    for name, spec in builtin_scenarios().items():
+        calls[name] = []
+        simulate(spec)
+    monkeypatch.undo()
+    return calls
+
+
+def _fine_rk4(calls, refine):
+    """RK4 at dt / refine over each recorded call, vectorized across the
+    calls of one scenario, the contact flow held over each original dt."""
+    (_, _, _, q_i, _, ambient, dt), kw = calls[0]
+    lag, power = kw["peltier_lag"], kw["peltier_power"]
+    args = [a for a, _ in calls]
+    y = np.array([_vector(a[0]) for a in args]).T
+    cmd = np.array([a[1] for a in args])
+    if lag == 0.0:
+        y[0] = cmd
+
+    def column(name):
+        return np.array([getattr(a[4], name) for a in args])
+
+    gw = np.array([1.0 / a[4].R_w if a[2] else 0.0 for a in args])
+    R_co, R_c, R_aw = column("R_co"), column("R_c"), column("R_aw")
+    C_co, C_w, C_c = column("C_co"), column("C_w"), column("C_c")
+    t0 = np.array([k["t"] for _, k in calls])
+
+    def f(y, q):
+        T_p, T_co, T_w, T_c = y
+        q_p = np.clip((T_p - T_co) / R_co, -power, power)
+        q_w = gw * (T_co - T_w)
+        q_c = (T_w - T_c) / R_c
+        dT_p = (cmd - T_p) / lag if lag > 0.0 else np.zeros_like(T_p)
+        return np.array([dT_p, (q_p - q_w) / C_co,
+                         (q_w + (ambient.T_amb - T_w) / R_aw - q_c) / C_w,
+                         (q_c + q) / C_c])
+
+    h = dt / refine
+    for j in range(kw["n_sub"]):
+        t = t0 + j * dt
+        q = q_i + sum(np.where((c.start <= t) & (t <= c.start + c.duration),
+                               c.contact_conductance * (c.T_skin - y[3]),
+                               0.0)
+                      for c in kw["contacts"])
+        for _ in range(refine):
+            k1 = f(y, q)
+            k2 = f(y + 0.5 * h * k1, q)
+            k3 = f(y + 0.5 * h * k2, q)
+            k4 = f(y + h * k3, q)
+            y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return y.T
+
+
+def test_exact_path_closer_than_rk4_to_fine_reference_on_builtins(
+        monkeypatch):
+    # every sample of the six built-ins, replayed from its recorded call
+    err_exact, err_rk4, worst_exact, fallbacks, n = 0.0, 0.0, 0.0, 0, 0
+    for calls in _recorded_builtin_calls(monkeypatch).values():
+        ref = _fine_rk4(calls, refine=100)
+        exact = np.array([_vector(step_plant(*a, **k)) for a, k in calls])
+        rk4 = np.array([_vector(_rk4(*a, **k)) for a, k in calls])
+        err_exact += np.sum(np.abs(exact - ref), axis=0)
+        err_rk4 += np.sum(np.abs(rk4 - ref), axis=0)
+        fell_back = np.all(exact == rk4, axis=1)
+        worst_exact = max(worst_exact,
+                          np.max(np.abs(exact - ref)[~fell_back]))
+        fallbacks += int(np.sum(fell_back))
+        n += len(calls)
+    assert np.all(err_exact < err_rk4), (err_exact, err_rk4)
+    # where the map applies it is exact to rounding; RK4 is 5e-7 K off
+    assert worst_exact < 1e-11
+    # and the RK4 fallback stays the exception (143 of 6 870 samples)
+    assert fallbacks < 0.05 * n

@@ -88,6 +88,27 @@ def test_lag_power_observer_and_duration_ranges_enforced():
                  peltier_power=float("inf"))
 
 
+def test_plant_stability_margin_enforced():
+    staircase = builtin_scenarios()["exp1_cool"]
+    # dt = 0.1 s needs a plate lag of at least 0.2 s, or none at all
+    for lag in (0.0, 0.2, 2.0):
+        replace(staircase, peltier_lag=lag)
+    with pytest.raises(ConfigError, match="stability margin"):
+        replace(staircase, peltier_lag=0.19)
+
+    def grasps(*starts):
+        return tuple(ContactEvent.preset(ContactKind.GRASP, start=s)
+                     for s in starts)
+
+    # one grasp, g dt / C_c = 0.8 in cool mode, and two a sample apart
+    replace(staircase, contacts=grasps(100.0))
+    replace(staircase, contacts=grasps(100.0, 106.5))
+    # two that can be open in one sample: 1.6 W/K against 0.97 W/K
+    for starts in ((100.0, 102.0), (100.0, 105.5)):
+        with pytest.raises(ConfigError, match="stability margin"):
+            replace(staircase, contacts=grasps(*starts))
+
+
 def _with(path, value):
     """exp2_grasp, which holds a contact and an initial temperature, with
     the float field at ``path`` set to ``value``."""
