@@ -6,15 +6,18 @@ relative to a reference temperature, or command increments).  With d samples
 of dead time the cost starts at prediction d + 1, as in generalized
 predictive control (Clarke, Mohtadi & Tuffs, 1987), so the QP's unknowns are
 the H commands that reach predictions d+1 ... d+H, and its Hessian is
-positive definite.  Where no bound is active the minimizer is affine in
-what the controller knows, so the controller takes it from one cached map;
-only the other samples reach the solver.  The solver alternates a projected
-gradient step, which settles the active bounds, with a Newton step on the
-free variables (More & Toraldo, 1991), each ending at the least-cost point
-of its segment, and stops when the projected gradient step is below a
-tolerance in K.  What depends only on the model, horizon and weights is
-built once and cached read-only.  Pump actuation is bang-bang with
-hysteresis, mirroring the stop-at-setpoint behaviour of the rig.
+positive definite.  For each pattern of commands held at a bound the
+minimizer is affine in what the controller knows, the critical regions of
+explicit MPC: where no bound is active the controller takes it from one
+cached map, and otherwise from a cached map of a guessed pattern that passes
+the solver's own KKT test.  Only the other samples reach the solver.  The
+solver alternates a projected gradient step, which settles the active
+bounds, with a Newton step on the free variables (More & Toraldo, 1991),
+each ending at the least-cost point of its segment, and stops when the
+projected gradient step is below a tolerance in K.  What depends only on the
+model, horizon, weights and held pattern is built once and cached
+read-only.  Pump actuation is bang-bang with hysteresis, mirroring the
+stop-at-setpoint behaviour of the rig.
 """
 
 from __future__ import annotations
@@ -160,9 +163,10 @@ _MAX_ITER = 10_000
 def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
                     W2: float, form: PenaltyForm):
     """Read-only Hessian of the QP in its n unknowns, the commands that
-    reach predictions d+1 ... d+n, its inverse, its largest eigenvalue and
-    the map M from z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or
-    u_prev] to the unconstrained minimizer ``M @ z``."""
+    reach predictions d+1 ... d+n, its inverse, its largest eigenvalue, the
+    map M from z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev]
+    to the unconstrained minimizer ``M @ z`` and the gradient offset per
+    unit z, ``dg0`` (the gradient at u is ``Hm @ u + dg0 @ z``)."""
     powers, Phi, G = _prediction_constants(a, b, d, d + n)
     Phi = Phi[d:, :n]
     # the penalty acts on P @ u: the commands themselves or their increments
@@ -185,8 +189,71 @@ def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
     if not all(np.all(np.isfinite(m)) for m in (Hm, Hinv, M)):
         raise ConfigError(f"controller weights W1 = {W1:.6g}, W2 = {W2:.6g} "
                           f"overflow the QP's Hessian or its inverse")
-    Hm.flags.writeable = Hinv.flags.writeable = M.flags.writeable = False
-    return Hm, Hinv, float(np.linalg.eigvalsh(Hm)[-1]), M
+    for m in (Hm, Hinv, M, dg0):
+        m.flags.writeable = False
+    return Hm, Hinv, float(np.linalg.eigvalsh(Hm)[-1]), M, dg0
+
+
+def _kkt_tol(lo: float, hi: float) -> float:
+    """Tolerance of the KKT test on the projected gradient step, in K."""
+    return 1e-9 * max(1.0, hi - lo)
+
+
+#: Held patterns kept: the six built-ins need 58 over both modes.
+_REGION_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_REGION_CACHE_SIZE)
+def _region_map(a: float, b: float, d: int, n: int, W1: float, W2: float,
+                form: PenaltyForm, lo: float, hi: float,
+                lower: tuple[int, ...], upper: tuple[int, ...]):
+    """Read-only (R, r, floor, ceil) of the QP's critical region where the
+    unknowns ``lower`` are held at lo, ``upper`` at hi and the rest free.
+
+    y = R @ z + r holds the free commands, where the gradient vanishes, and
+    at the held indices the gradient step g/λmax in K.  The pattern passes
+    solve_mpc's KKT test exactly where floor <= y <= ceil: every free
+    command inside the box, and every held command's projected gradient
+    step below the tolerance.
+    """
+    Hm, _, eigmax, _, dg0 = _cached_hessian(a, b, d, n, W1, W2, form)
+    held = np.zeros(n, dtype=bool)
+    held[list(lower + upper)] = True
+    free = ~held
+    u_held = np.zeros(n)
+    u_held[list(lower)] = lo
+    u_held[list(upper)] = hi
+    # the gradient with the free commands at zero, per unit z and constant
+    X = np.column_stack((dg0, Hm @ u_held))
+    Y = np.empty_like(X)
+    Y[free] = -np.linalg.solve(Hm[np.ix_(free, free)], X[free])
+    Y[held] = (Hm[np.ix_(held, free)] @ Y[free] + X[held]) * (1.0 / eigmax)
+    # a held command passes with a step below tol away from the box
+    tol = np.nextafter(_kkt_tol(lo, hi), 0.0)
+    floor = np.where(free, lo, -np.inf)
+    ceil = np.where(free, hi, np.inf)
+    floor[list(lower)] = -tol
+    ceil[list(upper)] = tol
+    for m in (Y, floor, ceil):
+        m.flags.writeable = False
+    return Y[:, :-1], Y[:, -1], floor, ceil
+
+
+def _region_solve(z: np.ndarray, a: float, b: float, d: int, n: int,
+                  W1: float, W2: float, form: PenaltyForm, lo: float,
+                  hi: float, lower: tuple[int, ...],
+                  upper: tuple[int, ...]) -> np.ndarray | None:
+    """The QP's minimizer in its n unknowns from the critical region of one
+    held pattern (see ``_region_map``), or None where the pattern fails the
+    KKT test at z."""
+    R, r, floor, ceil = _region_map(a, b, d, n, W1, W2, form, lo, hi,
+                                    lower, upper)
+    y = R @ z + r
+    if not (np.all(y >= floor) and np.all(y <= ceil)):
+        return None
+    y[list(lower)] = lo
+    y[list(upper)] = hi
+    return y
 
 
 def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
@@ -200,8 +267,8 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
     form = cfg.penalty_form
     e = (qp.free - qp.refs)[d:]
 
-    Hm, Hinv, eigmax, _ = _cached_hessian(model.a, model.b, d, n, cfg.W1,
-                                          cfg.W2, form)
+    Hm, Hinv, eigmax, _, _ = _cached_hessian(model.a, model.b, d, n,
+                                             cfg.W1, cfg.W2, form)
     # g0 = 2 (W1 Phi.T e - W2 v), where v, the target of P @ u, which P.T
     # maps onto itself in both forms, is u_ref in every entry or u_prev in
     # the first
@@ -212,7 +279,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
         g0[0] -= cfg.W2 * u_prev
     g0 *= 2.0
     lo, hi = cfg.T_min_th, cfg.T_max_th
-    tol = 1e-9 * max(1.0, hi - lo)
+    tol = _kkt_tol(lo, hi)
 
     def clip(x):
         """np.clip(x, lo, hi), without its per-call overhead."""
@@ -333,6 +400,8 @@ class ThermalController:
         self._max_history = max(max_d, 1)
         self._x_hat: float | None = None
         self._p_hat = 0.0
+        # (lower, upper) held unknowns of the last bound-active sample
+        self._held: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     @property
     def preview_length(self) -> int:
@@ -397,19 +466,27 @@ class ThermalController:
         return cmd, pump_on
 
     def _command(self, model: DiscreteFOPDT, past, preview) -> float:
-        """First command of the preview QP's minimizer.
+        """First command of the preview QP's minimizer, by three paths.
 
-        With no bound active the minimizer is affine in what the controller
-        knows, the unconstrained region of explicit MPC (Bemporad, Morari,
-        Dua & Pistikopoulos, 2002): one cached map gives it.  Only where it
-        leaves the command box is the QP built and solved.
+        For each pattern of commands held at a bound the minimizer is
+        affine in what the controller knows, z: the critical regions of
+        explicit MPC (Bemporad, Morari, Dua & Pistikopoulos, 2002).
+        1. With no bound active, one cached map gives it as ``M @ z``.
+        2. Where that leaves the command box, the cached map of a guessed
+           pattern gives it: first the pattern of this controller's last
+           bound-active sample, then the clip pattern of ``M @ z``.  A guess
+           is accepted only under solve_mpc's own KKT test in K: its free
+           commands inside the box, and the projected gradient step of its
+           held commands below 1e-9·max(1, hi - lo).
+        3. Where both guesses fail, the QP is built and solved, and the
+           solution's active bounds are the next sample's first guess.
         """
         cfg = self.cfg
         d, n = model.d, cfg.H
         u_ref = self.ambient.T_amb
         u_prev = self._history[-1] if self._history else None
-        M = _cached_hessian(model.a, model.b, d, n, cfg.W1, cfg.W2,
-                            cfg.penalty_form)[3]
+        qp_key = (model.a, model.b, d, n, cfg.W1, cfg.W2, cfg.penalty_form)
+        M = _cached_hessian(*qp_key)[3]
         # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev], the
         # preview held at its last value past its end
         z = np.empty(d + n + 2)
@@ -426,9 +503,21 @@ class ThermalController:
         if np.all(u >= lo) and np.all(u <= hi):
             return float(u[0])
 
+        clipped = (tuple(np.flatnonzero(u < lo).tolist()),
+                   tuple(np.flatnonzero(u > hi).tolist()))
+        for held in ((clipped,) if self._held in (None, clipped)
+                     else (self._held, clipped)):
+            u = _region_solve(z, *qp_key, lo, hi, *held)
+            if u is not None:
+                self._held = held
+                return float(u[0])
+
         refs = np.empty(d + n)
         m = min(d + n, preview.size)
         refs[:m] = preview[:m]
         refs[m:] = preview[-1]
         qp = build_prediction(model, self._x_hat, past, refs - self._p_hat)
-        return solve_mpc(qp, cfg, u_ref=u_ref, u_prev=u_prev).command
+        sol = solve_mpc(qp, cfg, u_ref=u_ref, u_prev=u_prev)
+        self._held = (tuple(np.flatnonzero(sol.active_lower[:n]).tolist()),
+                      tuple(np.flatnonzero(sol.active_upper[:n]).tolist()))
+        return sol.command

@@ -76,13 +76,20 @@ def test_cached_constants_are_read_only():
                              PenaltyForm.MAGNITUDE)
     assert _cached_hessian(model.a, model.b, model.d, 5, 1.0, 1e-4,
                            PenaltyForm.MAGNITUDE) is cached
-    Hm, Hinv, _, M = cached
+    Hm, Hinv, _, M, dg0 = cached
     assert np.allclose(Hinv @ Hm, np.eye(5), rtol=0.0, atol=1e-12)
     # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev]
-    assert M.shape == (5, model.d + 5 + 2)
-    for array in (qp.Phi, Hm, Hinv, M):
+    assert M.shape == dg0.shape == (5, model.d + 5 + 2)
+    key = (model.a, model.b, model.d, 5, 1.0, 1e-4, PenaltyForm.MAGNITUDE,
+           5.0, 60.0, (0,), (2, 3))
+    region = mpc._region_map(*key)
+    assert mpc._region_map(*key) is region
+    R, r, floor, ceil = region
+    assert R.shape == M.shape
+    assert r.shape == floor.shape == ceil.shape == (5,)
+    for array in (qp.Phi, Hm, Hinv, M, dg0, *region):
         with pytest.raises(ValueError):
-            array[0, 0] = 1.0
+            array[(0,) * array.ndim] = 1.0
 
 
 def test_dead_time_blocks_early_rows():
@@ -286,8 +293,24 @@ def test_unconstrained_map_matches_solver_on_builtins(monkeypatch):
     increment = apply_overrides(scenarios["exp1_heat"],
                                 ["controller.penalty_form=increment",
                                  "total_duration=600"])
+    region_hits, fallbacks = [], []
+    region_solve = mpc._region_solve
+
+    def recording_region(*args):
+        u = region_solve(*args)
+        region_hits.append(u is not None)
+        return u
+
+    def recording_solve(*args, **kwargs):
+        fallbacks.append(None)
+        return solve_mpc(*args, **kwargs)
+
+    monkeypatch.setattr(mpc, "_region_solve", recording_region)
+    monkeypatch.setattr(mpc, "solve_mpc", recording_solve)
     samples = _map_samples(monkeypatch, [scenarios["exp1_heat"],
                                          scenarios["exp2_grasp"], increment])
+    # bound-active samples take both the region maps and the solver
+    assert any(region_hits) and fallbacks
     modes, splits, padded, startup = set(), set(), 0, set()
     for (cfg, model, x_hat, p_hat, past, preview, u_prev, u_ref, cmd,
          startup_pad) in samples:
@@ -477,9 +500,10 @@ def _reference_finish(u, grad, lo, hi, iterations):
     )
 
 
-def _random_qps(n, seed):
-    """Seeded QPs: 1..80 unknowns, dead time 0..11, both penalty forms, four
-    penalty weights, and setpoints that often lie beyond the command box."""
+def _random_problems(n, seed):
+    """Seeded QP inputs (model, cfg, x_hat, past, refs, u_ref, u_prev): 1..80
+    unknowns, dead time 0..11, both penalty forms, four penalty weights, and
+    setpoints that often lie beyond the command box."""
     rng = np.random.default_rng(seed)
     for k in range(n):
         n_free = int(rng.integers(1, 81))
@@ -493,10 +517,17 @@ def _random_qps(n, seed):
                         T_max_th=lo + float(rng.uniform(1.0, 30.0)),
                         penalty_form=list(PenaltyForm)[k // 4 % 2])
         refs = np.repeat(rng.uniform(0.0, 60.0, size=3), -(-H // 3))[:H]
-        qp = build_prediction(model, float(rng.uniform(10.0, 40.0)),
-                              rng.uniform(5.0, 60.0, size=model.d), refs)
-        yield qp, cfg, float(rng.uniform(0.0, 40.0)), \
+        x_hat = float(rng.uniform(10.0, 40.0))
+        past = rng.uniform(5.0, 60.0, size=model.d)
+        yield model, cfg, x_hat, past, refs, float(rng.uniform(0.0, 40.0)), \
             float(rng.uniform(5.0, 60.0))
+
+
+def _random_qps(n, seed):
+    """The QPs of ``_random_problems``, built: (qp, cfg, u_ref, u_prev)."""
+    for model, cfg, x_hat, past, refs, u_ref, u_prev in \
+            _random_problems(n, seed):
+        yield build_prediction(model, x_hat, past, refs), cfg, u_ref, u_prev
 
 
 def test_solver_matches_reference_on_random_qps():
@@ -541,6 +572,52 @@ def test_solver_returns_where_full_reference_stalls(index):
     assert sol.kkt_residual < 1e-8
 
 
+def test_region_maps_match_solver_on_random_qps():
+    # the solver's own active pattern passes the region test, and wherever
+    # a pattern passes, the region map gives the solver's minimizer; a
+    # pattern one command away that would give another point must fail
+    kinds, flipped, rejected = set(), 0, 0
+    for model, cfg, x_hat, past, refs, u_ref, u_prev in \
+            _random_problems(300, seed=0):
+        d, n, form = model.d, cfg.H, cfg.penalty_form
+        sol = solve_mpc(build_prediction(model, x_hat, past, refs), cfg,
+                        u_ref, u_prev)
+        z = np.concatenate(([x_hat], past, refs[d:],
+                            [u_ref if form is PenaltyForm.MAGNITUDE
+                             else u_prev]))
+        key = (model.a, model.b, d, n, cfg.W1, cfg.W2, form, cfg.T_min_th,
+               cfg.T_max_th)
+        lower = tuple(np.flatnonzero(sol.active_lower[:n]).tolist())
+        upper = tuple(np.flatnonzero(sol.active_upper[:n]).tolist())
+        u = mpc._region_solve(z, *key, lower, upper)
+        assert np.max(np.abs(u - sol.sequence[:n])) <= 1e-10
+        held = sorted(lower + upper)
+        kinds.add((form, bool(lower and upper),
+                   held != list(range(len(held)))))
+        for i in range(n):
+            # command i freed, or held at its nearer bound
+            lo_i = tuple(j for j in lower if j != i)
+            up_i = tuple(j for j in upper if j != i)
+            if i not in held:
+                if sol.sequence[i] - cfg.T_min_th < cfg.T_max_th \
+                        - sol.sequence[i]:
+                    lo_i = tuple(sorted(lo_i + (i,)))
+                else:
+                    up_i = tuple(sorted(up_i + (i,)))
+            u = mpc._region_solve(z, *key, lo_i, up_i)
+            flipped += 1
+            if u is None:
+                rejected += 1
+            else:
+                assert np.max(np.abs(u - sol.sequence[:n])) <= 1e-10
+    # both penalty forms, each with patterns mixing lower and upper bounds
+    # and patterns that are no prefix of the unknowns
+    for form in PenaltyForm:
+        assert (form, True, True) in kinds
+        assert any(k[0] is form and k[2] for k in kinds)
+    assert flipped > 10_000 and rejected >= 0.99 * flipped
+
+
 def _reduced_problem(qp, cfg, u_ref, u_prev):
     """Cached Hessian, its inverse and the gradient offset of the QP in its
     unknowns, the commands that reach a prediction."""
@@ -551,8 +628,8 @@ def _reduced_problem(qp, cfg, u_ref, u_prev):
     else:
         v = np.zeros(n)
         v[0] = u_prev
-    Hm, Hinv, _, _ = _cached_hessian(model.a, model.b, d, n, cfg.W1, cfg.W2,
-                                     cfg.penalty_form)
+    Hm, Hinv, _, _, _ = _cached_hessian(model.a, model.b, d, n, cfg.W1,
+                                        cfg.W2, cfg.penalty_form)
     e = (qp.free - qp.refs)[d:]
     return Hm, Hinv, 2.0 * (cfg.W1 * qp.Phi[d:, :n].T @ e - cfg.W2 * v)
 

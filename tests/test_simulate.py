@@ -41,6 +41,18 @@ def test_determinism():
     assert a == b
 
 
+def test_trace_does_not_depend_on_region_cache():
+    # a run that builds every region map writes what one served from the
+    # warm cache writes, as a benchmark's cold and warm passes compare
+    spec = builtin_scenarios()["exp1_heat"]
+    mpc._region_map.cache_clear()
+    cold = simulate(spec).to_csv_text()
+    built = mpc._region_map.cache_info()
+    assert built.currsize > 0
+    assert simulate(spec).to_csv_text() == cold
+    assert mpc._region_map.cache_info().currsize == built.currsize
+
+
 def test_contact_truth_confined_to_window():
     event = ContactEvent.preset(ContactKind.GRASP, start=20.0)
     trace = simulate(_short_scenario(contacts=(event,)))
@@ -56,19 +68,30 @@ def test_cover_heats_toward_setpoint():
 
 
 def test_controller_failure_names_scenario_and_time(monkeypatch):
-    solve, calls = mpc.solve_mpc, []
+    step, solve = mpc.ThermalController.step, mpc.solve_mpc
+    samples, calls, failed_at = [], [], []
+
+    def counting_step(ctrl, *args):
+        samples.append(None)
+        return step(ctrl, *args)
 
     def solve_then_fail(*args, **kwargs):
         calls.append(None)
         if len(calls) > 5:
+            failed_at.append(len(samples) - 1)
             raise ConvergenceError("projected gradient hit 10000 iterations",
                                    residual=0.25)
         return solve(*args, **kwargs)
 
+    monkeypatch.setattr(mpc.ThermalController, "step", counting_step)
     monkeypatch.setattr(mpc, "solve_mpc", solve_then_fail)
+    spec = _short_scenario()
     with pytest.raises(ConvergenceError) as info:
-        simulate(_short_scenario())
-    assert str(info.value).startswith("short: at t = 5 s: projected gradient")
+        simulate(spec)
+    # the time of the sample whose solve failed
+    (k,) = failed_at
+    assert str(info.value).startswith(
+        f"short: at t = {k * spec.t_s:.6g} s: projected gradient")
     assert info.value.residual == 0.25
 
 
