@@ -18,8 +18,13 @@ def format_value(value) -> str:
 
 
 def loads(text: str) -> dict:
-    """Split key-value text into a flat dict of dotted name -> value text."""
+    """Split key-value text into a flat dict of dotted name -> value text.
+
+    A key given twice is an error: neither value would be sure to be the
+    one meant.
+    """
     out: dict = {}
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -30,6 +35,10 @@ def loads(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key!r} repeats line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         out[key] = value.strip()
     return out
 

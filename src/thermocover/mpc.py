@@ -6,18 +6,18 @@ relative to a reference temperature, or command increments).  With d samples
 of dead time the cost starts at prediction d + 1, as in generalized
 predictive control (Clarke, Mohtadi & Tuffs, 1987), so the QP's unknowns are
 the H commands that reach predictions d+1 ... d+H, and its Hessian is
-positive definite.  For each pattern of commands held at a bound the
-minimizer is affine in what the controller knows, the critical regions of
-explicit MPC: where no bound is active the controller takes it from one
-cached map, and otherwise from a cached map of a guessed pattern that passes
-the solver's own KKT test.  Only the other samples reach the solver.  The
-solver alternates a projected gradient step, which settles the active
-bounds, with a Newton step on the free variables (More & Toraldo, 1991),
-each ending at the least-cost point of its segment, and stops when the
-projected gradient step is below a tolerance in K.  What depends only on the
-model, horizon, weights and held pattern is built once and cached
-read-only.  Pump actuation is bang-bang with hysteresis, mirroring the
-stop-at-setpoint behaviour of the rig.
+positive definite.  For each pattern of commands held at a bound, none
+held included, the minimizer is affine in what the controller knows, the
+critical regions of explicit MPC: the controller takes it from the cached
+map of the last sample's pattern, or of one active-set update of that
+pattern, whichever first passes the solver's own KKT test.  Only the other
+samples reach the solver.  The solver alternates a projected gradient step,
+which settles the active bounds, with a Newton step on the free variables
+(More & Toraldo, 1991), each ending at the least-cost point of its segment,
+and stops when the projected gradient step is below a tolerance in K.  What
+depends only on the model, horizon, weights and held pattern is built once
+and cached read-only.  Pump actuation is bang-bang with hysteresis,
+mirroring the stop-at-setpoint behaviour of the rig.
 """
 
 from __future__ import annotations
@@ -163,10 +163,9 @@ _MAX_ITER = 10_000
 def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
                     W2: float, form: PenaltyForm):
     """Read-only Hessian of the QP in its n unknowns, the commands that
-    reach predictions d+1 ... d+n, its inverse, its largest eigenvalue, the
-    map M from z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev]
-    to the unconstrained minimizer ``M @ z`` and the gradient offset per
-    unit z, ``dg0`` (the gradient at u is ``Hm @ u + dg0 @ z``)."""
+    reach predictions d+1 ... d+n, its inverse, its largest eigenvalue and
+    the gradient offset per unit z = [x_hat, past (d), refs[d:] - p_hat (n),
+    u_ref or u_prev], ``dg0`` (the gradient at u is ``Hm @ u + dg0 @ z``)."""
     powers, Phi, G = _prediction_constants(a, b, d, d + n)
     Phi = Phi[d:, :n]
     # the penalty acts on P @ u: the commands themselves or their increments
@@ -184,14 +183,14 @@ def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
     dg0[:, d + 1:-1] = -2.0 * W1 * Phi.T
     dg0[:, -1] = -2.0 * W2 * (np.ones(n) if form is PenaltyForm.MAGNITUDE
                               else np.eye(n)[0])
-    M = -(Hinv @ dg0)
-    # the inverse of an overflowed Hm may well be finite
-    if not all(np.all(np.isfinite(m)) for m in (Hm, Hinv, M)):
+    # the inverse of an overflowed Hm may well be finite; the last product
+    # is the unconstrained minimizer per unit z, up to its sign
+    if not all(np.all(np.isfinite(m)) for m in (Hm, Hinv, Hinv @ dg0)):
         raise ConfigError(f"controller weights W1 = {W1:.6g}, W2 = {W2:.6g} "
                           f"overflow the QP's Hessian or its inverse")
-    for m in (Hm, Hinv, M, dg0):
+    for m in (Hm, Hinv, dg0):
         m.flags.writeable = False
-    return Hm, Hinv, float(np.linalg.eigvalsh(Hm)[-1]), M, dg0
+    return Hm, Hinv, float(np.linalg.eigvalsh(Hm)[-1]), dg0
 
 
 def _kkt_tol(lo: float, hi: float) -> float:
@@ -199,7 +198,8 @@ def _kkt_tol(lo: float, hi: float) -> float:
     return 1e-9 * max(1.0, hi - lo)
 
 
-#: Held patterns kept: the six built-ins need 58 over both modes.
+#: Held patterns kept, none held included: the six built-ins need 58 over
+#: both modes, and each sample reads one, or two where the first fails.
 _REGION_CACHE_SIZE = 128
 
 
@@ -216,7 +216,7 @@ def _region_map(a: float, b: float, d: int, n: int, W1: float, W2: float,
     command inside the box, and every held command's projected gradient
     step below the tolerance.
     """
-    Hm, _, eigmax, _, dg0 = _cached_hessian(a, b, d, n, W1, W2, form)
+    Hm, _, eigmax, dg0 = _cached_hessian(a, b, d, n, W1, W2, form)
     held = np.zeros(n, dtype=bool)
     held[list(lower + upper)] = True
     free = ~held
@@ -239,21 +239,18 @@ def _region_map(a: float, b: float, d: int, n: int, W1: float, W2: float,
     return Y[:, :-1], Y[:, -1], floor, ceil
 
 
-def _region_solve(z: np.ndarray, a: float, b: float, d: int, n: int,
-                  W1: float, W2: float, form: PenaltyForm, lo: float,
-                  hi: float, lower: tuple[int, ...],
-                  upper: tuple[int, ...]) -> np.ndarray | None:
-    """The QP's minimizer in its n unknowns from the critical region of one
-    held pattern (see ``_region_map``), or None where the pattern fails the
-    KKT test at z."""
-    R, r, floor, ceil = _region_map(a, b, d, n, W1, W2, form, lo, hi,
-                                    lower, upper)
-    y = R @ z + r
-    if not (np.all(y >= floor) and np.all(y <= ceil)):
-        return None
-    y[list(lower)] = lo
-    y[list(upper)] = hi
-    return y
+def _update_held(held: tuple[tuple[int, ...], tuple[int, ...]],
+                 y: np.ndarray, floor: np.ndarray, ceil: np.ndarray):
+    """One primal-dual active-set update (Hintermüller, Ito & Kunisch, 2002)
+    of the held pattern whose region map gave y: a free command past the
+    box is held at the bound it crossed, a held command whose gradient step
+    fails its bound is freed, and every other command keeps its state."""
+    sides = np.zeros((2, y.size), dtype=bool)
+    for side, indices in zip(sides, held):
+        side[list(indices)] = True
+    # each command that fails its test toggles its side's membership
+    sides ^= (y < floor, y > ceil)
+    return tuple(tuple(np.flatnonzero(side).tolist()) for side in sides)
 
 
 def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
@@ -267,8 +264,8 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
     form = cfg.penalty_form
     e = (qp.free - qp.refs)[d:]
 
-    Hm, Hinv, eigmax, _, _ = _cached_hessian(model.a, model.b, d, n,
-                                             cfg.W1, cfg.W2, form)
+    Hm, Hinv, eigmax, _ = _cached_hessian(model.a, model.b, d, n,
+                                          cfg.W1, cfg.W2, form)
     # g0 = 2 (W1 Phi.T e - W2 v), where v, the target of P @ u, which P.T
     # maps onto itself in both forms, is u_ref in every entry or u_prev in
     # the first
@@ -400,8 +397,8 @@ class ThermalController:
         self._max_history = max(max_d, 1)
         self._x_hat: float | None = None
         self._p_hat = 0.0
-        # (lower, upper) held unknowns of the last bound-active sample
-        self._held: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        # (lower, upper) unknowns held at a bound in the last sample
+        self._held: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
     @property
     def preview_length(self) -> int:
@@ -466,27 +463,24 @@ class ThermalController:
         return cmd, pump_on
 
     def _command(self, model: DiscreteFOPDT, past, preview) -> float:
-        """First command of the preview QP's minimizer, by three paths.
+        """First command of the preview QP's minimizer.
 
         For each pattern of commands held at a bound the minimizer is
         affine in what the controller knows, z: the critical regions of
-        explicit MPC (Bemporad, Morari, Dua & Pistikopoulos, 2002).
-        1. With no bound active, one cached map gives it as ``M @ z``.
-        2. Where that leaves the command box, the cached map of a guessed
-           pattern gives it: first the pattern of this controller's last
-           bound-active sample, then the clip pattern of ``M @ z``.  A guess
-           is accepted only under solve_mpc's own KKT test in K: its free
-           commands inside the box, and the projected gradient step of its
-           held commands below 1e-9·max(1, hi - lo).
-        3. Where both guesses fail, the QP is built and solved, and the
-           solution's active bounds are the next sample's first guess.
+        explicit MPC (Bemporad, Morari, Dua & Pistikopoulos, 2002), whose
+        cached maps give it where the pattern passes solve_mpc's own KKT
+        test in K: its free commands inside the box, and the projected
+        gradient step of its held commands below 1e-9·max(1, hi - lo).
+        Two patterns are tried: the last sample's, then its update by
+        ``_update_held``, which from none held is the clip pattern of the
+        unconstrained minimizer.  Where both fail, the QP is built and
+        solved, and the solution's active bounds are the next sample's
+        pattern.
         """
         cfg = self.cfg
         d, n = model.d, cfg.H
         u_ref = self.ambient.T_amb
         u_prev = self._history[-1] if self._history else None
-        qp_key = (model.a, model.b, d, n, cfg.W1, cfg.W2, cfg.penalty_form)
-        M = _cached_hessian(*qp_key)[3]
         # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev], the
         # preview held at its last value past its end
         z = np.empty(d + n + 2)
@@ -498,19 +492,18 @@ class ThermalController:
         z[d + 1:-1] -= self._p_hat
         z[-1] = (u_ref if u_prev is None
                  or cfg.penalty_form is PenaltyForm.MAGNITUDE else u_prev)
-        u = M @ z
         lo, hi = cfg.T_min_th, cfg.T_max_th
-        if np.all(u >= lo) and np.all(u <= hi):
-            return float(u[0])
-
-        clipped = (tuple(np.flatnonzero(u < lo).tolist()),
-                   tuple(np.flatnonzero(u > hi).tolist()))
-        for held in ((clipped,) if self._held in (None, clipped)
-                     else (self._held, clipped)):
-            u = _region_solve(z, *qp_key, lo, hi, *held)
-            if u is not None:
+        held = self._held
+        for _ in range(2):
+            R, r, floor, ceil = _region_map(model.a, model.b, d, n, cfg.W1,
+                                            cfg.W2, cfg.penalty_form, lo, hi,
+                                            *held)
+            y = R @ z + r
+            if np.all(y >= floor) and np.all(y <= ceil):
                 self._held = held
-                return float(u[0])
+                lower, upper = held
+                return lo if 0 in lower else hi if 0 in upper else float(y[0])
+            held = _update_held(held, y, floor, ceil)
 
         refs = np.empty(d + n)
         m = min(d + n, preview.size)

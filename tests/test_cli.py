@@ -47,7 +47,8 @@ def test_print_config(capsys):
 
 
 def test_print_config_with_override(capsys):
-    assert main(["print-config", "exp1_heat",
+    # a key set again applies on top of the one before
+    assert main(["print-config", "exp1_heat", "--set", "controller.H=5",
                  "--set", "controller.H=7"]) == 0
     assert int(kvio.loads(capsys.readouterr().out)["controller.H"]) == 7
 
@@ -175,6 +176,16 @@ def test_scenario_file_unknown_key_exits_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown scenario keys") \
         and err.count("\n") == 1
+
+
+def test_scenario_file_repeated_key_exits_config(tmp_path, capsys):
+    scenario = tmp_path / "mini.txt"
+    scenario.write_text(SHORT_SCENARIO + "controller.H = 7\n"
+                        "controller.H = 9\n")
+    assert main(["run", str(scenario), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 8: 'controller.H' repeats line 7\n")
+    assert list(tmp_path.iterdir()) == [scenario]
 
 
 @pytest.mark.parametrize("verb", ["print-config", "run"])

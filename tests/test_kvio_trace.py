@@ -27,6 +27,8 @@ def test_kv_bad_line():
         kvio.loads("no assignment here\n")
     with pytest.raises(ConfigError):
         kvio.loads("= 3\n")
+    with pytest.raises(ConfigError, match="^line 4: 'a' repeats line 1$"):
+        kvio.loads("a = 1\nb = 2\n\na = 1\n")
 
 
 def test_kv_overrides():

@@ -76,18 +76,18 @@ def test_cached_constants_are_read_only():
                              PenaltyForm.MAGNITUDE)
     assert _cached_hessian(model.a, model.b, model.d, 5, 1.0, 1e-4,
                            PenaltyForm.MAGNITUDE) is cached
-    Hm, Hinv, _, M, dg0 = cached
+    Hm, Hinv, _, dg0 = cached
     assert np.allclose(Hinv @ Hm, np.eye(5), rtol=0.0, atol=1e-12)
     # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev]
-    assert M.shape == dg0.shape == (5, model.d + 5 + 2)
+    assert dg0.shape == (5, model.d + 5 + 2)
     key = (model.a, model.b, model.d, 5, 1.0, 1e-4, PenaltyForm.MAGNITUDE,
            5.0, 60.0, (0,), (2, 3))
     region = mpc._region_map(*key)
     assert mpc._region_map(*key) is region
     R, r, floor, ceil = region
-    assert R.shape == M.shape
+    assert R.shape == dg0.shape
     assert r.shape == floor.shape == ceil.shape == (5,)
-    for array in (qp.Phi, Hm, Hinv, M, dg0, *region):
+    for array in (qp.Phi, Hm, Hinv, dg0, *region):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
 
@@ -173,9 +173,11 @@ def test_controller_previews_dead_time_plus_horizon(monkeypatch):
 
     def recording_hessian(a, b, d, n, *rest):
         cached = _cached_hessian(a, b, d, n, *rest)
-        # the map takes x_hat, the d past commands and the n previewed
-        # setpoints past the dead time, and the penalty's target
-        mapped.append((d, cached[3].shape[1] - 2))
+        # the gradient offset per unit z takes x_hat, the d past commands
+        # and the n previewed setpoints past the dead time, and the
+        # penalty's target
+        _, _, _, dg0 = cached
+        mapped.append((d, dg0.shape[1] - 2))
         return cached
 
     monkeypatch.setattr(mpc, "build_prediction", recording_build)
@@ -184,6 +186,8 @@ def test_controller_previews_dead_time_plus_horizon(monkeypatch):
                             (1.6, {28, 19})):
         built.clear()
         mapped.clear()
+        # the region maps read the Hessian only when they are built
+        mpc._region_map.cache_clear()
         ctrl = ThermalController(cfg=MpcConfig(H=20, t_s=t_s),
                                  ambient=AmbientConfig())
         n = ctrl.preview_length
@@ -268,20 +272,35 @@ def test_no_command_penalty_solves_quickly(monkeypatch):
 def _map_samples(monkeypatch, specs):
     """Per control sample of the runs: what the controller's command step
     saw (config, model, x_hat, p_hat, past, preview, previous command,
-    reference), the command it returned and whether the past commands
-    were padded at startup."""
-    samples = []
+    reference), the command it returned, whether the past commands were
+    padded at startup, and the path that gave the command: the first
+    pattern tried, its update, or the solver."""
+    samples, events = [], []
     command = ThermalController._command
+    region_map, solve = mpc._region_map, mpc.solve_mpc
+
+    def recording_map(*args):
+        events.append("map")
+        return region_map(*args)
+
+    def recording_solve(*args, **kwargs):
+        events.append("solve")
+        return solve(*args, **kwargs)
 
     def recording(ctrl, model, past, preview):
+        events.clear()
         cmd = command(ctrl, model, past, preview)
+        path = ("solver" if "solve" in events
+                else ("first", "update")[len(events) - 1])
         samples.append((ctrl.cfg, model, ctrl._x_hat, ctrl._p_hat,
                         list(past), preview.copy(),
                         ctrl._history[-1] if ctrl._history else None,
                         ctrl.ambient.T_amb, cmd,
-                        len(ctrl._history) < model.d))
+                        len(ctrl._history) < model.d, path))
         return cmd
 
+    monkeypatch.setattr(mpc, "_region_map", recording_map)
+    monkeypatch.setattr(mpc, "solve_mpc", recording_solve)
     monkeypatch.setattr(ThermalController, "_command", recording)
     for spec in specs:
         simulate(spec)
@@ -293,27 +312,15 @@ def test_unconstrained_map_matches_solver_on_builtins(monkeypatch):
     increment = apply_overrides(scenarios["exp1_heat"],
                                 ["controller.penalty_form=increment",
                                  "total_duration=600"])
-    region_hits, fallbacks = [], []
-    region_solve = mpc._region_solve
-
-    def recording_region(*args):
-        u = region_solve(*args)
-        region_hits.append(u is not None)
-        return u
-
-    def recording_solve(*args, **kwargs):
-        fallbacks.append(None)
-        return solve_mpc(*args, **kwargs)
-
-    monkeypatch.setattr(mpc, "_region_solve", recording_region)
-    monkeypatch.setattr(mpc, "solve_mpc", recording_solve)
     samples = _map_samples(monkeypatch, [scenarios["exp1_heat"],
                                          scenarios["exp2_grasp"], increment])
-    # bound-active samples take both the region maps and the solver
-    assert any(region_hits) and fallbacks
+    # the last sample's pattern, its update and the solver each give
+    # commands
+    assert {sample[-1] for sample in samples} == {"first", "update",
+                                                  "solver"}
     modes, splits, padded, startup = set(), set(), 0, set()
     for (cfg, model, x_hat, p_hat, past, preview, u_prev, u_ref, cmd,
-         startup_pad) in samples:
+         startup_pad, _) in samples:
         d, n = model.d, cfg.H
         refs = np.concatenate((preview[:d + n],
                                np.full(max(0, d + n - preview.size),
@@ -322,13 +329,15 @@ def test_unconstrained_map_matches_solver_on_builtins(monkeypatch):
         last = u_ref if u_prev is None or form is PenaltyForm.MAGNITUDE \
             else u_prev
         z = np.concatenate(([x_hat], past, refs[d:] - p_hat, [last]))
-        M = _cached_hessian(model.a, model.b, d, n, cfg.W1, cfg.W2, form)[3]
-        u_map = M @ z
+        lo, hi = cfg.T_min_th, cfg.T_max_th
+        # the critical region with no command held
+        R, r, _, _ = mpc._region_map(model.a, model.b, d, n, cfg.W1, cfg.W2,
+                                     form, lo, hi, (), ())
+        u_map = R @ z + r
 
         qp = build_prediction(model, x_hat, past, refs - p_hat)
         _, Hinv, g0 = _reduced_problem(
             qp, cfg, u_ref, u_ref if u_prev is None else u_prev)
-        lo, hi = cfg.T_min_th, cfg.T_max_th
         interior = bool(np.all(u_map >= lo) and np.all(u_map <= hi))
         u_star = Hinv @ -g0
         assert interior == bool(np.all(u_star >= lo) and np.all(u_star <= hi))
@@ -572,11 +581,33 @@ def test_solver_returns_where_full_reference_stalls(index):
     assert sol.kkt_residual < 1e-8
 
 
+def _region_command(z, key, held):
+    """The QP's minimizer in its unknowns from the region map of one held
+    pattern, or None where the pattern fails the KKT test at z; and the
+    pattern's update."""
+    R, r, floor, ceil = mpc._region_map(*key, *held)
+    y = R @ z + r
+    update = mpc._update_held(held, y, floor, ceil)
+    if not (np.all(y >= floor) and np.all(y <= ceil)):
+        return None, update
+    lo, hi = key[-2:]
+    y[list(held[0])] = lo
+    y[list(held[1])] = hi
+    return y, update
+
+
 def test_region_maps_match_solver_on_random_qps():
     # the solver's own active pattern passes the region test, and wherever
     # a pattern passes, the region map gives the solver's minimizer; a
-    # pattern one command away that would give another point must fail
+    # pattern one command away that would give another point must fail.
+    # From a random pattern the controller's two tries, the pattern and its
+    # update, give the solver's minimizer wherever one passes, and from no
+    # held command the update is the clip pattern of the unconstrained
+    # minimizer.  Each start is the solver's pattern with about one
+    # command's state drawn at random.
+    rng = np.random.default_rng(1)
     kinds, flipped, rejected = set(), 0, 0
+    tries = {"first": 0, "update": 0, "neither": 0}
     for model, cfg, x_hat, past, refs, u_ref, u_prev in \
             _random_problems(300, seed=0):
         d, n, form = model.d, cfg.H, cfg.penalty_form
@@ -585,11 +616,11 @@ def test_region_maps_match_solver_on_random_qps():
         z = np.concatenate(([x_hat], past, refs[d:],
                             [u_ref if form is PenaltyForm.MAGNITUDE
                              else u_prev]))
-        key = (model.a, model.b, d, n, cfg.W1, cfg.W2, form, cfg.T_min_th,
-               cfg.T_max_th)
+        lo, hi = cfg.T_min_th, cfg.T_max_th
+        key = (model.a, model.b, d, n, cfg.W1, cfg.W2, form, lo, hi)
         lower = tuple(np.flatnonzero(sol.active_lower[:n]).tolist())
         upper = tuple(np.flatnonzero(sol.active_upper[:n]).tolist())
-        u = mpc._region_solve(z, *key, lower, upper)
+        u, _ = _region_command(z, key, (lower, upper))
         assert np.max(np.abs(u - sol.sequence[:n])) <= 1e-10
         held = sorted(lower + upper)
         kinds.add((form, bool(lower and upper),
@@ -599,23 +630,42 @@ def test_region_maps_match_solver_on_random_qps():
             lo_i = tuple(j for j in lower if j != i)
             up_i = tuple(j for j in upper if j != i)
             if i not in held:
-                if sol.sequence[i] - cfg.T_min_th < cfg.T_max_th \
-                        - sol.sequence[i]:
+                if sol.sequence[i] - lo < hi - sol.sequence[i]:
                     lo_i = tuple(sorted(lo_i + (i,)))
                 else:
                     up_i = tuple(sorted(up_i + (i,)))
-            u = mpc._region_solve(z, *key, lo_i, up_i)
+            u, _ = _region_command(z, key, (lo_i, up_i))
             flipped += 1
             if u is None:
                 rejected += 1
             else:
                 assert np.max(np.abs(u - sol.sequence[:n])) <= 1e-10
+
+        Hm, _, _, dg0 = _cached_hessian(*key[:-2])
+        u_star = np.linalg.solve(Hm, -(dg0 @ z))
+        _, update = _region_command(z, key, ((), ()))
+        assert update == (tuple(np.flatnonzero(u_star < lo).tolist()),
+                          tuple(np.flatnonzero(u_star > hi).tolist()))
+        side = sol.active_lower[:n] + 2 * sol.active_upper[:n]
+        redrawn = rng.random(n) < 1.0 / n
+        side[redrawn] = rng.integers(0, 3, size=np.count_nonzero(redrawn))
+        start = (tuple(np.flatnonzero(side == 1).tolist()),
+                 tuple(np.flatnonzero(side == 2).tolist()))
+        u, update = _region_command(z, key, start)
+        if u is None:
+            u, _ = _region_command(z, key, update)
+            tries["neither" if u is None else "update"] += 1
+        else:
+            tries["first"] += 1
+        if u is not None:
+            assert np.max(np.abs(u - sol.sequence[:n])) <= 1e-10
     # both penalty forms, each with patterns mixing lower and upper bounds
     # and patterns that are no prefix of the unknowns
     for form in PenaltyForm:
         assert (form, True, True) in kinds
         assert any(k[0] is form and k[2] for k in kinds)
     assert flipped > 10_000 and rejected >= 0.99 * flipped
+    assert min(tries.values()) >= 25, tries
 
 
 def _reduced_problem(qp, cfg, u_ref, u_prev):
@@ -628,8 +678,8 @@ def _reduced_problem(qp, cfg, u_ref, u_prev):
     else:
         v = np.zeros(n)
         v[0] = u_prev
-    Hm, Hinv, _, _, _ = _cached_hessian(model.a, model.b, d, n, cfg.W1,
-                                        cfg.W2, cfg.penalty_form)
+    Hm, Hinv, _, _ = _cached_hessian(model.a, model.b, d, n, cfg.W1,
+                                     cfg.W2, cfg.penalty_form)
     e = (qp.free - qp.refs)[d:]
     return Hm, Hinv, 2.0 * (cfg.W1 * qp.Phi[d:, :n].T @ e - cfg.W2 * v)
 

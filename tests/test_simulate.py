@@ -68,23 +68,20 @@ def test_cover_heats_toward_setpoint():
 
 
 def test_controller_failure_names_scenario_and_time(monkeypatch):
-    step, solve = mpc.ThermalController.step, mpc.solve_mpc
-    samples, calls, failed_at = [], [], []
+    step = mpc.ThermalController.step
+    samples, failed_at = [], []
 
     def counting_step(ctrl, *args):
         samples.append(None)
         return step(ctrl, *args)
 
-    def solve_then_fail(*args, **kwargs):
-        calls.append(None)
-        if len(calls) > 5:
-            failed_at.append(len(samples) - 1)
-            raise ConvergenceError("projected gradient hit 10000 iterations",
-                                   residual=0.25)
-        return solve(*args, **kwargs)
+    def failing_solve(*args, **kwargs):
+        failed_at.append(len(samples) - 1)
+        raise ConvergenceError("projected gradient hit 10000 iterations",
+                               residual=0.25)
 
     monkeypatch.setattr(mpc.ThermalController, "step", counting_step)
-    monkeypatch.setattr(mpc, "solve_mpc", solve_then_fail)
+    monkeypatch.setattr(mpc, "solve_mpc", failing_solve)
     spec = _short_scenario()
     with pytest.raises(ConvergenceError) as info:
         simulate(spec)
