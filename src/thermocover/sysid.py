@@ -11,13 +11,17 @@ Two fitters mirror how the hardware constants were derived:
 
 * ``fit_two_node`` recovers the RC-network constants (R_w, C_w, R_c, C_c,
   R_aw) from one or more traces against the three-node plant ODEs, with the
-  tank constants (C_co, R_co) held known.  Traces must contain both pump-on
-  and pump-off stretches or the pump resistance drops out of the dynamics.
+  tank constants (C_co, R_co) held known.  Some recording must step its
+  input or toggle its pump.  With the pump always off the pump resistance
+  R_w drops out of the dynamics; with it always on, a noiseless
+  three-sensor step recording still determines all five constants.
   The network's state matrix is similar to a symmetric one, so the
-  piecewise-constant-input response is simulated in real modal
-  coordinates, and the least-squares solve takes its exact Jacobian from
-  the same modes (the divided-difference form of the derivative of the
-  matrix exponential).  The report adds the cover pole
+  piecewise-constant-input response and its exact derivatives (the
+  divided-difference form of the derivative of the matrix exponential)
+  come from real modal coordinates.  The solver works on the normal
+  equations: per parameter vector the residuals and their Jacobian reduce,
+  segment by segment, to one 6 x 6 Gram, and a 6-row square root of it
+  stands in for every sample.  The report adds the cover pole
   ``tau_c = R_c C_c`` and warns about a constant that ends on its search
   bound or that the data leave undetermined (relative confidence
   half-width above 1); under noise that is typically R_c and C_c, of
@@ -188,18 +192,20 @@ def fit_fopdt(trace: StepTrace) -> FitReport:
         "offset": y0_f,
         "q_a": u_step - K_f,
     }
-    conf = _confidence(sol.jac, rms, ("R_com_C_com", "L_d", "gain", "offset"))
+    conf = _confidence(sol.jac.T @ sol.jac, rms,
+                       ("R_com_C_com", "L_d", "gain", "offset"))
     return FitReport(parameters=params, residual_rms=rms, confidence=conf)
 
 
-def _confidence(jac, rms, names, outputs=None):
-    """Half-widths ``rms * sqrt(diag(cov))`` with ``cov = (J^T J)^-1``.
+def _confidence(normal, rms, names, outputs=None):
+    """Half-widths ``rms * sqrt(diag(cov))`` with ``cov = normal^-1``, the
+    inverse of the Jacobian's Gram ``J^T J``.
 
     ``outputs``, a matrix, maps the parameters linearly onto the quantities
     ``names`` lists (delta method); the default is the parameters themselves.
     """
     try:
-        cov = np.linalg.inv(jac.T @ jac)
+        cov = np.linalg.inv(normal)
     except np.linalg.LinAlgError:
         return {}
     if outputs is not None:
@@ -313,36 +319,6 @@ def _modal_system(theta, C_co, R_co, pump_on):
     return -np.linalg.solve(A, B), lam, Q / c[:, None], Q.T * c[None, :]
 
 
-def _simulate_residual(theta, recordings, C_co, R_co, T_amb, out):
-    """Write each trace's modelled minus measured values into ``out``.
-
-    Piecewise-constant-input response in real modal coordinates: one
-    eigendecomposition per pump state, then per segment of a recording one
-    set of modal exponentials and one product that forms every member's
-    measured node.  Each member starts uniform at its first measured value;
-    the members' end states advance together as a 3 x m matrix.
-    """
-    system = {}
-    for rec in recordings:
-        res = np.empty_like(rec.y)
-        x = np.repeat(rec.y[:1], 3, axis=0)
-        for seg in rec.segments:
-            if seg.pump_on not in system:
-                system[seg.pump_on] = _modal_system(theta, C_co, R_co,
-                                                    seg.pump_on)
-            G, lam, V, V_inv = system[seg.pump_on]
-            x_ss = G @ np.array([seg.level, T_amb])
-            c0 = V_inv @ (x - x_ss[:, None])
-            # W[:, k] = c0_k * V[j_k, :], so column k is member k's node j_k
-            W = c0 * V[rec.nodes].T
-            res[seg.a:seg.b] = np.exp(lam[:, None] * seg.dt_rel).T @ W \
-                + (x_ss[rec.nodes] - rec.y[seg.a:seg.b])
-            x = V @ (c0 * np.exp(lam * seg.t_end)[:, None]) + x_ss[:, None]
-        n = len(res)
-        for k, offset in enumerate(rec.offsets):
-            out[offset:offset + n] = res[:, k]
-
-
 def _modal_derivatives(theta, C_co, pump_on, G, lam, V, V_inv):
     """Derivatives of one pump state's modal system w.r.t. log theta.
 
@@ -363,33 +339,42 @@ def _modal_derivatives(theta, C_co, pump_on, G, lam, V, V_inv):
     return dG, E, D * E, close
 
 
-def _simulate_jacobian(theta, recordings, C_co, R_co, T_amb, out):
-    """Write the derivatives of ``_simulate_residual`` w.r.t. log theta.
+def _simulate(theta, recordings, C_co, R_co, T_amb, rows=None):
+    """Normal equations of the fit: the 6 x 6 Gram M^T M of M = [r | J].
 
-    ``out`` has one row per residual and one column per constant.  Within
-    a segment the modal response differentiates in closed form (Van Loan
-    1978; Najfeld & Havel 1995):
+    M has one row per measured sample: r, the modelled minus measured
+    value, then its derivatives w.r.t. log theta.  M is never formed: per
+    segment of a recording one product forms the 6 x n x m block P of its
+    m members (column q of M for sample j of member k in P[q, j, k]), and
+    the block's Gram adds into the result.  ``rows``, if given (one row
+    per residual, 6 columns), receives M.
 
+    Piecewise-constant-input response in real modal coordinates, with one
+    eigendecomposition per pump state; each member starts uniform at its
+    first measured value.  Within a segment the response and its
+    derivatives are closed form (Van Loan 1978; Najfeld & Havel 1995):
+
+        x(t) = x_ss + V e^{lam t} c0
         dx(t) = dx_ss + V (E_p o Phi(t)) c0 + V e^{lam t} V^-1 (dx0 - dx_ss)
 
     with E_p = V^-1 dA_p V, dx_ss = -A^-1 (dA_p x_ss + dB_p u),
     Phi_ik = (e^{lam_i t} - e^{lam_k t}) / (lam_i - lam_k) and
-    Phi_ii = t e^{lam_i t}.  Each Phi_ik is a combination of F = e^{lam t}
-    and t F, so per segment one product of the rows [F, t F] with a
-    coefficient matrix forms every member's five columns.  A pair of modes
-    closer than _CLOSE_MODES times the fastest rate gets its own row
+    Phi_ii = t e^{lam_i t}.  Each is a combination of F = e^{lam t} and
+    t F, so one product of the rows [F, t F] with a coefficient matrix
+    forms all six columns of every member.  A pair of modes closer than
+    _CLOSE_MODES times the fastest rate gets its own row
     e^{lam_k t} expm1((lam_i - lam_k) t) / (lam_i - lam_k), where the
     difference of the two F would cancel.  The members' end states and
-    their sensitivities advance together as one 3 x 6m matrix, column
-    q * m + k holding member k's state (q = 0) or dx/dlog theta_q-1.
+    their sensitivities advance together as one 6 x 3 x m array: [0, :, k]
+    is member k's state, [q, :, k] its derivative w.r.t. log theta_q-1.
     """
     system = {}
+    gram = np.zeros((6, 6))
     for rec in recordings:
         m = len(rec.offsets)
-        jac = np.empty((len(rec.y), 5 * m))     # columns p * m + k
         # each member starts at a measured value, which theta does not move
-        X = np.zeros((3, 6 * m))
-        X[:, :m] = rec.y[:1]
+        X = np.zeros((6, 3, m))
+        X[0] = rec.y[:1]
         measured = {}
         for seg in rec.segments:
             if seg.pump_on not in system:
@@ -398,56 +383,56 @@ def _simulate_jacobian(theta, recordings, C_co, R_co, T_amb, out):
                 dG, E, K, close = _modal_derivatives(theta, C_co,
                                                      seg.pump_on, G, lam,
                                                      V, V_inv)
-                # rows i * 6 + q: x_ss and dx_ss of node i from one product
-                gains = np.concatenate([G[None], dG]).transpose(1, 0, 2)
+                # x_ss and dx_ss: per unit input level, and the ambient's
+                gains = np.concatenate([G[None], dG])
                 system[seg.pump_on] = (
-                    gains.reshape(18, 2), lam, V, V_inv, E, K, close,
-                    # rows i * 5 + p, and the diagonal of E, 3 x 5 x 1
-                    K.transpose(1, 0, 2).reshape(15, 3),
-                    E.diagonal(axis1=1, axis2=2).T[:, :, None])
-            gains, lam, V, V_inv, E, K, close, K_rows, E_diag = \
+                    gains[..., 0], T_amb * gains[..., 1], lam, V, V_inv, E,
+                    K, close, E.diagonal(axis1=1, axis2=2)[:, :, None])
+            gain, ss_amb, lam, V, V_inv, E, K, close, E_diag = \
                 system[seg.pump_on]
             if seg.pump_on not in measured:
                 v = V[rec.nodes].T              # measured rows of V, 3 x m
-                measured[seg.pump_on] = (
-                    v[:, None], -(np.swapaxes(K, 1, 2) @ v)
-                    .transpose(1, 0, 2))
-            # in the 3 x 5 x m layout: v and -(K_p^T v) of each member
+                measured[seg.pump_on] = v, -(np.swapaxes(K, 1, 2) @ v)
+            # v and -(K_p^T v) of each member, 5 x 3 x m
             v, KTv = measured[seg.pump_on]
-            ss = (gains @ np.array([seg.level, T_amb])).reshape(3, 6)
-            X_ss = np.repeat(ss, m, axis=1)
-            C0 = V_inv @ (X - X_ss)
-            c0 = C0[:, None, :m]
-            d = C0[:, m:].reshape(3, 5, m)
-            Kc0 = (K_rows @ C0[:, :m]).reshape(3, 5, m)
+            ss = (gain * seg.level + ss_amb)[:, :, None]
+            C0 = V_inv @ (X - ss)
+            c0 = C0[0]
+            Kc0 = K @ c0
             Ec0 = E_diag * c0
-            # coefficients of F and t F
-            coefs = [v * (Kc0 + d) + c0 * KTv, v * Ec0]
+            # coefficients of F, t F and each close pair's row
+            coefs = np.zeros((6, 6 + len(close), m))
+            coefs[:, :3] = v * C0
+            coefs[1:, :3] += v * Kc0 + c0 * KTv
+            coefs[1:, 3:6] = v * Ec0
             F = np.exp(lam[:, None] * seg.dt_rel)
             basis = [F, seg.dt_rel * F]
-            F_end = np.exp(lam * seg.t_end)[:, None, None]
+            F_end = np.exp(lam * seg.t_end)[:, None]
             # the modal end state, then E o Phi(t_end) c0 + e^{lam t} d
-            W = np.concatenate([F_end * c0, F_end * (Kc0 + d + seg.t_end
-                                                     * Ec0)], axis=1)
-            W[:, 1:] -= (K_rows @ W[:, 0]).reshape(3, 5, m)
-            for i, k in close:
+            W = F_end * C0
+            W[1:] += F_end * (Kc0 + seg.t_end * Ec0)
+            W[1:] -= K @ W[0]
+            for row, (i, k) in enumerate(close, start=6):
                 gap = lam[i] - lam[k]
                 basis.append(F[k] * (np.expm1(gap * seg.dt_rel) / gap
                                      if gap else seg.dt_rel))
                 ik = E[:, i, k, None] * c0[k]
                 ki = E[:, k, i, None] * c0[i]
-                coefs.append((v[i] * ik + v[k] * ki)[None])
+                coefs[1:, row] = v[i] * ik + v[k] * ki
                 phi = F_end[k] * (np.expm1(gap * seg.t_end) / gap
                                   if gap else seg.t_end)
-                W[i, 1:] += phi * ik
-                W[k, 1:] += phi * ki
-            jac[seg.a:seg.b] = np.concatenate(basis).T \
-                @ np.concatenate(coefs).reshape(-1, 5 * m) \
-                + ss[rec.nodes, 1:].T.reshape(-1)
-            X = V @ W.reshape(3, -1) + X_ss
-        n = len(jac)
-        for k, offset in enumerate(rec.offsets):
-            out[offset:offset + n] = jac[:, k::m]
+                W[1:, i] += phi * ik
+                W[1:, k] += phi * ki
+            P = np.concatenate(basis).T @ coefs \
+                + ss[:, rec.nodes, 0][:, None]
+            P[0] -= rec.y[seg.a:seg.b]
+            if rows is not None:
+                for k, offset in enumerate(rec.offsets):
+                    rows[offset + seg.a:offset + seg.b] = P[:, :, k].T
+            P = P.reshape(6, -1)
+            gram += P @ P.T
+            X = V @ W + ss
+    return gram
 
 
 def fit_two_node(traces, C_co: float, R_co: float,
@@ -457,11 +442,18 @@ def fit_two_node(traces, C_co: float, R_co: float,
     Traces with equal ``t``, ``u`` and ``pump_on`` (several sensors of one
     run) are simulated together: per parameter vector, one symmetric
     eigendecomposition per pump state, and per segment of each recording
-    one set of modal exponentials and one matrix product for all its
-    traces.  The Jacobian is exact, from the same eigendecomposition and
-    one more product per segment for all traces and all five constants
-    (``_simulate_jacobian``), so no residual is evaluated for finite
-    differences.
+    one set of modal exponentials and one matrix product that forms the
+    residuals and their exact derivatives for all its traces (``_simulate``).
+    Only their 6 x 6 Gram is kept.  The solver (``least_squares``, ``trf``)
+    gets a square root T of it, T^T T = Gram, from a symmetric
+    eigendecomposition with eigenvalues clipped at 0: its first column
+    stands in for the residual and the rest for the Jacobian, both with six
+    rows whatever the number of samples, and with the same cost, gradient
+    and Gauss-Newton matrix.  ``residual_rms`` comes from that cost, the
+    column norms and half-widths from the Gram.  Where the simulation
+    fails, the cost is that of a 1e6 K residual in every sample.  A
+    ``ConfigError`` is raised when no recording steps its input or toggles
+    its pump.
 
     The fit runs in log coordinates, each constant within a factor e^8 of
     its initial value.  ``parameters`` holds the five constants and
@@ -483,43 +475,42 @@ def fit_two_node(traces, C_co: float, R_co: float,
         if tr.signal not in _SIGNAL_INDEX:
             raise ConfigError(f"unknown measured signal {tr.signal!r}")
     recordings = _recordings(traces)
+    if all(len(rec.segments) == 1 for rec in recordings):
+        raise ConfigError("input never steps and pump never toggles")
     n_res = sum(len(tr.t) for tr in traces)
+    cache = {}
 
-    def residual(log_theta):
-        theta = np.exp(log_theta)
-        res = np.empty(n_res)
-        try:
-            _simulate_residual(theta, recordings, C_co, R_co, ambient.T_amb,
-                               res)
-        except np.linalg.LinAlgError:
-            return np.full(n_res, 1e6)
-        if not np.all(np.isfinite(res)):
-            return np.full(n_res, 1e6)
-        return res
-
-    def jacobian(log_theta):
-        jac = np.empty((n_res, len(_TWO_NODE_NAMES)))
-        try:
-            _simulate_jacobian(np.exp(log_theta), recordings, C_co, R_co,
-                               ambient.T_amb, jac)
-        except np.linalg.LinAlgError:
-            return np.zeros_like(jac)
-        if not np.all(np.isfinite(jac)):
-            return np.zeros_like(jac)
-        return jac
+    def factor(log_theta):
+        """The Gram of [r | J] and T with T^T T = Gram, for the last point."""
+        key = log_theta.tobytes()
+        if key not in cache:
+            try:
+                gram = _simulate(np.exp(log_theta), recordings, C_co, R_co,
+                                 ambient.T_amb)
+            except np.linalg.LinAlgError:
+                gram = np.full((6, 6), np.nan)
+            if not np.all(np.isfinite(gram)):
+                # the cost of a 1e6 K residual in every row, and no slope
+                gram = np.diag([n_res * 1e12, 0.0, 0.0, 0.0, 0.0, 0.0])
+            w, Q = np.linalg.eigh(gram)
+            cache.clear()
+            cache[key] = gram, np.sqrt(np.maximum(w, 0.0))[:, None] * Q.T
+        return cache[key]
 
     # bounds keep the search in a physically generous region so degenerate
     # parameter vectors (singular dynamics, overflowing exponentials) are
     # never visited
     x_init = np.log([_TWO_NODE_INIT[n] for n in _TWO_NODE_NAMES])
     lower, upper = x_init - 8.0, x_init + 8.0
-    sol = least_squares(residual, x0=x_init, jac=jacobian, method="trf",
+    sol = least_squares(lambda x: factor(x)[1][:, 0], x0=x_init,
+                        jac=lambda x: factor(x)[1][:, 1:], method="trf",
                         bounds=(lower, upper),
                         x_scale="jac", xtol=1e-12, ftol=1e-12)
     theta = np.exp(sol.x)
-    rms = float(np.sqrt(np.mean(sol.fun ** 2)))
+    rms = float(np.sqrt(2.0 * sol.cost / n_res))
 
-    col_norms = np.linalg.norm(sol.jac, axis=0)
+    normal = factor(sol.x)[0][1:, 1:]
+    col_norms = np.sqrt(np.diag(normal))
     scale = max(float(np.max(col_norms)), 1e-300)
     dead = [n for n, c in zip(_TWO_NODE_NAMES, col_norms)
             if c < 1e-8 * scale]
@@ -533,7 +524,7 @@ def fit_two_node(traces, C_co: float, R_co: float,
     params = {n: float(v) for n, v in zip(_TWO_NODE_NAMES, theta)}
     params["tau_c"] = params["R_c"] * params["C_c"]
     # a half-width in log coordinates is the relative half-width
-    rel_hw = _confidence(sol.jac, rms, tuple(params), _TWO_NODE_OUTPUTS)
+    rel_hw = _confidence(normal, rms, tuple(params), _TWO_NODE_OUTPUTS)
     conf = {n: h * params[n] for n, h in rel_hw.items()}
     warnings = tuple(
         f"{n} weakly identifiable (relative sensitivity "

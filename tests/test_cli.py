@@ -380,6 +380,22 @@ def test_fit_two_node_prints_cover_time_constant(tmp_path, capsys):
     assert "confidence.tau_c" in items
 
 
+def test_fit_two_node_without_step_or_toggle_exits_config(tmp_path):
+    # a flat recording: the input never steps and the pump never toggles
+    n = 50
+    z = np.zeros(n)
+    flat = np.full(n, 20.0)
+    trace = SimTrace(t=np.arange(n, dtype=float), T_p_cmd=flat, T_p=flat,
+                     T_co=flat, T_w=flat, T_c=flat,
+                     pump_on=np.ones(n, dtype=bool), q_w=z, q_i_true=z,
+                     q_i_hat=z, contact_flag=z.astype(bool))
+    csv = tmp_path / "flat.csv"
+    trace.to_csv(csv)
+    code, err = _fit_exit(csv, "--model", "two-node", "--signal", "T_w")
+    assert code == 2
+    assert err == "error: input never steps and pump never toggles\n"
+
+
 @pytest.mark.parametrize("model", ["fopdt", "two-node"])
 @pytest.mark.parametrize("column,row,value", [
     ("T_w", 10, "nan"), ("T_w", 10, "inf"), ("T_w", 0, "-inf"),

@@ -17,8 +17,7 @@ from thermocover.params import AmbientConfig, Mode, preset_params
 from thermocover.sysid import (_SIGNAL_INDEX, _TWO_NODE_INIT,
                                _TWO_NODE_NAMES, FitReport, StepTrace,
                                _confidence, _fopdt_basis, _plant_matrices,
-                               _recordings, _simulate_jacobian,
-                               _simulate_residual, _two_point_init,
+                               _recordings, _simulate, _two_point_init,
                                fit_fopdt, fit_two_node)
 
 
@@ -109,6 +108,18 @@ def test_pump_always_off_flags_unidentifiable(heat_params):
     with pytest.raises(IllConditionedFitError) as err:
         fit_two_node([tr], C_co=heat_params.C_co, R_co=heat_params.R_co)
     assert "R_w" in err.value.unidentifiable
+
+
+def test_two_node_needs_a_step_or_a_pump_toggle(heat_params):
+    # one recording per input level: none steps its input or toggles its
+    # pump, so nothing in the data excites the network
+    n = 50
+    t = np.arange(n, dtype=float)
+    traces = [StepTrace(t=t, u=np.full(n, level), y=np.full(n, 21.0),
+                        signal="T_w", pump_on=np.full(n, on))
+              for level, on in ((20.0, True), (40.0, False))]
+    with pytest.raises(ConfigError, match="never steps"):
+        fit_two_node(traces, C_co=heat_params.C_co, R_co=heat_params.R_co)
 
 
 def test_two_node_needs_traces(heat_params):
@@ -207,7 +218,8 @@ def _reference_fit_fopdt(trace: StepTrace) -> FitReport:
         "offset": y0_f,
         "q_a": u_step - K_f,
     }
-    conf = _confidence(sol.jac, rms, ("R_com_C_com", "L_d", "gain", "offset"))
+    conf = _confidence(sol.jac.T @ sol.jac, rms,
+                       ("R_com_C_com", "L_d", "gain", "offset"))
     return FitReport(parameters=params, residual_rms=rms, confidence=conf)
 
 
@@ -386,6 +398,14 @@ def test_coinciding_modes_theta_has_a_double_mode(heat_params):
     assert np.min(np.diff(lam)) <= 1e-12 * np.max(np.abs(lam))
 
 
+def _kernel_rows(theta, traces, params):
+    """The kernel's Gram and its materialized rows [r | J]."""
+    rows = np.empty((sum(len(tr.t) for tr in traces), 6))
+    gram = _simulate(np.asarray(theta, dtype=float), _recordings(traces),
+                     params.C_co, params.R_co, AmbientConfig().T_amb, rows)
+    return gram, rows
+
+
 @pytest.mark.parametrize("theta", _THETAS)
 def test_shared_residual_matches_per_trace_simulation(heat_params, theta):
     # real modal coordinates against the kept complex-eig reference: the
@@ -393,13 +413,11 @@ def test_shared_residual_matches_per_trace_simulation(heat_params, theta):
     traces = _mixed_traces()
     ambient = AmbientConfig()
     log_theta = np.log(theta)
-    out = np.empty(sum(len(tr.t) for tr in traces))
-    _simulate_residual(np.exp(log_theta), _recordings(traces),
-                       heat_params.C_co, heat_params.R_co, ambient.T_amb, out)
+    _, rows = _kernel_rows(np.exp(log_theta), traces, heat_params)
     expected = _reference_residual(traces, heat_params.C_co,
                                    heat_params.R_co, ambient)(log_theta)
     assert np.all(np.isfinite(expected))
-    assert np.max(np.abs(out - expected)) <= 1e-12
+    assert np.max(np.abs(rows[:, 0] - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("close_modes", [sysid._CLOSE_MODES, 1.0],
@@ -418,9 +436,8 @@ def test_jacobian_matches_central_differences(heat_params, theta,
     ambient = AmbientConfig()
     theta = np.array(theta)
     log_theta = np.log(theta)
-    jac = np.empty((sum(len(tr.t) for tr in traces), len(_TWO_NODE_NAMES)))
-    _simulate_jacobian(theta, _recordings(traces),
-                       heat_params.C_co, heat_params.R_co, ambient.T_amb, jac)
+    _, rows = _kernel_rows(theta, traces, heat_params)
+    jac = rows[:, 1:]
     reference = _reference_residual(traces, heat_params.C_co,
                                     heat_params.R_co, ambient)
     h = 1e-4
@@ -430,6 +447,21 @@ def test_jacobian_matches_central_differences(heat_params, theta,
     assert np.all(np.isfinite(jac))
     scale = np.max(np.abs(central), axis=0)
     assert np.all(np.abs(jac - central) <= 1e-7 * scale)
+
+
+@pytest.mark.parametrize("close_modes", [sysid._CLOSE_MODES, 1.0],
+                         ids=["default", "every-pair-close"])
+@pytest.mark.parametrize("theta", _THETAS)
+def test_streamed_gram_equals_gram_of_rows(heat_params, theta, close_modes,
+                                           monkeypatch):
+    # the Grams of the per-segment blocks, summed, against the Gram of the
+    # materialized [r | J]
+    monkeypatch.setattr(sysid, "_CLOSE_MODES", close_modes)
+    gram, rows = _kernel_rows(theta, _mixed_traces(), heat_params)
+    expected = rows.T @ rows
+    assert gram.shape == (6, 6)
+    assert np.all(np.abs(gram - expected)
+                  <= 1e-12 * np.max(np.abs(expected)))
 
 
 def _criterion_08_traces(params, order=("T_co", "T_w", "T_c")):
@@ -509,3 +541,57 @@ def test_noisy_fit_names_what_the_data_leave_open(heat_params, seed,
     tau_c = report.parameters["tau_c"]
     assert report.confidence["tau_c"] < 0.02 * tau_c
     assert not any(w.startswith("tau_c") for w in report.warnings)
+
+
+def test_residual_rms_is_that_of_the_full_residual(heat_params):
+    # the fit's cost comes from the 6-row square root of the Gram; the rms
+    # of every residual row at the reported constants agrees with it to
+    # about 3e-13 relative
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        traces = [replace(tr, y=tr.y + rng.normal(0.0, 0.05, tr.y.shape))
+                  for tr in _criterion_08_traces(heat_params)]
+        report = fit_two_node(traces, C_co=heat_params.C_co,
+                              R_co=heat_params.R_co)
+        theta = [report.parameters[n] for n in _TWO_NODE_NAMES]
+        _, rows = _kernel_rows(theta, traces, heat_params)
+        assert report.residual_rms == pytest.approx(
+            float(np.sqrt(np.mean(rows[:, 0] ** 2))), rel=1e-11), seed
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failure", ["raises", "non-finite"])
+def test_failed_simulation_costs_1e6_per_row(heat_params, monkeypatch,
+                                             failure):
+    # at one theta the kernel fails; the solver sees a residual of 1e6 K
+    # in every row and a zero Jacobian there, and the usual values elsewhere
+    traces = _criterion_08_traces(heat_params)
+    n_res = sum(len(tr.t) for tr in traces)
+    x_bad = np.log([_TWO_NODE_INIT[n] for n in _TWO_NODE_NAMES]) + 1.0
+    simulate = sysid._simulate
+
+    def failing(theta, *args):
+        if np.array_equal(theta, np.exp(x_bad)):
+            if failure == "raises":
+                raise np.linalg.LinAlgError("singular matrix")
+            return np.full((6, 6), np.inf)
+        return simulate(theta, *args)
+
+    seen = []
+
+    def least_squares(fun, x0, jac, **kwargs):
+        seen.extend((fun(x), jac(x)) for x in (x0, x_bad))
+        raise _Stop
+
+    monkeypatch.setattr(sysid, "_simulate", failing)
+    monkeypatch.setattr(sysid, "least_squares", least_squares)
+    with pytest.raises(_Stop):
+        fit_two_node(traces, C_co=heat_params.C_co, R_co=heat_params.R_co)
+    (f_ok, J_ok), (f_bad, J_bad) = seen
+    assert f_bad.shape == (6,) and J_bad.shape == (6, 5)
+    assert f_bad @ f_bad == pytest.approx(n_res * 1e12, rel=1e-12)
+    assert np.all(J_bad == 0.0)
+    assert f_ok @ f_ok < n_res and np.all(np.isfinite(J_ok)) and J_ok.any()
