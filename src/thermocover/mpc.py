@@ -10,14 +10,19 @@ positive definite.  For each pattern of commands held at a bound, none
 held included, the minimizer is affine in what the controller knows, the
 critical regions of explicit MPC: the controller takes it from the cached
 map of the last sample's pattern, or of one active-set update of that
-pattern, whichever first passes the solver's own KKT test.  Only the other
-samples reach the solver.  The solver alternates a projected gradient step,
-which settles the active bounds, with a Newton step on the free variables
-(More & Toraldo, 1991), each ending at the least-cost point of its segment,
-and stops when the projected gradient step is below a tolerance in K.  What
-depends only on the model, horizon, weights and held pattern is built once
-and cached read-only.  Pump actuation is bang-bang with hysteresis,
-mirroring the stop-at-setpoint behaviour of the rig.
+pattern, whichever first passes the solver's own KKT test.  Each controller
+keeps its last commands in one float64 array shifted in place, and per mode
+one preallocated z and a dict of the maps of the patterns met, so that a
+served sample costs one matrix-vector product, two comparisons and a few
+slice writes.  Only the other samples reach the solver.  The solver
+alternates a projected gradient step, which settles the active bounds, with
+a Newton step on the free variables (More & Toraldo, 1991), each ending at
+the least-cost point of its segment, and stops when the projected gradient
+step is below a tolerance in K, or raises NumericError at once where that
+step is not finite.  What depends only on the model, horizon, weights and
+held pattern is built once and cached read-only.  Pump actuation is
+bang-bang with hysteresis, mirroring the stop-at-setpoint behaviour of the
+rig.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, NumericError
 from .fopdt import DiscreteFOPDT, discretize_fopdt
 from .params import (AmbientConfig, Mode, Target, preset_params,
                      require_temperature)
@@ -308,6 +313,10 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
             return MpcSolution(sequence=u, active_lower=u <= lo + tol,
                                active_upper=u >= hi - tol, iterations=it,
                                kkt_residual=residual)
+        if not math.isfinite(residual):
+            # NaN in the data: no step can make it finite
+            raise NumericError(f"KKT residual {residual} K at iteration "
+                               f"{it}: the QP's data is not finite")
         if it == _MAX_ITER:
             break
         # the projected gradient step settles the active set ...
@@ -393,12 +402,28 @@ class ThermalController:
                 f"t_s = {self.cfg.t_s} s"
             )
         max_d = max(m.d for m in self._models.values())
-        self._history: list[float] = []
-        self._max_history = max(max_d, 1)
+        # the last max(max_d, 1) commands, oldest first, shifted in place;
+        # only the last _count of them have been applied
+        self._history = np.zeros(max(max_d, 1))
+        self._count = 0
         self._x_hat: float | None = None
         self._p_hat = 0.0
         # (lower, upper) unknowns held at a bound in the last sample
         self._held: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+        # per mode: the QP's z, rewritten each sample, with views of its
+        # past-command and reference blocks; a view of the history's last
+        # d entries; and the region maps of the held patterns met so far,
+        # keyed on the pattern
+        self._mode_buffers = {}
+        for m, model in self._models.items():
+            d = model.d
+            z = np.empty(d + self.cfg.H + 2)
+            self._mode_buffers[m] = (z, z[1:d + 1], z[d + 1:-1],
+                                     self._history[self._history.size - d:],
+                                     {})
+        # the current mode's model and buffers, set at each mode switch
+        self._model: DiscreteFOPDT | None = None
+        self._buffers: tuple | None = None
 
     @property
     def preview_length(self) -> int:
@@ -429,11 +454,9 @@ class ThermalController:
             self.mode = new_mode
             self._x_hat = None
             self._p_hat = 0.0
-        model = self._models[new_mode]
-
-        past = self._history[-model.d:] if model.d else []
-        if len(past) < model.d:
-            past = [measurement] * (model.d - len(past)) + past
+            self._model = self._models[new_mode]
+            self._buffers = self._mode_buffers[new_mode]
+        model = self._model
 
         self.hysteresis, pump_on = pump_step(self.hysteresis, measurement,
                                              r_now)
@@ -452,54 +475,72 @@ class ThermalController:
         else:
             self._x_hat = measurement - self._p_hat
 
-        cmd = self._command(model, past, preview)
-        self._history.append(cmd)
-        if len(self._history) > self._max_history:
-            del self._history[: len(self._history) - self._max_history]
-
+        cmd = self._command(model, measurement, preview)
         if pump_on:
-            u_delayed = past[0] if model.d else cmd
+            d = model.d
+            # the oldest of the d past commands, padded as in _command
+            u_delayed = (cmd if not d else measurement if self._count < d
+                         else float(self._history[-d]))
             self._x_hat = model.a * self._x_hat + model.b * u_delayed
+        history = self._history
+        history[:-1] = history[1:]
+        history[-1] = cmd
+        self._count = min(self._count + 1, history.size)
         return cmd, pump_on
 
-    def _command(self, model: DiscreteFOPDT, past, preview) -> float:
+    def _command(self, model: DiscreteFOPDT, measurement: float,
+                 preview: np.ndarray) -> float:
         """First command of the preview QP's minimizer.
 
-        For each pattern of commands held at a bound the minimizer is
-        affine in what the controller knows, z: the critical regions of
-        explicit MPC (Bemporad, Morari, Dua & Pistikopoulos, 2002), whose
-        cached maps give it where the pattern passes solve_mpc's own KKT
-        test in K: its free commands inside the box, and the projected
+        The past d commands come from the history array; until d commands
+        have been applied, the missing oldest ones are the current
+        measurement.  For each pattern of commands held at a bound the
+        minimizer is affine in what the controller knows, z: the critical
+        regions of explicit MPC (Bemporad, Morari, Dua & Pistikopoulos,
+        2002), whose maps give it where the pattern passes solve_mpc's own
+        KKT test in K: its free commands inside the box, and the projected
         gradient step of its held commands below 1e-9·max(1, hi - lo).
         Two patterns are tried: the last sample's, then its update by
         ``_update_held``, which from none held is the clip pattern of the
-        unconstrained minimizer.  Where both fail, the QP is built and
+        unconstrained minimizer.  Each mode writes z into its own buffer
+        and keeps the maps of the patterns it has met in its own dict,
+        filled from ``_region_map``.  Where both fail, the QP is built and
         solved, and the solution's active bounds are the next sample's
         pattern.
         """
         cfg = self.cfg
         d, n = model.d, cfg.H
+        history, count = self._history, self._count
         u_ref = self.ambient.T_amb
-        u_prev = self._history[-1] if self._history else None
+        u_prev = float(history[-1]) if count else None
         # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev], the
         # preview held at its last value past its end
-        z = np.empty(d + n + 2)
+        z, z_past, z_refs, recent, maps = self._buffers
         z[0] = self._x_hat
-        z[1:d + 1] = past
+        if count >= d:
+            z_past[...] = recent
+        else:
+            z_past[:d - count] = measurement
+            z_past[d - count:] = recent[d - count:]
         ahead = preview[d:d + n]
-        z[d + 1:d + 1 + ahead.size] = ahead
-        z[d + 1 + ahead.size:-1] = preview[-1]
-        z[d + 1:-1] -= self._p_hat
+        if ahead.size == n:
+            np.subtract(ahead, self._p_hat, z_refs)
+        else:
+            np.subtract(ahead, self._p_hat, z_refs[:ahead.size])
+            z_refs[ahead.size:] = preview[-1] - self._p_hat
         z[-1] = (u_ref if u_prev is None
                  or cfg.penalty_form is PenaltyForm.MAGNITUDE else u_prev)
         lo, hi = cfg.T_min_th, cfg.T_max_th
         held = self._held
         for _ in range(2):
-            R, r, floor, ceil = _region_map(model.a, model.b, d, n, cfg.W1,
-                                            cfg.W2, cfg.penalty_form, lo, hi,
-                                            *held)
+            region = maps.get(held)
+            if region is None:
+                region = maps[held] = _region_map(
+                    model.a, model.b, d, n, cfg.W1, cfg.W2, cfg.penalty_form,
+                    lo, hi, *held)
+            R, r, floor, ceil = region
             y = R @ z + r
-            if np.all(y >= floor) and np.all(y <= ceil):
+            if np.count_nonzero((y >= floor) & (y <= ceil)) == n:
                 self._held = held
                 lower, upper = held
                 return lo if 0 in lower else hi if 0 in upper else float(y[0])
@@ -509,7 +550,7 @@ class ThermalController:
         m = min(d + n, preview.size)
         refs[:m] = preview[:m]
         refs[m:] = preview[-1]
-        qp = build_prediction(model, self._x_hat, past, refs - self._p_hat)
+        qp = build_prediction(model, self._x_hat, z_past, refs - self._p_hat)
         sol = solve_mpc(qp, cfg, u_ref=u_ref, u_prev=u_prev)
         self._held = (tuple(np.flatnonzero(sol.active_lower[:n]).tolist()),
                       tuple(np.flatnonzero(sol.active_upper[:n]).tolist()))

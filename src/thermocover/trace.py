@@ -57,15 +57,10 @@ class SimTrace:
 
     @staticmethod
     def from_rows(rows) -> "SimTrace":
-        cols = {c: [] for c in COLUMNS}
-        for row in rows:
-            for c, v in zip(COLUMNS, row):
-                cols[c].append(v)
-        arrays = {}
-        for c in COLUMNS:
-            dtype = bool if c in _BOOL_COLUMNS else float
-            arrays[c] = np.asarray(cols[c], dtype=dtype)
-        return SimTrace(**arrays)
+        # one pass over the rows; each float column is a row of one block
+        data = np.array(rows, dtype=float).reshape(-1, len(COLUMNS)).T.copy()
+        return SimTrace(**{c: col.astype(bool) if c in _BOOL_COLUMNS else col
+                           for c, col in zip(COLUMNS, data)})
 
     # -- CSV ---------------------------------------------------------------
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from thermocover import mpc
-from thermocover.errors import ConfigError, ConvergenceError
+from thermocover.errors import ConfigError, ConvergenceError, NumericError
 from thermocover.fopdt import DiscreteFOPDT, discretize_fopdt
 from thermocover.mpc import (MAX_HORIZON, MpcConfig, PenaltyForm,
                              PumpHysteresis, ThermalController,
@@ -232,6 +232,82 @@ def test_controller_mode_switch_resets_offset_state():
     assert ctrl.mode is not heat_mode
 
 
+def test_history_array_matches_plain_list():
+    # a controller stepped past its history's length gives the commands of
+    # one whose history array is rebuilt before each sample from a plain
+    # list of the commands, padded with the current measurement: this pins
+    # the in-place shift and the startup padding
+    shifted = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
+    rebuilt = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
+    size, n = shifted._history.size, shifted.preview_length
+    commands, seen = [], set()
+    for k in range(2 * size + 10):
+        measurement = 24.0 + 0.6 * np.sin(k / 7.0)
+        preview = np.full(n, 24.0 + 0.6 * np.cos(k / 11.0))
+        # in place: the mode buffers hold views of the array
+        rebuilt._history[:] = ([measurement] * size + commands)[-size:]
+        rebuilt._count = size
+        out = shifted.step(measurement, measurement, preview)
+        assert rebuilt.step(measurement, measurement, preview) == out
+        commands.append(out[0])
+        seen.add((shifted.mode, out[1], out[0] in (5.0, 60.0)))
+    # both modes, pump states, and commands at a bound and inside the box
+    for i, values in enumerate((set(Mode), {False, True}, {False, True})):
+        assert {key[i] for key in seen} == values
+    assert shifted._history.tolist() == commands[-size:]
+    assert shifted._count == size
+
+
+def test_region_maps_built_once_per_mode_and_pattern(monkeypatch):
+    # the controller keeps each mode's maps in its own dict: over one run
+    # from a cleared cache, _region_map builds each (mode, held pattern)
+    # met once, and is not called on a dict hit
+    calls, controllers = [], {}
+    region_map, command = mpc._region_map, ThermalController._command
+
+    def recording_map(*args):
+        calls.append(args)
+        return region_map(*args)
+
+    def recording(ctrl, *args):
+        controllers[id(ctrl)] = ctrl
+        return command(ctrl, *args)
+
+    monkeypatch.setattr(mpc, "_region_map", recording_map)
+    monkeypatch.setattr(ThermalController, "_command", recording)
+    region_map.cache_clear()
+    spec = builtin_scenarios()["exp1_heat"]
+    trace = simulate(spec)
+    (ctrl,) = controllers.values()
+    met = {(ctrl._models[mode].d, held)
+           for mode, (*_, maps) in ctrl._mode_buffers.items()
+           for held in maps}
+    # a key's dead time tells the cover's modes apart
+    assert len(calls) == len(set(calls)) == len(met)
+    assert {(args[2], args[-2:]) for args in calls} == met
+    assert {d for d, _ in met} == {45, 30}
+    assert len(trace) > 10 * len(calls)
+    # a later run's controller fills its dicts from the process's cache
+    built = region_map.cache_info()
+    calls.clear()
+    simulate(spec)
+    assert len(calls) == len(met)
+    assert region_map.cache_info().misses == built.misses
+
+
+@pytest.mark.parametrize("measurement, setpoint", [(float("nan"), 25.0),
+                                                   (21.0, float("nan"))])
+def test_non_finite_input_stops_solver_at_once(measurement, setpoint):
+    # NaN reaches the solver, whose residual cannot become finite: it must
+    # raise at the first iteration, not spin to its cap
+    ctrl = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
+    n = ctrl.preview_length
+    ctrl.step(21.0, 21.0, np.full(n, 25.0))
+    with pytest.raises(NumericError, match="at iteration 0:") as info:
+        ctrl.step(measurement, 21.0, np.full(n, setpoint))
+    assert not isinstance(info.value, ConvergenceError)
+
+
 def _recorded_solves(monkeypatch, specs):
     """Every solution the controller's solves return over the runs, and
     the runs' traces."""
@@ -277,29 +353,34 @@ def _map_samples(monkeypatch, specs):
     pattern tried, its update, or the solver."""
     samples, events = [], []
     command = ThermalController._command
-    region_map, solve = mpc._region_map, mpc.solve_mpc
+    update_held, solve = mpc._update_held, mpc.solve_mpc
 
-    def recording_map(*args):
-        events.append("map")
-        return region_map(*args)
+    def recording_update(*args):
+        events.append("update")
+        return update_held(*args)
 
     def recording_solve(*args, **kwargs):
         events.append("solve")
         return solve(*args, **kwargs)
 
-    def recording(ctrl, model, past, preview):
+    def recording(ctrl, model, measurement, preview):
         events.clear()
-        cmd = command(ctrl, model, past, preview)
+        # the history before this sample's command is appended; until d
+        # commands exist the past is padded with the measurement
+        history, count = ctrl._history, ctrl._count
+        applied = history[history.size - count:].tolist()
+        padded = [measurement] * (model.d - count) + applied
+        past = padded[len(padded) - model.d:]
+        u_prev = applied[-1] if applied else None
+        cmd = command(ctrl, model, measurement, preview)
         path = ("solver" if "solve" in events
-                else ("first", "update")[len(events) - 1])
+                else "update" if "update" in events else "first")
         samples.append((ctrl.cfg, model, ctrl._x_hat, ctrl._p_hat,
-                        list(past), preview.copy(),
-                        ctrl._history[-1] if ctrl._history else None,
-                        ctrl.ambient.T_amb, cmd,
-                        len(ctrl._history) < model.d, path))
+                        past, preview.copy(), u_prev, ctrl.ambient.T_amb,
+                        cmd, count < model.d, path))
         return cmd
 
-    monkeypatch.setattr(mpc, "_region_map", recording_map)
+    monkeypatch.setattr(mpc, "_update_held", recording_update)
     monkeypatch.setattr(mpc, "solve_mpc", recording_solve)
     monkeypatch.setattr(ThermalController, "_command", recording)
     for spec in specs:
