@@ -443,10 +443,22 @@ class ThermalController:
 
     def step(self, measurement: float, T_w: float,
              setpoint_preview) -> tuple[float, bool]:
-        """One control sample: returns (Peltier command, pump on)."""
+        """One control sample: returns (Peltier command, pump on).
+
+        A measurement, ``T_w`` or preview entry that is not finite raises
+        ``NumericError`` naming it, before any state changes.
+        """
         preview = np.asarray(setpoint_preview, dtype=float)
         if preview.size < 1:
             raise ConfigError("setpoint preview must not be empty")
+        if not (math.isfinite(measurement) and math.isfinite(T_w)
+                and np.isfinite(preview).all()):
+            for name, value in [("measurement", measurement), ("T_w", T_w),
+                                *((f"setpoint preview entry {k}", v)
+                                  for k, v in enumerate(preview.tolist()))]:
+                if not math.isfinite(value):
+                    raise NumericError(
+                        f"controller {name} is not finite: {value}")
         r_now = float(preview[0])
 
         new_mode = self._select_mode(r_now, T_w)

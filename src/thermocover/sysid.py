@@ -11,21 +11,23 @@ Two fitters mirror how the hardware constants were derived:
 
 * ``fit_two_node`` recovers the RC-network constants (R_w, C_w, R_c, C_c,
   R_aw) from one or more traces against the three-node plant ODEs, with the
-  tank constants (C_co, R_co) held known.  Some recording must step its
-  input or toggle its pump.  With the pump always off the pump resistance
-  R_w drops out of the dynamics; with it always on, a noiseless
-  three-sensor step recording still determines all five constants.
+  tank constants (C_co, R_co) held known.  Every trace carries its pump
+  state, and some recording must step its input or toggle its pump.
+  With the pump always off the pump resistance R_w drops out of the
+  dynamics; with it always on, a noiseless three-sensor step recording
+  still determines all five constants.
   The network's state matrix is similar to a symmetric one, so the
   piecewise-constant-input response and its exact derivatives (the
   divided-difference form of the derivative of the matrix exponential)
-  come from real modal coordinates.  The solver works on the normal
-  equations: per parameter vector the residuals and their Jacobian reduce,
-  segment by segment, to one 6 x 6 Gram, and a 6-row square root of it
-  stands in for every sample.  The report adds the cover pole
-  ``tau_c = R_c C_c`` and warns about a constant that ends on its search
-  bound or that the data leave undetermined (relative confidence
-  half-width above 1); under noise that is typically R_c and C_c, of
-  which only the product is determined.
+  come from real modal coordinates, for both pump states in one stacked
+  pass.  The solver works on the normal equations: per parameter vector
+  one product per segment of more than one sample forms the residuals and
+  their Jacobian for all sensors of a recording, those rows reduce to one
+  6 x 6 Gram, and a 6-row square root of it stands in for every sample.
+  The report adds the cover pole ``tau_c = R_c C_c`` and warns about a
+  constant that ends on its search bound or that the data leave
+  undetermined (relative confidence half-width above 1); under noise that
+  is typically R_c and C_c, of which only the product is determined.
 """
 
 from __future__ import annotations
@@ -223,6 +225,10 @@ _TWO_NODE_INIT = {"R_w": 5.0, "C_w": 150.0, "R_c": 60.0, "C_c": 0.3,
 _SIGNAL_INDEX = {"T_co": 0, "T_w": 1, "T_c": 2}
 # the log-parameters, then log tau_c = log R_c + log C_c
 _TWO_NODE_OUTPUTS = np.vstack([np.eye(5), [0.0, 0.0, 1.0, 1.0, 0.0]])
+# the coefficients of F_b and of t F_b in Phi_ik, b over the modes:
+# delta_bi - delta_bk and delta_bi delta_ik
+_F_SPLIT = np.eye(3)[:, :, None] - np.eye(3)[:, None, :]
+_TF_DIAG = np.eye(3)[:, :, None] * np.eye(3)[:, None, :]
 # modes closer than this times the fastest rate are differentiated without
 # the divided difference of their exponentials, which would cancel
 _CLOSE_MODES = 1e-3
@@ -264,7 +270,7 @@ class _Segment(NamedTuple):
     b: int                 # one past the last sample
     pump_on: bool
     level: float           # input level over the stretch
-    dt_rel: np.ndarray     # sample times from the stretch start, as a row
+    dt_rel: np.ndarray     # sample times from the stretch start
     t_end: float           # time to the start of the next stretch
 
 
@@ -272,9 +278,9 @@ def _segments(t, u, pump) -> tuple:
     change = (np.diff(u) != 0.0) | (np.diff(pump) != 0)
     cuts = np.concatenate(([0], np.flatnonzero(change) + 1, [len(t)]))
     # each stretch continues from its true endpoint, one sample past t[b-1]
-    return tuple(_Segment(a, b, bool(pump[a]), u[a],
-                          (t[a:b] - t[a])[None, :],
-                          t[b - 1] - t[a] + (t[1] - t[0]))
+    return tuple(_Segment(int(a), int(b), bool(pump[a]), float(u[a]),
+                          t[a:b] - t[a],
+                          float(t[b - 1] - t[a] + (t[1] - t[0])))
                  for a, b in zip(cuts[:-1], cuts[1:]))
 
 
@@ -292,11 +298,9 @@ def _recordings(traces) -> list:
     groups = {}
     offset = 0
     for tr in traces:
-        pump = tr.pump_on if tr.pump_on is not None \
-            else np.zeros(len(tr.t), dtype=bool)
-        key = (tr.t.tobytes(), tr.u.tobytes(), pump.tobytes())
+        key = (tr.t.tobytes(), tr.u.tobytes(), tr.pump_on.tobytes())
         if key not in groups:
-            groups[key] = (_segments(tr.t, tr.u, pump), [])
+            groups[key] = (_segments(tr.t, tr.u, tr.pump_on), [])
         groups[key][1].append((offset, _SIGNAL_INDEX[tr.signal], tr.y))
         offset += len(tr.t)
     return [_Recording(segments, tuple(o for o, _, _ in members),
@@ -305,133 +309,161 @@ def _recordings(traces) -> list:
             for segments, members in groups.values()]
 
 
-def _modal_system(theta, C_co, R_co, pump_on):
-    """Steady-state gains and real modes of one pump state's dynamics.
+class _Modal(NamedTuple):
+    """Modal systems of both pump states, stacked off then on."""
+
+    lam: np.ndarray        # 2 x 3 rates, ascending
+    V: np.ndarray          # 2 x 3 x 3, A = V diag(lam) V^-1
+    V_inv: np.ndarray      # 2 x 3 x 3
+    G: np.ndarray          # 2 x 3 x 2, steady state G @ [T_p, T_amb]
+    dG: np.ndarray         # 2 x 5 x 3 x 2, dG / dlog theta_p
+    E: np.ndarray          # 2 x 5 x 3 x 3, V^-1 dA_p V
+    D: np.ndarray          # 2 x 3 x 3, 1 / (lam_i - lam_k) or 0
+    close: tuple           # per pump state, the close pairs (i, k), i < k
+
+
+def _modal_systems(theta, C_co, R_co) -> _Modal:
+    """Steady-state gains, real modes and their derivatives w.r.t. log
+    theta, for both pump states in one stacked pass.
 
     The network is a capacitance-weighted Laplacian, A = C^-1 K with K
     symmetric, so S = C^1/2 A C^-1/2 is symmetric: S = Q diag(lam) Q^T
     gives A = V diag(lam) V^-1 with V = C^-1/2 Q and V^-1 = Q^T C^1/2.
-    Returns (G, lam, V, V^-1), where the steady state is G @ [T_p, T_amb].
+    dG comes from A^-1 = V diag(1/lam) V^-1.  D_ik = 1/(lam_i - lam_k) for
+    modes further apart than _CLOSE_MODES times the state's fastest rate,
+    else 0, and such a close pair is listed instead.
     """
-    A, B = _plant_matrices(*theta, C_co, R_co, pump_on)
+    A, B = map(np.array, zip(*(_plant_matrices(*theta, C_co, R_co, on)
+                               for on in (False, True))))
+    dA, dB = map(np.array, zip(*(_plant_derivatives(*theta, C_co, on)
+                                 for on in (False, True))))
     c = np.sqrt([C_co, theta[1], theta[3]])
     lam, Q = np.linalg.eigh(A * c[:, None] / c[None, :])
-    return -np.linalg.solve(A, B), lam, Q / c[:, None], Q.T * c[None, :]
+    V = Q / c[:, None]
+    V_inv = np.swapaxes(Q, 1, 2) * c
+    G = -np.linalg.solve(A, B)
+    dG = -((V / lam[:, None]) @ V_inv)[:, None] @ (dA @ G[:, None] + dB)
+    gap = lam[:, :, None] - lam[:, None, :]
+    far = np.abs(gap) > _CLOSE_MODES * np.abs(lam).max(axis=1)[:, None, None]
+    return _Modal(lam, V, V_inv, G, dG, V_inv[:, None] @ dA @ V[:, None],
+                  np.divide(1.0, gap, out=np.zeros_like(gap), where=far),
+                  tuple([(i, k) for i, k in ((0, 1), (0, 2), (1, 2))
+                         if not f[i][k]] for f in far.tolist()))
 
 
-def _modal_derivatives(theta, C_co, pump_on, G, lam, V, V_inv):
-    """Derivatives of one pump state's modal system w.r.t. log theta.
-
-    Returns (dG, E, K, close): dG = dG/dlog theta_p (5 x 3 x 2), from
-    A^-1 = V diag(1/lam) V^-1; E_p = V^-1 dA_p V; K = D o E_p with
-    D_ik = 1/(lam_i - lam_k) for modes further apart than _CLOSE_MODES
-    times the fastest rate, else 0; and the close pairs (i, k), i < k,
-    with lam ascending as ``eigh`` returns it.
-    """
-    dA, dB = _plant_derivatives(*theta, C_co, pump_on)
-    dG = -((V / lam) @ V_inv) @ (dA @ G + dB)
-    E = V_inv @ dA @ V
-    gap = lam[:, None] - lam
-    tol = _CLOSE_MODES * np.max(np.abs(lam))
-    D = np.divide(1.0, gap, out=np.zeros((3, 3)), where=np.abs(gap) > tol)
-    close = [(i, k) for i, k in ((0, 1), (0, 2), (1, 2))
-             if lam[k] - lam[i] <= tol]
-    return dG, E, D * E, close
+def _basis(lam, close, times):
+    """The basis rows at ``times``: F = e^{lam t}, t F, one row per close
+    pair (i, k), e^{lam_k t} expm1((lam_i - lam_k) t) / (lam_i - lam_k),
+    and a constant row."""
+    basis = np.empty((7 + len(close), times.size))
+    F = np.exp(lam[:, None] * times, out=basis[:3])
+    np.multiply(times, F, out=basis[3:6])
+    for row, (i, k) in enumerate(close, start=6):
+        gap = lam[i] - lam[k]
+        basis[row] = F[k] * (np.expm1(gap * times) / gap if gap else times)
+    basis[-1] = 1.0
+    return basis
 
 
 def _simulate(theta, recordings, C_co, R_co, T_amb, rows=None):
     """Normal equations of the fit: the 6 x 6 Gram M^T M of M = [r | J].
 
     M has one row per measured sample: r, the modelled minus measured
-    value, then its derivatives w.r.t. log theta.  M is never formed: per
-    segment of a recording one product forms the 6 x n x m block P of its
-    m members (column q of M for sample j of member k in P[q, j, k]), and
-    the block's Gram adds into the result.  ``rows``, if given (one row
-    per residual, 6 columns), receives M.
+    value, then its derivatives w.r.t. log theta.  Per recording M is
+    formed as a (samples x members) x 6 block, one product per segment of
+    more than one sample, and its Gram adds into the result.  ``rows``, if
+    given (one row per residual, 6 columns), receives M.
 
-    Piecewise-constant-input response in real modal coordinates, with one
-    eigendecomposition per pump state; each member starts uniform at its
-    first measured value.  Within a segment the response and its
-    derivatives are closed form (Van Loan 1978; Najfeld & Havel 1995):
+    Piecewise-constant-input response in real modal coordinates, with the
+    modal systems of both pump states from one pass (``_modal_systems``);
+    each member starts uniform at its first measured value.  Within a
+    segment the response and its derivatives are closed form (Van Loan
+    1978; Najfeld & Havel 1995):
 
         x(t) = x_ss + V e^{lam t} c0
         dx(t) = dx_ss + V (E_p o Phi(t)) c0 + V e^{lam t} V^-1 (dx0 - dx_ss)
 
     with E_p = V^-1 dA_p V, dx_ss = -A^-1 (dA_p x_ss + dB_p u),
     Phi_ik = (e^{lam_i t} - e^{lam_k t}) / (lam_i - lam_k) and
-    Phi_ii = t e^{lam_i t}.  Each is a combination of F = e^{lam t} and
-    t F, so one product of the rows [F, t F] with a coefficient matrix
-    forms all six columns of every member.  A pair of modes closer than
-    _CLOSE_MODES times the fastest rate gets its own row
-    e^{lam_k t} expm1((lam_i - lam_k) t) / (lam_i - lam_k), where the
-    difference of the two F would cancel.  The members' end states and
-    their sensitivities advance together as one 6 x 3 x m array: [0, :, k]
-    is member k's state, [q, :, k] its derivative w.r.t. log theta_q-1.
+    Phi_ii = t e^{lam_i t}.  Phi(t) = sum_b f_b(t) Phi_b over the rows f of
+    ``_basis``: F = e^{lam t}, t F and, for a pair of modes closer than
+    _CLOSE_MODES times the fastest rate, a row of its own, where the
+    difference of the two F would cancel.  So member k's derivative column
+    p takes v_k^T (E_p o Phi_b) c0_k on row b, with v_k the measured row of
+    V, and with the constant row for the steady state one product of the
+    rows with a coefficient matrix forms all six columns of every member.
+    A one-sample segment's row is its start state.  The state and its
+    sensitivities, 3 x m x 6 ([:, k, 0] member k's state, [:, k, q] its
+    derivative w.r.t. log theta_q-1), advance over each segment by the
+    same form at its end, one pair of 3 x 3 maps per pump state and
+    duration.
     """
-    system = {}
+    modal = _modal_systems(theta, C_co, R_co)
+    # E_p o Phi_b over the rows F and t F of both pump states, with
+    # D o E_p = K_p
+    K = modal.D[:, None] * modal.E
+    E_Phi = np.concatenate([_F_SPLIT[:, None] * K[:, None],
+                            _TF_DIAG[:, None] * modal.E[:, None]], axis=1)
+    gains = np.concatenate([modal.G[:, None], modal.dG], axis=1)
+    per_state = []                      # indexed by pump state: off, on
+    for s, close in enumerate(modal.close):
+        # T[b, p] = E_p o Phi_b, with the close pairs' rows appended
+        T = E_Phi[s]
+        if close:
+            pair = np.zeros((len(close), 1, 3, 3))
+            for row, (i, k) in enumerate(close):
+                pair[row, 0, i, k] = pair[row, 0, k, i] = 1.0
+            T = np.concatenate([T, pair * modal.E[s]])
+        # x_ss and dx_ss, 3 x 6: per unit input level, and the ambient's
+        per_state.append((modal.lam[s], modal.V[s], modal.V_inv[s], close, T,
+                          gains[s, ..., 0].T, T_amb * gains[s, ..., 1].T))
+    # (pump state, duration): e^{A t} and V (E_p o Phi(t)) V^-1
+    advance = {}
     gram = np.zeros((6, 6))
     for rec in recordings:
         m = len(rec.offsets)
+        members = np.arange(m)
+        # measured rows of V per pump state, 3 x m
+        measured = [V[rec.nodes].T for V in modal.V]
+        M = np.empty((len(rec.y), m, 6))
         # each member starts at a measured value, which theta does not move
-        X = np.zeros((6, 3, m))
-        X[0] = rec.y[:1]
-        measured = {}
+        X = np.zeros((3, m, 6))
+        X[:, :, 0] = rec.y[0]
         for seg in rec.segments:
-            if seg.pump_on not in system:
-                G, lam, V, V_inv = _modal_system(theta, C_co, R_co,
-                                                 seg.pump_on)
-                dG, E, K, close = _modal_derivatives(theta, C_co,
-                                                     seg.pump_on, G, lam,
-                                                     V, V_inv)
-                # x_ss and dx_ss: per unit input level, and the ambient's
-                gains = np.concatenate([G[None], dG])
-                system[seg.pump_on] = (
-                    gains[..., 0], T_amb * gains[..., 1], lam, V, V_inv, E,
-                    K, close, E.diagonal(axis1=1, axis2=2)[:, :, None])
-            gain, ss_amb, lam, V, V_inv, E, K, close, E_diag = \
-                system[seg.pump_on]
-            if seg.pump_on not in measured:
-                v = V[rec.nodes].T              # measured rows of V, 3 x m
-                measured[seg.pump_on] = v, -(np.swapaxes(K, 1, 2) @ v)
-            # v and -(K_p^T v) of each member, 5 x 3 x m
-            v, KTv = measured[seg.pump_on]
-            ss = (gain * seg.level + ss_amb)[:, :, None]
-            C0 = V_inv @ (X - ss)
-            c0 = C0[0]
-            Kc0 = K @ c0
-            Ec0 = E_diag * c0
-            # coefficients of F, t F and each close pair's row
-            coefs = np.zeros((6, 6 + len(close), m))
-            coefs[:, :3] = v * C0
-            coefs[1:, :3] += v * Kc0 + c0 * KTv
-            coefs[1:, 3:6] = v * Ec0
-            F = np.exp(lam[:, None] * seg.dt_rel)
-            basis = [F, seg.dt_rel * F]
-            F_end = np.exp(lam * seg.t_end)[:, None]
-            # the modal end state, then E o Phi(t_end) c0 + e^{lam t} d
-            W = F_end * C0
-            W[1:] += F_end * (Kc0 + seg.t_end * Ec0)
-            W[1:] -= K @ W[0]
-            for row, (i, k) in enumerate(close, start=6):
-                gap = lam[i] - lam[k]
-                basis.append(F[k] * (np.expm1(gap * seg.dt_rel) / gap
-                                     if gap else seg.dt_rel))
-                ik = E[:, i, k, None] * c0[k]
-                ki = E[:, k, i, None] * c0[i]
-                coefs[1:, row] = v[i] * ik + v[k] * ki
-                phi = F_end[k] * (np.expm1(gap * seg.t_end) / gap
-                                  if gap else seg.t_end)
-                W[1:, i] += phi * ik
-                W[1:, k] += phi * ki
-            P = np.concatenate(basis).T @ coefs \
-                + ss[:, rec.nodes, 0][:, None]
-            P[0] -= rec.y[seg.a:seg.b]
-            if rows is not None:
-                for k, offset in enumerate(rec.offsets):
-                    rows[offset + seg.a:offset + seg.b] = P[:, :, k].T
-            P = P.reshape(6, -1)
-            gram += P @ P.T
-            X = V @ W + ss
+            lam, V, V_inv, close, T, ss_level, ss_amb = per_state[seg.pump_on]
+            ss = (seg.level * ss_level + ss_amb)[:, None]
+            Z = (X - ss).reshape(3, -1)
+            n = seg.b - seg.a
+            if n == 1:
+                M[seg.a] = X[rec.nodes, members]
+            else:
+                v = measured[seg.pump_on]
+                C0 = (V_inv @ Z).reshape(3, m, 6)
+                c0 = C0[:, :, 0]
+                # coefficients of each basis row, the constant row last
+                coefs = np.zeros((len(T) + 1, m, 6))
+                np.multiply(v[:, :, None], C0, out=coefs[:3])
+                coefs[:-1, :, 1:] += (
+                    (v[:, None] * c0).reshape(9, m).T @ T.reshape(-1, 9).T
+                ).reshape(m, len(T), 5).swapaxes(0, 1)
+                coefs[-1] = ss[rec.nodes, 0]
+                np.matmul(_basis(lam, close, seg.dt_rel).T,
+                          coefs.reshape(len(coefs), -1),
+                          out=M[seg.a:seg.b].reshape(n, -1))
+            key = (seg.pump_on, seg.t_end)
+            if key not in advance:
+                end = _basis(lam, close, np.array([seg.t_end]))[:-1, 0]
+                EPhi = (end @ T.reshape(len(T), -1)).reshape(5, 3, 3)
+                advance[key] = (V * end[:3]) @ V_inv, V @ EPhi @ V_inv
+            P, N = advance[key]
+            X = (P @ Z).reshape(3, m, 6) + ss
+            X[:, :, 1:] += (N @ Z[:, ::6]).transpose(1, 2, 0)
+        M[:, :, 0] -= rec.y
+        if rows is not None:
+            for k, offset in enumerate(rec.offsets):
+                rows[offset:offset + len(M)] = M[:, k]
+        M = M.reshape(-1, 6)
+        gram += M.T @ M
     return gram
 
 
@@ -440,20 +472,21 @@ def fit_two_node(traces, C_co: float, R_co: float,
     """Least-squares fit of the RC-network constants to one or more traces.
 
     Traces with equal ``t``, ``u`` and ``pump_on`` (several sensors of one
-    run) are simulated together: per parameter vector, one symmetric
-    eigendecomposition per pump state, and per segment of each recording
-    one set of modal exponentials and one matrix product that forms the
-    residuals and their exact derivatives for all its traces (``_simulate``).
-    Only their 6 x 6 Gram is kept.  The solver (``least_squares``, ``trf``)
-    gets a square root T of it, T^T T = Gram, from a symmetric
-    eigendecomposition with eigenvalues clipped at 0: its first column
-    stands in for the residual and the rest for the Jacobian, both with six
-    rows whatever the number of samples, and with the same cost, gradient
-    and Gauss-Newton matrix.  ``residual_rms`` comes from that cost, the
-    column norms and half-widths from the Gram.  Where the simulation
-    fails, the cost is that of a 1e6 K residual in every sample.  A
-    ``ConfigError`` is raised when no recording steps its input or toggles
-    its pump.
+    run) are simulated together: per parameter vector, one stacked
+    symmetric eigendecomposition for both pump states, and per segment of
+    more than one sample one set of modal exponentials and one matrix
+    product that forms the residuals and their exact derivatives for all
+    the recording's traces (``_simulate``).  Only their 6 x 6 Gram is
+    kept.  The solver (``least_squares``, ``trf``) gets a square root T of
+    it, T^T T = Gram, from a symmetric eigendecomposition with eigenvalues
+    clipped at 0: its first column stands in for the residual and the rest
+    for the Jacobian, both with six rows whatever the number of samples,
+    and with the same cost, gradient and Gauss-Newton matrix.
+    ``residual_rms`` comes from that cost, the column norms and half-widths
+    from the Gram.  Where the simulation fails, the cost is that of a
+    1e6 K residual in every sample.  A
+    ``ConfigError`` is raised when a trace has no ``pump_on`` column, and
+    when no recording steps its input or toggles its pump.
 
     The fit runs in log coordinates, each constant within a factor e^8 of
     its initial value.  ``parameters`` holds the five constants and
@@ -474,6 +507,9 @@ def fit_two_node(traces, C_co: float, R_co: float,
     for tr in traces:
         if tr.signal not in _SIGNAL_INDEX:
             raise ConfigError(f"unknown measured signal {tr.signal!r}")
+    if any(tr.pump_on is None for tr in traces):
+        raise ConfigError("a two-node fit needs the pump_on column of "
+                          "every trace")
     recordings = _recordings(traces)
     if all(len(rec.segments) == 1 for rec in recordings):
         raise ConfigError("input never steps and pump never toggles")

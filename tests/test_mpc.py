@@ -298,14 +298,52 @@ def test_region_maps_built_once_per_mode_and_pattern(monkeypatch):
 @pytest.mark.parametrize("measurement, setpoint", [(float("nan"), 25.0),
                                                    (21.0, float("nan"))])
 def test_non_finite_input_stops_solver_at_once(measurement, setpoint):
-    # NaN reaches the solver, whose residual cannot become finite: it must
-    # raise at the first iteration, not spin to its cap
-    ctrl = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
-    n = ctrl.preview_length
-    ctrl.step(21.0, 21.0, np.full(n, 25.0))
+    # NaN in the QP, whose residual cannot become finite: the solver must
+    # raise at the first iteration, not spin to its cap.  The controller
+    # rejects such inputs before they reach it, so the QP is built here.
+    cfg = MpcConfig()
+    model = discretize_fopdt(preset_params(Mode.HEAT), cfg.t_s)
+    qp = build_prediction(model, measurement, np.full(model.d, 21.0),
+                          np.full(model.d + cfg.H, setpoint))
     with pytest.raises(NumericError, match="at iteration 0:") as info:
-        ctrl.step(measurement, 21.0, np.full(n, setpoint))
+        solve_mpc(qp, cfg, u_ref=AmbientConfig().T_amb, u_prev=21.0)
     assert not isinstance(info.value, ConvergenceError)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("name", ["measurement", "T_w", "preview"])
+@pytest.mark.parametrize("startup", [True, False], ids=["startup", "later"])
+def test_step_rejects_non_finite_input_before_changing_state(name, value,
+                                                             startup):
+    # the input is named, and the controller goes on exactly as one that
+    # never saw the bad sample
+    def good(ctrl, k):
+        return ctrl.step(21.0 + 0.1 * k, 20.0 + 0.1 * k,
+                         np.full(ctrl.preview_length, 25.0))
+
+    ctrl, clean = (ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
+                   for _ in range(2))
+    n = ctrl.preview_length
+    samples = 0 if startup else 3
+    for k in range(samples):
+        good(ctrl, k)
+        good(clean, k)
+    mode = ctrl.mode
+    inputs = {"measurement": 21.0, "T_w": 21.0,
+              "preview": np.full(n, 25.0)}
+    if name == "preview":
+        inputs["preview"][n // 2] = value
+    else:
+        inputs[name] = value
+    match = ("preview entry" if name == "preview" else name) + \
+        ".* not finite"
+    with pytest.raises(NumericError, match=match):
+        ctrl.step(inputs["measurement"], inputs["T_w"], inputs["preview"])
+    assert ctrl.mode is mode
+    for k in range(samples, samples + 3):
+        assert good(ctrl, k) == good(clean, k)
+    assert ctrl.mode is clean.mode
 
 
 def _recorded_solves(monkeypatch, specs):

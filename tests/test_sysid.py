@@ -16,7 +16,8 @@ from thermocover.errors import ConfigError, IllConditionedFitError
 from thermocover.params import AmbientConfig, Mode, preset_params
 from thermocover.sysid import (_SIGNAL_INDEX, _TWO_NODE_INIT,
                                _TWO_NODE_NAMES, FitReport, StepTrace,
-                               _confidence, _fopdt_basis, _plant_matrices,
+                               _confidence, _fopdt_basis, _modal_systems,
+                               _plant_derivatives, _plant_matrices,
                                _recordings, _simulate, _two_point_init,
                                fit_fopdt, fit_two_node)
 
@@ -125,6 +126,15 @@ def test_two_node_needs_a_step_or_a_pump_toggle(heat_params):
 def test_two_node_needs_traces(heat_params):
     with pytest.raises(ConfigError):
         fit_two_node([], C_co=heat_params.C_co, R_co=heat_params.R_co)
+
+
+def test_two_node_needs_the_pump_column(heat_params):
+    # without it the fit would take the pump as always off
+    t, u, _, _, y_c, _ = make_plant_step_run(heat_params, n=600,
+                                             pump_off_at=300)
+    tr = StepTrace(t=t, u=u, y=y_c, signal="T_c")
+    with pytest.raises(ConfigError, match="pump_on"):
+        fit_two_node([tr], C_co=heat_params.C_co, R_co=heat_params.R_co)
 
 
 @pytest.mark.parametrize("name", ["C_co", "R_co"])
@@ -343,13 +353,14 @@ def _mixed_traces():
         *_recording_traces(t, u, pump, (21.0, 35.0), seed=0),
         # the same run on a shifted clock is a recording of its own
         *_recording_traces(t + 1000.0, u, pump, (24.0,), seed=1),
-        # a different input, pump always on, always off, and no pump column
+        # a different input, pump always on, and two sensors with it off
         *_recording_traces(t, other_u, pump, (21.0,), seed=2),
         StepTrace(t=t, u=u, y=np.full(n, 22.0), signal="T_w",
                   pump_on=np.ones(n, dtype=bool)),
         StepTrace(t=t, u=u, y=np.full(n, 22.0), signal="T_c",
                   pump_on=np.zeros(n, dtype=bool)),
-        StepTrace(t=t, u=u, y=np.full(n, 26.0), signal="T_co"),
+        StepTrace(t=t, u=u, y=np.full(n, 26.0), signal="T_co",
+                  pump_on=np.zeros(n, dtype=bool)),
         # t_s = 0.5 s
         StepTrace(t=0.5 * t, u=u, y=np.full(n, 23.0), signal="T_w",
                   pump_on=pump),
@@ -360,7 +371,7 @@ def test_traces_of_one_run_share_a_recording():
     traces = _mixed_traces()
     recordings = _recordings(traces)
     # the shared run, the shifted clock, the other input, pump on, pump
-    # off and no pump column (the same segments as pump off), t_s = 0.5 s
+    # off (two sensors), t_s = 0.5 s
     assert [len(rec.offsets) for rec in recordings] == [6, 3, 3, 1, 2, 1]
     offsets = [offset for rec in recordings for offset in rec.offsets]
     assert sorted(offsets) == [40 * k for k in range(len(traces))]
@@ -396,6 +407,57 @@ def test_coinciding_modes_theta_has_a_double_mode(heat_params):
                            heat_params.R_co, pump_on=False)
     lam = np.sort(np.linalg.eigvals(A).real)
     assert np.min(np.diff(lam)) <= 1e-12 * np.max(np.abs(lam))
+
+
+def _reference_modal_system(theta, C_co, R_co, pump_on):
+    """Steady-state gains and real modes of one pump state's dynamics:
+    (G, lam, V, V^-1), the per-state pass the stacked one replaced."""
+    A, B = _plant_matrices(*theta, C_co, R_co, pump_on)
+    c = np.sqrt([C_co, theta[1], theta[3]])
+    lam, Q = np.linalg.eigh(A * c[:, None] / c[None, :])
+    return -np.linalg.solve(A, B), lam, Q / c[:, None], Q.T * c[None, :]
+
+
+def _reference_modal_derivatives(theta, C_co, pump_on, G, lam, V, V_inv):
+    """(dG, E, K, close) of one pump state, with K = D o E."""
+    dA, dB = _plant_derivatives(*theta, C_co, pump_on)
+    dG = -((V / lam) @ V_inv) @ (dA @ G + dB)
+    E = V_inv @ dA @ V
+    gap = lam[:, None] - lam
+    tol = sysid._CLOSE_MODES * np.max(np.abs(lam))
+    D = np.divide(1.0, gap, out=np.zeros((3, 3)), where=np.abs(gap) > tol)
+    close = [(i, k) for i, k in ((0, 1), (0, 2), (1, 2))
+             if lam[k] - lam[i] <= tol]
+    return dG, E, D * E, close
+
+
+@pytest.mark.parametrize("close_modes", [sysid._CLOSE_MODES, 1.0],
+                         ids=["default", "every-pair-close"])
+@pytest.mark.parametrize("theta", _THETAS)
+def test_stacked_modal_pass_matches_per_state_loop(heat_params, theta,
+                                                   close_modes, monkeypatch):
+    monkeypatch.setattr(sysid, "_CLOSE_MODES", close_modes)
+    theta = np.asarray(theta, dtype=float)
+    C_co, R_co = heat_params.C_co, heat_params.R_co
+    modal = _modal_systems(theta, C_co, R_co)
+    for s, pump_on in enumerate((False, True)):
+        G, lam, V, V_inv = _reference_modal_system(theta, C_co, R_co,
+                                                   pump_on)
+        dG, E, K, close = _reference_modal_derivatives(theta, C_co, pump_on,
+                                                       G, lam, V, V_inv)
+        assert modal.lam[s] == pytest.approx(lam, rel=1e-14, abs=0.0)
+        assert modal.close[s] == close
+        assert np.allclose(modal.G[s], G, rtol=1e-14, atol=0.0)
+        assert np.allclose(modal.dG[s], dG, rtol=1e-13,
+                           atol=1e-14 * np.max(np.abs(dG)))
+        # each eigenvector is fixed up to its sign, which E_ik carries
+        sign = np.sign(np.sum(modal.V[s] * V, axis=0))
+        for new, ref in ((modal.E[s], E), (modal.D[s] * modal.E[s], K)):
+            aligned = sign[:, None] * new * sign[None, :]
+            assert np.allclose(aligned, ref, rtol=1e-13,
+                               atol=1e-14 * np.max(np.abs(ref)))
+    if close_modes == 1.0:
+        assert modal.close == ([(0, 1), (0, 2), (1, 2)],) * 2
 
 
 def _kernel_rows(theta, traces, params):
@@ -460,6 +522,39 @@ def test_streamed_gram_equals_gram_of_rows(heat_params, theta, close_modes,
     gram, rows = _kernel_rows(theta, _mixed_traces(), heat_params)
     expected = rows.T @ rows
     assert gram.shape == (6, 6)
+    assert np.all(np.abs(gram - expected)
+                  <= 1e-12 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("pump_on", [False, True], ids=["off", "on"])
+@pytest.mark.parametrize("theta", _THETAS)
+def test_recording_in_one_pump_state_matches_reference(heat_params, theta,
+                                                       pump_on):
+    # the stacked pass builds both states; a recording uses only one
+    n = 40
+    t = np.arange(n, dtype=float)
+    u = np.full(n, 40.0)
+    u[0] = 21.0
+    u[[7, 20, 21]] = [30.0, 35.0, 25.0]
+    traces = _recording_traces(t, u, np.full(n, pump_on), (21.0,), seed=3)
+    ambient = AmbientConfig()
+    theta = np.array(theta)
+    log_theta = np.log(theta)
+    gram, rows = _kernel_rows(theta, traces, heat_params)
+    reference = _reference_residual(traces, heat_params.C_co,
+                                    heat_params.R_co, ambient)
+    assert np.max(np.abs(rows[:, 0] - reference(log_theta))) <= 1e-12
+    h = 1e-4
+    central = np.column_stack([
+        (reference(log_theta + h * e) - reference(log_theta - h * e))
+        / (2.0 * h) for e in np.eye(len(_TWO_NODE_NAMES))])
+    scale = np.max(np.abs(central), axis=0)
+    if not pump_on:
+        # R_w never enters the dynamics
+        assert np.all(rows[:, 1] == 0.0) and np.all(central[:, 0] == 0.0)
+        scale[0] = 1.0
+    assert np.all(np.abs(rows[:, 1:] - central) <= 1e-7 * scale)
+    expected = rows.T @ rows
     assert np.all(np.abs(gram - expected)
                   <= 1e-12 * np.max(np.abs(expected)))
 
