@@ -24,10 +24,12 @@ Two fitters mirror how the hardware constants were derived:
   one product per segment of more than one sample forms the residuals and
   their Jacobian for all sensors of a recording, those rows reduce to one
   6 x 6 Gram, and a 6-row square root of it stands in for every sample.
-  The report adds the cover pole ``tau_c = R_c C_c`` and warns about a
-  constant that ends on its search bound or that the data leave
-  undetermined (relative confidence half-width above 1); under noise that
-  is typically R_c and C_c, of which only the product is determined.
+  Under noise the data determine only the product of R_c and C_c, the
+  cover pole ``tau_c = R_c C_c``, so the search runs in log(R_w, C_w,
+  tau_c, R_c, R_aw), where the direction they leave open is one axis.
+  The report adds ``tau_c`` and warns about a search coordinate that ends
+  on its bound and a constant that the data leave undetermined (relative
+  confidence half-width above 1).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import least_squares
 
 from .errors import ConfigError, IllConditionedFitError
@@ -120,10 +123,12 @@ class FitReport:
     residual_rms: float
     confidence: dict = field(default_factory=dict)
     warnings: tuple = ()
+    nfev: int = 0          # residual evaluations the solver made
 
     def to_kv(self) -> dict:
         out = dict(self.parameters)
         out["residual_rms"] = self.residual_rms
+        out["nfev"] = self.nfev
         for name, hw in self.confidence.items():
             out[f"confidence.{name}"] = hw
         return out
@@ -196,7 +201,8 @@ def fit_fopdt(trace: StepTrace) -> FitReport:
     }
     conf = _confidence(sol.jac.T @ sol.jac, rms,
                        ("R_com_C_com", "L_d", "gain", "offset"))
-    return FitReport(parameters=params, residual_rms=rms, confidence=conf)
+    return FitReport(parameters=params, residual_rms=rms, confidence=conf,
+                     nfev=int(sol.nfev))
 
 
 def _confidence(normal, rms, names, outputs=None):
@@ -223,6 +229,18 @@ _TWO_NODE_NAMES = ("R_w", "C_w", "R_c", "C_c", "R_aw")
 _TWO_NODE_INIT = {"R_w": 5.0, "C_w": 150.0, "R_c": 60.0, "C_c": 0.3,
                   "R_aw": 2.0}
 _SIGNAL_INDEX = {"T_co": 0, "T_w": 1, "T_c": 2}
+# the fit searches w = log(R_w, C_w, tau_c, R_c, R_aw), log theta =
+# _SEARCH_MAP @ w (log C_c = log tau_c - log R_c), each within e^+-_SEARCH_BOX
+# of its initial value; tau_c's box is the product of R_c's and C_c's
+_SEARCH_NAMES = ("R_w", "C_w", "tau_c", "R_c", "R_aw")
+_SEARCH_MAP = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
+                        [0.0, 1.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0, -1.0, 0.0],
+                        [0.0, 0.0, 0.0, 0.0, 1.0]])
+_SEARCH_BOX = np.array([8.0, 8.0, 16.0, 8.0, 8.0])
+# [r | J] in log theta to [r | J] in w
+_GRAM_MAP = block_diag(1.0, _SEARCH_MAP)
 # the log-parameters, then log tau_c = log R_c + log C_c
 _TWO_NODE_OUTPUTS = np.vstack([np.eye(5), [0.0, 0.0, 1.0, 1.0, 0.0]])
 # the coefficients of F_b and of t F_b in Phi_ik, b over the modes:
@@ -477,23 +495,34 @@ def fit_two_node(traces, C_co: float, R_co: float,
     more than one sample one set of modal exponentials and one matrix
     product that forms the residuals and their exact derivatives for all
     the recording's traces (``_simulate``).  Only their 6 x 6 Gram is
-    kept.  The solver (``least_squares``, ``trf``) gets a square root T of
-    it, T^T T = Gram, from a symmetric eigendecomposition with eigenvalues
-    clipped at 0: its first column stands in for the residual and the rest
-    for the Jacobian, both with six rows whatever the number of samples,
-    and with the same cost, gradient and Gauss-Newton matrix.
-    ``residual_rms`` comes from that cost, the column norms and half-widths
-    from the Gram.  Where the simulation fails, the cost is that of a
-    1e6 K residual in every sample.  A
+    kept.
+
+    The search runs in w = log(R_w, C_w, tau_c, R_c, R_aw) with
+    ``tau_c = R_c C_c``, so that the direction noisy data leave open,
+    R_c against C_c at fixed tau_c, is one axis of w rather than a
+    diagonal valley.  log theta = T w for a constant T (log C_c = w_tau -
+    w_Rc), so the kernel runs at exp(T w) unchanged and the Gram maps by
+    the congruence S^T Gram S, S = diag(1, T).  Each of R_w, C_w, R_c and
+    R_aw stays within a factor e^8 of its initial value, tau_c within e^16
+    of 60 * 0.3 s, the product of the boxes R_c and C_c had when they were
+    searched themselves; C_c has no box of its own.  The solver
+    (``least_squares``, ``trf``) gets a square root of the mapped Gram,
+    with R^T R = S^T Gram S, from a symmetric eigendecomposition with
+    eigenvalues clipped at 0: its first column stands in for the residual
+    and the rest for the Jacobian, both with six rows whatever the number
+    of samples, and with the same cost, gradient and Gauss-Newton matrix.
+    ``residual_rms`` comes from that cost.  Where the simulation fails,
+    the cost is that of a 1e6 K residual in every sample.  A
     ``ConfigError`` is raised when a trace has no ``pump_on`` column, and
     when no recording steps its input or toggles its pump.
 
-    The fit runs in log coordinates, each constant within a factor e^8 of
-    its initial value.  ``parameters`` holds the five constants and
-    ``tau_c = R_c C_c``; ``confidence`` holds their half-widths, that of
-    ``tau_c`` by the delta method.  ``warnings`` names each constant that
-    is weakly sensitive, at its search bound, or not determined by the
-    data (relative half-width above 1).
+    ``parameters`` holds the five constants and ``tau_c``; ``confidence``
+    holds their half-widths from the Gram in log theta, that of ``tau_c``
+    by the delta method; ``nfev`` is the solver's count of residual
+    evaluations.  ``warnings`` names each constant that is weakly
+    sensitive or not determined by the data (relative half-width above 1),
+    both judged in log theta, and each search coordinate at its search
+    bound.
     """
     if ambient is None:
         ambient = AmbientConfig()
@@ -516,33 +545,36 @@ def fit_two_node(traces, C_co: float, R_co: float,
     n_res = sum(len(tr.t) for tr in traces)
     cache = {}
 
-    def factor(log_theta):
-        """The Gram of [r | J] and T with T^T T = Gram, for the last point."""
-        key = log_theta.tobytes()
+    def factor(w):
+        """The Gram of [r | J] in log theta and R with R^T R = S^T Gram S,
+        for the last point."""
+        key = w.tobytes()
         if key not in cache:
             try:
-                gram = _simulate(np.exp(log_theta), recordings, C_co, R_co,
-                                 ambient.T_amb)
+                gram = _simulate(np.exp(_SEARCH_MAP @ w), recordings, C_co,
+                                 R_co, ambient.T_amb)
             except np.linalg.LinAlgError:
                 gram = np.full((6, 6), np.nan)
             if not np.all(np.isfinite(gram)):
                 # the cost of a 1e6 K residual in every row, and no slope
                 gram = np.diag([n_res * 1e12, 0.0, 0.0, 0.0, 0.0, 0.0])
-            w, Q = np.linalg.eigh(gram)
+            ev, Q = np.linalg.eigh(_GRAM_MAP.T @ gram @ _GRAM_MAP)
             cache.clear()
-            cache[key] = gram, np.sqrt(np.maximum(w, 0.0))[:, None] * Q.T
+            cache[key] = gram, np.sqrt(np.maximum(ev, 0.0))[:, None] * Q.T
         return cache[key]
 
     # bounds keep the search in a physically generous region so degenerate
     # parameter vectors (singular dynamics, overflowing exponentials) are
     # never visited
-    x_init = np.log([_TWO_NODE_INIT[n] for n in _TWO_NODE_NAMES])
-    lower, upper = x_init - 8.0, x_init + 8.0
+    init = dict(_TWO_NODE_INIT,
+                tau_c=_TWO_NODE_INIT["R_c"] * _TWO_NODE_INIT["C_c"])
+    x_init = np.log([init[n] for n in _SEARCH_NAMES])
+    lower, upper = x_init - _SEARCH_BOX, x_init + _SEARCH_BOX
     sol = least_squares(lambda x: factor(x)[1][:, 0], x0=x_init,
                         jac=lambda x: factor(x)[1][:, 1:], method="trf",
                         bounds=(lower, upper),
                         x_scale="jac", xtol=1e-12, ftol=1e-12)
-    theta = np.exp(sol.x)
+    theta = np.exp(_SEARCH_MAP @ sol.x)
     rms = float(np.sqrt(2.0 * sol.cost / n_res))
 
     normal = factor(sol.x)[0][1:, 1:]
@@ -570,7 +602,7 @@ def fit_two_node(traces, C_co: float, R_co: float,
     ) + tuple(
         f"{n} is at its search bound "
         f"[{np.exp(lo):.6g}, {np.exp(hi):.6g}]"
-        for n, x, lo, hi in zip(_TWO_NODE_NAMES, sol.x, lower, upper)
+        for n, x, lo, hi in zip(_SEARCH_NAMES, sol.x, lower, upper)
         if min(x - lo, hi - x) < 1e-6
     ) + tuple(
         f"{n} is not determined by the data (relative half-width "
@@ -578,4 +610,4 @@ def fit_two_node(traces, C_co: float, R_co: float,
         for n, h in rel_hw.items() if h > 1.0
     )
     return FitReport(parameters=params, residual_rms=rms, confidence=conf,
-                     warnings=warnings)
+                     warnings=warnings, nfev=int(sol.nfev))

@@ -328,6 +328,7 @@ def test_fit_fopdt_round_trip(tmp_path, capsys):
     assert abs(float(items["R_com_C_com"]) - params.R_com_C_com) \
         < 0.01 * params.R_com_C_com
     assert abs(float(items["L_d"]) - params.L_d) < 0.01 * params.L_d
+    assert int(items["nfev"]) > 0
 
 
 # a short open-loop recording, pump stopped halfway, as an 11-column CSV
@@ -378,6 +379,20 @@ def test_fit_two_node_prints_cover_time_constant(tmp_path, capsys):
     assert float(items["tau_c"]) == pytest.approx(
         float(items["R_c"]) * float(items["C_c"]), rel=1e-9)
     assert "confidence.tau_c" in items
+    assert int(items["nfev"]) > 0
+
+
+def test_fit_two_node_of_closed_loop_water_trace_exits_ok(tmp_path, capsys):
+    # a single water sensor of a closed-loop run determines only tau_c
+    # and the water node's constants; searched in log tau_c, the fit does
+    # not run R_c onto its lower bound, where its column vanishes
+    assert main(["run", "exp1_heat", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["fit", str(tmp_path / "exp1_heat_trace.csv"),
+                 "--model", "two-node", "--signal", "T_w"]) == 0
+    items = kvio.loads(capsys.readouterr().out)
+    assert float(items["residual_rms"]) == pytest.approx(0.128439,
+                                                         abs=1e-6)
 
 
 def test_fit_two_node_without_step_or_toggle_exits_config(tmp_path):

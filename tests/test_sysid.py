@@ -14,12 +14,12 @@ from conftest import make_fopdt_trace, make_plant_step_run
 from thermocover import sysid
 from thermocover.errors import ConfigError, IllConditionedFitError
 from thermocover.params import AmbientConfig, Mode, preset_params
-from thermocover.sysid import (_SIGNAL_INDEX, _TWO_NODE_INIT,
-                               _TWO_NODE_NAMES, FitReport, StepTrace,
-                               _confidence, _fopdt_basis, _modal_systems,
-                               _plant_derivatives, _plant_matrices,
-                               _recordings, _simulate, _two_point_init,
-                               fit_fopdt, fit_two_node)
+from thermocover.sysid import (_SEARCH_MAP, _SEARCH_NAMES, _SIGNAL_INDEX,
+                               _TWO_NODE_INIT, _TWO_NODE_NAMES, FitReport,
+                               StepTrace, _confidence, _fopdt_basis,
+                               _modal_systems, _plant_derivatives,
+                               _plant_matrices, _recordings, _simulate,
+                               _two_point_init, fit_fopdt, fit_two_node)
 
 
 def test_trace_must_be_uniform():
@@ -569,9 +569,10 @@ def _criterion_08_traces(params, order=("T_co", "T_w", "T_c")):
 
 def test_two_node_fit_equals_reference_least_squares(heat_params):
     # the same least-squares call over the complex-eig reference residual,
-    # with finite-difference columns where the fit has the exact Jacobian.
-    # R_c and C_c differ by 6.7e-10 relative, where the solver's 1e-12
-    # tolerances stop it along their valley; the others by at most 1.4e-12
+    # with finite-difference columns where the fit has the exact Jacobian,
+    # searching log theta where the fit searches log tau_c.  R_c and C_c
+    # differ by 1.3e-12 relative, the others by at most 1.2e-14; rel=1e-9
+    # leaves room for where the 1e-12 tolerances stop along their valley
     traces = _criterion_08_traces(heat_params)
     report = fit_two_node(traces, C_co=heat_params.C_co,
                           R_co=heat_params.R_co)
@@ -658,18 +659,72 @@ class _Stop(Exception):
     pass
 
 
+def _search_point(theta):
+    """The search coordinates w = log(R_w, C_w, tau_c, R_c, R_aw) of
+    theta = (R_w, C_w, R_c, C_c, R_aw)."""
+    R_w, C_w, R_c, C_c, R_aw = theta
+    return np.log([R_w, C_w, R_c * C_c, R_c, R_aw])
+
+
+def test_search_map_inverts_search_point():
+    theta = np.array(_THETAS[1])
+    assert np.exp(_SEARCH_MAP @ _search_point(theta)) == \
+        pytest.approx(theta, rel=1e-14)
+
+
+@pytest.mark.parametrize("theta", _THETAS)
+def test_search_square_root_matches_central_differences(heat_params, theta,
+                                                        monkeypatch):
+    # the six-row square root R the solver sees at a search point w,
+    # against M = [r | dr/dw] from fourth-order central differences (step
+    # 3e-3 in w) of the complex-eig reference residual at log theta = T w:
+    # R^T R = M^T M to within 1e-7 of the two columns' norms (5.1e-8 at
+    # theta1).  The R_c column at fixed tau_c is small, about 1e-3 of the
+    # others, so two-point differences with step 1e-4 lose it to the
+    # reference's rounding.
+    traces = _mixed_traces()
+    w = _search_point(theta)
+    seen = []
+
+    def least_squares(fun, x0, jac, **kwargs):
+        seen.append(np.column_stack([fun(w), jac(w)]))
+        raise _Stop
+
+    monkeypatch.setattr(sysid, "least_squares", least_squares)
+    with pytest.raises(_Stop):
+        fit_two_node(traces, C_co=heat_params.C_co, R_co=heat_params.R_co)
+    (root,) = seen
+    assert root.shape == (6, 6)
+    reference = _reference_residual(traces, heat_params.C_co,
+                                    heat_params.R_co, AmbientConfig())
+
+    def diff(e, h):
+        return (reference(_SEARCH_MAP @ (w + h * e))
+                - reference(_SEARCH_MAP @ (w - h * e)))
+
+    h = 3e-3
+    M = np.column_stack([reference(_SEARCH_MAP @ w)] + [
+        (8.0 * diff(e, h) - diff(e, 2.0 * h)) / (12.0 * h)
+        for e in np.eye(len(_SEARCH_NAMES))])
+    expected = M.T @ M
+    norms = np.sqrt(np.diag(expected))
+    gap = np.abs(root.T @ root - expected) / np.outer(norms, norms)
+    assert np.all(gap <= 1e-7)
+
+
 @pytest.mark.parametrize("failure", ["raises", "non-finite"])
 def test_failed_simulation_costs_1e6_per_row(heat_params, monkeypatch,
                                              failure):
-    # at one theta the kernel fails; the solver sees a residual of 1e6 K
-    # in every row and a zero Jacobian there, and the usual values elsewhere
+    # at one search point the kernel fails; the solver sees a residual of
+    # 1e6 K in every row and a zero Jacobian there, and the usual values
+    # elsewhere
     traces = _criterion_08_traces(heat_params)
     n_res = sum(len(tr.t) for tr in traces)
-    x_bad = np.log([_TWO_NODE_INIT[n] for n in _TWO_NODE_NAMES]) + 1.0
+    x_bad = _search_point([_TWO_NODE_INIT[n] for n in _TWO_NODE_NAMES]) + 1.0
     simulate = sysid._simulate
 
     def failing(theta, *args):
-        if np.array_equal(theta, np.exp(x_bad)):
+        if np.array_equal(theta, np.exp(_SEARCH_MAP @ x_bad)):
             if failure == "raises":
                 raise np.linalg.LinAlgError("singular matrix")
             return np.full((6, 6), np.inf)
