@@ -80,6 +80,14 @@ class PlantParams:
             raise ConfigError("R_com_C_com must be strictly positive")
         if self.L_d < 0.0:
             raise ConfigError("L_d must be non-negative")
+        # kept, because the plant's map cache hashes the constants at every
+        # step; the floats only, which hash alike in every process
+        object.__setattr__(self, "_hash", hash((
+            self.R_w, self.R_c, self.R_co, self.R_aw, self.R_a, self.C_w,
+            self.C_c, self.C_co, self.R_com_C_com, self.L_d)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,14 @@ Water transport delay is deliberately absent here: the combined model's
 dead time lives in the controller, not in the physical nodes.
 
 ``network_matrices`` writes the RC network once; ``sysid`` fits its
-three-node block.  Over one ``step_plant`` call the network is affine in
-[T_p, T_co, T_w, T_c] once its regime is fixed: the pump state, the
-Peltier cap status (slack, +cap or -cap) and the contact windows open
-over the call.  So the call applies a cached map that chains its substeps
-exactly, each one exponential of the augmented block matrix (Van Loan
-1978), with the contact flow held over each substep.  Where the cap status
-changes at a substep end, or a contact window opens or closes inside the
-call, it runs the RK4 substeps instead.
+three-node block.  Over one substep the network is affine in [T_p, T_co,
+T_w, T_c] once its regime is fixed: the pump state, the Peltier cap
+status (slack, +cap or -cap) and the contact windows open.  So each
+substep is one exponential of the augmented block matrix (Van Loan 1978),
+with the contact flow held over the substep, and a ``step_plant`` call
+applies a cached map that chains its substeps exactly.  Where the regime
+changes inside the call, it walks the substeps one map each, and re-runs
+a substep whose cap status changes inside it in shorter parts.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -146,19 +147,11 @@ def network_matrices(R_w, C_w, R_c, C_c, R_aw, C_co, R_co, pump_on,
     return A, B
 
 
-def max_stable_dt(params: PlantParams, peltier_lag: float,
-                  conductance: float = 0.0) -> float:
-    """Longest substep (s) ``step_plant`` accepts.
-
-    Half the cover's, the tank's and the plate lag's time constants, well
-    inside RK4's stability interval; and the cover's time constant with
-    ``conductance`` (W/K) of contact in parallel, because the contact flow
-    is held over each substep and beyond that it overshoots the skin.
-    """
-    limit = 0.5 * min(params.R_c * params.C_c, params.R_co * params.C_co)
-    if peltier_lag > 0.0:
-        limit = min(limit, 0.5 * peltier_lag)
-    return min(limit, params.C_c / (1.0 / params.R_c + conductance))
+def max_stable_dt(params: PlantParams, conductance: float = 0.0) -> float:
+    """Longest substep (s) ``step_plant`` accepts: the cover's time constant
+    with ``conductance`` (W/K) of contact in parallel.  The contact flow is
+    held over each substep, and beyond that it overshoots the skin."""
+    return params.C_c / (1.0 / params.R_c + conductance)
 
 
 def _check_step(params, dt, peltier_lag, peltier_power, n_sub, conductance):
@@ -169,9 +162,14 @@ def _check_step(params, dt, peltier_lag, peltier_power, n_sub, conductance):
         raise ConfigError("peltier_lag must be non-negative")
     if not peltier_power > 0.0:
         raise ConfigError("peltier_power must be positive (inf: no limit)")
+    try:
+        n_sub = operator.index(n_sub)
+    except TypeError:
+        raise ConfigError(
+            f"n_sub must be an integer, got {n_sub!r}") from None
     if not n_sub >= 1:
         raise ConfigError("n_sub must be at least 1")
-    limit = max_stable_dt(params, peltier_lag, conductance)
+    limit = max_stable_dt(params, conductance)
     if dt > limit:
         raise ConfigError(
             f"dt = {dt} s exceeds the stability margin {limit:.3g} s"
@@ -186,16 +184,21 @@ class _SampleMap(NamedTuple):
     slack: tuple    # the plate flow (T_p - T_co) / R_co after each substep
 
 
-#: Maps kept: both modes and pump states of a run, each cap status, and
-#: a few contact loads and plate settings.
+#: Maps kept: both modes and pump states of a run, each cap status, a few
+#: contact loads and plate settings, and the one-substep maps of the walk.
 _MAP_CACHE_SIZE = 64
 
-#: Longest call served from a map, which keeps one slack row per substep;
-#: a longer call runs RK4.
+#: Longest call served from one map, which keeps one slack row per
+#: substep; a longer call walks its substeps.
 _MAX_MAP_SUBSTEPS = 100
 
+#: Equal parts a substep is re-run in where the cap status at its end
+#: differs from its start, each held at the status at the part's start.
+_CAP_PARTS = 8
 
-@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
+
+# typed, so that a float n_sub misses every int key and reaches the check
+@functools.lru_cache(maxsize=_MAP_CACHE_SIZE, typed=True)
 # a constant large enough to overflow is reported by the check at the end
 @np.errstate(all="ignore")
 def _sample_map(params, pump_on, cap, peltier_lag, peltier_power, dt, n_sub,
@@ -248,7 +251,7 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
     The call applies its regime's cached exact map on plain floats.  Where
     a contact window opens or closes inside the call, the cap status at a
     substep end differs from the start, or the call is longer than
-    ``_MAX_MAP_SUBSTEPS``, it runs ``_rk4`` instead.
+    ``_MAX_MAP_SUBSTEPS``, it walks the substeps (``_walk``) instead.
     """
     # the held contact flow is q - g T_c; g_near adds the windows that
     # open or close inside the call
@@ -264,90 +267,57 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
                     q += c.contact_conductance * c.T_skin
                 else:
                     edge = True
-    if edge or n_sub > _MAX_MAP_SUBSTEPS:
+    x = (state.T_p if peltier_lag > 0.0 else T_p_cmd,
+         state.T_co, state.T_w, state.T_c)
+    regime = (params, pump_on, peltier_lag, peltier_power)
+    new = None
+    if not edge and n_sub <= _MAX_MAP_SUBSTEPS:
+        new = _advance(x, T_p_cmd, ambient.T_amb, q, regime, dt, n_sub, g)
+    if new is None:
         _check_step(params, dt, peltier_lag, peltier_power, n_sub, g_near)
-        return _rk4(state, T_p_cmd, pump_on, q_i, params, ambient, dt,
-                    peltier_lag, peltier_power, n_sub=n_sub,
-                    contacts=contacts, t=t)
-    lagged = peltier_lag > 0.0
-    T_p = state.T_p if lagged else T_p_cmd
-    T_co, T_w, T_c = state.T_co, state.T_w, state.T_c
-    cap = 0
-    if peltier_power < math.inf:
-        q_p = (T_p - T_co) / params.R_co
-        cap = (q_p > peltier_power) - (q_p < -peltier_power)
+        new = _walk(x, T_p_cmd, ambient.T_amb, q_i, regime, dt, n_sub,
+                    contacts, t)
+    if not all(map(math.isfinite, new)):
+        raise NumericError("non-finite plant state")
+    return PlantState(*new)
+
+
+def _advance(x, T_p_cmd, T_amb, q, regime, dt, n_sub, conductance,
+             strict=True):
+    """State ``x`` after ``n_sub`` substeps of the map of its cap status;
+    None where ``strict`` and the status at a substep end differs."""
+    T_p, T_co, T_w, T_c = x
+    params, pump_on, peltier_lag, peltier_power = regime
+    q_p = (T_p - T_co) / params.R_co
+    cap = (q_p > peltier_power) - (q_p < -peltier_power)
     rows, slack = _sample_map(params, pump_on, cap, peltier_lag,
-                              peltier_power, dt, n_sub, g)
-    T_amb = ambient.T_amb
-    for a0, a1, a2, a3, a4, a5, a6, a7 in slack:
-        q_p = (a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c + a4 * T_p_cmd
-               + a5 * T_amb + a6 * q + a7)
-        if (q_p > peltier_power) - (q_p < -peltier_power) != cap:
-            return _rk4(state, T_p_cmd, pump_on, q_i, params, ambient, dt,
-                        peltier_lag, peltier_power, n_sub=n_sub,
-                        contacts=contacts, t=t)
+                              peltier_power, dt, n_sub, conductance)
+    if strict:
+        for a0, a1, a2, a3, a4, a5, a6, a7 in slack:
+            q_p = (a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c + a4 * T_p_cmd
+                   + a5 * T_amb + a6 * q + a7)
+            if (q_p > peltier_power) - (q_p < -peltier_power) != cap:
+                return None
     new = [a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c + a4 * T_p_cmd
            + a5 * T_amb + a6 * q + a7
            for a0, a1, a2, a3, a4, a5, a6, a7 in rows]
-    if not all(map(math.isfinite, new)):
-        raise NumericError("non-finite plant state")
-    return PlantState(*new) if lagged else PlantState(T_p_cmd, *new)
+    return new if peltier_lag > 0.0 else [T_p_cmd, *new]
 
 
-def _rk4(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
-         params: PlantParams, ambient: AmbientConfig, dt: float,
-         peltier_lag: float = DEFAULT_PELTIER_LAG,
-         peltier_power: float = DEFAULT_PELTIER_POWER, *,
-         n_sub: int = 1, contacts: tuple = (),
-         t: float = 0.0) -> PlantState:
-    """``step_plant`` in ``n_sub`` RK4 substeps, its arguments unchecked."""
-    R_co, R_c, R_aw = params.R_co, params.R_c, params.R_aw
-    C_co, C_w, C_c = params.C_co, params.C_w, params.C_c
-    T_amb = ambient.T_amb
-    lagged = peltier_lag > 0.0
-    capped = peltier_power < math.inf
-    q = q_i
-
-    def f(T_p, T_co, T_w, T_c):
-        dT_p = (T_p_cmd - T_p) / peltier_lag if lagged else 0.0
-        q_w = pump_flow(T_co, T_w, pump_on, params)
-        q_aw = estimate_q_aw(T_w, T_amb, R_aw)
-        # actuator limit: the plate can hold at most peltier_power across R_co
-        q_p = (T_p - T_co) / R_co
-        if capped:
-            if q_p > peltier_power:
-                q_p = peltier_power
-            elif q_p < -peltier_power:
-                q_p = -peltier_power
-        q_c = (T_w - T_c) / R_c
-        return (dT_p, (q_p - q_w) / C_co, (q_w + q_aw - q_c) / C_w,
-                (q_c + q) / C_c)
-
-    # RK4 on plain floats.  Keep the order of every operation (y + h * k
-    # with h = dt / 2, no reciprocals): reordering changes the trace bits.
-    y0 = state.T_p if lagged else T_p_cmd
-    y1, y2, y3 = state.T_co, state.T_w, state.T_c
-    h = 0.5 * dt
+def _walk(x, T_p_cmd, T_amb, q_i, regime, dt, n_sub, contacts, t):
+    """``step_plant`` one substep at a time, each substep's contact flow
+    held from its start; a substep that leaves its start's cap status is
+    re-run in ``_CAP_PARTS`` parts."""
+    h = dt / _CAP_PARTS
     for j in range(n_sub):
-        if contacts:
-            # a loop, not sum() over a generator: a closure over y3 and dt
-            # would slow every RK4 stage
-            t_sub = t + j * dt
-            q = q_i
-            for c in contacts:
-                q += contact_heat_flow(c, y3, t_sub)
-        a0, a1, a2, a3 = f(y0, y1, y2, y3)
-        b0, b1, b2, b3 = f(y0 + h * a0, y1 + h * a1, y2 + h * a2,
-                           y3 + h * a3)
-        c0, c1, c2, c3 = f(y0 + h * b0, y1 + h * b1, y2 + h * b2,
-                           y3 + h * b3)
-        d0, d1, d2, d3 = f(y0 + dt * c0, y1 + dt * c1, y2 + dt * c2,
-                           y3 + dt * c3)
-        y0 = y0 + dt * (a0 + 2.0 * b0 + 2.0 * c0 + d0) / 6.0
-        y1 = y1 + dt * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0
-        y2 = y2 + dt * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0
-        y3 = y3 + dt * (a3 + 2.0 * b3 + 2.0 * c3 + d3) / 6.0
-        if not (math.isfinite(y0) and math.isfinite(y1)
-                and math.isfinite(y2) and math.isfinite(y3)):
-            raise NumericError("non-finite plant state")
-    return PlantState(T_p=y0, T_co=y1, T_w=y2, T_c=y3)
+        q = q_i
+        for c in contacts:
+            q += contact_heat_flow(c, x[3], t + j * dt)
+        new = _advance(x, T_p_cmd, T_amb, q, regime, dt, 1, 0.0)
+        if new is None:
+            for _ in range(_CAP_PARTS):
+                x = _advance(x, T_p_cmd, T_amb, q, regime, h, 1, 0.0,
+                             strict=False)
+        else:
+            x = new
+    return x

@@ -114,12 +114,12 @@ class ScenarioSpec:
                 )
         # the plant's substep margin in whichever mode the controller picks
         load = _peak_conductance(self.contacts, self.t_s)
-        limit, mode = _plant_margin(self.target, self.peltier_lag, load)
+        limit, mode = _plant_margin(self.target, load)
         if self.dt > limit:
             raise ConfigError(
                 f"dt = {self.dt} s exceeds the plant's stability margin "
-                f"{limit:.3g} s in {mode} mode (peltier_lag = "
-                f"{self.peltier_lag} s, contact conductance {load:g} W/K)")
+                f"{limit:.3g} s in {mode} mode (contact conductance "
+                f"{load:g} W/K)")
 
     @property
     def duration(self) -> float:
@@ -165,9 +165,9 @@ class ScenarioSpec:
 
 
 @functools.lru_cache(maxsize=16)
-def _plant_margin(target: Target, peltier_lag: float, load: float):
+def _plant_margin(target: Target, load: float):
     """The shortest of the modes' plant substep limits, and its mode."""
-    return min((max_stable_dt(preset_params(mode, target), peltier_lag, load),
+    return min((max_stable_dt(preset_params(mode, target), load),
                 mode.value) for mode in Mode)
 
 

@@ -2,9 +2,9 @@
 
 Controller and observer run at the sample rate t_s; the plant steps at the
 substep rate dt, in one ``step_plant`` call per sample: one cached exact map
-of the sample's regime, or RK4 substeps where the Peltier cap status or a
-contact window changes inside the sample.  Everything is deterministic: the
-same scenario always produces a bit-identical trace.
+of the sample's regime, or one such map per substep where the Peltier cap
+status or a contact window changes inside the sample.  Everything is
+deterministic: the same scenario always produces a bit-identical trace.
 """
 
 from __future__ import annotations

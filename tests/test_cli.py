@@ -145,8 +145,6 @@ def test_run_time_failure_exits_with_one_line(tmp_path, capsys, override,
 
 
 @pytest.mark.parametrize("scenario, override", [
-    # RK4 diverged on the plate lag pole: exit 3 at t = 12 s
-    ("exp1_heat", "peltier_lag=0.01"),
     # the held contact flow overshot the skin, g dt / C_c = 2.5: exit 0
     # with T_c = 6.1e18 in the trace
     ("exp2_grasp", "contact.0.conductance=20"),
@@ -160,6 +158,22 @@ def test_run_past_plant_stability_margin_exits_config(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "stability margin" in err
     assert not out.exists()
+
+
+def test_run_with_plate_lag_far_below_dt_exits_ok(tmp_path):
+    # the plant's maps are exact in the plate lag, so a lag of a tenth of
+    # dt runs and settles where the snapped plate (lag 0) does
+    errors = []
+    for lag in ("0.01", "0"):
+        out = tmp_path / lag
+        assert main(["run", "exp1_heat", "--out-dir", str(out),
+                     "--set", f"peltier_lag={lag}"]) == 0
+        report = parse_report((out / "exp1_heat_report.txt").read_text())
+        errors.append(np.array([float(report[f"segment.{i}.{key}"])
+                                for i in range(3)
+                                for key in ("steady_state_error",
+                                            "mean_abs_error_tail")]))
+    assert np.max(np.abs(errors[0] - errors[1])) < 1e-3
 
 
 def test_run_grasp_on_cool_staircase_exits_ok(tmp_path):

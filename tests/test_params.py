@@ -1,5 +1,7 @@
 """Identified parameter presets."""
 
+from dataclasses import replace
+
 import pytest
 
 from thermocover.errors import ConfigError
@@ -41,6 +43,14 @@ def test_pipe_target_overrides_combined_model():
     # the RC-network rows are common to both control targets
     assert pipe.R_w == cover.R_w
     assert pipe.C_w == cover.C_w
+
+
+def test_kept_hash_follows_the_constants(heat_params):
+    # equal constants hash alike, and a changed copy hashes anew
+    same = replace(heat_params, R_w=heat_params.R_w)
+    assert same == heat_params and hash(same) == hash(heat_params)
+    moved = replace(heat_params, R_c=2.0 * heat_params.R_c)
+    assert moved != heat_params and hash(moved) != hash(heat_params)
 
 
 def test_negative_resistance_rejected(heat_params):

@@ -1,7 +1,6 @@
 """Fixed-step plant integration: equilibria, flows, stability, convergence,
-the exact per-sample maps and their RK4 fallback."""
+the exact per-sample maps and the substep walk where the regime changes."""
 
-import math
 import sys
 from dataclasses import replace
 
@@ -9,13 +8,12 @@ import numpy as np
 import pytest
 
 from thermocover.errors import ConfigError, NumericError
-from thermocover.params import MAX_ABS_TEMPERATURE, AmbientConfig
+from thermocover.params import AmbientConfig
 from thermocover.plant import (ContactEvent, ContactKind,
                                DEFAULT_CONDUCTANCE, PlantState,
-                               _MAX_MAP_SUBSTEPS, _rk4,
-                               contact_heat_flow, estimate_q_aw,
-                               max_stable_dt, network_matrices, pump_flow,
-                               step_plant)
+                               _MAX_MAP_SUBSTEPS, _sample_map,
+                               contact_heat_flow, max_stable_dt,
+                               network_matrices, pump_flow, step_plant)
 from thermocover.scenario import builtin_scenarios
 from thermocover.simulate import simulate
 from thermocover.sysid import _plant_matrices
@@ -57,8 +55,9 @@ def test_unstable_dt_rejected(heat_params):
         step_plant(state, 21.0, False, 0.0, heat_params, AMBIENT, 0.0)
 
 
-def test_rk4_convergence(heat_params):
-    # halving the substep changes the trajectory by far less than a microkelvin
+def test_halving_dt_converges(heat_params):
+    # the chained maps are exact in dt: halving the substep changes the
+    # trajectory by rounding only
     def run(dt):
         state = PlantState.uniform(21.0)
         n = round(60.0 / dt)
@@ -67,7 +66,7 @@ def test_rk4_convergence(heat_params):
                                dt, peltier_power=float("inf"))
         return np.array([state.T_p, state.T_co, state.T_w, state.T_c])
 
-    assert np.max(np.abs(run(0.1) - run(0.05))) < 1e-6
+    assert np.max(np.abs(run(0.1) - run(0.05))) < 1e-9
 
 
 def test_contact_heat_flow_window():
@@ -122,54 +121,19 @@ def test_peltier_power_cap_limits_tank_rate(heat_params):
     ("peltier_power", -5.0),
     ("peltier_power", 0.0),
     ("n_sub", 0),
+    ("n_sub", 2.5),
+    ("n_sub", 10.0),
 ])
 def test_bad_arguments_rejected(heat_params, name, value):
-    args = dict(dt=0.1, peltier_lag=2.0, peltier_power=60.0)
+    args = dict(dt=0.1, peltier_lag=2.0, peltier_power=60.0, n_sub=10)
+    # with the valid call's map cached, n_sub = 10.0 must still fail; the
+    # cap stays slack, so the call takes that map
+    step_plant(PlantState.uniform(21.0), 25.0, True, 0.0, heat_params,
+               AMBIENT, **args)
     args[name] = value
     with pytest.raises(ConfigError):
-        step_plant(PlantState.uniform(21.0), 40.0, True, 0.0, heat_params,
+        step_plant(PlantState.uniform(21.0), 25.0, True, 0.0, heat_params,
                    AMBIENT, **args)
-
-
-# The tuple-based RK4 that the float RK4 replaced, kept verbatim as the
-# reference the RK4 fallback must match bit for bit.
-
-def _reference_derivs(T_p, T_co, T_w, T_c, T_p_cmd, pump_on, q_i, params,
-                      ambient, peltier_lag, peltier_power):
-    if peltier_lag > 0.0:
-        dT_p = (T_p_cmd - T_p) / peltier_lag
-    else:
-        dT_p = 0.0
-    q_w = pump_flow(T_co, T_w, pump_on, params)
-    q_aw = estimate_q_aw(T_w, ambient.T_amb, params.R_aw)
-    # actuator limit: the plate can hold at most peltier_power across R_co
-    q_p = (T_p - T_co) / params.R_co
-    if math.isfinite(peltier_power):
-        q_p = max(-peltier_power, min(peltier_power, q_p))
-    dT_co = (q_p - q_w) / params.C_co
-    dT_w = (q_w + q_aw - (T_w - T_c) / params.R_c) / params.C_w
-    dT_c = ((T_w - T_c) / params.R_c + q_i) / params.C_c
-    return dT_p, dT_co, dT_w, dT_c
-
-
-def _reference_step(state, T_p_cmd, pump_on, q_i, params, ambient, dt,
-                    peltier_lag, peltier_power):
-    T_p0 = state.T_p if peltier_lag > 0.0 else T_p_cmd
-    y = (T_p0, state.T_co, state.T_w, state.T_c)
-
-    def f(v):
-        return _reference_derivs(*v, T_p_cmd, pump_on, q_i, params, ambient,
-                                 peltier_lag, peltier_power)
-
-    k1 = f(y)
-    k2 = f(tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1)))
-    k3 = f(tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2)))
-    k4 = f(tuple(yi + dt * ki for yi, ki in zip(y, k3)))
-    new = tuple(
-        yi + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
-    return PlantState(T_p=new[0], T_co=new[1], T_w=new[2], T_c=new[3])
 
 
 @pytest.mark.parametrize("pump_on", [True, False])
@@ -183,17 +147,20 @@ def _reference_step(state, T_p_cmd, pump_on, q_i, params, ambient, dt,
 ])
 def test_step_bit_equal_to_reference(heat_params, pump_on, peltier_lag,
                                      peltier_power, q_i, dt, start):
+    # A call longer than the map limit walks its substeps; the reference is
+    # its substeps one call each, re-run in parts where the cap engages.
     # Nodes that start near 0 deg C and cross it have small ulps next to
-    # their increments, so a reordered or reciprocal operation shows within
-    # 20 steps; near room temperature it mostly rounds away.  0.5 W makes
-    # the actuator cap bind.
+    # their increments, so a reordered operation shows.  0.5 W makes the
+    # actuator cap bind.
+    n_sub = _MAX_MAP_SUBSTEPS + 1
+    kw = dict(peltier_lag=peltier_lag, peltier_power=peltier_power)
     new = ref = start
-    for k in range(20):
-        cmd = 45.0 if k < 10 else -10.0
-        new = _rk4(new, cmd, pump_on, q_i, heat_params, AMBIENT, dt,
-                   peltier_lag=peltier_lag, peltier_power=peltier_power)
-        ref = _reference_step(ref, cmd, pump_on, q_i, heat_params, AMBIENT,
-                              dt, peltier_lag, peltier_power)
+    for cmd in (45.0, -10.0):
+        new = step_plant(new, cmd, pump_on, q_i, heat_params, AMBIENT, dt,
+                         n_sub=n_sub, **kw)
+        for _ in range(n_sub):
+            ref = step_plant(ref, cmd, pump_on, q_i, heat_params, AMBIENT,
+                             dt, **kw)
         assert new == ref
 
 
@@ -215,47 +182,56 @@ def test_sample_call_bit_equal_to_substep_calls(heat_params, pump_on,
                                                peltier_lag, peltier_power,
                                                q_i, contacts):
     # one call over a whole sample against its ten substeps one call each,
-    # the contact flow re-evaluated before every substep
+    # the contact flow re-evaluated before every substep, equal to rounding
     dt, n_sub = 0.1, 10
     kw = dict(peltier_lag=peltier_lag, peltier_power=peltier_power)
     sample = sub = PlantState(T_p=-0.5, T_co=-0.03, T_w=-0.02, T_c=-0.01)
     for k in range(4):
         t = k * 1.0
         cmd = 45.0 if k < 2 else -10.0
-        sample = _rk4(sample, cmd, pump_on, q_i, heat_params, AMBIENT,
-                      dt, n_sub=n_sub, contacts=contacts, t=t, **kw)
-        for j in range(n_sub):
-            flow = q_i
-            for c in contacts:
-                flow += contact_heat_flow(c, sub.T_c, t + j * dt)
-            sub = _rk4(sub, cmd, pump_on, flow, heat_params, AMBIENT,
-                       dt, **kw)
-        assert sample == sub
+        sample = step_plant(sample, cmd, pump_on, q_i, heat_params, AMBIENT,
+                            dt, n_sub=n_sub, contacts=contacts, t=t, **kw)
+        sub = _substep_calls(sub, cmd, pump_on, q_i, heat_params, dt, n_sub,
+                             contacts, t, **kw)
+        assert np.allclose(_vector(sample), _vector(sub), rtol=0.0,
+                           atol=1e-12)
+
+
+def _substep_calls(state, cmd, pump_on, q_i, params, dt, n_sub, contacts, t,
+                   **kw):
+    """``n_sub`` one-substep calls, each with its contact flow evaluated
+    at its start."""
+    for j in range(n_sub):
+        flow = q_i
+        for c in contacts:
+            flow += contact_heat_flow(c, state.T_c, t + j * dt)
+        state = step_plant(state, cmd, pump_on, flow, params, AMBIENT, dt,
+                           **kw)
+    return state
 
 
 def test_non_finite_substep_raises(heat_params):
-    # a sample call raises on a non-finite state as a substep call does
-    hot = ContactEvent(start=0.0, duration=1.0, kind=ContactKind.GRASP,
-                       contact_conductance=1e300,
-                       T_skin=MAX_ABS_TEMPERATURE)
+    # a call that walks its substeps raises on a non-finite state as a map
+    # call does
     with pytest.raises(NumericError):
-        _rk4(PlantState.uniform(21.0), 21.0, True, 0.0, heat_params,
-             AMBIENT, 0.1, n_sub=10, contacts=(hot,))
+        step_plant(PlantState.uniform(21.0), 21.0, True, 1e308, heat_params,
+                   AMBIENT, 0.1, n_sub=_MAX_MAP_SUBSTEPS + 1)
 
 
 def test_stability_margin_covers_lag_and_contact(heat_params, cool_params):
     state = PlantState.uniform(21.0)
-    # RK4 diverges on a plate lag far below dt
-    with pytest.raises(ConfigError, match="stability margin"):
-        step_plant(state, 40.0, True, 0.0, heat_params, AMBIENT, 0.1,
-                   peltier_lag=0.01, n_sub=10)
+    # a plate lag far below dt sets no bound: the plate settles on its
+    # command within the call
+    fast = step_plant(state, 40.0, True, 0.0, heat_params, AMBIENT, 0.1,
+                      peltier_lag=0.01, n_sub=10)
+    assert fast.T_p == pytest.approx(40.0, abs=1e-9)
     # a held contact flow with g dt / C_c = 2.5 overshoots the skin
     strong = ContactEvent(start=0.0, duration=5.0, kind=ContactKind.GRASP,
                           contact_conductance=20.0)
     with pytest.raises(ConfigError, match="stability margin"):
         step_plant(state, 21.0, True, 0.0, heat_params, AMBIENT, 0.05,
                    n_sub=10, contacts=(strong,))
-    # and where the window opens inside the call, on the RK4 path too
+    # and where the window opens inside the call, on the walk too
     with pytest.raises(ConfigError, match="stability margin"):
         step_plant(state, 21.0, True, 0.0, heat_params, AMBIENT, 0.05,
                    n_sub=10, contacts=(strong,), t=-0.2)
@@ -266,7 +242,7 @@ def test_stability_margin_covers_lag_and_contact(heat_params, cool_params):
                    n_sub=10, contacts=(hot,))
     # the defaults and a grasp in cool mode at the staircase's dt stay
     grasp = ContactEvent.preset(ContactKind.GRASP, start=0.0)
-    assert max_stable_dt(cool_params, 2.0, 0.8) >= 0.1
+    assert max_stable_dt(cool_params, 0.8) >= 0.1
     step_plant(state, 21.0, True, 0.0, cool_params, AMBIENT, 0.1, n_sub=10,
                contacts=(grasp,))
 
@@ -328,40 +304,48 @@ def test_cap_excursion_inside_sample_falls_back(heat_params):
     # it within one sample, so both ends of the call show the slack status
     params = replace(heat_params, C_co=1.0)
     args = (PlantState.uniform(21.0), 40.0, True, 0.0, params, AMBIENT, 0.04)
-    kw = dict(peltier_lag=0.2, n_sub=10)
     power = 45.0
-    state, statuses = args[0], []
+    kw = dict(peltier_lag=0.2, peltier_power=power)
+    sub, statuses = args[0], []
     for _ in range(10):
-        state = _rk4(state, *args[1:], peltier_lag=0.2, peltier_power=power)
-        statuses.append((state.T_p - state.T_co) / params.R_co > power)
+        sub = step_plant(sub, *args[1:], **kw)
+        statuses.append((sub.T_p - sub.T_co) / params.R_co > power)
     assert statuses[0] is False and statuses[-1] is False and any(statuses)
-    assert step_plant(*args, peltier_power=power, **kw) \
-        == _rk4(*args, peltier_power=power, **kw)
-    # without the cap the same call takes the exact map
-    inf = float("inf")
-    assert step_plant(*args, peltier_power=inf, **kw) \
-        != _rk4(*args, peltier_power=inf, **kw)
+    # the call walks its substeps, and this stiff tank is closer to a fine
+    # reference on every node than RK4 at dt
+    sample = step_plant(*args, n_sub=10, **kw)
+    assert sample == sub
+    call = [(args, dict(kw, n_sub=10, contacts=(), t=0.0))]
+    ref = _fine_rk4(call, refine=100)
+    assert np.all(np.abs(_vector(sample) - ref[0])
+                  < np.abs(_fine_rk4(call, refine=1)[0] - ref[0]))
 
 
 @pytest.mark.parametrize("start", [1.35, 0.0])
 def test_contact_edge_inside_sample_falls_back(heat_params, start):
-    # a window that opens, or closes, inside the sample [1, 2)
+    # a window that opens, or closes, inside the sample [1, 2): the call
+    # walks its substeps
     edge = ContactEvent(start=start, duration=1.55 - start,
                         kind=ContactKind.GRASP, contact_conductance=0.8)
-    args = (PlantState(T_p=30.0, T_co=25.0, T_w=24.0, T_c=23.0), 25.0, True,
-            0.0, heat_params, AMBIENT, 0.1)
-    kw = dict(n_sub=10, contacts=(edge,), t=1.0)
-    assert step_plant(*args, **kw) == _rk4(*args, **kw)
+    state = PlantState(T_p=30.0, T_co=25.0, T_w=24.0, T_c=23.0)
+    assert step_plant(state, 25.0, True, 0.0, heat_params, AMBIENT, 0.1,
+                      n_sub=10, contacts=(edge,), t=1.0) \
+        == _substep_calls(state, 25.0, True, 0.0, heat_params, 0.1, 10,
+                          (edge,), 1.0)
 
 
-def test_call_longer_than_map_limit_runs_rk4(heat_params):
-    # a map keeps one slack row per substep, so long calls keep RK4's
-    # constant memory
+def test_call_longer_than_map_limit_walks_substeps(heat_params):
+    # a map keeps one slack row per substep, so a longer call walks its
+    # substeps: bit-equal to them one call each, where a map is equal to
+    # rounding
     args = (PlantState(T_p=30.0, T_co=25.0, T_w=24.0, T_c=23.0), 25.0, True,
             0.0, heat_params, AMBIENT, 0.01)
     for n_sub in (_MAX_MAP_SUBSTEPS, _MAX_MAP_SUBSTEPS + 1):
-        assert (step_plant(*args, n_sub=n_sub) == _rk4(*args, n_sub=n_sub)) \
-            is (n_sub > _MAX_MAP_SUBSTEPS)
+        sample = step_plant(*args, n_sub=n_sub)
+        sub = _substep_calls(args[0], *args[1:5], 0.01, n_sub, (), 0.0)
+        assert (sample == sub) is (n_sub > _MAX_MAP_SUBSTEPS)
+        assert np.allclose(_vector(sample), _vector(sub), rtol=0.0,
+                           atol=1e-12)
 
 
 def _vector(state):
@@ -433,21 +417,49 @@ def _fine_rk4(calls, refine):
 
 def test_exact_path_closer_than_rk4_to_fine_reference_on_builtins(
         monkeypatch):
-    # every sample of the six built-ins, replayed from its recorded call
-    err_exact, err_rk4, worst_exact, fallbacks, n = 0.0, 0.0, 0.0, 0, 0
+    # every sample of the six built-ins, replayed from its recorded call,
+    # against RK4 at dt / 100 and RK4 at dt
+    plant = sys.modules["thermocover.plant"]
+    walk, walked = plant._walk, []
+
+    def record(*args):
+        walked[-1] = True
+        return walk(*args)
+
+    err_exact, err_rk4, worst_exact, worst_map, n = 0.0, 0.0, 0.0, 0.0, 0
     for calls in _recorded_builtin_calls(monkeypatch).values():
         ref = _fine_rk4(calls, refine=100)
-        exact = np.array([_vector(step_plant(*a, **k)) for a, k in calls])
-        rk4 = np.array([_vector(_rk4(*a, **k)) for a, k in calls])
-        err_exact += np.sum(np.abs(exact - ref), axis=0)
+        rk4 = _fine_rk4(calls, refine=1)
+        monkeypatch.setattr(plant, "_walk", record)
+        exact = []
+        for a, k in calls:
+            walked.append(False)
+            exact.append(_vector(step_plant(*a, **k)))
+        monkeypatch.undo()
+        err = np.abs(np.array(exact) - ref)
+        err_exact += np.sum(err, axis=0)
         err_rk4 += np.sum(np.abs(rk4 - ref), axis=0)
-        fell_back = np.all(exact == rk4, axis=1)
-        worst_exact = max(worst_exact,
-                          np.max(np.abs(exact - ref)[~fell_back]))
-        fallbacks += int(np.sum(fell_back))
+        worst_exact = max(worst_exact, np.max(err))
+        worst_map = max(worst_map, np.max(err[~np.array(walked[n:])]))
         n += len(calls)
     assert np.all(err_exact < err_rk4), (err_exact, err_rk4)
-    # where the map applies it is exact to rounding; RK4 is 5e-7 K off
-    assert worst_exact < 1e-11
-    # and the RK4 fallback stays the exception (143 of 6 870 samples)
-    assert fallbacks < 0.05 * n
+    # where one map covers the sample it is exact to rounding; RK4 at dt
+    # is 5e-7 K off there
+    assert worst_map < 1e-11
+    # where the cap engages inside a substep, that substep is re-run in
+    # parts (RK4 at dt: up to 2.5e-5 K off)
+    assert worst_exact <= 5e-6
+    # and the walk stays the exception (143 of 6 870 samples)
+    assert 0 < sum(walked) < 0.05 * n
+
+
+def test_builtins_rerun_from_cached_maps():
+    # a second round of the six built-ins builds no map: the walk's
+    # one-substep maps and parts fit the cache next to the sample maps
+    specs = builtin_scenarios().values()
+    for spec in specs:
+        simulate(spec)
+    misses = _sample_map.cache_info().misses
+    for spec in specs:
+        simulate(spec)
+    assert _sample_map.cache_info().misses == misses
