@@ -8,21 +8,15 @@ predictive control (Clarke, Mohtadi & Tuffs, 1987), so the QP's unknowns are
 the H commands that reach predictions d+1 ... d+H, and its Hessian is
 positive definite.  For each pattern of commands held at a bound, none
 held included, the minimizer is affine in what the controller knows, the
-critical regions of explicit MPC: the controller takes it from the cached
-map of the last sample's pattern, or of one active-set update of that
-pattern, whichever first passes the solver's own KKT test.  Each controller
-keeps its last commands in one float64 array shifted in place, and per mode
-one preallocated z and a dict of the maps of the patterns met, so that a
-served sample costs one matrix-vector product, two comparisons and a few
-slice writes.  Only the other samples reach the solver.  The solver
-alternates a projected gradient step, which settles the active bounds, with
-a Newton step on the free variables (More & Toraldo, 1991), each ending at
-the least-cost point of its segment, and stops when the projected gradient
-step is below a tolerance in K, or raises NumericError at once where that
-step is not finite.  What depends only on the model, horizon, weights and
-held pattern is built once and cached read-only.  Pump actuation is
-bang-bang with hysteresis, mirroring the stop-at-setpoint behaviour of the
-rig.
+critical regions of explicit MPC.  One algorithm moves between patterns: the
+primal-dual active-set update (Hintermüller, Ito & Kunisch, 2002), which
+turns into Murty's least-index rule once a pattern comes back.  A
+controller sample tries the cached map of the last sample's pattern, then
+of its one update, at the cost of one matrix-vector product each; only
+where both fail does solve_mpc run the update to the end.  What depends
+only on the model, horizon, weights and held pattern is built once and
+cached read-only.  Pump actuation is bang-bang with hysteresis, mirroring
+the stop-at-setpoint behaviour of the rig.
 """
 
 from __future__ import annotations
@@ -151,15 +145,12 @@ class MpcSolution:
     sequence: np.ndarray
     active_lower: np.ndarray
     active_upper: np.ndarray
-    iterations: int
+    iterations: int       # active-set updates, 0 for an interior minimizer
     kkt_residual: float   # largest entry of the projected gradient step, K
 
     @property
     def command(self) -> float:
         return float(self.sequence[0])
-
-
-_MAX_ITER = 10_000
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -199,8 +190,41 @@ def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
 
 
 def _kkt_tol(lo: float, hi: float) -> float:
-    """Tolerance of the KKT test on the projected gradient step, in K."""
+    """Tolerance of the KKT test on a held command's gradient step, in K."""
     return 1e-9 * max(1.0, hi - lo)
+
+
+def _critical_region(Hm: np.ndarray, eigmax: float, X: np.ndarray,
+                     lo: float, hi: float, lower: tuple[int, ...],
+                     upper: tuple[int, ...]):
+    """(Y, floor, ceil) of the QP's critical region where the unknowns
+    ``lower`` are held at lo, ``upper`` at hi and the rest free.
+
+    For the gradient ``Hm @ u + X @ w``, y = Y @ [w, 1] holds the free
+    commands, where the gradient vanishes, and at the held indices the
+    gradient step g/λmax in K.  The pattern passes the KKT test exactly
+    where floor <= y <= ceil: every free command inside the box, and every
+    held command's step below the tolerance away from the box.
+    """
+    n = len(Hm)
+    held = np.zeros(n, dtype=bool)
+    held[list(lower + upper)] = True
+    free = ~held
+    u_held = np.zeros(n)
+    u_held[list(lower)] = lo
+    u_held[list(upper)] = hi
+    # the gradient with the free commands at zero, per column
+    X = np.column_stack((X, Hm @ u_held))
+    Y = np.empty_like(X)
+    Y[free] = -np.linalg.solve(Hm[np.ix_(free, free)], X[free])
+    Y[held] = (Hm[np.ix_(held, free)] @ Y[free] + X[held]) * (1.0 / eigmax)
+    # a held command passes with a step below tol away from the box
+    tol = np.nextafter(_kkt_tol(lo, hi), 0.0)
+    floor = np.where(free, lo, -np.inf)
+    ceil = np.where(free, hi, np.inf)
+    floor[list(lower)] = -tol
+    ceil[list(upper)] = tol
+    return Y, floor, ceil
 
 
 #: Held patterns kept, none held included: the six built-ins need 58 over
@@ -212,33 +236,10 @@ _REGION_CACHE_SIZE = 128
 def _region_map(a: float, b: float, d: int, n: int, W1: float, W2: float,
                 form: PenaltyForm, lo: float, hi: float,
                 lower: tuple[int, ...], upper: tuple[int, ...]):
-    """Read-only (R, r, floor, ceil) of the QP's critical region where the
-    unknowns ``lower`` are held at lo, ``upper`` at hi and the rest free.
-
-    y = R @ z + r holds the free commands, where the gradient vanishes, and
-    at the held indices the gradient step g/λmax in K.  The pattern passes
-    solve_mpc's KKT test exactly where floor <= y <= ceil: every free
-    command inside the box, and every held command's projected gradient
-    step below the tolerance.
-    """
+    """Read-only (R, r, floor, ceil) of ``_critical_region`` per unit z:
+    y = R @ z + r."""
     Hm, _, eigmax, dg0 = _cached_hessian(a, b, d, n, W1, W2, form)
-    held = np.zeros(n, dtype=bool)
-    held[list(lower + upper)] = True
-    free = ~held
-    u_held = np.zeros(n)
-    u_held[list(lower)] = lo
-    u_held[list(upper)] = hi
-    # the gradient with the free commands at zero, per unit z and constant
-    X = np.column_stack((dg0, Hm @ u_held))
-    Y = np.empty_like(X)
-    Y[free] = -np.linalg.solve(Hm[np.ix_(free, free)], X[free])
-    Y[held] = (Hm[np.ix_(held, free)] @ Y[free] + X[held]) * (1.0 / eigmax)
-    # a held command passes with a step below tol away from the box
-    tol = np.nextafter(_kkt_tol(lo, hi), 0.0)
-    floor = np.where(free, lo, -np.inf)
-    ceil = np.where(free, hi, np.inf)
-    floor[list(lower)] = -tol
-    ceil[list(upper)] = tol
+    Y, floor, ceil = _critical_region(Hm, eigmax, dg0, lo, hi, lower, upper)
     for m in (Y, floor, ceil):
         m.flags.writeable = False
     return Y[:, :-1], Y[:, -1], floor, ceil
@@ -258,84 +259,87 @@ def _update_held(held: tuple[tuple[int, ...], tuple[int, ...]],
     return tuple(tuple(np.flatnonzero(side).tolist()) for side in sides)
 
 
+def _update_first(held: tuple[tuple[int, ...], tuple[int, ...]],
+                  y: np.ndarray, floor: np.ndarray, ceil: np.ndarray):
+    """``_update_held`` of the first failing command alone: Murty's
+    least-index rule, which cannot cycle (Júdice & Pires, 1994)."""
+    first = int(np.argmax((y < floor) | (y > ceil)))
+    # every other command sits on its floor, which passes its test
+    y_first = floor.copy()
+    y_first[first] = y[first]
+    return _update_held(held, y_first, floor, ceil)
+
+
+#: Active-set updates before solve_mpc gives up: the least-index rule ends,
+#: but after exponentially many updates in the worst case.
+_MAX_UPDATES = 10_000
+
+
 def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
               u_prev: float | None = None) -> MpcSolution:
-    """Minimize the tracking-plus-penalty quadratic over the command box."""
+    """Minimize the tracking-plus-penalty quadratic over the command box.
+
+    From no command held, ``_update_held`` runs until the pattern passes
+    its critical region's KKT test.  Plain updates can cycle, so once a
+    pattern comes back every later update is ``_update_first``'s.
+    """
     model = qp.model
     d = model.d
     n = len(qp.refs) - d
-    if u_prev is None:
-        u_prev = u_ref
     form = cfg.penalty_form
-    e = (qp.free - qp.refs)[d:]
-
-    Hm, Hinv, eigmax, _ = _cached_hessian(model.a, model.b, d, n,
-                                          cfg.W1, cfg.W2, form)
-    # g0 = 2 (W1 Phi.T e - W2 v), where v, the target of P @ u, which P.T
-    # maps onto itself in both forms, is u_ref in every entry or u_prev in
-    # the first
-    g0 = cfg.W1 * qp.Phi[d:, :n].T @ e
-    if form is PenaltyForm.MAGNITUDE:
-        g0 -= cfg.W2 * u_ref
-    else:
-        g0[0] -= cfg.W2 * u_prev
-    g0 *= 2.0
+    Hm, Hinv, eigmax, dg0 = _cached_hessian(model.a, model.b, d, n,
+                                            cfg.W1, cfg.W2, form)
+    # the gradient offset dg0 @ z, where qp.free already holds the response
+    # to x_hat and the past commands
+    last = (u_ref if u_prev is None or form is PenaltyForm.MAGNITUDE
+            else u_prev)
+    g0 = dg0[:, d + 1:] @ np.append((qp.refs - qp.free)[d:], last)
     lo, hi = cfg.T_min_th, cfg.T_max_th
+
+    # with none held the free block is the whole Hessian, whose inverse is
+    # cached
+    held = ((), ())
+    y = Hinv @ -g0
+    floor, ceil = np.full(n, lo), np.full(n, hi)
+    seen, least_index, iterations = set(), False, 0
+    while np.any((y < floor) | (y > ceil)):
+        if iterations == _MAX_UPDATES:
+            violation = float(np.max(np.maximum(floor - y, y - ceil)))
+            raise ConvergenceError(
+                f"active-set updates hit {_MAX_UPDATES} before the KKT "
+                f"test passed (largest violation {violation:.3e} K)",
+                residual=violation)
+        seen.add(held)
+        if not least_index:
+            update = _update_held(held, y, floor, ceil)
+            least_index = update in seen
+        if least_index:
+            update = _update_first(held, y, floor, ceil)
+        held = update
+        Y, floor, ceil = _critical_region(Hm, eigmax, g0[:, None], lo, hi,
+                                          *held)
+        y = Y[:, 0] + Y[:, 1]
+        iterations += 1
+
+    u = y
+    u[list(held[0])] = lo
+    u[list(held[1])] = hi
+    # the projected gradient step, in K: it is zero exactly at a KKT point,
+    # and its scale does not follow the Hessian's
+    g = Hm @ u + g0
+    residual = float(np.max(np.abs(u - np.clip(u - g / eigmax, lo, hi))))
+    if not math.isfinite(residual):
+        # NaN in the data fails no test, and no update can make it finite
+        raise NumericError(f"KKT residual {residual} K at iteration "
+                           f"{iterations}: the QP's data is not finite")
+    # the last d commands reach no prediction, so the penalty alone sets
+    # them
+    tail = float(u[-1]) if form is PenaltyForm.INCREMENT else u_ref
+    u = np.concatenate((u, np.full(d, min(max(tail, lo), hi))))
     tol = _kkt_tol(lo, hi)
-
-    def clip(x):
-        """np.clip(x, lo, hi), without its per-call overhead."""
-        return np.minimum(np.maximum(x, lo), hi)
-
-    def toward(u, g, target):
-        """Least-cost point on the segment from u to target, both in the
-        box; the Hessian is positive definite, so the cost cannot rise."""
-        dvec = target - u
-        curv = float(dvec @ Hm @ dvec)
-        if curv <= 0.0:   # target == u
-            return u
-        return u + min(1.0, max(0.0, -float(g @ dvec) / curv)) * dvec
-
-    u = clip(Hinv @ -g0)
-
-    step = 1.0 / eigmax
-    for it in range(_MAX_ITER + 1):
-        g = Hm @ u + g0
-        # the projected gradient step, in K: it is zero exactly at a KKT
-        # point, and its scale does not follow the Hessian's
-        trial = clip(u - step * g)
-        residual = float(np.max(np.abs(u - trial)))
-        if residual < tol:
-            # the last d commands reach no prediction, so the penalty alone
-            # sets them
-            tail = float(u[-1]) if form is PenaltyForm.INCREMENT else u_ref
-            u = np.concatenate((u, np.full(d, min(max(tail, lo), hi))))
-            return MpcSolution(sequence=u, active_lower=u <= lo + tol,
-                               active_upper=u >= hi - tol, iterations=it,
-                               kkt_residual=residual)
-        if not math.isfinite(residual):
-            # NaN in the data: no step can make it finite
-            raise NumericError(f"KKT residual {residual} K at iteration "
-                               f"{it}: the QP's data is not finite")
-        if it == _MAX_ITER:
-            break
-        # the projected gradient step settles the active set ...
-        u = toward(u, g, trial)
-        # ... and a Newton step on the free variables finishes quickly even
-        # when the quadratic is badly conditioned.
-        g = Hm @ u + g0
-        free = ~(((u <= lo + tol) & (g > 0.0))
-                 | ((u >= hi - tol) & (g < 0.0)))
-        if np.any(free):
-            dn = np.zeros_like(u)
-            dn[free] = np.linalg.solve(Hm[np.ix_(free, free)], -g[free])
-            u = toward(u, g, clip(u + dn))
-
-    raise ConvergenceError(
-        f"projected gradient hit {_MAX_ITER} iterations "
-        f"(KKT residual {residual:.3e} K)",
-        residual=residual,
-    )
+    return MpcSolution(sequence=u, active_lower=u <= lo + tol,
+                       active_upper=u >= hi - tol, iterations=iterations,
+                       kkt_residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -506,19 +510,13 @@ class ThermalController:
 
         The past d commands come from the history array; until d commands
         have been applied, the missing oldest ones are the current
-        measurement.  For each pattern of commands held at a bound the
-        minimizer is affine in what the controller knows, z: the critical
-        regions of explicit MPC (Bemporad, Morari, Dua & Pistikopoulos,
-        2002), whose maps give it where the pattern passes solve_mpc's own
-        KKT test in K: its free commands inside the box, and the projected
-        gradient step of its held commands below 1e-9·max(1, hi - lo).
-        Two patterns are tried: the last sample's, then its update by
-        ``_update_held``, which from none held is the clip pattern of the
-        unconstrained minimizer.  Each mode writes z into its own buffer
-        and keeps the maps of the patterns it has met in its own dict,
-        filled from ``_region_map``.  Where both fail, the QP is built and
-        solved, and the solution's active bounds are the next sample's
-        pattern.
+        measurement.  Each mode writes what the controller knows, z, into
+        its own buffer, and keeps the maps (Bemporad, Morari, Dua &
+        Pistikopoulos, 2002) of the held patterns it has met in its own
+        dict, filled from ``_region_map``.  Two patterns are tried: the last
+        sample's, then its update by ``_update_held``.  Where both fail the
+        KKT test, the QP is built and solved, and the solution's active
+        bounds are the next sample's pattern.
         """
         cfg = self.cfg
         d, n = model.d, cfg.H

@@ -73,16 +73,16 @@ def test_run_scenario_file_with_override(tmp_path, capsys):
 
 def test_run_solver_failure_exits_numeric(tmp_path, capsys, monkeypatch):
     def failing_solve(*args, **kwargs):
-        raise ConvergenceError("projected gradient hit 10000 iterations",
-                               residual=0.25)
+        raise ConvergenceError("active-set updates hit 10000 before the "
+                               "KKT test passed", residual=0.25)
 
     monkeypatch.setattr(mpc, "solve_mpc", failing_solve)
     scenario = tmp_path / "mini.txt"
     scenario.write_text(SHORT_SCENARIO)
     assert main(["run", str(scenario), "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: mini: at t = 0 s: projected gradient hit 10000 "
-                   "iterations"]
+    assert err == ["error: mini: at t = 0 s: active-set updates hit 10000 "
+                   "before the KKT test passed"]
 
 
 def test_run_with_large_weights_exits_ok(tmp_path, capsys):

@@ -526,6 +526,9 @@ def _full_problem(qp, cfg, u_ref, u_prev):
 #: The reference's stopping test, on a unit gradient step.
 _REFERENCE_KKT_TOL = 1e-8
 
+#: The reference's iteration cap.
+_REFERENCE_MAX_ITER = 10_000
+
 
 def _reference_solve(qp, cfg, u_ref=0.0, u_prev=None):
     """Reference: the solver before its two line searches were merged, with
@@ -572,7 +575,7 @@ def _reference_solve(qp, cfg, u_ref=0.0, u_prev=None):
     step = 1.0 / eigmax
     tol = 1e-9 * max(1.0, hi - lo)
 
-    for it in range(1, mpc._MAX_ITER + 1):
+    for it in range(1, _REFERENCE_MAX_ITER + 1):
         g = grad(u)
         residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
         if residual < _REFERENCE_KKT_TOL:
@@ -609,7 +612,7 @@ def _reference_solve(qp, cfg, u_ref=0.0, u_prev=None):
     g = grad(u)
     residual = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
     raise ConvergenceError(
-        f"projected gradient hit {mpc._MAX_ITER} iterations "
+        f"projected gradient hit {_REFERENCE_MAX_ITER} iterations "
         f"(KKT residual {residual:.3e})",
         residual=residual,
     )
@@ -698,6 +701,74 @@ def test_solver_returns_where_full_reference_stalls(index):
         _reference_solve(qp, cfg, u_ref, u_prev)
     sol = solve_mpc(qp, cfg, u_ref, u_prev)
     assert sol.kkt_residual < 1e-8
+
+
+def _wide_qps(n, H, seed):
+    """Seeded QPs (qp, cfg, u_ref, u_prev) with H unknowns, drawn wide: a
+    in [0.5, 0.9999], dead time 0..39, boxes 0.5 to 40 K wide, W2 log-uniform
+    in [1e-6, 10], both penalty forms, and setpoints up to 5 K outside the
+    box."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        a = float(rng.uniform(0.5, 0.9999))
+        model = DiscreteFOPDT(a=a, b=1.0 - a, d=int(rng.integers(0, 40)),
+                              t_s=1.0)
+        lo = float(rng.uniform(0.0, 30.0))
+        hi = lo + float(rng.uniform(0.5, 40.0))
+        cfg = MpcConfig(H=H, W2=float(10.0 ** rng.uniform(-6.0, 1.0)),
+                        T_min_th=lo, T_max_th=hi,
+                        penalty_form=list(PenaltyForm)[k % 2])
+        n_refs = model.d + H
+        refs = np.repeat(rng.uniform(lo - 5.0, hi + 5.0, size=4),
+                         -(-n_refs // 4))[:n_refs]
+        x_hat = float(rng.uniform(lo - 5.0, hi + 5.0))
+        past = rng.uniform(lo, hi, size=model.d)
+        yield (build_prediction(model, x_hat, past, refs), cfg,
+               float(rng.uniform(lo - 5.0, hi + 5.0)),
+               float(rng.uniform(lo, hi)))
+
+
+@pytest.mark.parametrize("H, n", [(30, 400), (60, 100)])
+def test_least_index_rule_ends_cycles_on_wide_qps(monkeypatch, H, n):
+    # plain primal-dual active-set updates come back to a pattern on some
+    # of these draws; from then on the solver changes one command per
+    # update, and still ends at the minimizer
+    calls, engaged = [], 0
+    update_first = mpc._update_first
+
+    def counting(*args):
+        calls.append(args)
+        return update_first(*args)
+
+    monkeypatch.setattr(mpc, "_update_first", counting)
+    for qp, cfg, u_ref, u_prev in _wide_qps(n, H, seed=H):
+        calls.clear()
+        sol = solve_mpc(qp, cfg, u_ref, u_prev)
+        engaged += bool(calls)
+        Hm, g0 = _full_problem(qp, cfg, u_ref, u_prev)
+        u, lo, hi = sol.sequence, cfg.T_min_th, cfg.T_max_th
+        assert np.max(np.abs(u - np.clip(u - (Hm @ u + g0), lo, hi))) < 1e-8
+        # W2 > 0 on every draw, so the minimizer is unique
+        ref = _reference_solve(qp, cfg, u_ref, u_prev)
+        assert np.max(np.abs(u - ref.sequence)) <= 1e-6
+    assert engaged >= 1
+
+
+def test_update_cap_raises_convergence_error(monkeypatch):
+    # a QP that takes several updates: a cap one below its count raises
+    # ConvergenceError, and a cap at its count lets it finish
+    qp, cfg, u_ref, u_prev = next(
+        (qp, cfg, u_ref, u_prev)
+        for qp, cfg, u_ref, u_prev in _wide_qps(100, 30, seed=30)
+        if solve_mpc(qp, cfg, u_ref, u_prev).iterations >= 5)
+    updates = solve_mpc(qp, cfg, u_ref, u_prev).iterations
+    monkeypatch.setattr(mpc, "_MAX_UPDATES", updates - 1)
+    with pytest.raises(ConvergenceError,
+                       match=f"active-set updates hit {updates - 1} ") as info:
+        solve_mpc(qp, cfg, u_ref, u_prev)
+    assert info.value.residual > 0.0
+    monkeypatch.setattr(mpc, "_MAX_UPDATES", updates)
+    assert solve_mpc(qp, cfg, u_ref, u_prev).iterations == updates
 
 
 def _region_command(z, key, held):

@@ -77,8 +77,8 @@ def test_controller_failure_names_scenario_and_time(monkeypatch):
 
     def failing_solve(*args, **kwargs):
         failed_at.append(len(samples) - 1)
-        raise ConvergenceError("projected gradient hit 10000 iterations",
-                               residual=0.25)
+        raise ConvergenceError("active-set updates hit 10000 before the "
+                               "KKT test passed", residual=0.25)
 
     monkeypatch.setattr(mpc.ThermalController, "step", counting_step)
     monkeypatch.setattr(mpc, "solve_mpc", failing_solve)
@@ -88,7 +88,7 @@ def test_controller_failure_names_scenario_and_time(monkeypatch):
     # the time of the sample whose solve failed
     (k,) = failed_at
     assert str(info.value).startswith(
-        f"short: at t = {k * spec.t_s:.6g} s: projected gradient")
+        f"short: at t = {k * spec.t_s:.6g} s: active-set updates")
     assert info.value.residual == 0.25
 
 
