@@ -15,7 +15,7 @@ from . import kvio
 from .detect import detect_contacts
 from .errors import ConfigError, IllConditionedFitError, NumericError
 from .params import Mode, preset_params
-from .report import analyze_segments, render_report
+from .report import analyze_segments, mode_switch_times, render_report
 from .scenario import (ScenarioSpec, apply_overrides, builtin_scenarios,
                        load_scenario, scenario_to_kv)
 from .simulate import simulate
@@ -59,7 +59,8 @@ def cmd_run(args) -> int:
     trace_path = os.path.join(out_dir, f"{spec.name}_trace.csv")
     report_path = os.path.join(out_dir, f"{spec.name}_report.txt")
     trace.to_csv(trace_path)
-    report = render_report(spec, segments, detection, overrides=overrides)
+    report = render_report(spec, segments, detection, overrides=overrides,
+                           mode_switches=mode_switch_times(trace))
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report)
     print(f"wrote {trace_path}")

@@ -102,12 +102,12 @@ def contact_heat_flow(event: ContactEvent, T_c: float, t: float) -> float:
     return event.contact_conductance * (event.T_skin - T_c)
 
 
-def pump_flow(T_co: float, T_w: float, pump_on: bool,
-              params: PlantParams) -> float:
-    """Convective tank-to-pipe heat flow q_w; zero with the pump stopped."""
-    if not pump_on:
-        return 0.0
-    return (T_co - T_w) / params.R_w
+def pump_flow(T_co, T_w, pump_on, params: PlantParams) -> np.ndarray:
+    """Convective tank-to-pipe heat flow q_w; zero with the pump stopped.
+
+    Takes one sample's values or equal-length records of them.
+    """
+    return np.where(pump_on, (T_co - T_w) / params.R_w, 0.0)
 
 
 def estimate_q_aw(T_w: float, T_amb: float, R_aw: float) -> float:

@@ -1,15 +1,18 @@
-"""Closed-loop simulation: controller, observer and plant in lockstep.
+"""Closed-loop simulation: controller and plant in lockstep, then the
+contact observer, which nothing in the loop reads, over the whole record.
 
-Controller and observer run at the sample rate t_s; the plant steps at the
-substep rate dt, in one ``step_plant`` call per sample: one cached exact map
-of the sample's regime, or one such map per substep where the Peltier cap
-status or a contact window changes inside the sample.  Everything is
+The controller runs at the sample rate t_s; the plant steps at the substep
+rate dt, in one ``step_plant`` call per sample: one cached exact map of the
+sample's regime, or one such map per substep where the Peltier cap status
+or a contact window changes inside the sample.  Everything is
 deterministic: the same scenario always produces a bit-identical trace.
 """
 
 from __future__ import annotations
 
 import copy
+
+import numpy as np
 
 from .errors import ThermocoverError
 from .mpc import ThermalController
@@ -42,43 +45,46 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
     observer_filter = None if tc <= 0.0 else (tc, tc)
 
     state = PlantState.uniform(scenario.start_temp)
-    observer = None
-    observer_mode: Mode | None = None
 
-    rows = []
-    for k in range(n_samples):
-        t = k * t_s
-        try:
+    rows, modes = [], []
+    try:
+        for k in range(n_samples):
+            t = k * t_s
             preview = scenario.setpoint_preview(t, preview_len)
             cmd, pump_on = controller.step(getattr(state, node), state.T_w,
                                            preview)
-            params = presets[controller.mode]
-            q_w = pump_flow(state.T_co, state.T_w, pump_on, params)
-            # the observer's net-heat input, q_w + q_aw
-            q = q_w + estimate_q_aw(state.T_w, ambient.T_amb, params.R_aw)
-
-            if observer is None or controller.mode is not observer_mode:
-                observer = build_observer(params, t_s, observer_filter) \
-                    .warm_start(state.T_w, q)
-                observer_mode = controller.mode
-
-            observer, q_hat = observer_step(observer, state.T_w, q)
-
+            modes.append(controller.mode)
             q_i_true = sum(contact_heat_flow(c, state.T_c, t)
                            for c in scenario.contacts)
             in_contact = any(c.active(t) for c in scenario.contacts)
+            # q_w and q_i_hat are filled in per mode after the loop
             rows.append((t, cmd, state.T_p, state.T_co, state.T_w, state.T_c,
-                         pump_on, q_w, q_i_true, q_hat, in_contact))
+                         pump_on, 0.0, q_i_true, 0.0, in_contact))
 
-            state = step_plant(state, cmd, pump_on, 0.0, params, ambient,
+            state = step_plant(state, cmd, pump_on, 0.0,
+                               presets[controller.mode], ambient,
                                scenario.dt, peltier_lag=scenario.peltier_lag,
                                peltier_power=scenario.peltier_power,
                                n_sub=n_sub, contacts=scenario.contacts, t=t)
-        except ThermocoverError as exc:
-            raise _in_context(exc, f"{scenario.name}: at t = {t:.6g} s") \
-                from exc
 
-    return SimTrace.from_rows(rows)
+        trace = SimTrace.from_rows(rows)
+        trace.mode = np.array(modes, dtype=object)
+        # one observer per visited mode runs over the whole record on that
+        # mode's constants; each sample takes q_w and q_hat from its own
+        # mode's, and a failure names the mode's first sample
+        for mode in dict.fromkeys(modes):
+            at = trace.mode == mode
+            t = trace.t[at][0]
+            params = presets[mode]
+            q_w = pump_flow(trace.T_co, trace.T_w, trace.pump_on, params)
+            q_hat = observer_step(
+                build_observer(params, t_s, observer_filter), trace.T_w,
+                q_w + estimate_q_aw(trace.T_w, ambient.T_amb, params.R_aw))
+            trace.q_w[at] = q_w[at]
+            trace.q_i_hat[at] = q_hat[at]
+    except ThermocoverError as exc:
+        raise _in_context(exc, f"{scenario.name}: at t = {t:.6g} s") from exc
+    return trace
 
 
 def _in_context(exc: ThermocoverError, where: str) -> ThermocoverError:

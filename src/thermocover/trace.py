@@ -46,6 +46,9 @@ class SimTrace:
     q_i_true: np.ndarray
     q_i_hat: np.ndarray
     contact_flag: np.ndarray
+    #: the controller's ``Mode`` at each sample, recorded by ``simulate``;
+    #: not a CSV column, so a trace read back from CSV has none
+    mode: np.ndarray | None = None
 
     def __len__(self):
         return len(self.t)

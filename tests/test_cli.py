@@ -176,6 +176,20 @@ def test_run_with_plate_lag_far_below_dt_exits_ok(tmp_path):
     assert np.max(np.abs(errors[0] - errors[1])) < 1e-3
 
 
+@pytest.mark.parametrize("name, switches", [
+    ("exp1_heat", 4), ("exp1_cool", 2), ("exp1_heat_after_cool", 3),
+    ("exp2_grasp", 0), ("exp2_softtouch", 0), ("exp2_nocontact", 0)])
+def test_run_reports_mode_switches(tmp_path, name, switches):
+    # the staircases' 4 + 2 + 3 switches; the exp2 runs heat throughout
+    assert main(["run", name, "--out-dir", str(tmp_path)]) == 0
+    report = parse_report((tmp_path / f"{name}_report.txt").read_text())
+    assert report["mpc.mode_switches"] == str(switches)
+    times = [float(report[f"mpc.mode_switch.{i}.time"])
+             for i in range(switches)]
+    assert f"mpc.mode_switch.{switches}.time" not in report
+    assert times == sorted(set(times)) and all(t > 0.0 for t in times)
+
+
 def test_run_grasp_on_cool_staircase_exits_ok(tmp_path):
     # a grasp in cool mode, g dt / C_c = 0.8, stays inside the margin
     assert main(["run", "exp1_cool", "--out-dir", str(tmp_path),

@@ -100,12 +100,19 @@ def test_report_round_trip():
     assert items["scenario"] == "exp2_nocontact"
     assert items["detection.count"] == "0"
     assert items["detection.false_positives"] == "0"
+    # the mode-switch keys appear only when the caller passes the times
+    assert "mpc.mode_switches" not in items
+    items = parse_report(render_report(spec, [], detection,
+                                       mode_switches=[435.0, 477.0]))
+    assert items["mpc.mode_switches"] == "2"
+    assert items["mpc.mode_switch.1.time"] == "477"
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: mode switches change the plant's and the observer's "
-    "constants mid-run, and pump-toggle tails outlast the gate; the three "
-    "staircases raise 7, 1 and 4 false contacts"))
+    "ROADMAP item 1: mode switches change the plant's constants mid-run, "
+    "and pump-toggle tails outlast the gate; with one observer per mode the "
+    "three staircases raise 7, 1 and 3 false contacts, and |q_hat| outside "
+    "the gate peaks at 4.60, 0.31 and 0.37 W"))
 def test_exp1_staircases_raise_no_false_contact():
     scenarios = builtin_scenarios()
     counts = {}
@@ -119,8 +126,8 @@ def test_exp1_staircases_raise_no_false_contact():
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 1: the grasp lifts the small cover by about 11 K in one "
     "sample, the controller of T_c turns the pump on at the next, and the "
-    "6 s pump gate covers the whole contact window: 0 found, 1 missed and "
-    "1 false contact, peak 0.73 W"))
+    "6 s pump gate covers the whole contact window: with one observer per "
+    "mode still 0 found, 1 missed and 1 false contact, peak 0.73 W"))
 def test_grasp_during_cool_staircase_detected():
     spec = builtin_scenarios()["exp1_cool"]
     spec = replace(spec, contacts=(

@@ -15,9 +15,15 @@ from thermocover.plant import estimate_q_aw, pump_flow
 AMBIENT = AmbientConfig()
 
 
-def _iterate(obs, T_w_series, q_series):
-    """Drive the raw realization with explicit (T_w, q) input streams."""
-    x = np.asarray(obs.x)
+def _fixed_point(obs, T_w, q):
+    """The realization's state for constant inputs (T_w, q)."""
+    return np.linalg.solve(np.eye(2) - obs.Ad, obs.Bd @ np.array([T_w, q]))
+
+
+def _iterate(obs, T_w_series, q_series, x=None):
+    """Drive the raw realization with explicit (T_w, q) input streams from
+    state ``x``, by default the realization's own."""
+    x = np.asarray(obs.x if x is None else x)
     out = np.empty(len(T_w_series))
     for k, (T_w, q) in enumerate(zip(T_w_series, q_series)):
         u = np.array([T_w, q])
@@ -37,8 +43,8 @@ def test_ambient_exchange_estimate():
 def test_dc_rejection(heat_params):
     # constant pipe temperature with balanced net heat produces no estimate
     obs = build_observer(heat_params, 1.0)
-    obs = obs.warm_start(25.0, 0.0)
-    out = _iterate(obs, np.full(500, 25.0), np.zeros(500))
+    out = _iterate(obs, np.full(500, 25.0), np.zeros(500),
+                   _fixed_point(obs, 25.0, 0.0))
     assert np.max(np.abs(out)) < 1e-9
 
 
@@ -84,10 +90,8 @@ def test_bounded_state_long_run(heat_params):
 def test_observer_step_equilibrium(heat_params):
     # the pipe at ambient with no net heat: the estimate stays at zero
     obs = build_observer(heat_params, 1.0)
-    obs = obs.warm_start(AMBIENT.T_amb, 0.0)
-    for _ in range(200):
-        obs, q_hat = observer_step(obs, AMBIENT.T_amb, 0.0)
-        assert abs(q_hat) < 1e-9
+    q_hat = observer_step(obs, np.full(200, AMBIENT.T_amb), np.zeros(200))
+    assert np.max(np.abs(q_hat)) < 1e-9
 
 
 @pytest.mark.parametrize("tc", [1e-200, 1e-160, 1e-100, 1e-8, 1e8, 1e300])
@@ -99,10 +103,14 @@ def test_unrealizable_filter_constants_rejected(heat_params, tc):
 
 
 def test_warm_start_fixed_point(heat_params):
+    # the whole-record filter starts at its fixed point for the first
+    # sample's inputs: constant inputs give a constant estimate from sample
+    # 0, the realization's own at that fixed point
     obs = build_observer(heat_params, 1.0, filter_time_constants=(3.0, 1.0))
-    obs = obs.warm_start(24.0, 1.5)
-    out = _iterate(obs, np.full(50, 24.0), np.full(50, 1.5))
+    out = observer_step(obs, np.full(50, 24.0), np.full(50, 1.5))
     assert np.max(np.abs(out - out[0])) < 1e-9
+    ref = _iterate(obs, [24.0], [1.5], _fixed_point(obs, 24.0, 1.5))
+    assert abs(out[0] - ref[0]) < 1e-9
 
 
 def test_design_model_zero_contact(heat_params):
@@ -119,8 +127,8 @@ def test_design_model_zero_contact(heat_params):
 
 
 def _reference_observer_step(obs, T_w, q):
-    """The numpy 2 x 2 observer_step that the float path replaced, kept
-    as its reference."""
+    """One sample of the numpy 2 x 2 recursion that the whole-record
+    filter replaced, kept as its reference."""
     u = np.array([T_w, q])
     x = np.asarray(obs.x)
     q_hat = (obs.Cd @ x + obs.Dd @ u).item()
@@ -131,20 +139,25 @@ def _reference_observer_step(obs, T_w, q):
 @pytest.mark.parametrize("filter_tc", [None, (0.4, 0.4), (1.0, 1.0)])
 @pytest.mark.parametrize("mode", list(Mode))
 def test_observer_step_matches_matrix_reference(mode, filter_tc):
-    # the float path rounds differently from the matrix products; with the
-    # fast detection filters the state grows to ~1e6, and the estimate may
-    # drift from the reference by 1e-9 W at most (the trace CSV's bound)
+    # the transfer-function filters round differently from the matrix
+    # products; with the fast detection filters the state grows to ~1e6,
+    # and the estimate may drift from the reference by 1e-9 W at most (the
+    # trace CSV's bound)
     params = preset_params(mode, Target.PIPE)
-    obs = ref = build_observer(params, 0.5, filter_tc).warm_start(23.0, 0.1)
+    obs = build_observer(params, 0.5, filter_tc)
     rng = np.random.default_rng(5)
-    T_w = 23.0
+    T_w, T_co = np.empty((2, 3000))
+    T = 23.0
     for k in range(3000):
-        T_w += rng.normal(0.0, 0.02)
-        T_co = T_w + rng.normal(0.0, 1.0)
-        pump_on = k // 300 % 2 == 0
-        q = pump_flow(T_co, T_w, pump_on, params) \
-            + estimate_q_aw(T_w, AMBIENT.T_amb, params.R_aw)
-        obs, q_hat = observer_step(obs, T_w, q)
-        ref, q_ref = _reference_observer_step(ref, T_w, q)
-        assert abs(q_hat - q_ref) <= 1e-9
-    assert np.allclose(obs.x, ref.x, rtol=1e-12, atol=0.0)
+        T += rng.normal(0.0, 0.02)
+        T_w[k], T_co[k] = T, T + rng.normal(0.0, 1.0)
+    pump_on = np.arange(3000) // 300 % 2 == 0
+    q = pump_flow(T_co, T_w, pump_on, params) \
+        + estimate_q_aw(T_w, AMBIENT.T_amb, params.R_aw)
+    q_hat = observer_step(obs, T_w, q)
+    # the reference, warm-started at the first sample's inputs
+    x = _fixed_point(obs, T_w[0], q[0])
+    ref = replace(obs, x=(float(x[0]), float(x[1])))
+    for k in range(3000):
+        ref, q_ref = _reference_observer_step(ref, T_w[k], q[k])
+        assert abs(q_hat[k] - q_ref) <= 1e-9

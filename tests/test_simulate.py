@@ -12,6 +12,7 @@ from thermocover.params import Mode, preset_params
 from thermocover.plant import ContactEvent, ContactKind, estimate_q_aw
 from thermocover.scenario import ScenarioSpec, builtin_scenarios
 from thermocover.simulate import simulate
+from thermocover.trace import COLUMNS, SimTrace
 
 
 def _short_scenario(**kw):
@@ -109,14 +110,86 @@ def test_observer_replays_grasp_run_from_its_inputs():
     spec = builtin_scenarios()["exp2_grasp"]
     trace = simulate(spec)
     params = preset_params(Mode.HEAT, spec.target)
-    q = [q_w + estimate_q_aw(T_w, spec.ambient.T_amb, params.R_aw)
-         for T_w, q_w in zip(trace.T_w, trace.q_w)]
+    q = trace.q_w + estimate_q_aw(trace.T_w, spec.ambient.T_amb, params.R_aw)
     tc = spec.observer_tc
     assert tc > 0.0
-    obs = build_observer(params, spec.t_s, (tc, tc)) \
-        .warm_start(trace.T_w[0], q[0])
-    replay = []
-    for T_w, q_k in zip(trace.T_w, q):
-        obs, q_hat = observer_step(obs, T_w, q_k)
-        replay.append(q_hat)
+    replay = observer_step(build_observer(params, spec.t_s, (tc, tc)),
+                           trace.T_w, q)
     assert np.array_equal(replay, trace.q_i_hat)
+
+
+@pytest.mark.parametrize("name, builds", [("exp1_heat", 2),
+                                          ("exp2_grasp", 1)])
+def test_one_observer_per_visited_mode(monkeypatch, name, builds):
+    module = importlib.import_module("thermocover.simulate")
+    build = module.build_observer
+    calls = []
+
+    def counting_build(params, *args):
+        calls.append(params.mode)
+        return build(params, *args)
+
+    monkeypatch.setattr(module, "build_observer", counting_build)
+    trace = simulate(builtin_scenarios()[name])
+    assert len(calls) == builds
+    assert set(calls) == set(trace.mode)
+
+
+def test_each_sample_takes_its_own_modes_filter():
+    # exp1_heat visits both modes; each mode's observer runs over the whole
+    # record from the fixed point of sample 0's inputs, and a sample takes
+    # the estimate of its own mode's observer.  The reference is the
+    # realization's matrix recursion, one sample at a time.
+    spec = builtin_scenarios()["exp1_heat"]
+    trace = simulate(spec)
+    tc = spec.observer_tc
+    assert len(set(trace.mode)) == 2
+    for mode in Mode:
+        params = preset_params(mode, spec.target)
+        q_w = np.where(trace.pump_on, (trace.T_co - trace.T_w) / params.R_w,
+                       0.0)
+        q = q_w + (spec.ambient.T_amb - trace.T_w) / params.R_aw
+        obs = build_observer(params, spec.t_s,
+                             None if tc <= 0.0 else (tc, tc))
+        u = np.stack([trace.T_w, q], axis=1)
+        x = np.linalg.solve(np.eye(2) - obs.Ad, obs.Bd @ u[0])
+        ref = np.empty(len(trace))
+        for k in range(len(trace)):
+            ref[k] = (obs.Cd @ x + obs.Dd @ u[k]).item()
+            x = obs.Ad @ x + obs.Bd @ u[k]
+        at = trace.mode == mode
+        assert np.array_equal(trace.q_w[at], q_w[at])
+        assert np.max(np.abs(trace.q_i_hat[at] - ref[at])) <= 1e-9
+
+
+def test_observer_failure_in_second_mode_names_its_first_sample(monkeypatch):
+    spec = builtin_scenarios()["exp1_heat"]
+    mode = simulate(spec).mode
+    first = np.flatnonzero(mode != mode[0])[0]
+    module = importlib.import_module("thermocover.simulate")
+    step = module.observer_step
+    calls = []
+
+    def failing_second(observer, *args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericError("observer diverged")
+        return step(observer, *args)
+
+    monkeypatch.setattr(module, "observer_step", failing_second)
+    with pytest.raises(NumericError, match=(
+            f"^exp1_heat: at t = {first * spec.t_s:.6g} s: observer")):
+        simulate(spec)
+
+
+def test_written_trace_keeps_the_eleven_columns(tmp_path):
+    # the mode record is a side array, never a CSV column
+    trace = simulate(builtin_scenarios()["exp1_heat"])
+    assert len(trace.mode) == len(trace)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(COLUMNS)
+    assert len(COLUMNS) == 11
+    assert all(line.count(",") == 10 for line in lines)
+    assert SimTrace.from_csv(path).mode is None
