@@ -59,8 +59,8 @@ def cmd_run(args) -> int:
     trace_path = os.path.join(out_dir, f"{spec.name}_trace.csv")
     report_path = os.path.join(out_dir, f"{spec.name}_report.txt")
     trace.to_csv(trace_path)
-    report = render_report(spec, segments, detection, overrides=overrides,
-                           mode_switches=mode_switch_times(trace))
+    report = render_report(spec, segments, detection,
+                           mode_switch_times(trace), overrides=overrides)
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report)
     print(f"wrote {trace_path}")

@@ -110,8 +110,12 @@ def pump_flow(T_co, T_w, pump_on, params: PlantParams) -> np.ndarray:
     return np.where(pump_on, (T_co - T_w) / params.R_w, 0.0)
 
 
-def estimate_q_aw(T_w: float, T_amb: float, R_aw: float) -> float:
-    """Ambient-exchange heat flow q_aw into the water pipe (negative = loss)."""
+def estimate_q_aw(T_w, T_amb: float, R_aw: float):
+    """Ambient-exchange heat flow q_aw into the water pipe (negative = loss).
+
+    Takes one sample's pipe temperature or a record of them, and returns a
+    float or a record to match.
+    """
     if R_aw <= 0.0:
         raise ConfigError("R_aw must be positive")
     return (T_amb - T_w) / R_aw

@@ -110,9 +110,9 @@ def _fmt(value) -> str:
 
 
 def render_report(spec: ScenarioSpec, segments, detection: DetectionReport,
-                  overrides=(), mode_switches=None) -> str:
-    """The report text; ``mode_switches``, the times ``mode_switch_times``
-    returns, adds the ``mpc.mode_switch*`` keys."""
+                  mode_switches, overrides=()) -> str:
+    """The report text; ``mode_switches`` are the times
+    ``mode_switch_times`` returns."""
     lines = [f"# run report: {spec.name}"]
     for entry in overrides:
         lines.append(f"# override: {entry}")
@@ -132,10 +132,9 @@ def render_report(spec: ScenarioSpec, segments, detection: DetectionReport,
         lines.append(f"{p}.max_command: {_fmt(seg.max_command)}")
         lines.append(f"{p}.min_command: {_fmt(seg.min_command)}")
         lines.append(f"{p}.pump_off_at_settle: {_fmt(seg.pump_off_at_settle)}")
-    if mode_switches is not None:
-        lines.append(f"mpc.mode_switches: {len(mode_switches)}")
-        for i, t in enumerate(mode_switches):
-            lines.append(f"mpc.mode_switch.{i}.time: {_fmt(t)}")
+    lines.append(f"mpc.mode_switches: {len(mode_switches)}")
+    for i, t in enumerate(mode_switches):
+        lines.append(f"mpc.mode_switch.{i}.time: {_fmt(t)}")
     lines.append(f"detection.threshold: {_fmt(detection.config.threshold)}")
     lines.append(f"detection.count: {len(detection.intervals)}")
     for i, (d0, d1) in enumerate(detection.intervals):

@@ -93,17 +93,15 @@ def test_detection_config_validation():
 def test_report_round_trip():
     spec = builtin_scenarios()["exp2_nocontact"]
     detection = detect_contacts(_trace(np.zeros(10)), spec.detection)
-    text = render_report(spec, [], detection,
+    text = render_report(spec, [], detection, [],
                          overrides=["detection.threshold=0.2"])
     assert "# override: detection.threshold=0.2" in text
     items = parse_report(text)
     assert items["scenario"] == "exp2_nocontact"
     assert items["detection.count"] == "0"
     assert items["detection.false_positives"] == "0"
-    # the mode-switch keys appear only when the caller passes the times
-    assert "mpc.mode_switches" not in items
-    items = parse_report(render_report(spec, [], detection,
-                                       mode_switches=[435.0, 477.0]))
+    assert items["mpc.mode_switches"] == "0"
+    items = parse_report(render_report(spec, [], detection, [435.0, 477.0]))
     assert items["mpc.mode_switches"] == "2"
     assert items["mpc.mode_switch.1.time"] == "477"
 

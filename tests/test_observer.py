@@ -87,6 +87,19 @@ def test_bounded_state_long_run(heat_params):
     assert np.max(np.abs(out)) < 1e6
 
 
+def test_observer_step_long_run_tracks_realization(heat_params):
+    # the whole-record filter on the same 10^5 inputs stays bounded and
+    # does not drift from the realization started at its fixed point
+    obs = build_observer(heat_params, 1.0, filter_time_constants=(2.0, 0.5))
+    rng = np.random.default_rng(3)
+    T_w, q = rng.uniform(-1, 1, 100_000), rng.uniform(-1, 1, 100_000)
+    out = observer_step(obs, T_w, q)
+    assert np.all(np.isfinite(out))
+    assert np.max(np.abs(out)) < 1e6
+    ref = _iterate(obs, T_w, q, _fixed_point(obs, T_w[0], q[0]))
+    assert np.max(np.abs(out - ref)) <= 1e-9
+
+
 def test_observer_step_equilibrium(heat_params):
     # the pipe at ambient with no net heat: the estimate stays at zero
     obs = build_observer(heat_params, 1.0)
