@@ -13,6 +13,10 @@ way.  The observer is a filter on (T_w, q), q = q_w + q_aw the net heat
 into the water node.  Both are measurable without touching the cover
 surface: q_w follows from the tank/pipe temperature difference, q_aw from
 ambient, and the caller composes q.
+
+The filter is discretized by the trapezoidal rule and kept only as its
+transfer functions in 1/z, one shared denominator and one numerator per
+input; ``observer_step`` runs them over whole records.
 """
 
 from __future__ import annotations
@@ -21,36 +25,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.signal import cont2discrete, lfilter, lfilter_zi
 
 from .errors import ConfigError
 from .params import PlantParams
 
 
-def _observer_canonical(num_rows, den):
-    """Shared-denominator MISO realization in observer canonical form."""
-    a1, a0 = den[1], den[2]
-    A = np.array([[-a1, 1.0], [-a0, 0.0]])
-    C = np.array([[1.0, 0.0]])
-    B = np.zeros((2, len(num_rows)))
-    D = np.zeros((1, len(num_rows)))
-    for j, num in enumerate(num_rows):
-        D[0, j] = num[0]
-        B[0, j] = num[1] - num[0] * a1
-        B[1, j] = num[2] - num[0] * a0
-    return A, B, C, D
-
-
 @dataclass(frozen=True)
 class ObserverState:
-    """Discrete observer: its state-space realization, with its zero
-    initial state, and the same filter as transfer functions in 1/z."""
+    """Discrete observer: the trapezoidal filter as transfer functions in
+    1/z.  It holds no state; ``observer_step`` runs it over whole records."""
 
-    Ad: np.ndarray
-    Bd: np.ndarray
-    Cd: np.ndarray
-    Dd: np.ndarray
-    x: tuple            # initial filter state, 2 entries
     t_s: float
     filter_time_constants: tuple
     a: np.ndarray       # shared denominator, a[0] = 1
@@ -97,33 +83,33 @@ def build_observer(params: PlantParams, t_s: float,
     if not 0.0 < lead < math.inf:
         raise unrealizable()
     den = (1.0, (g1 + g2) / lead, 1.0 / lead)
-    num_Tw = (params.R_c * params.C_w * params.C_c / lead,
-              (params.C_w + params.C_c) / lead, 0.0)
-    num_q = (0.0, -params.R_c * params.C_c / lead, -1.0 / lead)
+    # q_hat = [den_w(s) T_w - num_w(s) q] / F(s), F's lead normalized to 1
+    num_w, den_w = water_channel_tf(params)
+    num_Tw = [c / lead for c in den_w]
+    num_q = [0.0, *(-c / lead for c in num_w)]
 
-    A, B, C, D = _observer_canonical([num_Tw, num_q], den)
-    # the trapezoidal rule solves with I - (t_s/2) A; the warm start's fixed
-    # point (lfilter_zi) is as near singular as I - Ad
-    if _ill_conditioned(np.eye(2) - 0.5 * t_s * A):
+    # the trapezoidal rule solves with I - (t_s/2) A, A the filter's
+    # companion matrix; the warm start's fixed point (lfilter_zi) is as
+    # near singular as I - Ad, Ad = (I - (t_s/2) A)^-1 (I + (t_s/2) A)
+    A = np.array([[-den[1], 1.0], [-den[2], 0.0]])
+    ima = np.eye(2) - 0.5 * t_s * A
+    if _ill_conditioned(ima):
         raise unrealizable()
-    Ad, Bd, Cd, Dd, _ = cont2discrete((A, B, C, D), t_s, method="bilinear")
+    Ad = scipy.linalg.solve(ima, np.eye(2) + 0.5 * t_s * A)
 
-    # the same map in closed form: M takes a quadratic's coefficients in s
-    # to those in 1/z at s = K (1 - 1/z) / (1 + 1/z), times (1 + 1/z)^2.
-    # The T_w numerator has no s^0 term, so it is (1 - 1/z) times M1's.
+    # M takes a quadratic's coefficients in s to those in 1/z at
+    # s = K (1 - 1/z) / (1 + 1/z), times (1 + 1/z)^2.  The T_w numerator
+    # has no s^0 term, so it is (1 - 1/z) times M1's.
     K = 2.0 / t_s
     M = np.array([[K * K, K, 1.0], [-2.0 * K * K, 0.0, 2.0], [K * K, -K, 1.0]])
     M1 = np.array([[K * K, K], [-K * K, K]])
     a = M @ den
     b_dT_w, b_q, a = M1 @ num_Tw[:2] / a[0], M @ num_q / a[0], a / a[0]
-    coeffs = np.concatenate([m.ravel() for m in (Ad, Bd, Cd, Dd, a, b_dT_w,
-                                                 b_q)])
-    if not np.all(np.isfinite(coeffs)) or _ill_conditioned(np.eye(2) - Ad):
+    if not np.all(np.isfinite(np.concatenate([a, b_dT_w, b_q]))) \
+            or _ill_conditioned(np.eye(2) - Ad):
         raise unrealizable()
-    return ObserverState(
-        Ad=Ad, Bd=Bd, Cd=Cd, Dd=Dd, x=(0.0, 0.0), t_s=t_s,
-        filter_time_constants=(g1, g2), a=a, b_dT_w=b_dT_w, b_q=b_q,
-    )
+    return ObserverState(t_s=t_s, filter_time_constants=(g1, g2), a=a,
+                         b_dT_w=b_dT_w, b_q=b_q)
 
 
 def observer_step(obs: ObserverState, T_w, q) -> np.ndarray:
@@ -133,22 +119,22 @@ def observer_step(obs: ObserverState, T_w, q) -> np.ndarray:
     q = q_w + q_aw is the net heat into the water node.  The T_w channel's
     exact zero at z = 1 is factored out as (1 - 1/z): the rest filters the
     first differences of T_w, so its large high-frequency gain scales steps
-    rather than levels.  With the closed-form coefficients q_hat stays
-    within 1e-9 W of the state-space recursion.  The filter starts at its
-    fixed point for the first sample's inputs, with no startup transient of
-    the slow pole: the q channel at ``lfilter_zi * q[0]``, the T_w channel
-    at rest on a zero difference.
+    rather than levels.  The filter starts at its fixed point for the first
+    sample's inputs, with no startup transient of the slow pole: the q
+    channel at ``lfilter_zi * q[0]``, the T_w channel at rest on a zero
+    difference.
     """
     q_hat, _ = lfilter(obs.b_q, obs.a, q, zi=lfilter_zi(obs.b_q, obs.a) * q[0])
     return q_hat + lfilter(obs.b_dT_w, obs.a, np.diff(T_w, prepend=T_w[:1]))
 
 
 def observer_frequency_response(obs: ObserverState, omega: float) -> np.ndarray:
-    """Per-input complex response of the discrete realization at omega rad/s."""
-    z = np.exp(1j * omega * obs.t_s)
-    M = z * np.eye(2) - obs.Ad
-    X = np.linalg.solve(M, obs.Bd)
-    return (obs.Cd @ X + obs.Dd).ravel()
+    """Per-input complex response of the discrete filter at omega rad/s:
+    (1 - 1/z) b_dT_w / a on T_w and b_q / a on q."""
+    w = np.exp(-1j * omega * obs.t_s)   # 1/z
+    a = np.polyval(obs.a[::-1], w)
+    return np.array([(1.0 - w) * np.polyval(obs.b_dT_w[::-1], w) / a,
+                     np.polyval(obs.b_q[::-1], w) / a])
 
 
 # ---------------------------------------------------------------------------

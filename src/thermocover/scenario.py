@@ -305,13 +305,15 @@ _FIELDS = (
 _PARTS = {"ambient": AmbientConfig, "controller": MpcConfig,
           "pump": PumpHysteresis, "detection": DetectionConfig}
 
-#: contact.N.* keys: (name, attribute, (parse, format), value when absent).
+#: contact.N.* keys: (name, attribute, (parse, format)).  An absent key
+#: takes the value of ``ContactEvent.preset`` for the contact's kind, a
+#: grasp when the kind is absent too.
 _CONTACT_FIELDS = (
-    ("start", "start", _FLOAT, 0.0),
-    ("duration", "duration", _FLOAT, 5.0),
-    ("kind", "kind", _choice(ContactKind), "grasp"),
-    ("conductance", "contact_conductance", _FLOAT, 0.8),
-    ("t_skin", "T_skin", _FLOAT, 33.0),
+    ("start", "start", _FLOAT),
+    ("duration", "duration", _FLOAT),
+    ("kind", "kind", _choice(ContactKind)),
+    ("conductance", "contact_conductance", _FLOAT),
+    ("t_skin", "T_skin", _FLOAT),
 )
 
 #: The contact.N.* keys are written between the spec's own keys and the
@@ -331,7 +333,7 @@ def scenario_to_kv(spec: ScenarioSpec) -> dict:
     for i, (key, owner, attr, (_, fmt)) in enumerate(_FIELDS):
         if i == _CONTACTS_AT:
             for n, c in enumerate(spec.contacts):
-                for name, c_attr, (_, c_fmt), _ in _CONTACT_FIELDS:
+                for name, c_attr, (_, c_fmt) in _CONTACT_FIELDS:
                     out[f"contact.{n}.{name}"] = c_fmt(getattr(c, c_attr))
         value = fmt(getattr(spec if owner is None else getattr(spec, owner),
                             attr))
@@ -352,11 +354,11 @@ def scenario_from_kv(items: dict) -> ScenarioSpec:
     contacts = []
     while f"contact.{len(contacts)}.start" in items:
         prefix = f"contact.{len(contacts)}."
-        contacts.append(ContactEvent(**{
-            attr: _parse(prefix + name, parse,
-                         items.pop(prefix + name, default))
-            for name, attr, (parse, _), default in _CONTACT_FIELDS
-        }))
+        given = {attr: _parse(prefix + name, parse, items.pop(prefix + name))
+                 for name, attr, (parse, _) in _CONTACT_FIELDS
+                 if prefix + name in items}
+        contacts.append(replace(ContactEvent.preset(
+            given.get("kind", ContactKind.GRASP), given["start"]), **given))
 
     if items:
         raise ConfigError(f"unknown scenario keys: {sorted(items)}")

@@ -3,17 +3,21 @@
 State is [T_w, T_c]; inputs are the net heat into the water node
 (u = q_w + q_aw) and the contact heat into the cover node (q_i).  The
 network stores heat without leaking it, so the continuous state matrix has
-one zero eigenvalue.
+one zero eigenvalue.  Its state matrix is the pipe/cover block of the
+plant's network (``plant.network_matrices``) with the pump stopped and no
+ambient leak.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .observer import water_channel_tf
 from .params import PlantParams
+from .plant import network_matrices
 
 
 @dataclass(frozen=True)
@@ -28,14 +32,12 @@ class TwoNodeModel:
 
 
 def two_node_model(params: PlantParams) -> TwoNodeModel:
-    k = 1.0 / params.R_c
-    A = np.array([
-        [-k / params.C_w, k / params.C_w],
-        [k / params.C_c, -k / params.C_c],
-    ])
+    p = params
+    A = network_matrices(p.R_w, p.C_w, p.R_c, p.C_c, math.inf, p.C_co, p.R_co,
+                         False)[0][2:, 2:]
     B = np.array([
-        [1.0 / params.C_w, 0.0],
-        [0.0, 1.0 / params.C_c],
+        [1.0 / p.C_w, 0.0],
+        [0.0, 1.0 / p.C_c],
     ])
     return TwoNodeModel(A=A, B=B, params=params)
 

@@ -16,7 +16,8 @@ from thermocover.fopdt import (DiscreteFOPDT, discretize_fopdt,
                                fopdt_step_response, iterate_fopdt)
 from thermocover.mpc import (MpcConfig, PenaltyForm, build_prediction,
                              solve_mpc)
-from thermocover.observer import build_observer, simulate_design_model
+from thermocover.observer import (build_observer, observer_step,
+                                  simulate_design_model)
 from thermocover.params import Mode, preset_params
 from thermocover.report import analyze_segments
 from thermocover.scenario import apply_overrides, builtin_scenarios
@@ -77,14 +78,9 @@ def test_criterion_03_observer_recovery_on_design_model(heat_params):
     obs = build_observer(heat_params, t_s)
 
     def estimate(q, qi):
+        # from rest: one leading sample of zero inputs
         T_w = simulate_design_model(heat_params, t_s, q, qi)
-        x = np.asarray(obs.x)
-        out = np.empty(n)
-        for k in range(n):
-            u = np.array([T_w[k], q[k]])
-            out[k] = (obs.Cd @ x + obs.Dd @ u).item()
-            x = obs.Ad @ x + obs.Bd @ u
-        return out
+        return observer_step(obs, np.r_[0.0, T_w], np.r_[0.0, q])[1:]
 
     qi = np.full(n, 0.5)
     q_hat = estimate(np.zeros(n), qi)

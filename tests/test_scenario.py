@@ -163,6 +163,21 @@ def test_kv_round_trip_every_builtin():
         assert scenario_from_kv(scenario_to_kv(spec)) == spec
 
 
+@pytest.mark.parametrize("kind", [None, "grasp", "soft_touch"])
+def test_absent_contact_keys_take_the_kinds_preset(kind):
+    # a contact given by its start (and kind) alone is the kind's preset:
+    # a soft touch without a conductance is 0.2 W/K, not the grasp's 0.8
+    items = scenario_to_kv(builtin_scenarios()["exp2_nocontact"])
+    items["contact.0.start"] = "100.0"
+    if kind is not None:
+        items["contact.0.kind"] = kind
+    (contact,) = scenario_from_kv(items).contacts
+    want = ContactKind(kind or "grasp")
+    assert contact == ContactEvent.preset(want, start=100.0)
+    assert contact.contact_conductance \
+        == {"grasp": 0.8, "soft_touch": 0.2}[want.value]
+
+
 def test_latched_pump_rejected():
     # the latch is the controller's run-time state, and the key-value form
     # has no key for it, so a spec holding it could not round-trip

@@ -1,10 +1,12 @@
 """Closed-loop simulation wiring: determinism, trace shape, contact truth."""
 
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import observer_realization, run_realization
 from thermocover import mpc
 from thermocover.errors import ConvergenceError, NumericError
 from thermocover.observer import build_observer, observer_step
@@ -139,27 +141,26 @@ def test_each_sample_takes_its_own_modes_filter():
     # exp1_heat visits both modes; each mode's observer runs over the whole
     # record from the fixed point of sample 0's inputs, and a sample takes
     # the estimate of its own mode's observer.  The reference is the
-    # realization's matrix recursion, one sample at a time.
-    spec = builtin_scenarios()["exp1_heat"]
-    trace = simulate(spec)
-    tc = spec.observer_tc
-    assert len(set(trace.mode)) == 2
-    for mode in Mode:
-        params = preset_params(mode, spec.target)
-        q_w = np.where(trace.pump_on, (trace.T_co - trace.T_w) / params.R_w,
-                       0.0)
-        q = q_w + (spec.ambient.T_amb - trace.T_w) / params.R_aw
-        obs = build_observer(params, spec.t_s,
-                             None if tc <= 0.0 else (tc, tc))
-        u = np.stack([trace.T_w, q], axis=1)
-        x = np.linalg.solve(np.eye(2) - obs.Ad, obs.Bd @ u[0])
-        ref = np.empty(len(trace))
-        for k in range(len(trace)):
-            ref[k] = (obs.Cd @ x + obs.Dd @ u[k]).item()
-            x = obs.Ad @ x + obs.Bd @ u[k]
-        at = trace.mode == mode
-        assert np.array_equal(trace.q_w[at], q_w[at])
-        assert np.max(np.abs(trace.q_i_hat[at] - ref[at])) <= 1e-9
+    # realization's matrix recursion, one sample at a time, with the
+    # detection filter and with the natural constants (observer_tc = 0)
+    base = builtin_scenarios()["exp1_heat"]
+    assert base.observer_tc > 0.0
+    for spec in (base, replace(base, observer_tc=0.0)):
+        trace = simulate(spec)
+        tc = spec.observer_tc
+        assert len(set(trace.mode)) == 2
+        for mode in Mode:
+            params = preset_params(mode, spec.target)
+            q_w = np.where(trace.pump_on,
+                           (trace.T_co - trace.T_w) / params.R_w, 0.0)
+            q = q_w + (spec.ambient.T_amb - trace.T_w) / params.R_aw
+            ref = run_realization(
+                observer_realization(params, spec.t_s,
+                                     None if tc <= 0.0 else (tc, tc)),
+                trace.T_w, q)
+            at = trace.mode == mode
+            assert np.array_equal(trace.q_w[at], q_w[at])
+            assert np.max(np.abs(trace.q_i_hat[at] - ref[at])) <= 1e-9
 
 
 def test_observer_failure_in_second_mode_names_its_first_sample(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from thermocover.plant import network_matrices
 from thermocover.twonode import (two_node_model, water_response,
                                  water_transfer_direct)
 
@@ -58,3 +59,15 @@ def test_frequency_response_matches_rational_form(heat_params, cool_params):
             direct = water_transfer_direct(params, 1j * omega)
             realized = water_response(model, 1j * omega)
             assert abs(realized - direct) / abs(direct) < 1e-9
+
+
+def test_two_node_takes_the_shared_network(heat_params, cool_params):
+    # the pipe/cover block of the plant's network, pump stopped and no
+    # ambient leak, is the two-node state matrix
+    for p in (heat_params, cool_params):
+        A, _ = network_matrices(p.R_w, p.C_w, p.R_c, p.C_c, float("inf"),
+                                p.C_co, p.R_co, False)
+        model = two_node_model(p)
+        assert np.array_equal(model.A, A[2:, 2:])
+        # with the pump stopped the block takes nothing from tank or plate
+        assert np.all(A[2:, :2] == 0.0)
