@@ -13,10 +13,10 @@ primal-dual active-set update (Hintermüller, Ito & Kunisch, 2002), which
 turns into Murty's least-index rule once a pattern comes back.  A
 controller sample tries the cached map of the last sample's pattern, then
 of its one update, at the cost of one matrix-vector product each; only
-where both fail does solve_mpc run the update to the end.  What depends
-only on the model, horizon, weights and held pattern is built once and
-cached read-only.  Pump actuation is bang-bang with hysteresis, mirroring
-the stop-at-setpoint behaviour of the rig.
+where both fail does solve_mpc run the update to the end, starting from the
+second.  What depends only on the model, horizon, weights and held pattern
+is built once and cached read-only.  Pump actuation is bang-bang with
+hysteresis, mirroring the stop-at-setpoint behaviour of the rig.
 """
 
 from __future__ import annotations
@@ -276,10 +276,13 @@ _MAX_UPDATES = 10_000
 
 
 def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
-              u_prev: float | None = None) -> MpcSolution:
+              u_prev: float | None = None,
+              held: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+              ) -> MpcSolution:
     """Minimize the tracking-plus-penalty quadratic over the command box.
 
-    From no command held, ``_update_held`` runs until the pattern passes
+    From the start pattern ``held``, the (lower, upper) unknowns held at a
+    bound, none by default, ``_update_held`` runs until the pattern passes
     its critical region's KKT test.  Plain updates can cycle, so once a
     pattern comes back every later update is ``_update_first``'s.
     """
@@ -296,11 +299,16 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
     g0 = dg0[:, d + 1:] @ np.append((qp.refs - qp.free)[d:], last)
     lo, hi = cfg.T_min_th, cfg.T_max_th
 
-    # with none held the free block is the whole Hessian, whose inverse is
-    # cached
-    held = ((), ())
-    y = Hinv @ -g0
-    floor, ceil = np.full(n, lo), np.full(n, hi)
+    def region(held):
+        """y, floor and ceil of the pattern's critical region at this QP."""
+        if held == ((), ()):
+            # the free block is the whole Hessian, whose inverse is cached
+            return Hinv @ -g0, np.full(n, lo), np.full(n, hi)
+        Y, floor, ceil = _critical_region(Hm, eigmax, g0[:, None], lo, hi,
+                                          *held)
+        return Y[:, 0] + Y[:, 1], floor, ceil
+
+    y, floor, ceil = region(held)
     seen, least_index, iterations = set(), False, 0
     while np.any((y < floor) | (y > ceil)):
         if iterations == _MAX_UPDATES:
@@ -316,9 +324,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
         if least_index:
             update = _update_first(held, y, floor, ceil)
         held = update
-        Y, floor, ceil = _critical_region(Hm, eigmax, g0[:, None], lo, hi,
-                                          *held)
-        y = Y[:, 0] + Y[:, 1]
+        y, floor, ceil = region(held)
         iterations += 1
 
     u = y
@@ -515,8 +521,8 @@ class ThermalController:
         Pistikopoulos, 2002) of the held patterns it has met in its own
         dict, filled from ``_region_map``.  Two patterns are tried: the last
         sample's, then its update by ``_update_held``.  Where both fail the
-        KKT test, the QP is built and solved, and the solution's active
-        bounds are the next sample's pattern.
+        KKT test, the QP is built and solved from the second, and the
+        solution's active bounds are the next sample's pattern.
         """
         cfg = self.cfg
         d, n = model.d, cfg.H
@@ -542,7 +548,7 @@ class ThermalController:
                  or cfg.penalty_form is PenaltyForm.MAGNITUDE else u_prev)
         lo, hi = cfg.T_min_th, cfg.T_max_th
         held = self._held
-        for _ in range(2):
+        for attempt in range(2):
             region = maps.get(held)
             if region is None:
                 region = maps[held] = _region_map(
@@ -554,14 +560,17 @@ class ThermalController:
                 self._held = held
                 lower, upper = held
                 return lo if 0 in lower else hi if 0 in upper else float(y[0])
-            held = _update_held(held, y, floor, ceil)
+            if not attempt:
+                held = _update_held(held, y, floor, ceil)
 
         refs = np.empty(d + n)
         m = min(d + n, preview.size)
         refs[:m] = preview[:m]
         refs[m:] = preview[-1]
         qp = build_prediction(model, self._x_hat, z_past, refs - self._p_hat)
-        sol = solve_mpc(qp, cfg, u_ref=u_ref, u_prev=u_prev)
+        # the solver starts from the pattern that failed last, and so
+        # makes at least one update
+        sol = solve_mpc(qp, cfg, u_ref=u_ref, u_prev=u_prev, held=held)
         self._held = (tuple(np.flatnonzero(sol.active_lower[:n]).tolist()),
                       tuple(np.flatnonzero(sol.active_upper[:n]).tolist()))
         return sol.command

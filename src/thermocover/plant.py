@@ -41,8 +41,10 @@ DEFAULT_PELTIER_LAG = 2.0
 DEFAULT_PELTIER_POWER = 60.0
 
 
-@dataclass(frozen=True)
-class PlantState:
+class PlantState(NamedTuple):
+    """The node temperatures, read-only.  A named tuple, so that
+    ``step_plant`` builds each sample's state at a tuple's cost."""
+
     T_p: float      # Peltier surface, deg C
     T_co: float     # copper tank
     T_w: float      # water pipe
@@ -50,7 +52,7 @@ class PlantState:
 
     @staticmethod
     def uniform(temp: float) -> "PlantState":
-        return PlantState(T_p=temp, T_co=temp, T_w=temp, T_c=temp)
+        return PlantState(temp, temp, temp, temp)
 
 
 class ContactKind(enum.Enum):
@@ -271,8 +273,7 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
                     q += c.contact_conductance * c.T_skin
                 else:
                     edge = True
-    x = (state.T_p if peltier_lag > 0.0 else T_p_cmd,
-         state.T_co, state.T_w, state.T_c)
+    x = state if peltier_lag > 0.0 else (T_p_cmd, *state[1:])
     regime = (params, pump_on, peltier_lag, peltier_power)
     new = None
     if not edge and n_sub <= _MAX_MAP_SUBSTEPS:
@@ -283,7 +284,7 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
                     contacts, t)
     if not all(map(math.isfinite, new)):
         raise NumericError("non-finite plant state")
-    return PlantState(*new)
+    return PlantState._make(new)
 
 
 def _advance(x, T_p_cmd, T_amb, q, regime, dt, n_sub, conductance,

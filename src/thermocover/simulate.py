@@ -6,6 +6,12 @@ rate dt, in one ``step_plant`` call per sample: one cached exact map of the
 sample's regime, or one such map per substep where the Peltier cap status
 or a contact window changes inside the sample.  Everything is
 deterministic: the same scenario always produces a bit-identical trace.
+
+A sample does only the work whose result can change from one sample to
+the next.  The setpoint preview is made where ``setpoint_at`` changes value
+and handed to the controller, read-only, until the next change; the plant
+constants are looked up where the controller switches mode; and a scenario
+without contacts skips the contact sums.
 """
 
 from __future__ import annotations
@@ -43,36 +49,51 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
     node = scenario.target.node
     tc = scenario.observer_tc
     observer_filter = None if tc <= 0.0 else (tc, tc)
+    dt, lag, power = scenario.dt, scenario.peltier_lag, scenario.peltier_power
+    contacts = scenario.contacts
 
     state = PlantState.uniform(scenario.start_temp)
 
-    rows, modes = [], []
+    # the controller's mode per sample, and the modes visited, in order
+    rows, modes, visited = [], [], {}
+    # the setpoint and its preview, and the controller's mode and its
+    # plant constants, as of the last change
+    setpoint = preview = mode = params = None
     try:
         for k in range(n_samples):
             t = k * t_s
-            preview = scenario.setpoint_preview(t, preview_len)
+            value = scenario.setpoint_at(t)
+            if value != setpoint:
+                setpoint = value
+                preview = scenario.setpoint_preview(t, preview_len)
+                preview.flags.writeable = False
             cmd, pump_on = controller.step(getattr(state, node), state.T_w,
                                            preview)
-            modes.append(controller.mode)
-            q_i_true = sum(contact_heat_flow(c, state.T_c, t)
-                           for c in scenario.contacts)
-            in_contact = any(c.active(t) for c in scenario.contacts)
+            if controller.mode is not mode:
+                mode = controller.mode
+                params = presets[mode]
+                visited.setdefault(mode)
+            modes.append(mode)
+            if contacts:
+                q_i_true = sum(contact_heat_flow(c, state.T_c, t)
+                               for c in contacts)
+                in_contact = any(c.active(t) for c in contacts)
+            else:
+                q_i_true, in_contact = 0, False
             # q_w and q_i_hat are filled in per mode after the loop
-            rows.append((t, cmd, state.T_p, state.T_co, state.T_w, state.T_c,
-                         pump_on, 0.0, q_i_true, 0.0, in_contact))
+            rows.append((t, cmd, *state, pump_on, 0.0, q_i_true, 0.0,
+                         in_contact))
 
-            state = step_plant(state, cmd, pump_on, 0.0,
-                               presets[controller.mode], ambient,
-                               scenario.dt, peltier_lag=scenario.peltier_lag,
-                               peltier_power=scenario.peltier_power,
-                               n_sub=n_sub, contacts=scenario.contacts, t=t)
+            state = step_plant(state, cmd, pump_on, 0.0, params, ambient, dt,
+                               peltier_lag=lag, peltier_power=power,
+                               n_sub=n_sub, contacts=contacts, t=t)
 
         trace = SimTrace.from_rows(rows)
         trace.mode = np.array(modes, dtype=object)
         # one observer per visited mode runs over the whole record on that
         # mode's constants; each sample takes q_w and q_hat from its own
         # mode's, and a failure names the mode's first sample
-        for mode in dict.fromkeys(modes):
+        for mode in visited:
             at = trace.mode == mode
             t = trace.t[at][0]
             params = presets[mode]

@@ -771,6 +771,109 @@ def test_update_cap_raises_convergence_error(monkeypatch):
     assert solve_mpc(qp, cfg, u_ref, u_prev).iterations == updates
 
 
+def _criterion_09_qps(n, seed):
+    """Seeded QPs (qp, cfg, u_ref, u_prev) drawn as criterion 09 draws
+    them: three preview commands, dead time 0 or 1, a 1 K box."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        a = float(rng.uniform(0.80, 0.995))
+        model = DiscreteFOPDT(a=a, b=1.0 - a, d=int(rng.integers(0, 2)),
+                              t_s=1.0)
+        lo = float(rng.uniform(18.0, 22.0))
+        W2 = float(rng.uniform(1e-3, 0.1))
+        form = list(PenaltyForm)[int(rng.integers(0, 2))]
+        cfg = MpcConfig(H=3, W2=W2, T_min_th=lo, T_max_th=lo + 1.0,
+                        penalty_form=form)
+        qp = build_prediction(model, float(rng.uniform(lo - 0.5, lo + 1.5)),
+                              rng.uniform(lo, lo + 1.0, size=model.d),
+                              rng.uniform(lo - 0.5, lo + 1.5, size=3))
+        yield qp, cfg, float(rng.uniform(lo, lo + 1.0)), \
+            float(rng.uniform(lo, lo + 1.0))
+
+
+def _passes_test(qp, cfg, u_ref, u_prev, held):
+    """Whether the held pattern passes its critical region's KKT test."""
+    Hm, Hinv, g0 = _reduced_problem(qp, cfg, u_ref, u_prev)
+    lo, hi = cfg.T_min_th, cfg.T_max_th
+    if held == ((), ()):
+        y, floor, ceil = Hinv @ -g0, lo, hi
+    else:
+        eigmax = float(np.linalg.eigvalsh(Hm)[-1])
+        Y, floor, ceil = mpc._critical_region(Hm, eigmax, g0[:, None], lo,
+                                              hi, *held)
+        y = Y[:, 0] + Y[:, 1]
+    return bool(np.all((y >= floor) & (y <= ceil)))
+
+
+@pytest.mark.parametrize("qps", [
+    lambda: _wide_qps(60, 30, seed=30),
+    lambda: _wide_qps(20, 60, seed=60),
+    lambda: _criterion_09_qps(50, seed=42),
+], ids=["wide30", "wide60", "criterion09"])
+def test_warm_start_from_any_pattern_meets_cold_solve(monkeypatch, qps):
+    # from each pattern the cold solve evaluates, and from every command
+    # held at one bound, the solver ends at the cold solve's minimizer; a
+    # start that fails its test takes at least one update
+    critical_region = mpc._critical_region
+    visited, starts_checked, failed_starts = [], 0, 0
+
+    def recording(*args):
+        visited.append(args[5:])
+        return critical_region(*args)
+
+    for qp, cfg, u_ref, u_prev in qps():
+        n = len(qp.refs) - qp.model.d
+        visited[:] = [((), ())]
+        monkeypatch.setattr(mpc, "_critical_region", recording)
+        cold = solve_mpc(qp, cfg, u_ref, u_prev)
+        monkeypatch.undo()
+        assert len(visited) == cold.iterations + 1
+        every = tuple(range(n))
+        Hm, g0 = _full_problem(qp, cfg, u_ref, u_prev)
+        lo, hi = cfg.T_min_th, cfg.T_max_th
+        for held in dict.fromkeys([*visited, (every, ()), ((), every)]):
+            sol = solve_mpc(qp, cfg, u_ref, u_prev, held=held)
+            u = sol.sequence
+            assert sol.kkt_residual < 1e-8
+            assert np.max(np.abs(u - np.clip(u - (Hm @ u + g0), lo, hi))) \
+                < 1e-8
+            assert np.max(np.abs(u - cold.sequence)) <= 1e-9
+            if not _passes_test(qp, cfg, u_ref, u_prev, held):
+                assert sol.iterations >= 1
+                failed_starts += 1
+            starts_checked += 1
+    assert failed_starts >= starts_checked // 2
+
+
+def test_controller_solves_start_from_the_failed_pattern(monkeypatch):
+    # the controller hands the solver the last pattern it tried, which
+    # failed its test: each solve makes an update, takes fewer in all than
+    # from no command held, and ends where that cold solve ends
+    scenarios = builtin_scenarios()
+    increment = apply_overrides(scenarios["exp1_heat"],
+                                ["controller.penalty_form=increment"])
+    calls, warm = [], []
+
+    def recording_solve(*args, **kwargs):
+        sol = solve_mpc(*args, **kwargs)
+        calls.append((args, kwargs))
+        warm.append(sol)
+        return sol
+
+    monkeypatch.setattr(mpc, "solve_mpc", recording_solve)
+    for spec in (scenarios["exp1_heat"], scenarios["exp2_grasp"], increment):
+        simulate(spec)
+    monkeypatch.undo()
+    assert all(sol.iterations >= 1 for sol in warm)
+    cold_iterations = 0
+    for (args, kwargs), sol in zip(calls, warm):
+        kwargs = {k: v for k, v in kwargs.items() if k != "held"}
+        cold = solve_mpc(*args, **kwargs)
+        assert np.max(np.abs(sol.sequence - cold.sequence)) <= 1e-9
+        cold_iterations += cold.iterations
+    assert sum(sol.iterations for sol in warm) < cold_iterations
+
+
 def _region_command(z, key, held):
     """The QP's minimizer in its unknowns from the region map of one held
     pattern, or None where the pattern fails the KKT test at z; and the

@@ -30,6 +30,26 @@ def test_global_equilibrium_is_fixed(heat_params):
         assert getattr(out, name) == pytest.approx(AMBIENT.T_amb, abs=1e-12)
 
 
+@pytest.mark.parametrize("peltier_lag", [0.0, 2.0])
+@pytest.mark.parametrize("walk", [False, True], ids=["map", "walk"])
+def test_plant_state_contract(heat_params, peltier_lag, walk):
+    # a read-only named tuple of the four nodes in the network's order,
+    # which every path of step_plant returns
+    assert PlantState._fields == ("T_p", "T_co", "T_w", "T_c")
+    assert PlantState.uniform(21.5) == PlantState(21.5, 21.5, 21.5, 21.5)
+    state = PlantState(T_p=30.0, T_co=25.0, T_w=24.0, T_c=23.0)
+    assert tuple(state) == (30.0, 25.0, 24.0, 23.0)
+    with pytest.raises(AttributeError):
+        state.T_w = 0.0
+    # a contact window that closes inside the call makes it walk
+    contacts = (ContactEvent.preset(ContactKind.GRASP, start=0.0,
+                                    duration=0.55),) if walk else ()
+    out = step_plant(state, 40.0, True, 0.0, heat_params, AMBIENT, 0.1,
+                     peltier_lag=peltier_lag, n_sub=10, contacts=contacts)
+    assert type(out) is PlantState
+    assert out != state
+
+
 def test_pump_flow_value(heat_params):
     assert pump_flow(30.0, 25.0, True, heat_params) == \
         pytest.approx(5.0 / 6.00, rel=1e-12)

@@ -9,6 +9,7 @@ import pytest
 from conftest import observer_realization, run_realization
 from thermocover import mpc
 from thermocover.errors import ConvergenceError, NumericError
+from thermocover.mpc import ThermalController
 from thermocover.observer import build_observer, observer_step
 from thermocover.params import Mode, preset_params
 from thermocover.plant import ContactEvent, ContactKind, estimate_q_aw
@@ -54,6 +55,42 @@ def test_trace_does_not_depend_on_region_cache():
     assert built.currsize > 0
     assert simulate(spec).to_csv_text() == cold
     assert mpc._region_map.cache_info().currsize == built.currsize
+
+
+@pytest.mark.parametrize("spec", [
+    builtin_scenarios()["exp1_heat"],
+    # holds that are not whole numbers of samples, and one value held over
+    # two consecutive segments
+    ScenarioSpec(name="holds", setpoints=((30.0, 0.3), (30.0, 1.7),
+                                          (25.0, 1.3), (28.0, 2.2)),
+                 t_s=0.5, dt=0.05),
+], ids=["exp1_heat", "holds"])
+def test_one_preview_per_setpoint_change(monkeypatch, spec):
+    # each sample's controller sees the setpoint at its own time over the
+    # whole preview, from an array made where the setpoint changes
+    previews, made = [], []
+    step, preview = ThermalController.step, ScenarioSpec.setpoint_preview
+
+    def recording_step(ctrl, measurement, T_w, setpoint_preview):
+        previews.append((ctrl.preview_length, setpoint_preview.copy(),
+                         setpoint_preview.flags.writeable))
+        return step(ctrl, measurement, T_w, setpoint_preview)
+
+    def counting_preview(self, t, n):
+        made.append(t)
+        return preview(self, t, n)
+
+    monkeypatch.setattr(ThermalController, "step", recording_step)
+    monkeypatch.setattr(ScenarioSpec, "setpoint_preview", counting_preview)
+    simulate(spec)
+    values = [spec.setpoint_at(k * spec.t_s) for k in range(len(previews))]
+    assert len(previews) == round(spec.duration / spec.t_s)
+    for (length, seen, writeable), value in zip(previews, values):
+        assert np.array_equal(seen, np.full(length, value))
+        assert not writeable
+    changes = 1 + sum(a != b for a, b in zip(values, values[1:]))
+    assert 1 <= len(made) <= changes
+    assert len(set(values)) > 1
 
 
 def test_contact_truth_confined_to_window():
