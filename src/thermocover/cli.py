@@ -7,6 +7,7 @@ Verbs: ``run``, ``list``, ``print-config``, ``fit``.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -110,6 +111,9 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+# built once per process: each parse_args fills a new namespace from the
+# defaults, so nothing carries from one main call into the next
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermocover",
@@ -151,8 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

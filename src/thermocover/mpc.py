@@ -15,8 +15,12 @@ controller sample tries the cached map of the last sample's pattern, then
 of its one update, at the cost of one matrix-vector product each; only
 where both fail does solve_mpc run the update to the end, starting from the
 second.  What depends only on the model, horizon, weights and held pattern
-is built once and cached read-only.  Pump actuation is bang-bang with
-hysteresis, mirroring the stop-at-setpoint behaviour of the rig.
+is built once and cached read-only.  A read-only setpoint preview is
+taken as unchanged while the same array comes back: it is checked for
+finite entries once, and the QP's reference block is rewritten from it
+only where the offset estimate or the mode changes.  Pump actuation is
+bang-bang with hysteresis, mirroring the stop-at-setpoint behaviour of
+the rig.
 """
 
 from __future__ import annotations
@@ -434,6 +438,10 @@ class ThermalController:
         # the current mode's model and buffers, set at each mode switch
         self._model: DiscreteFOPDT | None = None
         self._buffers: tuple | None = None
+        # the (preview, p_hat, buffers) that the reference block z_refs was
+        # last written from, the preview found finite; held, so that no
+        # other object can take their identities
+        self._refs_from: tuple | None = None
 
     @property
     def preview_length(self) -> int:
@@ -456,13 +464,21 @@ class ThermalController:
         """One control sample: returns (Peltier command, pump on).
 
         A measurement, ``T_w`` or preview entry that is not finite raises
-        ``NumericError`` naming it, before any state changes.
+        ``NumericError`` naming it, before any state changes.  A preview
+        that is the same read-only array as the last call's is not scanned
+        again, nor its reference block rewritten while the offset estimate
+        and the mode stay; a writable one is scanned and copied each call,
+        so it may be changed in place between calls.
         """
         preview = np.asarray(setpoint_preview, dtype=float)
         if preview.size < 1:
             raise ConfigError("setpoint preview must not be empty")
+        # a read-only array passed again was scanned when it first came
+        refs_from = self._refs_from
         if not (math.isfinite(measurement) and math.isfinite(T_w)
-                and np.isfinite(preview).all()):
+                and (refs_from is not None and preview is refs_from[0]
+                     and not preview.flags.writeable
+                     or np.isfinite(preview).all())):
             for name, value in [("measurement", measurement), ("T_w", T_w),
                                 *((f"setpoint preview entry {k}", v)
                                   for k, v in enumerate(preview.tolist()))]:
@@ -538,12 +554,20 @@ class ThermalController:
         else:
             z_past[:d - count] = measurement
             z_past[d - count:] = recent[d - count:]
-        ahead = preview[d:d + n]
-        if ahead.size == n:
-            np.subtract(ahead, self._p_hat, z_refs)
-        else:
-            np.subtract(ahead, self._p_hat, z_refs[:ahead.size])
-            z_refs[ahead.size:] = preview[-1] - self._p_hat
+        # rewritten where the preview, p_hat or the mode changed: a
+        # read-only preview that is the same object is unchanged, and so is
+        # a p_hat that is the same float object
+        p_hat, refs_from = self._p_hat, self._refs_from
+        if (refs_from is None or preview is not refs_from[0]
+                or preview.flags.writeable or p_hat is not refs_from[1]
+                or self._buffers is not refs_from[2]):
+            ahead = preview[d:d + n]
+            if ahead.size == n:
+                np.subtract(ahead, p_hat, z_refs)
+            else:
+                np.subtract(ahead, p_hat, z_refs[:ahead.size])
+                z_refs[ahead.size:] = preview[-1] - p_hat
+            self._refs_from = (preview, p_hat, self._buffers)
         z[-1] = (u_ref if u_prev is None
                  or cfg.penalty_form is PenaltyForm.MAGNITUDE else u_prev)
         lo, hi = cfg.T_min_th, cfg.T_max_th
@@ -555,7 +579,7 @@ class ThermalController:
                     model.a, model.b, d, n, cfg.W1, cfg.W2, cfg.penalty_form,
                     lo, hi, *held)
             R, r, floor, ceil = region
-            y = R @ z + r
+            y = R.dot(z) + r
             if np.count_nonzero((y >= floor) & (y <= ceil)) == n:
                 self._held = held
                 lower, upper = held

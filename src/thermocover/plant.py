@@ -14,6 +14,12 @@ with the contact flow held over the substep, and a ``step_plant`` call
 applies a cached map that chains its substeps exactly.  Where the regime
 changes inside the call, it walks the substeps one map each, and re-runs
 a substep whose cap status changes inside it in shorter parts.
+
+The map keeps the plate flow after each substep as one slack row, and an
+interval that holds every slack row in coordinates relative to the plate
+command and the tank.  A call first tries to prove its start's cap status
+at every substep end from that interval, a dozen products; only where the
+interval cannot does it check the slack rows one by one.
 """
 
 from __future__ import annotations
@@ -188,6 +194,11 @@ class _SampleMap(NamedTuple):
 
     rows: tuple     # the new T_p (lagged plate only), T_co, T_w, T_c
     slack: tuple    # the plate flow (T_p - T_co) / R_co after each substep
+    # the slack rows' interval over u = (T_p - T_p_cmd, T_w - T_co,
+    # T_c - T_co, T_p_cmd - T_co, T_amb - T_co, q, 1): centre row, spread
+    # row, then the bound on the temperature sums that multiplies |T_co|;
+    # None for a call of at most _PROOF_MIN_SUBSTEPS or without a cap
+    proof: tuple | None
 
 
 #: Maps kept: both modes and pump states of a run, each cap status, a few
@@ -197,6 +208,15 @@ _MAP_CACHE_SIZE = 64
 #: Longest call served from one map, which keeps one slack row per
 #: substep; a longer call walks its substeps.
 _MAX_MAP_SUBSTEPS = 100
+
+#: Longest call whose slack rows are checked one by one without first
+#: trying the interval proof of its cap status.
+_PROOF_MIN_SUBSTEPS = 2
+
+#: Relative padding of the proof's spread: the 8-term sums of a slack row
+#: and of the proof itself round by less than 64 ulp of the sum of their
+#: terms' magnitudes, far below this.
+_PROOF_PAD = 2.0 ** -40
 
 #: Equal parts a substep is re-run in where the cap status at its end
 #: differs from its start, each held at the status at the part's start.
@@ -235,8 +255,35 @@ def _sample_map(params, pump_on, cap, peltier_lag, peltier_power, dt, n_sub,
     if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(slack))):
         raise NumericError(f"the plant's map over {n_sub} substeps of "
                            f"{dt} s is not finite")
+    proof = None
+    if capped and n_sub > _PROOF_MIN_SUBSTEPS:
+        proof = _slack_interval(np.array(slack))
     return _SampleMap(tuple(tuple(r.tolist()) for r in rows),
-                      tuple(tuple(r.tolist()) for r in slack))
+                      tuple(tuple(r.tolist()) for r in slack), proof)
+
+
+def _slack_interval(slack: np.ndarray) -> tuple:
+    """``_SampleMap.proof`` of the slack rows a, one row per substep.
+
+    Row j is a_j . z = c_j . u + s_j T_co, where c_j takes a_j's entries
+    to u's coordinates and s_j sums its six temperature entries (zero but
+    for rounding and the contact term -g T_c).  Each c_j lies within the
+    centre row plus or minus the spread row, and |s_j| within the bound
+    returned last.  The spread and the bound are padded by ``_PROOF_PAD``
+    times the rows' magnitudes over u and over T_co, which covers how far
+    the computed slack and the computed interval round from the exact.
+    """
+    a0, a1, a2, a3, a4, a5, a6, a7 = slack.T
+    c = np.array([a0, a2, a3, a0 + a4, a5, a6, a7])
+    size = np.array([abs(a0), abs(a2), abs(a3), abs(a0) + abs(a4), abs(a5),
+                     abs(a6), abs(a7)]).max(axis=1)
+    hi, lo = c.max(axis=1), c.min(axis=1)
+    mid = 0.5 * (hi + lo)
+    spread = np.maximum(hi - mid, mid - lo) + _PROOF_PAD * size
+    temps = slack[:, :6]
+    sums = np.max(np.abs(temps.sum(axis=1))
+                  + _PROOF_PAD * np.abs(temps).sum(axis=1))
+    return (*mid.tolist(), *spread.tolist(), float(sums))
 
 
 def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
@@ -290,14 +337,22 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
 def _advance(x, T_p_cmd, T_amb, q, regime, dt, n_sub, conductance,
              strict=True):
     """State ``x`` after ``n_sub`` substeps of the map of its cap status;
-    None where ``strict`` and the status at a substep end differs."""
+    None where ``strict`` and the status at a substep end differs.
+
+    The status is first proven at every substep end at once from the map's
+    slack interval (``_proven``); where the interval straddles a cap, each
+    slack row is evaluated.  The interval is padded for rounding, so it
+    never shows a status that the rows would not.
+    """
     T_p, T_co, T_w, T_c = x
     params, pump_on, peltier_lag, peltier_power = regime
     q_p = (T_p - T_co) / params.R_co
     cap = (q_p > peltier_power) - (q_p < -peltier_power)
-    rows, slack = _sample_map(params, pump_on, cap, peltier_lag,
-                              peltier_power, dt, n_sub, conductance)
-    if strict:
+    rows, slack, proof = _sample_map(params, pump_on, cap, peltier_lag,
+                                     peltier_power, dt, n_sub, conductance)
+    if strict and (proof is None or not _proven(
+            proof, cap, peltier_power, T_p, T_co, T_w, T_c, T_p_cmd, T_amb,
+            q)):
         for a0, a1, a2, a3, a4, a5, a6, a7 in slack:
             q_p = (a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c + a4 * T_p_cmd
                    + a5 * T_amb + a6 * q + a7)
@@ -307,6 +362,21 @@ def _advance(x, T_p_cmd, T_amb, q, regime, dt, n_sub, conductance,
            + a5 * T_amb + a6 * q + a7
            for a0, a1, a2, a3, a4, a5, a6, a7 in rows]
     return new if peltier_lag > 0.0 else [T_p_cmd, *new]
+
+
+def _proven(proof, cap, power, T_p, T_co, T_w, T_c, T_p_cmd, T_amb, q):
+    """Whether ``proof`` shows every slack row at cap status ``cap``."""
+    m0, m1, m2, m3, m4, m5, m6, r0, r1, r2, r3, r4, r5, r6, sums = proof
+    u0, u1, u2 = T_p - T_p_cmd, T_w - T_co, T_c - T_co
+    u3, u4 = T_p_cmd - T_co, T_amb - T_co
+    mid = m0 * u0 + m1 * u1 + m2 * u2 + m3 * u3 + m4 * u4 + m5 * q + m6
+    rad = (r0 * abs(u0) + r1 * abs(u1) + r2 * abs(u2) + r3 * abs(u3)
+           + r4 * abs(u4) + r5 * abs(q) + r6 + sums * abs(T_co))
+    if cap > 0:
+        return mid - rad > power
+    if cap < 0:
+        return mid + rad < -power
+    return -power <= mid - rad and mid + rad <= power
 
 
 def _walk(x, T_p_cmd, T_amb, q_i, regime, dt, n_sub, contacts, t):

@@ -70,10 +70,13 @@ class SimTrace:
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         buf.write(",".join(COLUMNS) + "\n")
+        columns = [getattr(self, c) for c in COLUMNS]
         for i in range(0, len(self), _BLOCK):
-            columns = (getattr(self, c)[i:i + _BLOCK].tolist()
-                       for c in COLUMNS)
-            buf.writelines(_ROW_FORMAT % row for row in zip(*columns))
+            # one float block, the booleans as 0.0/1.0, which %d prints as
+            # 0/1, formatted by one % of the row format repeated per row
+            block = np.column_stack([col[i:i + _BLOCK] for col in columns])
+            buf.write(_ROW_FORMAT * len(block)
+                      % tuple(block.ravel().tolist()))
         return buf.getvalue()
 
     def to_csv(self, path) -> None:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import make_fopdt_trace, make_plant_step_run
 from thermocover import kvio, mpc
-from thermocover.cli import main
+from thermocover.cli import build_parser, main
 from thermocover.errors import ConvergenceError
 from thermocover.params import Mode, preset_params
 from thermocover.report import parse_report
@@ -51,6 +51,42 @@ def test_print_config_with_override(capsys):
     assert main(["print-config", "exp1_heat", "--set", "controller.H=5",
                  "--set", "controller.H=7"]) == 0
     assert int(kvio.loads(capsys.readouterr().out)["controller.H"]) == 7
+
+
+def test_one_parser_carries_nothing_between_calls(tmp_path, capsys,
+                                                   monkeypatch):
+    # main builds its parser once per process; a second call sees none of
+    # the first's overrides, fit flags or output directory
+    assert build_parser() is build_parser()
+    assert main(["print-config", "exp1_heat", "--set", "controller.H=7"]) == 0
+    assert int(kvio.loads(capsys.readouterr().out)["controller.H"]) == 7
+    assert main(["print-config", "exp1_heat"]) == 0
+    assert int(kvio.loads(capsys.readouterr().out)["controller.H"]) == 20
+
+    parser = build_parser()
+    fit = parser.parse_args(["fit", "a.csv", "--model", "two-node",
+                             "--signal", "T_c", "--c-co", "5", "--r-co", "6",
+                             "--out", "x.txt"])
+    assert (fit.model, fit.signal, fit.c_co, fit.r_co, fit.out) == \
+        ("two-node", "T_c", 5.0, 6.0, "x.txt")
+    tank = preset_params(Mode.HEAT)
+    fit = parser.parse_args(["fit", "a.csv"])
+    assert (fit.model, fit.signal, fit.c_co, fit.r_co, fit.out) == \
+        ("fopdt", "T_w", tank.C_co, tank.R_co, None)
+
+    scenario = tmp_path / "mini.txt"
+    scenario.write_text(SHORT_SCENARIO)
+    first, second = tmp_path / "first", tmp_path / "second"
+    second.mkdir()
+    assert main(["run", str(scenario), "--out-dir", str(first),
+                 "--set", "detection.threshold=0.2"]) == 0
+    monkeypatch.chdir(second)
+    assert main(["run", str(scenario)]) == 0
+    report = (second / "mini_report.txt").read_text()
+    assert "# override" not in report
+    assert parse_report(report)["detection.threshold"] == "0.12"
+    assert "# override: detection.threshold=0.2" in \
+        (first / "mini_report.txt").read_text()
 
 
 def test_run_scenario_file_with_override(tmp_path, capsys):

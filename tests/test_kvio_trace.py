@@ -5,7 +5,7 @@ import pytest
 
 from thermocover import kvio
 from thermocover.errors import ConfigError
-from thermocover.trace import COLUMNS, SimTrace
+from thermocover.trace import _BOOL_COLUMNS, _ROW_FORMAT, COLUMNS, SimTrace
 
 
 def test_kv_parse_types():
@@ -76,3 +76,30 @@ def test_empty_trace_round_trip(tmp_path):
     trace.to_csv(path)
     back = SimTrace.from_csv(path)
     assert len(back) == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
+def test_csv_text_equals_per_row_format(n):
+    # each block is formatted by one % over its rows: the bytes are those
+    # of the row format applied row by row, special values included
+    rng = np.random.default_rng(n)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    columns = {}
+    for j, c in enumerate(COLUMNS):
+        if c in _BOOL_COLUMNS:
+            columns[c] = rng.random(n) < 0.5
+        else:
+            col = rng.normal(0.0, 30.0, n) * 10.0 ** rng.integers(-12, 12, n)
+            where = rng.random(n) < 0.2
+            col[where] = rng.choice(specials, np.count_nonzero(where))
+            # the first row holds every special value across its columns
+            col[:1] = specials[j % len(specials)]
+            columns[c] = col
+    trace = SimTrace(**columns)
+    rows = zip(*(columns[c].tolist() for c in COLUMNS))
+    expected = ",".join(COLUMNS) + "\n" + "".join(_ROW_FORMAT % row
+                                                  for row in rows)
+    assert trace.to_csv_text() == expected
+    if n:
+        first = expected.splitlines()[1].split(",")
+        assert {"nan", "inf", "-inf", "-0", "0"} <= set(first)

@@ -346,6 +346,113 @@ def test_step_rejects_non_finite_input_before_changing_state(name, value,
     assert ctrl.mode is clean.mode
 
 
+def _preview_run(n):
+    """(measurement, T_w, setpoint) per sample: two heat segments, a cool
+    one, then back to the first, with the pump on and off in each."""
+    out = []
+    for k in range(n):
+        setpoint = (25.0, 26.0, 16.0, 25.0)[4 * k // n]
+        measurement = 21.0 + 4.0 * np.sin(k / 9.0)
+        out.append((measurement, measurement - 0.5, setpoint))
+    return out
+
+
+def test_preview_reused_or_changed_in_place_gives_fresh_commands():
+    # a writable preview changed in place between calls, and a read-only
+    # one handed back while the setpoint holds, each give the commands of
+    # a controller handed a fresh copy each sample
+    copied, in_place, copied_frozen, reused = (
+        ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
+        for _ in range(4))
+    n = copied.preview_length
+    buffer = np.empty(n)
+    setpoint = frozen = None
+    pumps, modes = set(), []
+    for k, (measurement, T_w, value) in enumerate(_preview_run(160)):
+        if value != setpoint:
+            setpoint = value
+            frozen = np.full(n, value)
+            frozen.flags.writeable = False
+        buffer[:] = value
+        buffer[k % n:] += 0.5
+        out = copied.step(measurement, T_w, buffer.copy())
+        assert in_place.step(measurement, T_w, buffer) == out
+        out = copied_frozen.step(measurement, T_w, frozen.copy())
+        assert reused.step(measurement, T_w, frozen) == out
+        pumps.add(out[1])
+        modes.append(reused.mode)
+    assert pumps == {False, True}
+    assert modes[0] is modes[-1] is Mode.HEAT and Mode.COOL in modes
+
+
+def test_nan_written_into_writable_preview_raises_before_state_changes():
+    # a writable preview is scanned on every call, however often it came
+    ctrl, clean = (ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
+                   for _ in range(2))
+    n = ctrl.preview_length
+    buffer = np.full(n, 25.0)
+    for k in range(3):
+        assert ctrl.step(21.0 + 0.1 * k, 20.0, buffer) == \
+            clean.step(21.0 + 0.1 * k, 20.0, np.full(n, 25.0))
+    state = (ctrl.mode, ctrl._x_hat, ctrl._p_hat, ctrl._history.tolist(),
+             ctrl._count, ctrl.hysteresis)
+    buffer[n - 2] = np.nan
+    with pytest.raises(NumericError,
+                       match=f"preview entry {n - 2} is not finite: nan"):
+        ctrl.step(21.3, 20.0, buffer)
+    assert (ctrl.mode, ctrl._x_hat, ctrl._p_hat, ctrl._history.tolist(),
+            ctrl._count, ctrl.hysteresis) == state
+    buffer[n - 2] = 25.0
+    for k in range(3, 6):
+        assert ctrl.step(21.0 + 0.1 * k, 20.0, buffer) == \
+            clean.step(21.0 + 0.1 * k, 20.0, np.full(n, 25.0))
+
+
+def test_read_only_preview_scanned_once(monkeypatch):
+    # the finiteness scan runs once per read-only array, and on every call
+    # with a writable one
+    ctrl = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
+    frozen, writable = (np.full(ctrl.preview_length, 25.0) for _ in range(2))
+    frozen.flags.writeable = False
+    scans = {id(frozen): 0, id(writable): 0}
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        if id(x) in scans:
+            scans[id(x)] += 1
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    for k in range(20):
+        ctrl.step(21.0 + 0.1 * k, 20.0, frozen)
+    for k in range(5):
+        ctrl.step(23.0, 20.0, writable)
+    ctrl.step(23.0, 20.0, frozen)
+    assert scans == {id(frozen): 2, id(writable): 5}
+
+
+def test_reference_block_rewritten_after_mode_switch_and_back():
+    # one read-only preview throughout, the mode switched by T_w: back in
+    # the first mode, with the pump off and so the offset estimate at the
+    # reset value of the other mode's samples, its reference block is
+    # written again
+    ctrl = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
+    n = ctrl.preview_length
+    preview = np.full(n, 25.0)
+    preview.flags.writeable = False
+    for k in range(5):
+        assert ctrl.step(21.0 + 0.3 * k, 20.0, preview)[1]
+    assert ctrl.mode is Mode.HEAT and ctrl._p_hat != 0.0
+    d, H = ctrl._models[Mode.HEAT].d, ctrl.cfg.H
+    z_refs = ctrl._mode_buffers[Mode.HEAT][2]
+    assert np.array_equal(z_refs, preview[d:d + H] - ctrl._p_hat)
+    assert not ctrl.step(25.0, 30.0, preview)[1]
+    assert ctrl.mode is Mode.COOL
+    assert not ctrl.step(25.0, 20.0, preview)[1]
+    assert ctrl.mode is Mode.HEAT and ctrl._p_hat == 0.0
+    assert np.array_equal(z_refs, preview[d:d + H])
+
+
 def _recorded_solves(monkeypatch, specs):
     """Every solution the controller's solves return over the runs, and
     the runs' traces."""

@@ -7,16 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from thermocover import plant
 from thermocover.errors import ConfigError, NumericError
 from thermocover.params import AmbientConfig
 from thermocover.plant import (ContactEvent, ContactKind,
                                DEFAULT_CONDUCTANCE, PlantState,
-                               _MAX_MAP_SUBSTEPS, _sample_map,
+                               _MAX_MAP_SUBSTEPS, _PROOF_MIN_SUBSTEPS,
+                               _sample_map,
                                contact_heat_flow, max_stable_dt,
                                network_matrices, pump_flow, step_plant)
 from thermocover.scenario import builtin_scenarios
 from thermocover.simulate import simulate
 from thermocover.sysid import _plant_matrices
+from thermocover.trace import COLUMNS
 
 
 AMBIENT = AmbientConfig()
@@ -483,3 +486,149 @@ def test_builtins_rerun_from_cached_maps():
     for spec in specs:
         simulate(spec)
     assert _sample_map.cache_info().misses == misses
+
+
+def _proof_and_rows(monkeypatch, x, T_p_cmd, T_amb, q, regime, dt, n_sub,
+                    conductance):
+    """(the map's interval proves the start's cap status, the row loop
+    finds it at every substep end) for one ``_advance`` call."""
+    params, pump_on, lag, power = regime
+    T_p, T_co, T_w, T_c = x
+    flow = (T_p - T_co) / params.R_co
+    cap = (flow > power) - (flow < -power)
+    proof = _sample_map(params, pump_on, cap, lag, power, dt, n_sub,
+                        conductance).proof
+    proven = plant._proven(proof, cap, power, T_p, T_co, T_w, T_c, T_p_cmd,
+                           T_amb, q)
+    with monkeypatch.context() as m:
+        m.setattr(plant, "_proven", lambda *args: False)
+        rows = plant._advance(x, T_p_cmd, T_amb, q, regime, dt, n_sub,
+                              conductance) is not None
+    return proven, rows
+
+
+#: Maps the random-state proof tests cover: both modes' constants, a
+#: plate without lag, and a tank fast next to the substep.
+_PROOF_CASES = pytest.mark.parametrize("mode, C_co, dt, peltier_lag", [
+    ("heat", None, 0.1, 2.0), ("cool", None, 0.1, 2.0),
+    ("heat", None, 0.05, 0.0), ("heat", 1.0, 0.04, 0.2)],
+    ids=["heat", "cool", "no-lag", "fast-tank"])
+
+
+def _case_params(mode, C_co, heat_params, cool_params):
+    params = heat_params if mode == "heat" else cool_params
+    return params if C_co is None else replace(params, C_co=C_co)
+
+
+def test_cap_proof_sound_and_settles_builtin_calls(monkeypatch):
+    # every built-in call served by one map, replayed: wherever the
+    # interval proves the cap status, every slack row agrees, and it
+    # proves nearly every call that the row loop accepts
+    mapped, advance = [], plant._advance
+
+    def record(*args, **kwargs):
+        if args[6] > _PROOF_MIN_SUBSTEPS:
+            mapped.append(args)
+        return advance(*args, **kwargs)
+
+    calls = _recorded_builtin_calls(monkeypatch)
+    monkeypatch.setattr(plant, "_advance", record)
+    for a, k in (call for c in calls.values() for call in c):
+        step_plant(*a, **k)
+    monkeypatch.undo()
+    results = [_proof_and_rows(monkeypatch, *args) for args in mapped]
+    proven = [p for p, _ in results]
+    accepted = [r for _, r in results]
+    assert not any(p and not r for p, r in results)
+    # the row loop rejects 1 to 4 % of each built-in's calls, near the cap
+    assert 0 < len(results) - sum(accepted) < 0.05 * len(results)
+    assert sum(proven) >= 0.95 * sum(accepted)
+    # the contact maps, whose temperature sums are not zero, among them
+    assert any(args[7] > 0.0 for args in mapped)
+
+
+@_PROOF_CASES
+def test_cap_proof_sound_on_random_states(monkeypatch, heat_params,
+                                          cool_params, mode, C_co, dt,
+                                          peltier_lag):
+    # states whose plate flow starts within 1 % of the cap, so that the
+    # slack rows cross it often, in both pump states, with and without a
+    # contact load: wherever the proof holds, every slack row agrees
+    params = _case_params(mode, C_co, heat_params, cool_params)
+    rng = np.random.default_rng(30)
+    counts = np.zeros((2, 2), dtype=int)
+    for _ in range(600):
+        # plain floats, as step_plant receives them
+        power, g = (float(rng.choice(v)) for v in (
+            [6.0, 45.0], [0.0, DEFAULT_CONDUCTANCE[ContactKind.GRASP]]))
+        T_co, flow, dw, dc, dcmd, T_amb, dq = rng.uniform(
+            [5.0, 0.99, -10.0, -5.0, -10.0, 10.0, -2.0],
+            [45.0, 1.01, 10.0, 5.0, 10.0, 30.0, 2.0]).tolist()
+        T_p = T_co + float(rng.choice([-1.0, 1.0])) * flow * power \
+            * params.R_co
+        T_w = T_co + dw
+        T_c = T_w + dc
+        # without a lag the plate is held at its command
+        T_p_cmd = T_p + dcmd if peltier_lag > 0.0 else T_p
+        x = (T_p, T_co, T_w, T_c)
+        regime = (params, bool(rng.integers(2)), peltier_lag, power)
+        proven, rows = _proof_and_rows(
+            monkeypatch, x, T_p_cmd, T_amb, g * 33.0 + dq, regime, dt,
+            int(rng.choice([3, 10])), g)
+        counts[int(proven), int(rows)] += 1
+    # proven but rejected by the rows: never
+    assert counts[1, 0] == 0
+    # the other three outcomes all occur
+    assert counts[0, 0] and counts[0, 1] and counts[1, 1], counts
+
+
+@_PROOF_CASES
+def test_cap_proof_rejects_a_cap_just_inside_the_slack(
+        monkeypatch, heat_params, cool_params, mode, C_co, dt, peltier_lag):
+    # the cap set just inside the largest slack row of a call that starts
+    # slack: the rows reject the status, and so must the proof.  Half the
+    # states are of one temperature under a contact load that draws heat
+    # from the cover, whose slack lies in the rows' temperature sums alone
+    params = _case_params(mode, C_co, heat_params, cool_params)
+    rng = np.random.default_rng(31)
+    tried = 0
+    for k in range(200):
+        T_co, dp, dw, dc, dcmd, dq = rng.uniform(
+            [-40.0, -20.0, -10.0, -5.0, -40.0, -2.0],
+            [80.0, 20.0, 10.0, 5.0, 40.0, 2.0]).tolist()
+        g = DEFAULT_CONDUCTANCE[ContactKind.GRASP]
+        # skin at 33 C, or at 0 C touching a cover of uniform temperature
+        q = g * 33.0 + dq
+        if k % 2:
+            dp = dw = dc = dcmd = q = 0.0
+        T_p, T_w = T_co + dp, T_co + dw
+        T_p_cmd = T_p + dcmd if peltier_lag > 0.0 else T_p
+        x, T_amb = (T_p, T_co, T_w, T_w + dc), T_co + dw
+        n_sub = int(rng.choice([3, 10]))
+        # the slack rows as _advance's loop evaluates them, to the bit
+        slack = _sample_map(params, True, 0, peltier_lag, 1e300, dt, n_sub,
+                            g).slack
+        largest = max(abs(a0 * x[0] + a1 * x[1] + a2 * x[2] + a3 * x[3]
+                          + a4 * T_p_cmd + a5 * T_amb + a6 * q + a7)
+                      for a0, a1, a2, a3, a4, a5, a6, a7 in slack)
+        # one ulp below the largest row, so that the rows reject
+        power = float(np.nextafter(largest, 0.0))
+        if not (power > 0.0 and abs(T_p - T_co) / params.R_co <= power):
+            continue
+        tried += 1
+        assert _proof_and_rows(monkeypatch, x, T_p_cmd, T_amb, q,
+                               (params, True, peltier_lag, power), dt, n_sub,
+                               g) == (False, False)
+    assert tried >= 100
+
+
+def test_cap_proof_leaves_builtin_traces_bit_identical(monkeypatch):
+    # the six built-ins with the proof and with the row loop alone
+    specs = builtin_scenarios()
+    proven = {name: simulate(spec) for name, spec in specs.items()}
+    monkeypatch.setattr(plant, "_proven", lambda *args: False)
+    for name, spec in specs.items():
+        rows = simulate(spec)
+        for c in COLUMNS:
+            assert getattr(rows, c).tobytes() == \
+                getattr(proven[name], c).tobytes(), (name, c)
