@@ -20,7 +20,9 @@ taken as unchanged while the same array comes back: it is checked for
 finite entries once, and the QP's reference block is rewritten from it
 only where the offset estimate or the mode changes.  Pump actuation is
 bang-bang with hysteresis, mirroring the stop-at-setpoint behaviour of
-the rig.
+the rig.  A sample that keeps the mode, the pump state and the held
+pattern is affine in the controller's state; ``steady_step`` gives it as
+rows, with the checks that decide whether a sample keeps them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -255,12 +258,15 @@ def _update_held(held: tuple[tuple[int, ...], tuple[int, ...]],
     of the held pattern whose region map gave y: a free command past the
     box is held at the bound it crossed, a held command whose gradient step
     fails its bound is freed, and every other command keeps its state."""
-    sides = np.zeros((2, y.size), dtype=bool)
-    for side, indices in zip(sides, held):
-        side[list(indices)] = True
-    # each command that fails its test toggles its side's membership
-    sides ^= (y < floor, y > ceil)
-    return tuple(tuple(np.flatnonzero(side).tolist()) for side in sides)
+    return _toggled(held, y < floor, y > ceil)
+
+
+def _toggled(held, below, above):
+    """``held`` with each command that fails its test below its floor
+    toggled in the lower side, and each above its ceiling in the upper."""
+    return tuple(tuple(sorted(set(side).symmetric_difference(
+        np.flatnonzero(fails).tolist())))
+        for side, fails in zip(held, (below, above)))
 
 
 def _update_first(held: tuple[tuple[int, ...], tuple[int, ...]],
@@ -389,6 +395,43 @@ def pump_step(h: PumpHysteresis, T_meas: float,
 #: Deadband on (setpoint - water temperature) for heat/cool preset switching.
 MODE_DEADBAND = 0.1
 
+#: Per pump state, x_hat and p_hat after the offset update (see
+#: ``ThermalController.step``) over (x_hat, p_hat, measurement): with the
+#: pump on p_hat takes the mismatch, with it off x_hat is re-anchored.
+_OFFSET_UPDATE = {True: np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 1.0]]),
+                  False: np.array([[0.0, -1.0, 1.0], [0.0, 1.0, 0.0]])}
+for _m in _OFFSET_UPDATE.values():
+    _m.flags.writeable = False
+
+
+class SteadyStep(NamedTuple):
+    """One control sample as an affine map, for samples that keep the
+    controller's mode, pump state and held pattern.
+
+    ``rows`` take w = [*history, x_hat, p_hat, measurement, 1] to the held
+    pattern's KKT test on its ``_critical_region`` vector y: y - floor,
+    then ceil - y, a zero row where a bound is infinite; then to the
+    command, x_hat and p_hat after the sample.  The history after the
+    sample is w's shifted one place, the command last.  The sample keeps
+    the pattern where every check is >= 0, the mode where ``mode_band``
+    holds setpoint - T_w, and the pump state where ``pump_band`` holds
+    |measurement - setpoint|, both bands closed.
+    """
+
+    rows: np.ndarray
+    held: tuple
+    setpoint: float
+    pump_on: bool
+    mode_band: tuple
+    pump_band: tuple
+
+    def updated(self, checks) -> tuple:
+        """The pattern of ``_update_held`` where the ``checks`` rows,
+        evaluated, fail."""
+        n = len(checks) // 2
+        return _toggled(self.held, [c < 0.0 for c in checks[:n]],
+                        [c < 0.0 for c in checks[n:2 * n]])
+
 
 @dataclass
 class ThermalController:
@@ -448,6 +491,12 @@ class ThermalController:
         """Longest setpoint preview a mode consumes: its dead time in
         samples plus the H commands that reach a prediction."""
         return max(m.d for m in self._models.values()) + self.cfg.H
+
+    @property
+    def held(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (lower, upper) unknowns held at a bound in the last
+        sample."""
+        return self._held
 
     def _select_mode(self, setpoint: float, T_w: float) -> Mode:
         delta = setpoint - T_w
@@ -547,7 +596,7 @@ class ThermalController:
         u_prev = float(history[-1]) if count else None
         # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev], the
         # preview held at its last value past its end
-        z, z_past, z_refs, recent, maps = self._buffers
+        z, z_past, z_refs, recent, _ = self._buffers
         z[0] = self._x_hat
         if count >= d:
             z_past[...] = recent
@@ -573,12 +622,7 @@ class ThermalController:
         lo, hi = cfg.T_min_th, cfg.T_max_th
         held = self._held
         for attempt in range(2):
-            region = maps.get(held)
-            if region is None:
-                region = maps[held] = _region_map(
-                    model.a, model.b, d, n, cfg.W1, cfg.W2, cfg.penalty_form,
-                    lo, hi, *held)
-            R, r, floor, ceil = region
+            R, r, floor, ceil = self._region(held)
             y = R.dot(z) + r
             if np.count_nonzero((y >= floor) & (y <= ceil)) == n:
                 self._held = held
@@ -598,3 +642,96 @@ class ThermalController:
         self._held = (tuple(np.flatnonzero(sol.active_lower[:n]).tolist()),
                       tuple(np.flatnonzero(sol.active_upper[:n]).tolist()))
         return sol.command
+
+    def _region(self, held):
+        """The current mode's (R, r, floor, ceil) of pattern ``held``, from
+        its dict of the patterns met, filled from ``_region_map``."""
+        maps = self._buffers[4]
+        region = maps.get(held)
+        if region is None:
+            model, cfg = self._model, self.cfg
+            region = maps[held] = _region_map(
+                model.a, model.b, model.d, cfg.H, cfg.W1, cfg.W2,
+                cfg.penalty_form, cfg.T_min_th, cfg.T_max_th, *held)
+        return region
+
+    def steady_step(self, preview, held) -> SteadyStep | None:
+        """The next sample as a ``SteadyStep`` at pattern ``held``, in the
+        mode and pump state the last sample left and with its ``preview``.
+
+        None before a mode's first sample, and while fewer than d commands,
+        or none, have been applied, where the padding of the past makes
+        each sample's map another.  The rows compose the offset update, z,
+        the region map's y = R z + r and the command of ``step`` and
+        ``_command``; a preview entry that is not finite makes every check
+        fail.
+        """
+        model = self._model
+        if (model is None or self._x_hat is None
+                or self._count < max(model.d, 1)):
+            return None
+        preview = np.asarray(preview, dtype=float)
+        cfg = self.cfg
+        d, n, size = model.d, cfg.H, self._history.size
+        R, r, floor, ceil = self._region(held)
+        pump_on = self.hysteresis.state
+        # x_hat and p_hat after the offset update, over (x_hat, p_hat,
+        # measurement)
+        x_upd, p_upd = _OFFSET_UPDATE[pump_on]
+        rows = np.zeros((2 * n + 3, size + 4))
+        y, above = rows[:n], rows[n:2 * n]
+        cmd, x_new, p_new = rows[2 * n:]
+        # y = R z + r, z = [x_hat, past (d), refs - p_hat (n), u_ref or
+        # u_prev], the preview held at its last value past its end
+        ahead = np.ones((n, 2))
+        ahead[:, 0] = preview[-1]
+        ahead[:preview[d:d + n].size, 0] = preview[d:d + n]
+        to_refs, to_p_hat = (R[:, d + 1:-1] @ ahead).T
+        y[:, size - d:size] = R[:, 1:d + 1]
+        y[:, size:size + 3] = R[:, :1] * x_upd - to_p_hat[:, None] * p_upd
+        y[:, -1] = to_refs + r
+        if cfg.penalty_form is PenaltyForm.INCREMENT:
+            y[:, size - 1] += R[:, -1]
+        else:
+            y[:, -1] += R[:, -1] * self.ambient.T_amb
+        lower, upper = held
+        if 0 in lower or 0 in upper:
+            cmd[-1] = cfg.T_min_th if 0 in lower else cfg.T_max_th
+        else:
+            cmd[:] = y[0]
+        # the checks: y - floor, then ceil - y; a command held at a bound
+        # has the other one infinite
+        np.negative(y, out=above)
+        above[:, -1] += ceil
+        y[:, -1] -= floor
+        y[list(upper)] = 0.0
+        above[list(lower)] = 0.0
+        x_new[size:size + 3], p_new[size:size + 3] = x_upd, p_upd
+        if pump_on:
+            x_new *= model.a
+            if d:
+                x_new[size - d] += model.b
+            else:
+                x_new += model.b * cmd
+        h = self.hysteresis
+        return SteadyStep(
+            rows=rows, held=held, setpoint=float(preview[0]),
+            pump_on=pump_on,
+            mode_band=((-MODE_DEADBAND, math.inf) if self.mode is Mode.HEAT
+                       else (-math.inf, MODE_DEADBAND)),
+            pump_band=((h.off_band, math.inf) if pump_on
+                       else (-math.inf, h.on_band)))
+
+    def steady_state(self) -> list:
+        """[*history, x_hat, p_hat], the part of a ``SteadyStep``'s w
+        before the measurement."""
+        return [*self._history.tolist(), self._x_hat, self._p_hat]
+
+    def load_steady(self, values, samples: int, held) -> None:
+        """Take ``steady_state`` ``values`` reached by ``samples`` samples of
+        ``SteadyStep`` rows, the last at pattern ``held``; those samples
+        kept the mode and the pump state."""
+        self._history[:] = values[:-2]
+        self._x_hat, self._p_hat = values[-2], values[-1]
+        self._count = min(self._count + samples, self._history.size)
+        self._held = held

@@ -102,6 +102,10 @@ class ContactEvent:
     def active(self, t: float) -> bool:
         return self.start <= t <= self.start + self.duration
 
+    def touches(self, t0: float, t1: float) -> bool:
+        """Whether the window is open anywhere in [t0, t1]."""
+        return self.start <= t1 and t0 <= self.start + self.duration
+
 
 def contact_heat_flow(event: ContactEvent, T_c: float, t: float) -> float:
     """Heat flow from skin into the cover while the event window is open."""
@@ -312,10 +316,9 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
     if contacts:
         last = t + (n_sub - 1) * dt
         for c in contacts:
-            end = c.start + c.duration
-            if c.start <= last and t <= end:
+            if c.touches(t, last):
                 g_near += c.contact_conductance
-                if c.start <= t and last <= end:
+                if c.start <= t and last <= c.start + c.duration:
                     g += c.contact_conductance
                     q += c.contact_conductance * c.T_skin
                 else:
@@ -346,8 +349,7 @@ def _advance(x, T_p_cmd, T_amb, q, regime, dt, n_sub, conductance,
     """
     T_p, T_co, T_w, T_c = x
     params, pump_on, peltier_lag, peltier_power = regime
-    q_p = (T_p - T_co) / params.R_co
-    cap = (q_p > peltier_power) - (q_p < -peltier_power)
+    cap = cap_status(T_p, T_co, params.R_co, peltier_power)
     rows, slack, proof = _sample_map(params, pump_on, cap, peltier_lag,
                                      peltier_power, dt, n_sub, conductance)
     if strict and (proof is None or not _proven(
@@ -362,6 +364,68 @@ def _advance(x, T_p_cmd, T_amb, q, regime, dt, n_sub, conductance,
            + a5 * T_amb + a6 * q + a7
            for a0, a1, a2, a3, a4, a5, a6, a7 in rows]
     return new if peltier_lag > 0.0 else [T_p_cmd, *new]
+
+
+def cap_status(T_p, T_co, R_co, peltier_power) -> int:
+    """+1 or -1 where the plate's flow (T_p - T_co) / R_co into the tank
+    passes the power cap that way, 0 within it."""
+    q_p = (T_p - T_co) / R_co
+    return (q_p > peltier_power) - (q_p < -peltier_power)
+
+
+class SteadyCall(NamedTuple):
+    """A contact-free ``step_plant`` call's exact map at one cap status:
+    where ``keeps_cap`` holds, the call returns ``rows`` @ (T_p, T_co, T_w,
+    T_c, T_p_cmd, T_amb, q, 1), q the held contact flow."""
+
+    rows: np.ndarray    # 4 x 8; the plate row is T_p_cmd's without a lag
+    cap: int
+    lagged: bool
+    power: float
+    R_co: float
+    proof: tuple | None   # None without a cap
+
+
+#: Steady calls kept: both modes and pump states of a run at each cap
+#: status, 256 bytes of rows each.
+_STEADY_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_STEADY_CACHE_SIZE, typed=True)
+def steady_call(params, pump_on, cap, peltier_lag, peltier_power, dt,
+                n_sub) -> SteadyCall | None:
+    """The read-only ``SteadyCall`` of a contact-free call at cap status
+    ``cap``; None where ``step_plant`` walks such a call, or checks its
+    slack rows one by one."""
+    if n_sub > _MAX_MAP_SUBSTEPS:
+        return None
+    rows, slack, proof = _sample_map(params, pump_on, cap, peltier_lag,
+                                     peltier_power, dt, n_sub, 0.0)
+    if slack and proof is None:
+        return None
+    rows = np.array(rows)
+    lagged = peltier_lag > 0.0
+    if not lagged:
+        # the plate snaps to its command, before the substeps and after
+        rows[:, 4] += rows[:, 0]
+        rows[:, 0] = 0.0
+        rows = np.vstack((np.eye(8)[4], rows))
+    rows.flags.writeable = False
+    return SteadyCall(rows, cap, lagged, peltier_power, params.R_co, proof)
+
+
+def keeps_cap(call: SteadyCall, T_p, T_co, T_w, T_c, T_p_cmd, T_amb) -> bool:
+    """Whether ``step_plant`` from this state and command, with no contact,
+    applies ``call``'s map, where T_p is at its cap status: the plate at
+    its command is too, and ``call``'s interval proves that every substep
+    end stays there."""
+    cap, power = call.cap, call.power
+    if not call.lagged:
+        T_p = T_p_cmd
+        if cap_status(T_p, T_co, call.R_co, power) != cap:
+            return False
+    return call.proof is None or _proven(call.proof, cap, power, T_p, T_co,
+                                         T_w, T_c, T_p_cmd, T_amb, 0.0)
 
 
 def _proven(proof, cap, power, T_p, T_co, T_w, T_c, T_p_cmd, T_amb, q):

@@ -7,27 +7,53 @@ sample's regime, or one such map per substep where the Peltier cap status
 or a contact window changes inside the sample.  Everything is
 deterministic: the same scenario always produces a bit-identical trace.
 
-A sample does only the work whose result can change from one sample to
-the next.  The setpoint preview is made where ``setpoint_at`` changes value
-and handed to the controller, read-only, until the next change; the plant
-constants are looked up where the controller switches mode; and a scenario
-without contacts skips the contact sums.
+Most samples keep what the one before decided: the controller's mode, pump
+state and held pattern, the plant's cap status, and the setpoint.  Such a
+sample is affine in s = [*history, x_hat, p_hat, T_p, T_co, T_w, T_c, 1],
+so ``_compose`` multiplies the controller's ``steady_step`` rows and the
+plant's ``steady_call`` rows into one matrix G per such key, and a sample
+is one product v = G @ s: the held pattern's KKT checks, the command and
+the rest of the next s, whose history is s's shifted one place.  The
+sample checks its mode and pump bands on floats, the KKT checks, and the
+plant's cap proof (``keeps_cap``); where the KKT checks fail, it tries
+the pattern's one update, as the controller does.  A sample that fails a
+check, whose result is not finite, that comes before d commands have been
+applied, or that a contact window or a setpoint change reaches runs the
+controller's ``step`` and ``step_plant`` instead, from the state loaded
+back out of s.  The decisions are those of the
+per-sample path; the values differ from it by rounding.
+
+The setpoint changes where a sample's time reaches the end of its segment
+(``ScenarioSpec.segments``).  A new preview is made there, handed to the
+controller read-only until the next change; the plant constants are looked
+up where the controller switches mode; and a scenario without contacts
+skips the contact sums.
 """
 
 from __future__ import annotations
 
 import copy
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ThermocoverError
-from .mpc import ThermalController
+from .mpc import SteadyStep, ThermalController
 from .observer import build_observer, observer_step
 from .params import Mode, preset_params
-from .plant import (PlantState, contact_heat_flow, estimate_q_aw, pump_flow,
+from .plant import (PlantState, SteadyCall, cap_status, contact_heat_flow,
+                    estimate_q_aw, keeps_cap, pump_flow, steady_call,
                     step_plant)
 from .scenario import ScenarioSpec
 from .trace import SimTrace
+
+#: Composed maps a run keeps per setpoint, oldest dropped first; the
+#: built-ins build as many with 4 as with 8.  A map is (2 H + 8) x (d + 7)
+#: floats for the largest dead time d: 20 KB on the staircases (d = 45,
+#: H = 20) and 37 KB on the touch protocols (d = 90), so at most 0.08 and
+#: 0.15 MB.
+_MAX_COMPOSED = 4
 
 
 def simulate(scenario: ScenarioSpec) -> SimTrace:
@@ -47,10 +73,21 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
     presets = {m: preset_params(m, scenario.target) for m in Mode}
     preview_len = controller.preview_length
     node = scenario.target.node
+    node_index = PlantState._fields.index(node)
     tc = scenario.observer_tc
     observer_filter = None if tc <= 0.0 else (tc, tc)
     dt, lag, power = scenario.dt, scenario.peltier_lag, scenario.peltier_power
     contacts = scenario.contacts
+    # samples a contact window may reach, widened by one on each side
+    tail = (n_sub - 1) * dt
+    near = sorted((math.floor((c.start - tail) / t_s) - 1,
+                   math.ceil((c.start + c.duration) / t_s) + 1)
+                  for c in contacts)
+    # the setpoint segments' values and ends, in order
+    segments = scenario.segments()
+    ends = [end for _, end, _ in segments] + [math.inf]
+    values = [value for _, _, value in segments]
+    values.append(values[-1] if values else scenario.start_temp)
 
     state = PlantState.uniform(scenario.start_temp)
 
@@ -59,14 +96,66 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
     # the setpoint and its preview, and the controller's mode and its
     # plant constants, as of the last change
     setpoint = preview = mode = params = None
+    # the composed maps of this setpoint, keyed on (mode, pump state, held
+    # pattern, cap status); None where a key has none
+    composed = {}
+
+    def lookup(held, cap):
+        key = (mode, controller.hysteresis.state, held, cap)
+        if key in composed:
+            return composed[key]
+        try:
+            step = controller.steady_step(preview, held)
+            if step is None:
+                # not yet: the controller's state, not the key, decides
+                return None
+            entry = _compose(step, params, cap, node_index, ambient.T_amb,
+                             lag, power, dt, n_sub)
+        except ThermocoverError:
+            # the sample's own step or step_plant raises it, or not, as the
+            # loop reaches it
+            entry = None
+        if len(composed) == _MAX_COMPOSED:
+            del composed[next(iter(composed))]
+        composed[key] = entry
+        return entry
+
+    segment, k = 0, 0
     try:
-        for k in range(n_samples):
+        while k < n_samples:
             t = k * t_s
-            value = scenario.setpoint_at(t)
-            if value != setpoint:
-                setpoint = value
+            while not t < ends[segment]:
+                segment += 1
+            if values[segment] != setpoint:
+                setpoint = values[segment]
                 preview = scenario.setpoint_preview(t, preview_len)
                 preview.flags.writeable = False
+                composed.clear()
+            while near and near[0][1] < k:
+                near.pop(0)
+            entry = None
+            if mode is not None and not (near and near[0][0] <= k):
+                entry = lookup(controller.held,
+                               cap_status(state.T_p, state.T_co, params.R_co,
+                                          power))
+            if entry is not None:
+                s = np.array([*controller.steady_state(), *state, 1.0])
+                k0, stop = k, near[0][0] if near else n_samples
+                if np.isfinite(s).all():
+                    k, s, held = _steady_run(entry, lookup, s, k, stop,
+                                             ends[segment], t_s, node_index,
+                                             ambient.T_amb, rows)
+                if k > k0:
+                    modes.extend([mode] * (k - k0))
+                    # s = [*history, x_hat, p_hat, *state, 1]
+                    controller.load_steady(s[:-5].tolist(), k - k0, held)
+                    state = PlantState._make(s[-5:-1].tolist())
+                    t = k * t_s
+                    # a bound may bring a new setpoint or a contact; a
+                    # failed check sends sample k to step
+                    if k == stop or not t < ends[segment]:
+                        continue
+
             cmd, pump_on = controller.step(getattr(state, node), state.T_w,
                                            preview)
             if controller.mode is not mode:
@@ -87,6 +176,7 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
             state = step_plant(state, cmd, pump_on, 0.0, params, ambient, dt,
                                peltier_lag=lag, peltier_power=power,
                                n_sub=n_sub, contacts=contacts, t=t)
+            k += 1
 
         trace = SimTrace.from_rows(rows)
         trace.mode = np.array(modes, dtype=object)
@@ -106,6 +196,109 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
     except ThermocoverError as exc:
         raise _in_context(exc, f"{scenario.name}: at t = {t:.6g} s") from exc
     return trace
+
+
+class _Composed(NamedTuple):
+    """One key's composed map over s = [*history, x_hat, p_hat, T_p, T_co,
+    T_w, T_c, 1]: v = G @ s is the controller's checks, then the command
+    and the rest of the next s, whose history is the last one's shifted
+    one place."""
+
+    G: np.ndarray
+    step: SteadyStep
+    call: SteadyCall
+
+
+def _compose(step, params, cap, node_index, T_amb, lag, power, dt,
+             n_sub) -> _Composed | None:
+    """The composed map of the controller's ``step`` and the plant's
+    contact-free call at cap status ``cap``; None where the plant walks
+    such a call."""
+    call = steady_call(params, step.pump_on, cap, lag, power, dt, n_sub)
+    if call is None:
+        return None
+    K = step.rows
+    m, size = len(K), K.shape[1] - 4
+    G = np.zeros((m + 5, size + 7))
+    # the controller's rows, w = [*s[:size + 2], s[size + 2 + node], 1]
+    G[:m, :size + 2] = K[:, :size + 2]
+    G[:m, size + 2 + node_index] = K[:, -2]
+    G[:m, -1] = K[:, -1]
+    # the plant's nodes after the call: its rows over (T_p, T_co, T_w, T_c,
+    # T_p_cmd, T_amb, q, 1), the command the controller's row m - 3
+    M = call.rows
+    nodes = G[m:m + 4]
+    np.multiply(M[:, 4:5], G[m - 3], out=nodes)
+    nodes[:, size + 2:size + 6] += M[:, :4]
+    nodes[:, -1] += M[:, 5] * T_amb + M[:, 7]
+    G[-1, -1] = 1.0
+    return _Composed(G, step, call)
+
+
+#: Samples a stretch advances in one buffer before it moves its window
+#: back to the buffer's start.
+_WINDOWS = 256
+
+
+def _steady_run(entry, lookup, s, k, stop, end, t_s, node_index, T_amb,
+                rows):
+    """Advance samples k, k + 1, ... before ``stop`` and before time
+    ``end`` by composed maps, from ``entry``, until one fails a check;
+    returns the first sample not advanced, s there, and the held pattern
+    of the last one advanced.
+
+    The sample from window i of the buffer writes v[:8] after the history
+    it shifts out, so window i + 1 is the next s.  Its start's cap status
+    is the one the sample before proved at its last substep end.
+    """
+    G, step, call = entry
+    held = step.held
+    r, pump_on = step.setpoint, step.pump_on
+    mode_lo, mode_hi = step.mode_band
+    pump_lo, pump_hi = step.pump_band
+    D = len(s)
+    size = D - 7
+    m = len(G) - 8
+    room = min(stop - k, _WINDOWS)
+    buf = np.empty(D + room)
+    buf[:D] = s
+    T_p, T_co, T_w, T_c = x = s[-5:-1].tolist()
+    meas = x[node_index]
+    i = 0
+    while k < stop:
+        t = k * t_s
+        if not (t < end and mode_lo <= r - T_w <= mode_hi
+                and pump_lo <= abs(meas - r) <= pump_hi):
+            break
+        if i == room:
+            buf[:D] = buf[i:]
+            i = 0
+        v = G.dot(buf[i:i + D])
+        new = v.tolist()
+        if not min(new[:m]) >= 0.0:
+            # the pattern's one update, as the controller tries it
+            update = step.updated(new[:m])
+            entry = lookup(update, call.cap) if update != held else None
+            if entry is None:
+                break
+            G, step, call = entry
+            v = G.dot(buf[i:i + D])
+            new = v.tolist()
+            if not min(new[:m]) >= 0.0:
+                break
+        cmd, _, _, T_p1, T_co1, T_w1, T_c1, _ = new[m:]
+        if not (math.isfinite(sum(new))
+                and keeps_cap(call, T_p, T_co, T_w, T_c, cmd, T_amb)):
+            break
+        rows.append((t, cmd, T_p, T_co, T_w, T_c, pump_on, 0.0, 0.0, 0.0,
+                     False))
+        buf[i + size:i + D + 1] = v[m:]
+        held = step.held
+        T_p, T_co, T_w, T_c = x = T_p1, T_co1, T_w1, T_c1
+        meas = x[node_index]
+        i += 1
+        k += 1
+    return k, buf[i:i + D], held
 
 
 def _in_context(exc: ThermocoverError, where: str) -> ThermocoverError:

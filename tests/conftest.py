@@ -1,5 +1,7 @@
 """Shared fixtures and synthetic-trace helpers for the test suite."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.signal import cont2discrete
@@ -18,6 +20,14 @@ def heat_params():
 @pytest.fixture(scope="session")
 def cool_params():
     return preset_params(Mode.COOL)
+
+
+def decline_steady(monkeypatch):
+    """Make ``simulate`` run every sample through the controller's ``step``
+    and ``step_plant``, as a test that counts or wraps those per sample
+    needs: no key gets a composed map."""
+    monkeypatch.setattr(sys.modules["thermocover.simulate"], "_compose",
+                        lambda *args: None)
 
 
 def make_fopdt_trace(params, step=19.0, base=21.0, n=3000, t_s=1.0,

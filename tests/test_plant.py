@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import decline_steady
 from thermocover import plant
 from thermocover.errors import ConfigError, NumericError
 from thermocover.params import AmbientConfig
@@ -376,7 +377,8 @@ def _vector(state):
 
 
 def _recorded_builtin_calls(monkeypatch):
-    """Each built-in's step_plant calls, as (args, kwargs) lists."""
+    """Each built-in's step_plant calls, one per sample, as (args, kwargs)
+    lists."""
     calls = {}
     sim = sys.modules["thermocover.simulate"]
     real = sim.step_plant
@@ -385,6 +387,7 @@ def _recorded_builtin_calls(monkeypatch):
         calls[name].append((args, kwargs))
         return real(*args, **kwargs)
 
+    decline_steady(monkeypatch)
     monkeypatch.setattr(sim, "step_plant", record)
     for name, spec in builtin_scenarios().items():
         calls[name] = []
@@ -623,7 +626,9 @@ def test_cap_proof_rejects_a_cap_just_inside_the_slack(
 
 
 def test_cap_proof_leaves_builtin_traces_bit_identical(monkeypatch):
-    # the six built-ins with the proof and with the row loop alone
+    # the six built-ins with the proof and with the row loop alone, every
+    # sample through step_plant
+    decline_steady(monkeypatch)
     specs = builtin_scenarios()
     proven = {name: simulate(spec) for name, spec in specs.items()}
     monkeypatch.setattr(plant, "_proven", lambda *args: False)

@@ -6,14 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import observer_realization, run_realization
+from conftest import decline_steady, observer_realization, run_realization
 from thermocover import mpc
+from thermocover.detect import detect_contacts
 from thermocover.errors import ConvergenceError, NumericError
 from thermocover.mpc import ThermalController
 from thermocover.observer import build_observer, observer_step
 from thermocover.params import Mode, preset_params
 from thermocover.plant import ContactEvent, ContactKind, estimate_q_aw
-from thermocover.scenario import ScenarioSpec, builtin_scenarios
+from thermocover.scenario import (ScenarioSpec, apply_overrides,
+                                  builtin_scenarios)
 from thermocover.simulate import simulate
 from thermocover.trace import COLUMNS, SimTrace
 
@@ -80,6 +82,7 @@ def test_one_preview_per_setpoint_change(monkeypatch, spec):
         made.append(t)
         return preview(self, t, n)
 
+    decline_steady(monkeypatch)
     monkeypatch.setattr(ThermalController, "step", recording_step)
     monkeypatch.setattr(ScenarioSpec, "setpoint_preview", counting_preview)
     simulate(spec)
@@ -120,6 +123,7 @@ def test_controller_failure_names_scenario_and_time(monkeypatch):
         raise ConvergenceError("active-set updates hit 10000 before the "
                                "KKT test passed", residual=0.25)
 
+    decline_steady(monkeypatch)
     monkeypatch.setattr(mpc.ThermalController, "step", counting_step)
     monkeypatch.setattr(mpc, "solve_mpc", failing_solve)
     spec = _short_scenario()
@@ -231,3 +235,153 @@ def test_written_trace_keeps_the_eleven_columns(tmp_path):
     assert len(COLUMNS) == 11
     assert all(line.count(",") == 10 for line in lines)
     assert SimTrace.from_csv(path).mode is None
+
+
+def _held_patterns(monkeypatch, spec):
+    """simulate(spec), and the controller's held pattern after each sample
+    that the run shows: a sample of ``step``, or the last of a stretch of
+    composed maps."""
+    step, load = ThermalController.step, ThermalController.load_steady
+    held, count = {}, [0]
+
+    def recording_step(ctrl, *args):
+        out = step(ctrl, *args)
+        held[count[0]] = ctrl.held
+        count[0] += 1
+        return out
+
+    def recording_load(ctrl, values, samples, pattern):
+        count[0] += samples
+        held[count[0] - 1] = pattern
+        return load(ctrl, values, samples, pattern)
+
+    with monkeypatch.context() as m:
+        m.setattr(ThermalController, "step", recording_step)
+        m.setattr(ThermalController, "load_steady", recording_load)
+        trace = simulate(spec)
+    assert count[0] == len(trace)
+    return trace, held
+
+
+_GRASP_AT_900 = ["contact.0.start=900", "contact.0.duration=5",
+                 "contact.0.kind=grasp", "contact.0.conductance=0.8",
+                 "contact.0.t_skin=33"]
+
+
+@pytest.mark.parametrize("name, overrides", [
+    *((name, []) for name in builtin_scenarios()),
+    ("exp1_heat", ["controller.penalty_form=increment"]),
+    ("exp2_grasp", ["observer_tc=0"]),
+    ("exp1_heat", ["peltier_lag=0.01"]),
+    ("exp1_heat", ["peltier_power=6"]),
+    ("exp1_cool", _GRASP_AT_900),
+], ids=lambda v: v if isinstance(v, str) else ",".join(v) or "-")
+def test_composed_maps_keep_every_decision(monkeypatch, name, overrides):
+    # the same run with composed maps and with every sample through step
+    # and step_plant: the same pump, mode, contact and held-pattern
+    # decisions and detections, the values apart by rounding only
+    spec = apply_overrides(builtin_scenarios()[name], overrides)
+    fused, fused_held = _held_patterns(monkeypatch, spec)
+    with monkeypatch.context() as m:
+        decline_steady(m)
+        plain, plain_held = _held_patterns(monkeypatch, spec)
+    assert len(plain_held) == len(plain)
+    assert np.array_equal(fused.pump_on, plain.pump_on)
+    assert np.array_equal(fused.contact_flag, plain.contact_flag)
+    assert np.array_equal(fused.mode, plain.mode)
+    assert all(plain_held[k] == pattern for k, pattern in fused_held.items())
+    for c in ("T_p_cmd", "T_p", "T_co", "T_w", "T_c"):
+        assert np.max(np.abs(getattr(fused, c) - getattr(plain, c))) <= 1e-9
+    for c in ("q_w", "q_i_true", "q_i_hat"):
+        assert np.max(np.abs(getattr(fused, c) - getattr(plain, c))) <= 1e-6
+    a, b = (detect_contacts(t, spec.detection) for t in (fused, plain))
+    assert (a.intervals, a.true_positives, a.false_positives, a.misses) == \
+        (b.intervals, b.true_positives, b.false_positives, b.misses)
+    assert np.allclose(a.peak_per_event, b.peak_per_event, rtol=0.0,
+                       atol=1e-6)
+
+
+def test_composed_maps_advance_most_samples(monkeypatch):
+    # a gate that always declines would pass the tests above
+    step, calls = ThermalController.step, []
+
+    def counting_step(ctrl, *args):
+        calls.append(None)
+        return step(ctrl, *args)
+
+    monkeypatch.setattr(ThermalController, "step", counting_step)
+    trace = simulate(builtin_scenarios()["exp1_heat"])
+    assert len(calls) <= 0.1 * len(trace)
+
+
+def _poisoned(monkeypatch):
+    """Give every composed map a plant row that is not finite, so that
+    each sample it would advance falls back to step and step_plant."""
+    module = importlib.import_module("thermocover.simulate")
+    real = module.steady_call
+
+    def poisoned(*args):
+        call = real(*args)
+        if call is None:
+            return None
+        rows = call.rows.copy()
+        rows[-1, -1] = np.nan
+        return call._replace(rows=rows)
+
+    monkeypatch.setattr(module, "steady_call", poisoned)
+
+
+def test_non_finite_composed_result_reruns_the_sample(monkeypatch):
+    spec = builtin_scenarios()["exp1_heat"]
+    with monkeypatch.context() as m:
+        decline_steady(m)
+        plain = simulate(spec).to_csv_text()
+    _poisoned(monkeypatch)
+    assert simulate(spec).to_csv_text() == plain
+
+
+@pytest.mark.parametrize("fault", ["solve", "state"])
+def test_fallen_back_sample_reports_as_without_composed_maps(monkeypatch,
+                                                             fault):
+    # a composed result that is not finite sends each sample of a steady
+    # stretch back to step and step_plant; an error there keeps its type
+    # and message, and names the scenario and time it names without
+    # composed maps: a solve that fails, and a plant state that is not
+    # finite, injected after 300 s inside a stretch of the unpoisoned run
+    spec = builtin_scenarios()["exp1_heat"]
+    module = importlib.import_module("thermocover.simulate")
+    _, held = _held_patterns(monkeypatch, spec)
+    inside = next(k for k in range(300, 1800)
+                  if not {k - 1, k, k + 1} & held.keys())
+    errors = []
+    for decline in (True, False):
+        with monkeypatch.context() as m:
+            if decline:
+                decline_steady(m)
+            else:
+                _poisoned(m)
+            if fault == "solve":
+                solve, solves = mpc.solve_mpc, []
+
+                def failing_solve(*args, **kwargs):
+                    solves.append(None)
+                    if len(solves) == 3:
+                        raise ConvergenceError("active-set updates hit "
+                                               "10000", residual=0.5)
+                    return solve(*args, **kwargs)
+
+                m.setattr(mpc, "solve_mpc", failing_solve)
+            else:
+                step_plant = module.step_plant
+
+                def injecting(*args, t, **kwargs):
+                    new = step_plant(*args, t=t, **kwargs)
+                    return (new._replace(T_c=np.nan)
+                            if t == inside * spec.t_s else new)
+
+                m.setattr(module, "step_plant", injecting)
+            with pytest.raises((ConvergenceError, NumericError)) as info:
+                simulate(spec)
+            errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].startswith("exp1_heat: at t = ")
