@@ -275,7 +275,8 @@ _GRASP_AT_900 = ["contact.0.start=900", "contact.0.duration=5",
     ("exp1_heat", ["peltier_lag=0.01"]),
     ("exp1_heat", ["peltier_power=6"]),
     ("exp1_cool", _GRASP_AT_900),
-], ids=lambda v: v if isinstance(v, str) else ",".join(v) or "-")
+], ids=[*builtin_scenarios(), "increment", "natural-observer", "lag-0.01",
+        "power-6", "cool-grasp-at-900"])
 def test_composed_maps_keep_every_decision(monkeypatch, name, overrides):
     # the same run with composed maps and with every sample through step
     # and step_plant: the same pump, mode, contact and held-pattern
