@@ -15,7 +15,6 @@ from .scenario import (DetectionConfig, ScenarioSpec, builtin_scenarios,
 from .simulate import simulate
 from .sysid import FitReport, StepTrace, fit_fopdt, fit_two_node
 from .trace import SimTrace
-from .twonode import TwoNodeModel, two_node_model
 
 __all__ = [
     "AmbientConfig", "ConfigError", "ContactEvent", "ContactKind",
@@ -23,12 +22,12 @@ __all__ = [
     "FitReport", "IllConditionedFitError", "Mode", "MpcConfig", "MpcSolution",
     "NumericError", "ObserverState", "PenaltyForm", "PlantParams",
     "PlantState", "PumpHysteresis", "ScenarioSpec", "SimTrace", "StepTrace",
-    "Target", "ThermalController", "ThermocoverError", "TwoNodeModel",
+    "Target", "ThermalController", "ThermocoverError",
     "build_observer", "build_prediction", "builtin_scenarios",
     "contact_heat_flow", "detect_contacts", "discretize_fopdt",
     "estimate_q_aw", "fit_fopdt", "fit_two_node", "fopdt_step_response",
     "load_scenario", "observer_step", "preset_params", "pump_step",
-    "save_scenario", "simulate", "solve_mpc", "step_plant", "two_node_model",
+    "save_scenario", "simulate", "solve_mpc", "step_plant",
 ]
 
 __version__ = "0.1.0"

@@ -59,17 +59,3 @@ def fopdt_step_response(params: PlantParams, T_p_step: float, q_a: float,
         return 0.0
     tau = params.R_com_C_com
     return (T_p_step - q_a) * (1.0 - math.exp(-(t - params.L_d) / tau))
-
-
-def iterate_fopdt(model: DiscreteFOPDT, u: float, n_steps: int,
-                  T0: float = 0.0):
-    """Run the discrete recursion for a constant input held from k = 0.
-
-    The input before k = 0 is taken as zero (matching the step-response
-    convention).  Returns the list T(0..n_steps).
-    """
-    T = [T0]
-    for k in range(1, n_steps + 1):
-        u_eff = u if k - 1 - model.d >= 0 else 0.0
-        T.append(model.a * T[-1] + model.b * u_eff)
-    return T

@@ -15,14 +15,12 @@ controller sample tries the cached map of the last sample's pattern, then
 of its one update, at the cost of one matrix-vector product each; only
 where both fail does solve_mpc run the update to the end, starting from the
 second.  What depends only on the model, horizon, weights and held pattern
-is built once and cached read-only.  A read-only setpoint preview is
-taken as unchanged while the same array comes back: it is checked for
-finite entries once, and the QP's reference block is rewritten from it
-only where the offset estimate or the mode changes.  Pump actuation is
-bang-bang with hysteresis, mirroring the stop-at-setpoint behaviour of
-the rig.  A sample that keeps the mode, the pump state and the held
-pattern is affine in the controller's state; ``steady_step`` gives it as
-rows, with the checks that decide whether a sample keeps them.
+is built once per process and cached read-only; what the controller knows
+is written afresh each sample.  Pump actuation is bang-bang with
+hysteresis, mirroring the stop-at-setpoint behaviour of the rig.  A sample
+that keeps the mode, the pump state and the held pattern is affine in the
+controller's state; ``steady_step`` gives it as rows, with the checks that
+decide whether a sample keeps them.
 """
 
 from __future__ import annotations
@@ -234,8 +232,10 @@ def _critical_region(Hm: np.ndarray, eigmax: float, X: np.ndarray,
     return Y, floor, ceil
 
 
-#: Held patterns kept, none held included: the six built-ins need 58 over
-#: both modes, and each sample reads one, or two where the first fails.
+#: Held patterns kept per process, none held included, the only bound on
+#: the region maps: the six built-ins need 58 over both modes.  Each
+#: ``step`` reads one, or two where the first fails, and each
+#: ``steady_step`` one.
 _REGION_CACHE_SIZE = 128
 
 
@@ -467,24 +467,8 @@ class ThermalController:
         self._p_hat = 0.0
         # (lower, upper) unknowns held at a bound in the last sample
         self._held: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-        # per mode: the QP's z, rewritten each sample, with views of its
-        # past-command and reference blocks; a view of the history's last
-        # d entries; and the region maps of the held patterns met so far,
-        # keyed on the pattern
-        self._mode_buffers = {}
-        for m, model in self._models.items():
-            d = model.d
-            z = np.empty(d + self.cfg.H + 2)
-            self._mode_buffers[m] = (z, z[1:d + 1], z[d + 1:-1],
-                                     self._history[self._history.size - d:],
-                                     {})
-        # the current mode's model and buffers, set at each mode switch
+        # the current mode's model, set at each mode switch
         self._model: DiscreteFOPDT | None = None
-        self._buffers: tuple | None = None
-        # the (preview, p_hat, buffers) that the reference block z_refs was
-        # last written from, the preview found finite; held, so that no
-        # other object can take their identities
-        self._refs_from: tuple | None = None
 
     @property
     def preview_length(self) -> int:
@@ -513,21 +497,15 @@ class ThermalController:
         """One control sample: returns (Peltier command, pump on).
 
         A measurement, ``T_w`` or preview entry that is not finite raises
-        ``NumericError`` naming it, before any state changes.  A preview
-        that is the same read-only array as the last call's is not scanned
-        again, nor its reference block rewritten while the offset estimate
-        and the mode stay; a writable one is scanned and copied each call,
-        so it may be changed in place between calls.
+        ``NumericError`` naming it, before any state changes.  The preview
+        is scanned and read afresh on every call, so the caller may hand
+        back the same array, changed in place or not.
         """
         preview = np.asarray(setpoint_preview, dtype=float)
         if preview.size < 1:
             raise ConfigError("setpoint preview must not be empty")
-        # a read-only array passed again was scanned when it first came
-        refs_from = self._refs_from
         if not (math.isfinite(measurement) and math.isfinite(T_w)
-                and (refs_from is not None and preview is refs_from[0]
-                     and not preview.flags.writeable
-                     or np.isfinite(preview).all())):
+                and np.isfinite(preview).all()):
             for name, value in [("measurement", measurement), ("T_w", T_w),
                                 *((f"setpoint preview entry {k}", v)
                                   for k, v in enumerate(preview.tolist()))]:
@@ -542,7 +520,6 @@ class ThermalController:
             self._x_hat = None
             self._p_hat = 0.0
             self._model = self._models[new_mode]
-            self._buffers = self._mode_buffers[new_mode]
         model = self._model
 
         self.hysteresis, pump_on = pump_step(self.hysteresis, measurement,
@@ -581,13 +558,13 @@ class ThermalController:
 
         The past d commands come from the history array; until d commands
         have been applied, the missing oldest ones are the current
-        measurement.  Each mode writes what the controller knows, z, into
-        its own buffer, and keeps the maps (Bemporad, Morari, Dua &
-        Pistikopoulos, 2002) of the held patterns it has met in its own
-        dict, filled from ``_region_map``.  Two patterns are tried: the last
-        sample's, then its update by ``_update_held``.  Where both fail the
-        KKT test, the QP is built and solved from the second, and the
-        solution's active bounds are the next sample's pattern.
+        measurement.  What the controller knows, z, is written afresh each
+        call, and the maps (Bemporad, Morari, Dua & Pistikopoulos, 2002) of
+        the held patterns come from ``_region_map``'s cache.  Two patterns
+        are tried: the last sample's, then its update by ``_update_held``.
+        Where both fail the KKT test, the QP is built and solved from the
+        second, and the solution's active bounds are the next sample's
+        pattern.
         """
         cfg = self.cfg
         d, n = model.d, cfg.H
@@ -596,27 +573,19 @@ class ThermalController:
         u_prev = float(history[-1]) if count else None
         # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev], the
         # preview held at its last value past its end
-        z, z_past, z_refs, recent, _ = self._buffers
+        z = np.empty(d + n + 2)
         z[0] = self._x_hat
+        z_past, z_refs = z[1:d + 1], z[d + 1:-1]
+        recent = history[history.size - d:]
         if count >= d:
             z_past[...] = recent
         else:
             z_past[:d - count] = measurement
             z_past[d - count:] = recent[d - count:]
-        # rewritten where the preview, p_hat or the mode changed: a
-        # read-only preview that is the same object is unchanged, and so is
-        # a p_hat that is the same float object
-        p_hat, refs_from = self._p_hat, self._refs_from
-        if (refs_from is None or preview is not refs_from[0]
-                or preview.flags.writeable or p_hat is not refs_from[1]
-                or self._buffers is not refs_from[2]):
-            ahead = preview[d:d + n]
-            if ahead.size == n:
-                np.subtract(ahead, p_hat, z_refs)
-            else:
-                np.subtract(ahead, p_hat, z_refs[:ahead.size])
-                z_refs[ahead.size:] = preview[-1] - p_hat
-            self._refs_from = (preview, p_hat, self._buffers)
+        p_hat = self._p_hat
+        ahead = preview[d:d + n]
+        np.subtract(ahead, p_hat, z_refs[:ahead.size])
+        z_refs[ahead.size:] = preview[-1] - p_hat
         z[-1] = (u_ref if u_prev is None
                  or cfg.penalty_form is PenaltyForm.MAGNITUDE else u_prev)
         lo, hi = cfg.T_min_th, cfg.T_max_th
@@ -644,16 +613,11 @@ class ThermalController:
         return sol.command
 
     def _region(self, held):
-        """The current mode's (R, r, floor, ceil) of pattern ``held``, from
-        its dict of the patterns met, filled from ``_region_map``."""
-        maps = self._buffers[4]
-        region = maps.get(held)
-        if region is None:
-            model, cfg = self._model, self.cfg
-            region = maps[held] = _region_map(
-                model.a, model.b, model.d, cfg.H, cfg.W1, cfg.W2,
-                cfg.penalty_form, cfg.T_min_th, cfg.T_max_th, *held)
-        return region
+        """The current mode's (R, r, floor, ceil) of pattern ``held``."""
+        model, cfg = self._model, self.cfg
+        return _region_map(model.a, model.b, model.d, cfg.H, cfg.W1, cfg.W2,
+                           cfg.penalty_form, cfg.T_min_th, cfg.T_max_th,
+                           *held)
 
     def steady_step(self, preview, held) -> SteadyStep | None:
         """The next sample as a ``SteadyStep`` at pattern ``held``, in the

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import cont2discrete, lfilter, lfilter_zi
+from scipy.signal import lfilter, lfilter_zi
 
 from .errors import ConfigError
 from .params import PlantParams
@@ -128,18 +128,9 @@ def observer_step(obs: ObserverState, T_w, q) -> np.ndarray:
     return q_hat + lfilter(obs.b_dT_w, obs.a, np.diff(T_w, prepend=T_w[:1]))
 
 
-def observer_frequency_response(obs: ObserverState, omega: float) -> np.ndarray:
-    """Per-input complex response of the discrete filter at omega rad/s:
-    (1 - 1/z) b_dT_w / a on T_w and b_q / a on q."""
-    w = np.exp(-1j * omega * obs.t_s)   # 1/z
-    a = np.polyval(obs.a[::-1], w)
-    return np.array([(1.0 - w) * np.polyval(obs.b_dT_w[::-1], w) / a,
-                     np.polyval(obs.b_q[::-1], w) / a])
-
-
 # ---------------------------------------------------------------------------
-# Design-model channels (continuous transfer functions of the linear
-# pipe-cover model the observer is derived from), used for validation.
+# Design-model channel: the continuous transfer function of the linear
+# pipe-cover model that ``build_observer`` inverts.
 
 def water_channel_tf(params: PlantParams):
     """(q_w + q_aw) -> T_w of the design model, as (num, den)."""
@@ -147,31 +138,3 @@ def water_channel_tf(params: PlantParams):
     den = [params.R_c * params.C_w * params.C_c,
            params.C_w + params.C_c, 0.0]
     return num, den
-
-
-def contact_channel_tf(params: PlantParams):
-    """q_i -> T_w channel the observer design assumes, as (num, den)."""
-    num = np.polymul([params.R_c * params.C_w, 1.0],
-                     [params.R_c * params.C_c, 1.0]).tolist()
-    den = [params.R_c * params.C_w * params.C_c,
-           params.C_w + params.C_c, 0.0]
-    return num, den
-
-
-def simulate_design_model(params: PlantParams, t_s: float,
-                          q_series, qi_series) -> np.ndarray:
-    """Sampled T_w of the design model under the two input streams.
-
-    Both channels are discretized by the same trapezoidal rule as the
-    observer, so feeding the result back in closes an exact algebraic loop.
-    """
-    q_series = np.asarray(q_series, dtype=float)
-    qi_series = np.asarray(qi_series, dtype=float)
-    if q_series.shape != qi_series.shape:
-        raise ConfigError("input streams must have equal length")
-    T_w = np.zeros_like(q_series)
-    for tf, u in ((water_channel_tf(params), q_series),
-                  (contact_channel_tf(params), qi_series)):
-        bz, az, _ = cont2discrete(tf, t_s, method="bilinear")
-        T_w += lfilter(np.atleast_1d(np.squeeze(bz)), np.atleast_1d(az), u)
-    return T_w

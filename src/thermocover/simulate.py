@@ -24,10 +24,12 @@ back out of s.  The decisions are those of the
 per-sample path; the values differ from it by rounding.
 
 The setpoint changes where a sample's time reaches the end of its segment
-(``ScenarioSpec.segments``).  A new preview is made there, handed to the
-controller read-only until the next change; the plant constants are looked
-up where the controller switches mode; and a scenario without contacts
-skips the contact sums.
+(``ScenarioSpec.segments``).  A new preview is made there and kept
+read-only until the next change, because both paths share it: the
+setpoint's composed maps are built from it and dropped only at the
+change, and the controller's ``step`` reads it on every sample it runs.
+The plant constants are looked up where the controller switches mode, and
+a scenario without contacts skips the contact sums.
 """
 
 from __future__ import annotations

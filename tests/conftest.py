@@ -1,14 +1,16 @@
 """Shared fixtures and synthetic-trace helpers for the test suite."""
 
+import math
 import sys
 
 import numpy as np
 import pytest
-from scipy.signal import cont2discrete
+from scipy.signal import cont2discrete, lfilter
 
 from thermocover.fopdt import fopdt_step_response
+from thermocover.observer import water_channel_tf
 from thermocover.params import AmbientConfig, Mode, preset_params
-from thermocover.plant import PlantState, step_plant
+from thermocover.plant import PlantState, network_matrices, step_plant
 from thermocover.sysid import StepTrace
 
 
@@ -115,3 +117,72 @@ def run_realization(realization, T_w, q):
         out[k] = (Cd @ x + Dd @ u[k]).item()
         x = Ad @ x + Bd @ u[k]
     return out
+
+
+def observer_frequency_response(obs, omega):
+    """Per-input complex response of the observer's discrete filter at
+    omega rad/s: (1 - 1/z) b_dT_w / a on T_w and b_q / a on q."""
+    w = np.exp(-1j * omega * obs.t_s)   # 1/z
+    a = np.polyval(obs.a[::-1], w)
+    return np.array([(1.0 - w) * np.polyval(obs.b_dT_w[::-1], w) / a,
+                     np.polyval(obs.b_q[::-1], w) / a])
+
+
+def iterate_fopdt(model, u, n_steps, T0=0.0):
+    """Reference run of the discrete recursion T(k) = a T(k-1) +
+    b u(k-1-d) for a constant input held from k = 0, zero before (the
+    step-response convention); returns the list T(0..n_steps)."""
+    T = [T0]
+    for k in range(1, n_steps + 1):
+        u_eff = u if k - 1 - model.d >= 0 else 0.0
+        T.append(model.a * T[-1] + model.b * u_eff)
+    return T
+
+
+def two_node_matrices(params):
+    """The two-node pipe/cover network as (A, B): state [T_w, T_c], inputs
+    [q_w + q_aw, q_i].  A is the pipe/cover block of the plant's network
+    (``network_matrices``) with the pump stopped and no ambient leak, so it
+    stores heat without leaking it."""
+    p = params
+    A = network_matrices(p.R_w, p.C_w, p.R_c, p.C_c, math.inf, p.C_co,
+                         p.R_co, False)[0][2:, 2:]
+    B = np.array([[1.0 / p.C_w, 0.0], [0.0, 1.0 / p.C_c]])
+    return A, B
+
+
+def water_response(A, B, s):
+    """q_w + q_aw -> T_w transfer of the realization (A, B) at s, via the
+    resolvent."""
+    return np.linalg.solve(complex(s) * np.eye(2) - A, B[:, 0])[0]
+
+
+def water_transfer_direct(params, s):
+    """q_w + q_aw -> T_w transfer at s from the observer's rational form,
+    ``water_channel_tf``."""
+    s = complex(s)
+    num, den = water_channel_tf(params)
+    return complex(np.polyval(num, s) / np.polyval(den, s))
+
+
+def contact_channel_tf(params):
+    """q_i -> T_w channel the observer design assumes, as (num, den): the
+    water channel's numerator times (R_c C_w s + 1), over its
+    denominator."""
+    num_w, den = water_channel_tf(params)
+    return np.polymul([params.R_c * params.C_w, 1.0], num_w).tolist(), den
+
+
+def simulate_design_model(params, t_s, q_series, qi_series):
+    """Sampled T_w of the observer's design model under the net water heat
+    and the contact heat, each channel discretized by the trapezoidal rule
+    the observer uses, so that feeding the result back in closes an exact
+    algebraic loop."""
+    q_series = np.asarray(q_series, dtype=float)
+    qi_series = np.asarray(qi_series, dtype=float)
+    T_w = np.zeros_like(q_series)
+    for tf, u in ((water_channel_tf(params), q_series),
+                  (contact_channel_tf(params), qi_series)):
+        bz, az, _ = cont2discrete(tf, t_s, method="bilinear")
+        T_w += lfilter(np.atleast_1d(np.squeeze(bz)), np.atleast_1d(az), u)
+    return T_w

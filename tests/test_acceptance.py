@@ -10,21 +10,20 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_fopdt_trace, make_plant_step_run
+from conftest import (iterate_fopdt, make_fopdt_trace, make_plant_step_run,
+                      simulate_design_model, two_node_matrices,
+                      water_response, water_transfer_direct)
 from thermocover.detect import detect_contacts
 from thermocover.fopdt import (DiscreteFOPDT, discretize_fopdt,
-                               fopdt_step_response, iterate_fopdt)
+                               fopdt_step_response)
 from thermocover.mpc import (MpcConfig, PenaltyForm, build_prediction,
                              solve_mpc)
-from thermocover.observer import (build_observer, observer_step,
-                                  simulate_design_model)
+from thermocover.observer import build_observer, observer_step
 from thermocover.params import Mode, preset_params
 from thermocover.report import analyze_segments
 from thermocover.scenario import apply_overrides, builtin_scenarios
 from thermocover.simulate import simulate
 from thermocover.sysid import StepTrace, fit_fopdt, fit_two_node
-from thermocover.twonode import (two_node_model, water_response,
-                                 water_transfer_direct)
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +44,10 @@ def test_criterion_01_model_realization_equivalence():
     worst = 0.0
     for mode in Mode:
         params = preset_params(mode)
-        model = two_node_model(params)
+        A, B = two_node_matrices(params)
         for omega in np.logspace(-4.0, 0.0, 20):
             direct = water_transfer_direct(params, 1j * omega)
-            realized = water_response(model, 1j * omega)
+            realized = water_response(A, B, 1j * omega)
             worst = max(worst, abs(realized - direct) / abs(direct))
     assert worst < 1e-9
     assert time.perf_counter() - t0 < 1.0

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
+from conftest import iterate_fopdt
 from thermocover.errors import ConfigError
-from thermocover.fopdt import (discretize_fopdt, fopdt_step_response,
-                               iterate_fopdt)
+from thermocover.fopdt import discretize_fopdt, fopdt_step_response
 from thermocover.params import Mode, preset_params
 
 

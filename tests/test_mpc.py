@@ -259,40 +259,29 @@ def test_history_array_matches_plain_list():
 
 
 def test_region_maps_built_once_per_mode_and_pattern(monkeypatch):
-    # the controller keeps each mode's maps in its own dict: over one run
-    # from a cleared cache, _region_map builds each (mode, held pattern)
-    # met once, and is not called on a dict hit
-    calls, controllers = [], {}
-    region_map, command = mpc._region_map, ThermalController._command
+    # the region maps live in one process cache: over one run from a
+    # cleared cache, _region_map misses once per (mode, held pattern) met,
+    # and a later run misses none
+    keys = set()
+    region_map = mpc._region_map
 
     def recording_map(*args):
-        calls.append(args)
+        keys.add(args)
         return region_map(*args)
 
-    def recording(ctrl, *args):
-        controllers[id(ctrl)] = ctrl
-        return command(ctrl, *args)
-
     monkeypatch.setattr(mpc, "_region_map", recording_map)
-    monkeypatch.setattr(ThermalController, "_command", recording)
     region_map.cache_clear()
     spec = builtin_scenarios()["exp1_heat"]
     trace = simulate(spec)
-    (ctrl,) = controllers.values()
-    met = {(ctrl._models[mode].d, held)
-           for mode, (*_, maps) in ctrl._mode_buffers.items()
-           for held in maps}
-    # a key's dead time tells the cover's modes apart
-    assert len(calls) == len(set(calls)) == len(met)
-    assert {(args[2], args[-2:]) for args in calls} == met
-    assert {d for d, _ in met} == {45, 30}
-    assert len(trace) > 10 * len(calls)
-    # a later run's controller fills its dicts from the process's cache
     built = region_map.cache_info()
-    calls.clear()
+    # a key's dead time tells the cover's modes apart
+    met = {(args[2], args[-2:]) for args in keys}
+    assert built.misses == len(keys) == len(met)
+    assert {d for d, _ in met} == {45, 30}
+    assert len(trace) > 10 * built.misses
     simulate(spec)
-    assert len(calls) == len(met)
     assert region_map.cache_info().misses == built.misses
+    assert region_map.cache_info().hits > built.hits
 
 
 @pytest.mark.parametrize("measurement, setpoint", [(float("nan"), 25.0),
@@ -406,51 +395,6 @@ def test_nan_written_into_writable_preview_raises_before_state_changes():
     for k in range(3, 6):
         assert ctrl.step(21.0 + 0.1 * k, 20.0, buffer) == \
             clean.step(21.0 + 0.1 * k, 20.0, np.full(n, 25.0))
-
-
-def test_read_only_preview_scanned_once(monkeypatch):
-    # the finiteness scan runs once per read-only array, and on every call
-    # with a writable one
-    ctrl = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
-    frozen, writable = (np.full(ctrl.preview_length, 25.0) for _ in range(2))
-    frozen.flags.writeable = False
-    scans = {id(frozen): 0, id(writable): 0}
-    isfinite = np.isfinite
-
-    def counting(x, *args, **kwargs):
-        if id(x) in scans:
-            scans[id(x)] += 1
-        return isfinite(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "isfinite", counting)
-    for k in range(20):
-        ctrl.step(21.0 + 0.1 * k, 20.0, frozen)
-    for k in range(5):
-        ctrl.step(23.0, 20.0, writable)
-    ctrl.step(23.0, 20.0, frozen)
-    assert scans == {id(frozen): 2, id(writable): 5}
-
-
-def test_reference_block_rewritten_after_mode_switch_and_back():
-    # one read-only preview throughout, the mode switched by T_w: back in
-    # the first mode, with the pump off and so the offset estimate at the
-    # reset value of the other mode's samples, its reference block is
-    # written again
-    ctrl = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
-    n = ctrl.preview_length
-    preview = np.full(n, 25.0)
-    preview.flags.writeable = False
-    for k in range(5):
-        assert ctrl.step(21.0 + 0.3 * k, 20.0, preview)[1]
-    assert ctrl.mode is Mode.HEAT and ctrl._p_hat != 0.0
-    d, H = ctrl._models[Mode.HEAT].d, ctrl.cfg.H
-    z_refs = ctrl._mode_buffers[Mode.HEAT][2]
-    assert np.array_equal(z_refs, preview[d:d + H] - ctrl._p_hat)
-    assert not ctrl.step(25.0, 30.0, preview)[1]
-    assert ctrl.mode is Mode.COOL
-    assert not ctrl.step(25.0, 20.0, preview)[1]
-    assert ctrl.mode is Mode.HEAT and ctrl._p_hat == 0.0
-    assert np.array_equal(z_refs, preview[d:d + H])
 
 
 def _recorded_solves(monkeypatch, specs):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import observer_realization, run_realization
+from conftest import (observer_frequency_response, observer_realization,
+                      run_realization, simulate_design_model)
 from thermocover.errors import ConfigError
-from thermocover.observer import (build_observer, observer_frequency_response,
-                                  observer_step, simulate_design_model)
+from thermocover.observer import build_observer, observer_step
 from thermocover.params import AmbientConfig, Mode, Target, preset_params
 from thermocover.plant import estimate_q_aw, pump_flow
 
