@@ -19,8 +19,9 @@ is built once per process and cached read-only; what the controller knows
 is written afresh each sample.  Pump actuation is bang-bang with
 hysteresis, mirroring the stop-at-setpoint behaviour of the rig.  A sample
 that keeps the mode, the pump state and the held pattern is affine in the
-controller's state; ``steady_step`` gives it as rows, with the checks that
-decide whether a sample keeps them.
+controller's state, from its first applied command on; ``steady_step``
+gives the rows that no pattern changes, and ``steady_rows`` adds a
+pattern's command and the checks that decide whether a sample keeps it.
 """
 
 from __future__ import annotations
@@ -405,32 +406,39 @@ for _m in _OFFSET_UPDATE.values():
 
 
 class SteadyStep(NamedTuple):
-    """One control sample as an affine map, for samples that keep the
-    controller's mode, pump state and held pattern.
+    """The part of one control sample that no held pattern changes, for
+    samples that keep the controller's mode and pump state.
 
-    ``rows`` take w = [*history, x_hat, p_hat, measurement, 1] to the held
-    pattern's KKT test on its ``_critical_region`` vector y: y - floor,
-    then ceil - y, a zero row where a bound is infinite; then to the
-    command, x_hat and p_hat after the sample.  The history after the
-    sample is w's shifted one place, the command last.  The sample keeps
-    the pattern where every check is >= 0, the mode where ``mode_band``
-    holds setpoint - T_w, and the pump state where ``pump_band`` holds
-    |measurement - setpoint|, both bands closed.
+    ``rows`` take w = [*history, x_hat, p_hat, measurement, 1] to x_hat and
+    p_hat after the sample, x_hat's without the command's term, which only
+    a sample without dead time has; ``ThermalController.steady_rows`` adds
+    a held pattern's rows.  The history after the sample is w's shifted one
+    place, the command last.  The rows read the last ``d`` history entries
+    as the past d commands, the measurement in those not yet applied.
+    ``ahead`` is the preview block [refs[d:], 1] per unknown.  The sample
+    keeps the mode where ``mode_band`` holds setpoint - T_w, and the pump
+    state where ``pump_band`` holds |measurement - setpoint|, both bands
+    closed.
     """
 
     rows: np.ndarray
-    held: tuple
+    ahead: np.ndarray
+    d: int
     setpoint: float
     pump_on: bool
     mode_band: tuple
     pump_band: tuple
 
-    def updated(self, checks) -> tuple:
-        """The pattern of ``_update_held`` where the ``checks`` rows,
-        evaluated, fail."""
-        n = len(checks) // 2
-        return _toggled(self.held, [c < 0.0 for c in checks[:n]],
-                        [c < 0.0 for c in checks[n:2 * n]])
+
+def update_from_checks(held, checks) -> tuple:
+    """The pattern of ``_update_held`` where the KKT ``checks`` of pattern
+    ``held`` (y - floor, then ceil - y), evaluated, fail: below zero, a
+    NaN passing."""
+    n = len(checks) // 2
+    below = [i for i, c in enumerate(checks[:n]) if c < 0.0]
+    above = [i for i, c in enumerate(checks[n:2 * n]) if c < 0.0]
+    return tuple(tuple(sorted(set(side).symmetric_difference(fails)))
+                 for side, fails in zip(held, (below, above)))
 
 
 @dataclass
@@ -619,40 +627,74 @@ class ThermalController:
                            cfg.penalty_form, cfg.T_min_th, cfg.T_max_th,
                            *held)
 
-    def steady_step(self, preview, held) -> SteadyStep | None:
-        """The next sample as a ``SteadyStep`` at pattern ``held``, in the
-        mode and pump state the last sample left and with its ``preview``.
+    def steady_step(self, preview) -> SteadyStep | None:
+        """The next sample's ``SteadyStep``, in the mode and pump state the
+        last sample left and with its ``preview``.
 
-        None before a mode's first sample, and while fewer than d commands,
-        or none, have been applied, where the padding of the past makes
-        each sample's map another.  The rows compose the offset update, z,
-        the region map's y = R z + r and the command of ``step`` and
-        ``_command``; a preview entry that is not finite makes every check
+        None before the first sample, which sets the mode and x_hat and
+        applies the command that the increment penalty reads.  A preview
+        entry that is not finite makes every check of ``steady_rows``
         fail.
         """
         model = self._model
-        if (model is None or self._x_hat is None
-                or self._count < max(model.d, 1)):
+        if model is None or self._x_hat is None or not self._count:
             return None
         preview = np.asarray(preview, dtype=float)
-        cfg = self.cfg
-        d, n, size = model.d, cfg.H, self._history.size
-        R, r, floor, ceil = self._region(held)
+        d, n, size = model.d, self.cfg.H, self._history.size
         pump_on = self.hysteresis.state
         # x_hat and p_hat after the offset update, over (x_hat, p_hat,
-        # measurement)
-        x_upd, p_upd = _OFFSET_UPDATE[pump_on]
-        rows = np.zeros((2 * n + 3, size + 4))
-        y, above = rows[:n], rows[n:2 * n]
-        cmd, x_new, p_new = rows[2 * n:]
-        # y = R z + r, z = [x_hat, past (d), refs - p_hat (n), u_ref or
-        # u_prev], the preview held at its last value past its end
+        # measurement); x_hat then moves on by the delayed command
+        rows = np.zeros((2, size + 4))
+        rows[:, size:size + 3] = _OFFSET_UPDATE[pump_on]
+        if pump_on:
+            rows[0] *= model.a
+            if d:
+                rows[0, size - d] = model.b
+        # the preview held at its last value past its end
         ahead = np.ones((n, 2))
         ahead[:, 0] = preview[-1]
         ahead[:preview[d:d + n].size, 0] = preview[d:d + n]
-        to_refs, to_p_hat = (R[:, d + 1:-1] @ ahead).T
+        h = self.hysteresis
+        return SteadyStep(
+            rows=rows, ahead=ahead, d=d, setpoint=float(preview[0]),
+            pump_on=pump_on,
+            mode_band=((-MODE_DEADBAND, math.inf) if self.mode is Mode.HEAT
+                       else (-math.inf, MODE_DEADBAND)),
+            pump_band=((h.off_band, math.inf) if pump_on
+                       else (-math.inf, h.on_band)))
+
+    def steady_rows(self, step: SteadyStep, held, out: np.ndarray,
+                    measured: int) -> None:
+        """Add pattern ``held``'s rows of ``step``'s sample to ``out``,
+        whose columns are w's but for the measurement, at ``measured``, and
+        the constant, last; ``step`` is of the controller's current mode.
+
+        Rows 0 to 2n - 1 get the pattern's KKT test on its
+        ``_critical_region`` vector y: y - floor, then ceil - y, a zero row
+        where a bound is infinite; the sample keeps the pattern where every
+        check is >= 0.  Row 2n gets the command, and without dead time and
+        with the pump on, x_hat's row 2n + 1 the command's term.  The rows
+        compose the offset update, z, the region map's y = R z + r and the
+        command of ``step`` and ``_command``, and expect zeros in ``out``.
+        """
+        model, cfg = self._model, self.cfg
+        d, n, size = model.d, cfg.H, self._history.size
+        R, r, floor, ceil = self._region(held)
+        y, above = out[:n], out[n:2 * n]
+        cmd = out[2 * n]
+        # y = R z + r, z = [x_hat, past (d), refs - p_hat (n), u_ref or
+        # u_prev]
+        to_refs, to_p_hat = (R[:, d + 1:-1] @ step.ahead).T
         y[:, size - d:size] = R[:, 1:d + 1]
-        y[:, size:size + 3] = R[:, :1] * x_upd - to_p_hat[:, None] * p_upd
+        # z's x_hat and p_hat after the offset update (``_OFFSET_UPDATE``):
+        # with the pump on x_hat and measurement - x_hat, with it off
+        # measurement - p_hat and p_hat
+        if step.pump_on:
+            np.add(R[:, 0], to_p_hat, out=y[:, size])
+            np.negative(to_p_hat, out=y[:, measured])
+        else:
+            np.negative(R[:, 0] + to_p_hat, out=y[:, size + 1])
+            y[:, measured] = R[:, 0]
         y[:, -1] = to_refs + r
         if cfg.penalty_form is PenaltyForm.INCREMENT:
             y[:, size - 1] += R[:, -1]
@@ -668,23 +710,17 @@ class ThermalController:
         np.negative(y, out=above)
         above[:, -1] += ceil
         y[:, -1] -= floor
-        y[list(upper)] = 0.0
-        above[list(lower)] = 0.0
-        x_new[size:size + 3], p_new[size:size + 3] = x_upd, p_upd
-        if pump_on:
-            x_new *= model.a
-            if d:
-                x_new[size - d] += model.b
-            else:
-                x_new += model.b * cmd
-        h = self.hysteresis
-        return SteadyStep(
-            rows=rows, held=held, setpoint=float(preview[0]),
-            pump_on=pump_on,
-            mode_band=((-MODE_DEADBAND, math.inf) if self.mode is Mode.HEAT
-                       else (-math.inf, MODE_DEADBAND)),
-            pump_band=((h.off_band, math.inf) if pump_on
-                       else (-math.inf, h.on_band)))
+        if upper:
+            y[list(upper)] = 0.0
+        if lower:
+            above[list(lower)] = 0.0
+        if step.pump_on and not d:
+            out[2 * n + 1] += model.b * cmd
+
+    @property
+    def applied(self) -> int:
+        """Commands applied so far, counted up to the history's length."""
+        return self._count
 
     def steady_state(self) -> list:
         """[*history, x_hat, p_hat], the part of a ``SteadyStep``'s w
@@ -694,7 +730,8 @@ class ThermalController:
     def load_steady(self, values, samples: int, held) -> None:
         """Take ``steady_state`` ``values`` reached by ``samples`` samples of
         ``SteadyStep`` rows, the last at pattern ``held``; those samples
-        kept the mode and the pump state."""
+        kept the mode and the pump state.  History entries not yet applied
+        are never read."""
         self._history[:] = values[:-2]
         self._x_hat, self._p_hat = values[-2], values[-1]
         self._count = min(self._count + samples, self._history.size)

@@ -10,18 +10,24 @@ deterministic: the same scenario always produces a bit-identical trace.
 Most samples keep what the one before decided: the controller's mode, pump
 state and held pattern, the plant's cap status, and the setpoint.  Such a
 sample is affine in s = [*history, x_hat, p_hat, T_p, T_co, T_w, T_c, 1],
-so ``_compose`` multiplies the controller's ``steady_step`` rows and the
-plant's ``steady_call`` rows into one matrix G per such key, and a sample
-is one product v = G @ s: the held pattern's KKT checks, the command and
-the rest of the next s, whose history is s's shifted one place.  The
-sample checks its mode and pump bands on floats, the KKT checks, and the
-plant's cap proof (``keeps_cap``); where the KKT checks fail, it tries
-the pattern's one update, as the controller does.  A sample that fails a
-check, whose result is not finite, that comes before d commands have been
-applied, or that a contact window or a setpoint change reaches runs the
+so the controller's rows and the plant's ``steady_call`` rows multiply
+into one matrix G per such key, and a sample is one product v = G @ s:
+the held pattern's KKT checks, the command and the rest of the next s,
+whose history is s's shifted one place.  ``_compose`` builds, once per
+mode, pump state and cap status, a base of every row that no held
+pattern changes, from the controller's ``steady_step``; a pattern's G is
+a copy of it, to which the controller's ``steady_rows`` adds the checks
+and the command, and ``_held_map`` the command's terms in the plant's
+nodes.  Until the controller has applied d commands, the history entries
+not yet applied hold the sample's measurement, as ``step`` pads them.
+The sample checks its mode and pump bands on floats, the KKT checks, and
+the plant's cap proof (``keeps_cap``); where the KKT checks fail, it
+tries the pattern's one update, as the controller does.  The first
+sample, a sample that fails a check or whose result is not finite, and
+one that a contact window or a setpoint change reaches run the
 controller's ``step`` and ``step_plant`` instead, from the state loaded
-back out of s.  The decisions are those of the
-per-sample path; the values differ from it by rounding.
+back out of s.  The decisions are those of the per-sample path; the
+values differ from it by rounding.
 
 The setpoint changes where a sample's time reaches the end of its segment
 (``ScenarioSpec.segments``).  A new preview is made there and kept
@@ -41,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ThermocoverError
-from .mpc import SteadyStep, ThermalController
+from .mpc import SteadyStep, ThermalController, update_from_checks
 from .observer import build_observer, observer_step
 from .params import Mode, preset_params
 from .plant import (PlantState, SteadyCall, cap_status, contact_heat_flow,
@@ -50,11 +56,12 @@ from .plant import (PlantState, SteadyCall, cap_status, contact_heat_flow,
 from .scenario import ScenarioSpec
 from .trace import SimTrace
 
-#: Composed maps a run keeps per setpoint, oldest dropped first; the
-#: built-ins build as many with 4 as with 8.  A map is (2 H + 8) x (d + 7)
-#: floats for the largest dead time d: 20 KB on the staircases (d = 45,
-#: H = 20) and 37 KB on the touch protocols (d = 90), so at most 0.08 and
-#: 0.15 MB.
+#: Composed maps and their bases a run keeps per setpoint, counted
+#: together, oldest dropped first.  Each is (2 H + 8) x (d + 7) floats for
+#: the largest dead time d: 20 KB on the staircases (d = 45, H = 20) and
+#: 37 KB on the touch protocols (d = 90), so at most 0.08 and 0.15 MB.
+#: With 8, the three staircases would build 235 maps and 68 bases, not 251
+#: and 103, which saves about 1 % of their run time.
 _MAX_COMPOSED = 4
 
 
@@ -99,27 +106,38 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
     # plant constants, as of the last change
     setpoint = preview = mode = params = None
     # the composed maps of this setpoint, keyed on (mode, pump state, held
-    # pattern, cap status); None where a key has none
+    # pattern, cap status), and their bases, on (mode, pump state, cap
+    # status); None where a key has none
     composed = {}
 
+    def keep(key, entry):
+        if len(composed) == _MAX_COMPOSED:
+            del composed[next(iter(composed))]
+        composed[key] = entry
+
     def lookup(held, cap):
-        key = (mode, controller.hysteresis.state, held, cap)
+        pump_on = controller.hysteresis.state
+        key = (mode, pump_on, held, cap)
         if key in composed:
             return composed[key]
+        base_key = (mode, pump_on, cap)
         try:
-            step = controller.steady_step(preview, held)
-            if step is None:
-                # not yet: the controller's state, not the key, decides
-                return None
-            entry = _compose(step, params, cap, node_index, ambient.T_amb,
-                             lag, power, dt, n_sub)
+            if base_key not in composed:
+                step = controller.steady_step(preview)
+                if step is None:
+                    # not yet: the controller's state, not the key, decides
+                    return None
+                keep(base_key, _compose(step, params, cap, node_index,
+                                        ambient.T_amb, lag, power, dt,
+                                        n_sub))
+            base = composed[base_key]
+            entry = (None if base is None
+                     else _held_map(controller, base, held, node_index))
         except ThermocoverError:
             # the sample's own step or step_plant raises it, or not, as the
             # loop reaches it
             entry = None
-        if len(composed) == _MAX_COMPOSED:
-            del composed[next(iter(composed))]
-        composed[key] = entry
+        keep(key, entry)
         return entry
 
     segment, k = 0, 0
@@ -146,7 +164,8 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
                 if np.isfinite(s).all():
                     k, s, held = _steady_run(entry, lookup, s, k, stop,
                                              ends[segment], t_s, node_index,
-                                             ambient.T_amb, rows)
+                                             ambient.T_amb,
+                                             controller.applied, rows)
                 if k > k0:
                     modes.extend([mode] * (k - k0))
                     # s = [*history, x_hat, p_hat, *state, 1]
@@ -202,39 +221,54 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
 
 class _Composed(NamedTuple):
     """One key's composed map over s = [*history, x_hat, p_hat, T_p, T_co,
-    T_w, T_c, 1]: v = G @ s is the controller's checks, then the command
-    and the rest of the next s, whose history is the last one's shifted
-    one place."""
+    T_w, T_c, 1]: v = G @ s is the controller's checks of pattern ``held``,
+    then the command and the rest of the next s, whose history is the last
+    one's shifted one place.  A base has ``held`` None, and zeros in the
+    checks, the command and the terms in it."""
 
     G: np.ndarray
+    held: tuple | None
     step: SteadyStep
     call: SteadyCall
 
 
 def _compose(step, params, cap, node_index, T_amb, lag, power, dt,
              n_sub) -> _Composed | None:
-    """The composed map of the controller's ``step`` and the plant's
-    contact-free call at cap status ``cap``; None where the plant walks
-    such a call."""
+    """The base of the composed maps of the controller's ``step`` and the
+    plant's contact-free call at cap status ``cap``; None where the plant
+    walks such a call."""
     call = steady_call(params, step.pump_on, cap, lag, power, dt, n_sub)
     if call is None:
         return None
     K = step.rows
-    m, size = len(K), K.shape[1] - 4
-    G = np.zeros((m + 5, size + 7))
-    # the controller's rows, w = [*s[:size + 2], s[size + 2 + node], 1]
-    G[:m, :size + 2] = K[:, :size + 2]
-    G[:m, size + 2 + node_index] = K[:, -2]
-    G[:m, -1] = K[:, -1]
+    n, size = len(step.ahead), K.shape[1] - 4
+    G = np.zeros((2 * n + 8, size + 7))
+    # x_hat and p_hat after the sample, w = [*s[:size + 2], s[size + 2 +
+    # node], 1], under the checks and the command
+    updates = G[2 * n + 1:2 * n + 3]
+    updates[:, :size + 2] = K[:, :size + 2]
+    updates[:, size + 2 + node_index] = K[:, -2]
+    updates[:, -1] = K[:, -1]
     # the plant's nodes after the call: its rows over (T_p, T_co, T_w, T_c,
-    # T_p_cmd, T_amb, q, 1), the command the controller's row m - 3
+    # T_p_cmd, T_amb, q, 1), but the command's
     M = call.rows
-    nodes = G[m:m + 4]
-    np.multiply(M[:, 4:5], G[m - 3], out=nodes)
-    nodes[:, size + 2:size + 6] += M[:, :4]
-    nodes[:, -1] += M[:, 5] * T_amb + M[:, 7]
+    nodes = G[-5:-1]
+    nodes[:, size + 2:size + 6] = M[:, :4]
+    nodes[:, -1] = M[:, 5] * T_amb + M[:, 7]
     G[-1, -1] = 1.0
-    return _Composed(G, step, call)
+    return _Composed(G, None, step, call)
+
+
+def _held_map(controller, base, held, node_index) -> _Composed:
+    """Pattern ``held``'s composed map, from its key's ``base``: the
+    controller's checks and command, and the command's terms in the
+    plant's nodes."""
+    G, _, step, call = base
+    G = G.copy()
+    controller.steady_rows(step, held, G, G.shape[1] - 5 + node_index)
+    m = len(G) - 5
+    G[m:m + 4] += call.rows[:, 4:5] * G[m - 3]
+    return _Composed(G, held, step, call)
 
 
 #: Samples a stretch advances in one buffer before it moves its window
@@ -243,18 +277,20 @@ _WINDOWS = 256
 
 
 def _steady_run(entry, lookup, s, k, stop, end, t_s, node_index, T_amb,
-                rows):
+                applied, rows):
     """Advance samples k, k + 1, ... before ``stop`` and before time
     ``end`` by composed maps, from ``entry``, until one fails a check;
     returns the first sample not advanced, s there, and the held pattern
-    of the last one advanced.
+    of the last one advanced.  ``applied`` commands have been applied
+    before sample k.
 
     The sample from window i of the buffer writes v[:8] after the history
     it shifts out, so window i + 1 is the next s.  Its start's cap status
     is the one the sample before proved at its last substep end.
     """
-    G, step, call = entry
-    held = step.held
+    G, pattern, step, call = entry
+    held = pattern
+    d = step.d
     r, pump_on = step.setpoint, step.pump_on
     mode_lo, mode_hi = step.mode_band
     pump_lo, pump_hi = step.pump_band
@@ -275,15 +311,19 @@ def _steady_run(entry, lookup, s, k, stop, end, t_s, node_index, T_amb,
         if i == room:
             buf[:D] = buf[i:]
             i = 0
+        if applied < d:
+            # the past commands not yet applied read as the measurement
+            buf[i + size - d:i + size - applied] = meas
+            applied += 1
         v = G.dot(buf[i:i + D])
         new = v.tolist()
         if not min(new[:m]) >= 0.0:
             # the pattern's one update, as the controller tries it
-            update = step.updated(new[:m])
-            entry = lookup(update, call.cap) if update != held else None
+            update = update_from_checks(pattern, new[:m])
+            entry = lookup(update, call.cap) if update != pattern else None
             if entry is None:
                 break
-            G, step, call = entry
+            G, pattern, step, call = entry
             v = G.dot(buf[i:i + D])
             new = v.tolist()
             if not min(new[:m]) >= 0.0:
@@ -295,7 +335,7 @@ def _steady_run(entry, lookup, s, k, stop, end, t_s, node_index, T_amb,
         rows.append((t, cmd, T_p, T_co, T_w, T_c, pump_on, 0.0, 0.0, 0.0,
                      False))
         buf[i + size:i + D + 1] = v[m:]
-        held = step.held
+        held = pattern
         T_p, T_co, T_w, T_c = x = T_p1, T_co1, T_w1, T_c1
         meas = x[node_index]
         i += 1

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermocover import mpc
 from thermocover.errors import ConfigError, ConvergenceError, NumericError
@@ -12,7 +14,7 @@ from thermocover.fopdt import DiscreteFOPDT, discretize_fopdt
 from thermocover.mpc import (MAX_HORIZON, MpcConfig, PenaltyForm,
                              PumpHysteresis, ThermalController,
                              _cached_hessian, build_prediction, pump_step,
-                             solve_mpc)
+                             solve_mpc, update_from_checks)
 from thermocover.params import AmbientConfig, Mode, Target, preset_params
 from thermocover.scenario import apply_overrides, builtin_scenarios
 from thermocover.simulate import simulate
@@ -1046,3 +1048,31 @@ def test_inverse_fast_path_matches_lu_solve():
             assert sol.kkt_residual < 1e-8
             interior += 1
     assert interior >= 5
+
+
+@st.composite
+def _patterns_and_checks(draw):
+    """A held pattern of n commands, each free or held at one bound, and
+    2n KKT checks, signed zeros, NaN and infinities among them."""
+    n = draw(st.integers(1, 24))
+    sides = draw(st.lists(st.sampled_from(["free", "lower", "upper"]),
+                          min_size=n, max_size=n))
+    held = tuple(tuple(i for i, side in enumerate(sides) if side == bound)
+                 for bound in ("lower", "upper"))
+    value = st.one_of(st.sampled_from([0.0, -0.0, float("nan"), -1e-300,
+                                       1e-300]),
+                      st.floats(allow_nan=True, allow_infinity=True))
+    return held, draw(st.lists(value, min_size=2 * n, max_size=2 * n))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_patterns_and_checks())
+def test_update_from_checks_matches_toggled_form(case):
+    # the plain-Python update of the composed maps' checks is the toggled
+    # form of failing indices that it replaced: a check fails below zero,
+    # so -0.0 and NaN pass
+    held, checks = case
+    n = len(checks) // 2
+    expected = mpc._toggled(held, [c < 0.0 for c in checks[:n]],
+                            [c < 0.0 for c in checks[n:]])
+    assert update_from_checks(held, checks) == expected

@@ -1,5 +1,6 @@
 """Closed-loop simulation wiring: determinism, trace shape, contact truth."""
 
+import copy
 import importlib
 from dataclasses import replace
 
@@ -10,10 +11,11 @@ from conftest import decline_steady, observer_realization, run_realization
 from thermocover import mpc
 from thermocover.detect import detect_contacts
 from thermocover.errors import ConvergenceError, NumericError
-from thermocover.mpc import ThermalController
+from thermocover.mpc import PumpHysteresis, ThermalController
 from thermocover.observer import build_observer, observer_step
 from thermocover.params import Mode, preset_params
-from thermocover.plant import ContactEvent, ContactKind, estimate_q_aw
+from thermocover.plant import (ContactEvent, ContactKind, PlantState,
+                               cap_status, estimate_q_aw, step_plant)
 from thermocover.scenario import (ScenarioSpec, apply_overrides,
                                   builtin_scenarios)
 from thermocover.simulate import simulate
@@ -275,8 +277,9 @@ _GRASP_AT_900 = ["contact.0.start=900", "contact.0.duration=5",
     ("exp1_heat", ["peltier_lag=0.01"]),
     ("exp1_heat", ["peltier_power=6"]),
     ("exp1_cool", _GRASP_AT_900),
+    ("exp2_grasp", ["controller.penalty_form=increment"]),
 ], ids=[*builtin_scenarios(), "increment", "natural-observer", "lag-0.01",
-        "power-6", "cool-grasp-at-900"])
+        "power-6", "cool-grasp-at-900", "touch-increment"])
 def test_composed_maps_keep_every_decision(monkeypatch, name, overrides):
     # the same run with composed maps and with every sample through step
     # and step_plant: the same pump, mode, contact and held-pattern
@@ -302,8 +305,12 @@ def test_composed_maps_keep_every_decision(monkeypatch, name, overrides):
                        atol=1e-6)
 
 
-def test_composed_maps_advance_most_samples(monkeypatch):
-    # a gate that always declines would pass the tests above
+@pytest.mark.parametrize("name, most", [("exp1_heat", 180),
+                                        ("exp2_nocontact", 15)],
+                         ids=["exp1_heat", "exp2_nocontact"])
+def test_composed_maps_advance_most_samples(monkeypatch, name, most):
+    # a gate that always declines would pass the tests above; on exp2 the
+    # maps start at the first applied command, not after d = 90 of them
     step, calls = ThermalController.step, []
 
     def counting_step(ctrl, *args):
@@ -311,8 +318,58 @@ def test_composed_maps_advance_most_samples(monkeypatch):
         return step(ctrl, *args)
 
     monkeypatch.setattr(ThermalController, "step", counting_step)
-    trace = simulate(builtin_scenarios()["exp1_heat"])
-    assert len(calls) <= 0.1 * len(trace)
+    simulate(builtin_scenarios()[name])
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("applied", [1, 60])
+@pytest.mark.parametrize("pump_on", [True, False], ids=["pump-on",
+                                                        "pump-off"])
+@pytest.mark.parametrize("form", ["magnitude", "increment"])
+def test_composed_sample_before_d_commands_matches_step(applied, pump_on,
+                                                        form):
+    # with fewer than d commands applied, step pads the oldest past
+    # commands with the measurement; a composed map with the measurement in
+    # those history entries gives the same command, x_hat, p_hat and nodes
+    module = importlib.import_module("thermocover.simulate")
+    spec = apply_overrides(builtin_scenarios()["exp2_nocontact"],
+                           [f"controller.penalty_form={form}"])
+    # bands that keep the pump's state for every measurement
+    pump = (PumpHysteresis(on_band=0.3, off_band=0.0, state=True) if pump_on
+            else PumpHysteresis(on_band=1e3, off_band=0.1))
+    ctrl = ThermalController(cfg=spec.controller, ambient=spec.ambient,
+                             target=spec.target, hysteresis=pump)
+    node = PlantState._fields.index(spec.target.node)
+    preview = spec.setpoint_preview(0.0, ctrl.preview_length)
+    n_sub = round(spec.t_s / spec.dt)
+    plant = (spec.ambient, spec.dt, spec.peltier_lag, spec.peltier_power)
+    state = PlantState.uniform(spec.start_temp)
+    for _ in range(applied):
+        cmd, on = ctrl.step(state[node], state.T_w, preview)
+        params = preset_params(ctrl.mode)
+        state = step_plant(state, cmd, on, 0.0, params, *plant, n_sub=n_sub)
+    step = ctrl.steady_step(preview)
+    d = step.d
+    assert on is pump_on and 1 <= ctrl.applied == applied < d
+
+    size = len(ctrl.steady_state()) - 2
+    s = np.array([*ctrl.steady_state(), *state, 1.0])
+    s[size - d:size - applied] = state[node]
+    base = module._compose(step, params,
+                           cap_status(state.T_p, state.T_co, params.R_co,
+                                      spec.peltier_power),
+                           node, spec.ambient.T_amb, spec.peltier_lag,
+                           spec.peltier_power, spec.dt, n_sub)
+    after = copy.deepcopy(ctrl)
+    cmd, on = after.step(state[node], state.T_w, preview)
+    assert on is pump_on and after.mode is ctrl.mode
+    v = module._held_map(ctrl, base, after.held, node).G @ s
+    m = 2 * spec.controller.H
+    assert v[:m].min() >= 0.0
+    expected = [cmd, *after.steady_state()[-2:],
+                *step_plant(state, cmd, on, 0.0, params, *plant,
+                            n_sub=n_sub)]
+    assert np.max(np.abs(v[m:m + 7] - expected)) <= 1e-12
 
 
 def _poisoned(monkeypatch):
