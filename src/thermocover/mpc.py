@@ -641,7 +641,8 @@ class ThermalController:
             return None
         preview = np.asarray(preview, dtype=float)
         d, n, size = model.d, self.cfg.H, self._history.size
-        pump_on = self.hysteresis.state
+        h = self.hysteresis
+        pump_on = h.state
         # x_hat and p_hat after the offset update, over (x_hat, p_hat,
         # measurement); x_hat then moves on by the delayed command
         rows = np.zeros((2, size + 4))
@@ -654,7 +655,6 @@ class ThermalController:
         ahead = np.ones((n, 2))
         ahead[:, 0] = preview[-1]
         ahead[:preview[d:d + n].size, 0] = preview[d:d + n]
-        h = self.hysteresis
         return SteadyStep(
             rows=rows, ahead=ahead, d=d, setpoint=float(preview[0]),
             pump_on=pump_on,
@@ -675,7 +675,8 @@ class ThermalController:
         check is >= 0.  Row 2n gets the command, and without dead time and
         with the pump on, x_hat's row 2n + 1 the command's term.  The rows
         compose the offset update, z, the region map's y = R z + r and the
-        command of ``step`` and ``_command``, and expect zeros in ``out``.
+        command of ``step`` and ``_command``; ``out`` holds zeros where
+        they go.
         """
         model, cfg = self._model, self.cfg
         d, n, size = model.d, cfg.H, self._history.size

@@ -61,7 +61,7 @@ from .trace import SimTrace
 #: the largest dead time d: 20 KB on the staircases (d = 45, H = 20) and
 #: 37 KB on the touch protocols (d = 90), so at most 0.08 and 0.15 MB.
 #: With 8, the three staircases would build 235 maps and 68 bases, not 251
-#: and 103, which saves about 1 % of their run time.
+#: and 103: about 0.7 ms of builds, 1 % of their run time.
 _MAX_COMPOSED = 4
 
 
