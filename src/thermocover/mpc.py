@@ -253,21 +253,17 @@ def _region_map(a: float, b: float, d: int, n: int, W1: float, W2: float,
     return Y[:, :-1], Y[:, -1], floor, ceil
 
 
+# an infinite bound minus a command at it is NaN, which passes, as the
+# comparison does; a difference that overflows keeps its sign
+@np.errstate(over="ignore", invalid="ignore")
 def _update_held(held: tuple[tuple[int, ...], tuple[int, ...]],
                  y: np.ndarray, floor: np.ndarray, ceil: np.ndarray):
     """One primal-dual active-set update (Hintermüller, Ito & Kunisch, 2002)
     of the held pattern whose region map gave y: a free command past the
     box is held at the bound it crossed, a held command whose gradient step
     fails its bound is freed, and every other command keeps its state."""
-    return _toggled(held, y < floor, y > ceil)
-
-
-def _toggled(held, below, above):
-    """``held`` with each command that fails its test below its floor
-    toggled in the lower side, and each above its ceiling in the upper."""
-    return tuple(tuple(sorted(set(side).symmetric_difference(
-        np.flatnonzero(fails).tolist())))
-        for side, fails in zip(held, (below, above)))
+    return update_from_checks(held, [*(y - floor).tolist(),
+                                     *(ceil - y).tolist()])
 
 
 def _update_first(held: tuple[tuple[int, ...], tuple[int, ...]],
@@ -410,9 +406,8 @@ class SteadyStep(NamedTuple):
     samples that keep the controller's mode and pump state.
 
     ``rows`` take w = [*history, x_hat, p_hat, measurement, 1] to x_hat and
-    p_hat after the sample, x_hat's without the command's term, which only
-    a sample without dead time has; ``ThermalController.steady_rows`` adds
-    a held pattern's rows.  The history after the sample is w's shifted one
+    p_hat after the sample; ``ThermalController.steady_rows`` adds a held
+    pattern's rows.  The history after the sample is w's shifted one
     place, the command last.  The rows read the last ``d`` history entries
     as the past d commands, the measurement in those not yet applied.
     ``ahead`` is the preview block [refs[d:], 1] per unknown.  The sample
@@ -431,9 +426,9 @@ class SteadyStep(NamedTuple):
 
 
 def update_from_checks(held, checks) -> tuple:
-    """The pattern of ``_update_held`` where the KKT ``checks`` of pattern
-    ``held`` (y - floor, then ceil - y), evaluated, fail: below zero, a
-    NaN passing."""
+    """``held`` after one update from its evaluated KKT ``checks``, y -
+    floor then ceil - y: a command whose check lies below zero, which NaN
+    does not, is toggled in the lower side, or in the upper."""
     n = len(checks) // 2
     below = [i for i, c in enumerate(checks[:n]) if c < 0.0]
     above = [i for i, c in enumerate(checks[n:2 * n]) if c < 0.0]
@@ -466,10 +461,9 @@ class ThermalController:
                 f"{MAX_HORIZON}: the dead time spans too many samples of "
                 f"t_s = {self.cfg.t_s} s"
             )
-        max_d = max(m.d for m in self._models.values())
-        # the last max(max_d, 1) commands, oldest first, shifted in place;
-        # only the last _count of them have been applied
-        self._history = np.zeros(max(max_d, 1))
+        # the last d commands of the longest dead time, oldest first,
+        # shifted in place; only the last _count of them have been applied
+        self._history = np.zeros(max(m.d for m in self._models.values()))
         self._count = 0
         self._x_hat: float | None = None
         self._p_hat = 0.0
@@ -551,7 +545,7 @@ class ThermalController:
         if pump_on:
             d = model.d
             # the oldest of the d past commands, padded as in _command
-            u_delayed = (cmd if not d else measurement if self._count < d
+            u_delayed = (measurement if self._count < d
                          else float(self._history[-d]))
             self._x_hat = model.a * self._x_hat + model.b * u_delayed
         history = self._history
@@ -649,8 +643,7 @@ class ThermalController:
         rows[:, size:size + 3] = _OFFSET_UPDATE[pump_on]
         if pump_on:
             rows[0] *= model.a
-            if d:
-                rows[0, size - d] = model.b
+            rows[0, size - d] = model.b
         # the preview held at its last value past its end
         ahead = np.ones((n, 2))
         ahead[:, 0] = preview[-1]
@@ -672,8 +665,7 @@ class ThermalController:
         Rows 0 to 2n - 1 get the pattern's KKT test on its
         ``_critical_region`` vector y: y - floor, then ceil - y, a zero row
         where a bound is infinite; the sample keeps the pattern where every
-        check is >= 0.  Row 2n gets the command, and without dead time and
-        with the pump on, x_hat's row 2n + 1 the command's term.  The rows
+        check is >= 0.  Row 2n gets the command.  The rows
         compose the offset update, z, the region map's y = R z + r and the
         command of ``step`` and ``_command``; ``out`` holds zeros where
         they go.
@@ -715,8 +707,6 @@ class ThermalController:
             y[list(upper)] = 0.0
         if lower:
             above[list(lower)] = 0.0
-        if step.pump_on and not d:
-            out[2 * n + 1] += model.b * cmd
 
     @property
     def applied(self) -> int:

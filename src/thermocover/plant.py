@@ -15,11 +15,10 @@ applies a cached map that chains its substeps exactly.  Where the regime
 changes inside the call, it walks the substeps one map each, and re-runs
 a substep whose cap status changes inside it in shorter parts.
 
-The map keeps the plate flow after each substep as one slack row, and an
-interval that holds every slack row in coordinates relative to the plate
-command and the tank.  A call first tries to prove its start's cap status
-at every substep end from that interval, a dozen products; only where the
-interval cannot does it check the slack rows one by one.
+The map keeps the plate flow after each substep as one slack row, and a
+call checks each row against the bounds of its start's cap status
+(``cap_bounds``).  ``steady_call`` hands the same rows to the composed
+closed-loop maps, which check them within their own product.
 """
 
 from __future__ import annotations
@@ -198,11 +197,6 @@ class _SampleMap(NamedTuple):
 
     rows: tuple     # the new T_p (lagged plate only), T_co, T_w, T_c
     slack: tuple    # the plate flow (T_p - T_co) / R_co after each substep
-    # the slack rows' interval over u = (T_p - T_p_cmd, T_w - T_co,
-    # T_c - T_co, T_p_cmd - T_co, T_amb - T_co, q, 1): centre row, spread
-    # row, then the bound on the temperature sums that multiplies |T_co|;
-    # None for a call of at most _PROOF_MIN_SUBSTEPS or without a cap
-    proof: tuple | None
 
 
 #: Maps kept: both modes and pump states of a run, each cap status, a few
@@ -212,15 +206,6 @@ _MAP_CACHE_SIZE = 64
 #: Longest call served from one map, which keeps one slack row per
 #: substep; a longer call walks its substeps.
 _MAX_MAP_SUBSTEPS = 100
-
-#: Longest call whose slack rows are checked one by one without first
-#: trying the interval proof of its cap status.
-_PROOF_MIN_SUBSTEPS = 2
-
-#: Relative padding of the proof's spread: the 8-term sums of a slack row
-#: and of the proof itself round by less than 64 ulp of the sum of their
-#: terms' magnitudes, far below this.
-_PROOF_PAD = 2.0 ** -40
 
 #: Equal parts a substep is re-run in where the cap status at its end
 #: differs from its start, each held at the status at the part's start.
@@ -259,35 +244,8 @@ def _sample_map(params, pump_on, cap, peltier_lag, peltier_power, dt, n_sub,
     if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(slack))):
         raise NumericError(f"the plant's map over {n_sub} substeps of "
                            f"{dt} s is not finite")
-    proof = None
-    if capped and n_sub > _PROOF_MIN_SUBSTEPS:
-        proof = _slack_interval(np.array(slack))
     return _SampleMap(tuple(tuple(r.tolist()) for r in rows),
-                      tuple(tuple(r.tolist()) for r in slack), proof)
-
-
-def _slack_interval(slack: np.ndarray) -> tuple:
-    """``_SampleMap.proof`` of the slack rows a, one row per substep.
-
-    Row j is a_j . z = c_j . u + s_j T_co, where c_j takes a_j's entries
-    to u's coordinates and s_j sums its six temperature entries (zero but
-    for rounding and the contact term -g T_c).  Each c_j lies within the
-    centre row plus or minus the spread row, and |s_j| within the bound
-    returned last.  The spread and the bound are padded by ``_PROOF_PAD``
-    times the rows' magnitudes over u and over T_co, which covers how far
-    the computed slack and the computed interval round from the exact.
-    """
-    a0, a1, a2, a3, a4, a5, a6, a7 = slack.T
-    c = np.array([a0, a2, a3, a0 + a4, a5, a6, a7])
-    size = np.array([abs(a0), abs(a2), abs(a3), abs(a0) + abs(a4), abs(a5),
-                     abs(a6), abs(a7)]).max(axis=1)
-    hi, lo = c.max(axis=1), c.min(axis=1)
-    mid = 0.5 * (hi + lo)
-    spread = np.maximum(hi - mid, mid - lo) + _PROOF_PAD * size
-    temps = slack[:, :6]
-    sums = np.max(np.abs(temps.sum(axis=1))
-                  + _PROOF_PAD * np.abs(temps).sum(axis=1))
-    return (*mid.tolist(), *spread.tolist(), float(sums))
+                      tuple(tuple(r.tolist()) for r in slack))
 
 
 def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
@@ -305,10 +263,11 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
     control sample.  ``peltier_lag`` = 0 snaps the plate to its command;
     ``peltier_power`` = inf removes the actuator limit.
 
-    The call applies its regime's cached exact map on plain floats.  Where
-    a contact window opens or closes inside the call, the cap status at a
-    substep end differs from the start, or the call is longer than
-    ``_MAX_MAP_SUBSTEPS``, it walks the substeps (``_walk``) instead.
+    The call applies its regime's cached exact map on plain floats, after
+    checking the map's slack rows against the cap status of its start.
+    Where a contact window opens or closes inside the call, a slack row
+    leaves that status, or the call is longer than ``_MAX_MAP_SUBSTEPS``,
+    it walks the substeps (``_walk``) instead.
     """
     # the held contact flow is q - g T_c; g_near adds the windows that
     # open or close inside the call
@@ -340,25 +299,18 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
 def _advance(x, T_p_cmd, T_amb, q, regime, dt, n_sub, conductance,
              strict=True):
     """State ``x`` after ``n_sub`` substeps of the map of its cap status;
-    None where ``strict`` and the status at a substep end differs.
-
-    The status is first proven at every substep end at once from the map's
-    slack interval (``_proven``); where the interval straddles a cap, each
-    slack row is evaluated.  The interval is padded for rounding, so it
-    never shows a status that the rows would not.
-    """
+    None where ``strict`` and a slack row leaves that status's
+    ``cap_bounds``."""
     T_p, T_co, T_w, T_c = x
     params, pump_on, peltier_lag, peltier_power = regime
     cap = cap_status(T_p, T_co, params.R_co, peltier_power)
-    rows, slack, proof = _sample_map(params, pump_on, cap, peltier_lag,
-                                     peltier_power, dt, n_sub, conductance)
-    if strict and (proof is None or not _proven(
-            proof, cap, peltier_power, T_p, T_co, T_w, T_c, T_p_cmd, T_amb,
-            q)):
+    rows, slack = _sample_map(params, pump_on, cap, peltier_lag,
+                              peltier_power, dt, n_sub, conductance)
+    if strict:
+        lo, hi = cap_bounds(cap, peltier_power)
         for a0, a1, a2, a3, a4, a5, a6, a7 in slack:
-            q_p = (a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c + a4 * T_p_cmd
-                   + a5 * T_amb + a6 * q + a7)
-            if (q_p > peltier_power) - (q_p < -peltier_power) != cap:
+            if not lo <= (a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c
+                          + a4 * T_p_cmd + a5 * T_amb + a6 * q + a7) <= hi:
                 return None
     new = [a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c + a4 * T_p_cmd
            + a5 * T_amb + a6 * q + a7
@@ -373,21 +325,32 @@ def cap_status(T_p, T_co, R_co, peltier_power) -> int:
     return (q_p > peltier_power) - (q_p < -peltier_power)
 
 
+def cap_bounds(cap, peltier_power) -> tuple:
+    """The closed range (lo, hi) of the plate flows at cap status ``cap``,
+    by ``cap_status``'s comparisons: a flow equal to the cap is slack."""
+    if cap > 0:
+        return math.nextafter(peltier_power, math.inf), math.inf
+    if cap < 0:
+        return -math.inf, math.nextafter(-peltier_power, -math.inf)
+    return -peltier_power, peltier_power
+
+
 class SteadyCall(NamedTuple):
-    """A contact-free ``step_plant`` call's exact map at one cap status:
-    where ``keeps_cap`` holds, the call returns ``rows`` @ (T_p, T_co, T_w,
-    T_c, T_p_cmd, T_amb, q, 1), q the held contact flow."""
+    """A contact-free ``step_plant`` call's exact map at one cap status,
+    over (T_p, T_co, T_w, T_c, T_p_cmd, T_amb, q, 1), q the held contact
+    flow.  Where every ``slack`` row lies within ``bounds``, the call
+    applies this map and returns ``rows``."""
 
     rows: np.ndarray    # 4 x 8; the plate row is T_p_cmd's without a lag
+    # the plate flow after each substep, none without a cap; without a lag
+    # led by the flow at the start, from the plate at its command
+    slack: np.ndarray
     cap: int
-    lagged: bool
-    power: float
-    R_co: float
-    proof: tuple | None   # None without a cap
+    bounds: tuple       # cap_bounds(cap, peltier_power)
 
 
 #: Steady calls kept: both modes and pump states of a run at each cap
-#: status, 256 bytes of rows each.
+#: status, about 1 KB of rows each.
 _STEADY_CACHE_SIZE = 16
 
 
@@ -395,52 +358,24 @@ _STEADY_CACHE_SIZE = 16
 def steady_call(params, pump_on, cap, peltier_lag, peltier_power, dt,
                 n_sub) -> SteadyCall | None:
     """The read-only ``SteadyCall`` of a contact-free call at cap status
-    ``cap``; None where ``step_plant`` walks such a call, or checks its
-    slack rows one by one."""
+    ``cap``; None where ``step_plant`` walks such a call."""
     if n_sub > _MAX_MAP_SUBSTEPS:
         return None
-    rows, slack, proof = _sample_map(params, pump_on, cap, peltier_lag,
-                                     peltier_power, dt, n_sub, 0.0)
-    if slack and proof is None:
-        return None
-    rows = np.array(rows)
-    lagged = peltier_lag > 0.0
-    if not lagged:
+    rows, slack = _sample_map(params, pump_on, cap, peltier_lag,
+                              peltier_power, dt, n_sub, 0.0)
+    rows, slack = np.array(rows), np.array(slack).reshape(-1, 8)
+    if not peltier_lag > 0.0:
         # the plate snaps to its command, before the substeps and after
-        rows[:, 4] += rows[:, 0]
-        rows[:, 0] = 0.0
-        rows = np.vstack((np.eye(8)[4], rows))
-    rows.flags.writeable = False
-    return SteadyCall(rows, cap, lagged, peltier_power, params.R_co, proof)
-
-
-def keeps_cap(call: SteadyCall, T_p, T_co, T_w, T_c, T_p_cmd, T_amb) -> bool:
-    """Whether ``step_plant`` from this state and command, with no contact,
-    applies ``call``'s map, where T_p is at its cap status: the plate at
-    its command is too, and ``call``'s interval proves that every substep
-    end stays there."""
-    cap, power = call.cap, call.power
-    if not call.lagged:
-        T_p = T_p_cmd
-        if cap_status(T_p, T_co, call.R_co, power) != cap:
-            return False
-    return call.proof is None or _proven(call.proof, cap, power, T_p, T_co,
-                                         T_w, T_c, T_p_cmd, T_amb, 0.0)
-
-
-def _proven(proof, cap, power, T_p, T_co, T_w, T_c, T_p_cmd, T_amb, q):
-    """Whether ``proof`` shows every slack row at cap status ``cap``."""
-    m0, m1, m2, m3, m4, m5, m6, r0, r1, r2, r3, r4, r5, r6, sums = proof
-    u0, u1, u2 = T_p - T_p_cmd, T_w - T_co, T_c - T_co
-    u3, u4 = T_p_cmd - T_co, T_amb - T_co
-    mid = m0 * u0 + m1 * u1 + m2 * u2 + m3 * u3 + m4 * u4 + m5 * q + m6
-    rad = (r0 * abs(u0) + r1 * abs(u1) + r2 * abs(u2) + r3 * abs(u3)
-           + r4 * abs(u4) + r5 * abs(q) + r6 + sums * abs(T_co))
-    if cap > 0:
-        return mid - rad > power
-    if cap < 0:
-        return mid + rad < -power
-    return -power <= mid - rad and mid + rad <= power
+        for m in (rows, slack):
+            m[:, 4] += m[:, 0]
+            m[:, 0] = 0.0
+        e = np.eye(8)
+        rows = np.vstack((e[4], rows))
+        if len(slack):
+            slack = np.vstack(((e[4] - e[1]) / params.R_co, slack))
+    for m in (rows, slack):
+        m.flags.writeable = False
+    return SteadyCall(rows, slack, cap, cap_bounds(cap, peltier_power))
 
 
 def _walk(x, T_p_cmd, T_amb, q_i, regime, dt, n_sub, contacts, t):

@@ -13,21 +13,22 @@ sample is affine in s = [*history, x_hat, p_hat, T_p, T_co, T_w, T_c, 1],
 so the controller's rows and the plant's ``steady_call`` rows multiply
 into one matrix G per such key, and a sample is one product v = G @ s:
 the held pattern's KKT checks, the command and the rest of the next s,
-whose history is s's shifted one place.  ``_compose`` builds, once per
-mode, pump state and cap status, a base of every row that no held
-pattern changes, from the controller's ``steady_step``; a pattern's G is
-a copy of it, to which the controller's ``steady_rows`` adds the checks
-and the command, and ``_held_map`` the command's terms in the plant's
-nodes.  Until the controller has applied d commands, the history entries
-not yet applied hold the sample's measurement, as ``step`` pads them.
-The sample checks its mode and pump bands on floats, the KKT checks, and
-the plant's cap proof (``keeps_cap``); where the KKT checks fail, it
-tries the pattern's one update, as the controller does.  The first
-sample, a sample that fails a check or whose result is not finite, and
-one that a contact window or a setpoint change reaches run the
-controller's ``step`` and ``step_plant`` instead, from the state loaded
-back out of s.  The decisions are those of the per-sample path; the
-values differ from it by rounding.
+whose history is s's shifted one place, and the plant's slack rows, the
+plate flow after each substep.  ``_compose`` builds, once per mode, pump
+state and cap status, a base of every row that no held pattern changes,
+from the controller's ``steady_step``; a pattern's G is a copy of it, to
+which the controller's ``steady_rows`` adds the checks and the command,
+and ``_held_map`` the command's terms in the plant's rows.  Until the
+controller has applied d commands, the history entries not yet applied
+hold the sample's measurement, as ``step`` pads them.  The sample checks
+its mode and pump bands on floats, the KKT checks, and its plate flows
+against the bounds of the cap status (``SteadyCall.bounds``); where the
+KKT checks fail, it tries the pattern's one update, as the controller
+does.  The first sample, a sample that fails a check or whose result is
+not finite, and one that a contact window or a setpoint change reaches
+run the controller's ``step`` and ``step_plant`` instead, from the state
+loaded back out of s.  The decisions are those of the per-sample path;
+the values differ from it by rounding.
 
 The setpoint changes where a sample's time reaches the end of its segment
 (``ScenarioSpec.segments``).  A new preview is made there and kept
@@ -51,15 +52,15 @@ from .mpc import SteadyStep, ThermalController, update_from_checks
 from .observer import build_observer, observer_step
 from .params import Mode, preset_params
 from .plant import (PlantState, SteadyCall, cap_status, contact_heat_flow,
-                    estimate_q_aw, keeps_cap, pump_flow, steady_call,
-                    step_plant)
+                    estimate_q_aw, pump_flow, steady_call, step_plant)
 from .scenario import ScenarioSpec
 from .trace import SimTrace
 
 #: Composed maps and their bases a run keeps per setpoint, counted
-#: together, oldest dropped first.  Each is (2 H + 8) x (d + 7) floats for
-#: the largest dead time d: 20 KB on the staircases (d = 45, H = 20) and
-#: 37 KB on the touch protocols (d = 90), so at most 0.08 and 0.15 MB.
+#: together, oldest dropped first.  Each is (2 H + 8 + n_sub) x (d + 7)
+#: floats for the largest dead time d, one row more without a plate lag:
+#: 24 KB on the staircases (d = 45, H = 20, n_sub = 10) and 45 KB on the
+#: touch protocols (d = 90), so at most 0.10 and 0.18 MB.
 #: With 8, the three staircases would build 235 maps and 68 bases, not 251
 #: and 103: about 0.7 ms of builds, 1 % of their run time.
 _MAX_COMPOSED = 4
@@ -164,7 +165,6 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
                 if np.isfinite(s).all():
                     k, s, held = _steady_run(entry, lookup, s, k, stop,
                                              ends[segment], t_s, node_index,
-                                             ambient.T_amb,
                                              controller.applied, rows)
                 if k > k0:
                     modes.extend([mode] * (k - k0))
@@ -223,8 +223,9 @@ class _Composed(NamedTuple):
     """One key's composed map over s = [*history, x_hat, p_hat, T_p, T_co,
     T_w, T_c, 1]: v = G @ s is the controller's checks of pattern ``held``,
     then the command and the rest of the next s, whose history is the last
-    one's shifted one place.  A base has ``held`` None, and zeros in the
-    checks, the command and the terms in it."""
+    one's shifted one place, then the plant's slack rows.  A base has
+    ``held`` None, and zeros in the checks, the command and the terms in
+    it."""
 
     G: np.ndarray
     held: tuple | None
@@ -242,32 +243,33 @@ def _compose(step, params, cap, node_index, T_amb, lag, power, dt,
         return None
     K = step.rows
     n, size = len(step.ahead), K.shape[1] - 4
-    G = np.zeros((2 * n + 8, size + 7))
+    G = np.zeros((2 * n + 8 + len(call.slack), size + 7))
     # x_hat and p_hat after the sample, w = [*s[:size + 2], s[size + 2 +
     # node], 1], under the checks and the command
     updates = G[2 * n + 1:2 * n + 3]
     updates[:, :size + 2] = K[:, :size + 2]
     updates[:, size + 2 + node_index] = K[:, -2]
     updates[:, -1] = K[:, -1]
-    # the plant's nodes after the call: its rows over (T_p, T_co, T_w, T_c,
-    # T_p_cmd, T_amb, q, 1), but the command's
-    M = call.rows
-    nodes = G[-5:-1]
-    nodes[:, size + 2:size + 6] = M[:, :4]
-    nodes[:, -1] = M[:, 5] * T_amb + M[:, 7]
-    G[-1, -1] = 1.0
+    # the plant's nodes after the call and its slack rows: the call's rows
+    # over (T_p, T_co, T_w, T_c, T_p_cmd, T_amb, q, 1), but the command's
+    for out, M in ((G[2 * n + 3:2 * n + 7], call.rows),
+                   (G[2 * n + 8:], call.slack)):
+        out[:, size + 2:size + 6] = M[:, :4]
+        out[:, -1] = M[:, 5] * T_amb + M[:, 7]
+    G[2 * n + 7, -1] = 1.0
     return _Composed(G, None, step, call)
 
 
 def _held_map(controller, base, held, node_index) -> _Composed:
     """Pattern ``held``'s composed map, from its key's ``base``: the
     controller's checks and command, and the command's terms in the
-    plant's nodes."""
+    plant's nodes and slack rows."""
     G, _, step, call = base
     G = G.copy()
     controller.steady_rows(step, held, G, G.shape[1] - 5 + node_index)
-    m = len(G) - 5
-    G[m:m + 4] += call.rows[:, 4:5] * G[m - 3]
+    m = 2 * len(step.ahead)
+    G[m + 3:m + 7] += call.rows[:, 4:5] * G[m]
+    G[m + 8:] += call.slack[:, 4:5] * G[m]
     return _Composed(G, held, step, call)
 
 
@@ -276,27 +278,29 @@ def _held_map(controller, base, held, node_index) -> _Composed:
 _WINDOWS = 256
 
 
-def _steady_run(entry, lookup, s, k, stop, end, t_s, node_index, T_amb,
-                applied, rows):
+def _steady_run(entry, lookup, s, k, stop, end, t_s, node_index, applied,
+                rows):
     """Advance samples k, k + 1, ... before ``stop`` and before time
     ``end`` by composed maps, from ``entry``, until one fails a check;
     returns the first sample not advanced, s there, and the held pattern
     of the last one advanced.  ``applied`` commands have been applied
     before sample k.
 
-    The sample from window i of the buffer writes v[:8] after the history
-    it shifts out, so window i + 1 is the next s.  Its start's cap status
-    is the one the sample before proved at its last substep end.
+    The sample from window i of the buffer writes the 8 entries of v after
+    the checks over the history it shifts out, so window i + 1 is the next
+    s.  Its start's cap status is the one the sample before checked at its
+    last substep end.
     """
     G, pattern, step, call = entry
     held = pattern
     d = step.d
     r, pump_on = step.setpoint, step.pump_on
+    lo, hi = call.bounds
     mode_lo, mode_hi = step.mode_band
     pump_lo, pump_hi = step.pump_band
     D = len(s)
     size = D - 7
-    m = len(G) - 8
+    m = 2 * len(step.ahead)
     room = min(stop - k, _WINDOWS)
     buf = np.empty(D + room)
     buf[:D] = s
@@ -328,13 +332,15 @@ def _steady_run(entry, lookup, s, k, stop, end, t_s, node_index, T_amb,
             new = v.tolist()
             if not min(new[:m]) >= 0.0:
                 break
-        cmd, _, _, T_p1, T_co1, T_w1, T_c1, _ = new[m:]
-        if not (math.isfinite(sum(new))
-                and keeps_cap(call, T_p, T_co, T_w, T_c, cmd, T_amb)):
+        cmd, _, _, T_p1, T_co1, T_w1, T_c1, _ = new[m:m + 8]
+        # no slack rows without a cap
+        plate = new[m + 8:]
+        if not (math.isfinite(sum(new)) and (
+                not plate or lo <= min(plate) and max(plate) <= hi)):
             break
         rows.append((t, cmd, T_p, T_co, T_w, T_c, pump_on, 0.0, 0.0, 0.0,
                      False))
-        buf[i + size:i + D + 1] = v[m:]
+        buf[i + size:i + D + 1] = v[m:m + 8]
         held = pattern
         T_p, T_co, T_w, T_c = x = T_p1, T_co1, T_w1, T_c1
         meas = x[node_index]

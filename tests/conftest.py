@@ -32,6 +32,16 @@ def decline_steady(monkeypatch):
                         lambda *args: None)
 
 
+def toggled(held, below, above):
+    """Reference of the active-set update (``mpc.update_from_checks`` and
+    ``mpc._update_held``): ``held`` with each command that fails its test
+    below its floor toggled in the lower side, and each above its ceiling
+    in the upper, from boolean records of the tests."""
+    return tuple(tuple(sorted(set(side).symmetric_difference(
+        np.flatnonzero(fails).tolist())))
+        for side, fails in zip(held, (below, above)))
+
+
 def make_fopdt_trace(params, step=19.0, base=21.0, n=3000, t_s=1.0,
                      sigma=0.0, seed=None):
     """Synthetic single-step trace of the combined first-order model.

@@ -1,6 +1,7 @@
 """Preview controller: prediction map, box-constrained solver, pump logic."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import toggled
 from thermocover import mpc
 from thermocover.errors import ConfigError, ConvergenceError, NumericError
 from thermocover.fopdt import DiscreteFOPDT, discretize_fopdt
@@ -1051,9 +1053,10 @@ def test_inverse_fast_path_matches_lu_solve():
 
 
 @st.composite
-def _patterns_and_checks(draw):
+def _patterns_and_checks(draw, per_command=2):
     """A held pattern of n commands, each free or held at one bound, and
-    2n KKT checks, signed zeros, NaN and infinities among them."""
+    ``per_command`` * n values, 2n KKT checks by default, signed zeros, NaN
+    and infinities among them."""
     n = draw(st.integers(1, 24))
     sides = draw(st.lists(st.sampled_from(["free", "lower", "upper"]),
                           min_size=n, max_size=n))
@@ -1062,17 +1065,43 @@ def _patterns_and_checks(draw):
     value = st.one_of(st.sampled_from([0.0, -0.0, float("nan"), -1e-300,
                                        1e-300]),
                       st.floats(allow_nan=True, allow_infinity=True))
-    return held, draw(st.lists(value, min_size=2 * n, max_size=2 * n))
+    size = per_command * n
+    return held, draw(st.lists(value, min_size=size, max_size=size))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_patterns_and_checks())
 def test_update_from_checks_matches_toggled_form(case):
-    # the plain-Python update of the composed maps' checks is the toggled
-    # form of failing indices that it replaced: a check fails below zero,
-    # so -0.0 and NaN pass
+    # the active-set update that the controller, the solver and the
+    # composed maps share is the toggled form of failing indices: a check
+    # fails below zero, so -0.0 and NaN pass
     held, checks = case
     n = len(checks) // 2
-    expected = mpc._toggled(held, [c < 0.0 for c in checks[:n]],
-                            [c < 0.0 for c in checks[n:]])
+    expected = toggled(held, [c < 0.0 for c in checks[:n]],
+                       [c < 0.0 for c in checks[n:]])
     assert update_from_checks(held, checks) == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_patterns_and_checks(per_command=3))
+def test_update_held_matches_toggled_form(case):
+    # the controller's update reads y - floor and ceil - y as its checks,
+    # which fail exactly where y < floor and y > ceil, NaN and infinities
+    # included
+    held, values = case
+    y, floor, ceil = np.array(values).reshape(3, -1)
+    assert mpc._update_held(held, y, floor, ceil) == \
+        toggled(held, y < floor, y > ceil)
+
+
+@pytest.mark.parametrize("target", list(Target))
+@pytest.mark.parametrize("mode", list(Mode))
+def test_controller_dead_time_is_at_least_one_sample(mode, target):
+    # the controller has no branch for a dead time of zero samples: every
+    # preset has one, and a sampling time above it is refused
+    params = preset_params(mode, target)
+    assert params.L_d > 0.0
+    for t_s in (params.L_d, 0.75 * params.L_d, 0.5 * params.L_d, 1.0, 0.05):
+        assert discretize_fopdt(params, t_s).d >= 1
+    with pytest.raises(ConfigError):
+        discretize_fopdt(params, np.nextafter(params.L_d, math.inf))

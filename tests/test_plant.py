@@ -1,6 +1,8 @@
 """Fixed-step plant integration: equilibria, flows, stability, convergence,
 the exact per-sample maps and the substep walk where the regime changes."""
 
+import math
+import operator
 import sys
 from dataclasses import replace
 
@@ -13,14 +15,13 @@ from thermocover.errors import ConfigError, NumericError
 from thermocover.params import AmbientConfig
 from thermocover.plant import (ContactEvent, ContactKind,
                                DEFAULT_CONDUCTANCE, PlantState,
-                               _MAX_MAP_SUBSTEPS, _PROOF_MIN_SUBSTEPS,
-                               _sample_map,
-                               contact_heat_flow, max_stable_dt,
-                               network_matrices, pump_flow, step_plant)
+                               _MAX_MAP_SUBSTEPS, _sample_map, cap_bounds,
+                               cap_status, contact_heat_flow, max_stable_dt,
+                               network_matrices, pump_flow, steady_call,
+                               step_plant)
 from thermocover.scenario import builtin_scenarios
 from thermocover.simulate import simulate
 from thermocover.sysid import _plant_matrices
-from thermocover.trace import COLUMNS
 
 
 AMBIENT = AmbientConfig()
@@ -491,28 +492,58 @@ def test_builtins_rerun_from_cached_maps():
     assert _sample_map.cache_info().misses == misses
 
 
-def _proof_and_rows(monkeypatch, x, T_p_cmd, T_amb, q, regime, dt, n_sub,
-                    conductance):
-    """(the map's interval proves the start's cap status, the row loop
-    finds it at every substep end) for one ``_advance`` call."""
-    params, pump_on, lag, power = regime
-    T_p, T_co, T_w, T_c = x
-    flow = (T_p - T_co) / params.R_co
-    cap = (flow > power) - (flow < -power)
-    proof = _sample_map(params, pump_on, cap, lag, power, dt, n_sub,
-                        conductance).proof
-    proven = plant._proven(proof, cap, power, T_p, T_co, T_w, T_c, T_p_cmd,
-                           T_amb, q)
-    with monkeypatch.context() as m:
-        m.setattr(plant, "_proven", lambda *args: False)
-        rows = plant._advance(x, T_p_cmd, T_amb, q, regime, dt, n_sub,
-                              conductance) is not None
-    return proven, rows
+def _flows(slack, z):
+    """Each slack row at z = (T_p, T_co, T_w, T_c, T_p_cmd, T_amb, q, 1),
+    summed in ``_advance``'s order."""
+    return [sum(map(operator.mul, row, z))
+            for row in np.asarray(slack).tolist()]
 
 
-#: Maps the random-state proof tests cover: both modes' constants, a
-#: plate without lag, and a tank fast next to the substep.
-_PROOF_CASES = pytest.mark.parametrize("mode, C_co, dt, peltier_lag", [
+def _steady_verdict(call, z):
+    """Whether every slack row of the ``SteadyCall`` at z lies within its
+    bounds."""
+    lo, hi = call.bounds
+    return all(lo <= flow <= hi for flow in _flows(call.slack, z))
+
+
+def _advance_verdict(x, T_p_cmd, T_amb, q, regime, dt, n_sub, cap):
+    """Whether a contact-free ``step_plant`` call from state x applies the
+    map of cap status ``cap``: the plate starts there, at its command
+    without a lag, and ``_advance`` keeps it there."""
+    params, _, lag, power = regime
+    if not lag > 0.0:
+        x = (T_p_cmd, *x[1:])
+    return (cap_status(x[0], x[1], params.R_co, power) == cap
+            and plant._advance(x, T_p_cmd, T_amb, q, regime, dt, n_sub,
+                               0.0) is not None)
+
+
+def test_slack_rows_give_advance_verdict_on_builtin_calls(monkeypatch):
+    # every contact-free built-in call that one map serves, replayed at
+    # the cap status of its state, as simulate keys its composed maps: the
+    # steady call's slack rows and bounds accept it exactly where the
+    # plant does, and the plant turns down 1 to 4 % of them, near the cap
+    verdicts = []
+    for calls in _recorded_builtin_calls(monkeypatch).values():
+        for (x, cmd, pump_on, q, params, ambient, dt), kw in calls:
+            n_sub, t = kw["n_sub"], kw["t"]
+            if any(c.touches(t, t + (n_sub - 1) * dt)
+                   for c in kw["contacts"]):
+                continue
+            lag, power = kw["peltier_lag"], kw["peltier_power"]
+            cap = cap_status(x.T_p, x.T_co, params.R_co, power)
+            call = steady_call(params, pump_on, cap, lag, power, dt, n_sub)
+            steady = _steady_verdict(call, (*x, cmd, ambient.T_amb, q, 1.0))
+            assert steady == _advance_verdict(
+                x, cmd, ambient.T_amb, q, (params, pump_on, lag, power), dt,
+                n_sub, cap)
+            verdicts.append(steady)
+    assert 0 < len(verdicts) - sum(verdicts) < 0.05 * len(verdicts)
+
+
+#: Maps the random-state tests of the slack rows cover: both modes'
+#: constants, a plate without lag, and a tank fast next to the substep.
+_CAP_CASES = pytest.mark.parametrize("mode, C_co, dt, peltier_lag", [
     ("heat", None, 0.1, 2.0), ("cool", None, 0.1, 2.0),
     ("heat", None, 0.05, 0.0), ("heat", 1.0, 0.04, 0.2)],
     ids=["heat", "cool", "no-lag", "fast-tank"])
@@ -523,117 +554,105 @@ def _case_params(mode, C_co, heat_params, cool_params):
     return params if C_co is None else replace(params, C_co=C_co)
 
 
-def test_cap_proof_sound_and_settles_builtin_calls(monkeypatch):
-    # every built-in call served by one map, replayed: wherever the
-    # interval proves the cap status, every slack row agrees, and it
-    # proves nearly every call that the row loop accepts
-    mapped, advance = [], plant._advance
-
-    def record(*args, **kwargs):
-        if args[6] > _PROOF_MIN_SUBSTEPS:
-            mapped.append(args)
-        return advance(*args, **kwargs)
-
-    calls = _recorded_builtin_calls(monkeypatch)
-    monkeypatch.setattr(plant, "_advance", record)
-    for a, k in (call for c in calls.values() for call in c):
-        step_plant(*a, **k)
-    monkeypatch.undo()
-    results = [_proof_and_rows(monkeypatch, *args) for args in mapped]
-    proven = [p for p, _ in results]
-    accepted = [r for _, r in results]
-    assert not any(p and not r for p, r in results)
-    # the row loop rejects 1 to 4 % of each built-in's calls, near the cap
-    assert 0 < len(results) - sum(accepted) < 0.05 * len(results)
-    assert sum(proven) >= 0.95 * sum(accepted)
-    # the contact maps, whose temperature sums are not zero, among them
-    assert any(args[7] > 0.0 for args in mapped)
-
-
-@_PROOF_CASES
-def test_cap_proof_sound_on_random_states(monkeypatch, heat_params,
-                                          cool_params, mode, C_co, dt,
-                                          peltier_lag):
-    # states whose plate flow starts within 1 % of the cap, so that the
-    # slack rows cross it often, in both pump states, with and without a
-    # contact load: wherever the proof holds, every slack row agrees
+@_CAP_CASES
+def test_cap_proof_sound_on_random_states(heat_params, cool_params, mode,
+                                          C_co, dt, peltier_lag):
+    # a composed sample proves its cap status with its steady call's slack
+    # rows within their bounds.  States whose plate flow starts within 1 %
+    # of the cap, so that the slack rows cross it often, in both pump
+    # states, under a held contact flow; without a lag the command lies
+    # near the plate, so that the start row decides too.  Wherever no row
+    # lies within rounding of the cap, the steady call's rows and bounds
+    # give the plant's verdict, and its rows the plant's state
     params = _case_params(mode, C_co, heat_params, cool_params)
     rng = np.random.default_rng(30)
-    counts = np.zeros((2, 2), dtype=int)
+    counts = [0, 0]
     for _ in range(600):
         # plain floats, as step_plant receives them
-        power, g = (float(rng.choice(v)) for v in (
-            [6.0, 45.0], [0.0, DEFAULT_CONDUCTANCE[ContactKind.GRASP]]))
-        T_co, flow, dw, dc, dcmd, T_amb, dq = rng.uniform(
-            [5.0, 0.99, -10.0, -5.0, -10.0, 10.0, -2.0],
-            [45.0, 1.01, 10.0, 5.0, 10.0, 30.0, 2.0]).tolist()
+        power = float(rng.choice([6.0, 45.0]))
+        T_co, flow, dw, dc, dcmd, T_amb, q = rng.uniform(
+            [5.0, 0.99, -10.0, -5.0, -10.0, 10.0, -30.0],
+            [45.0, 1.01, 10.0, 5.0, 10.0, 30.0, 30.0]).tolist()
         T_p = T_co + float(rng.choice([-1.0, 1.0])) * flow * power \
             * params.R_co
         T_w = T_co + dw
-        T_c = T_w + dc
-        # without a lag the plate is held at its command
-        T_p_cmd = T_p + dcmd if peltier_lag > 0.0 else T_p
-        x = (T_p, T_co, T_w, T_c)
+        x = (T_p, T_co, T_w, T_w + dc)
+        T_p_cmd = T_p + (dcmd if peltier_lag > 0.0 else 0.01 * dcmd)
+        n_sub = int(rng.choice([3, 10]))
         regime = (params, bool(rng.integers(2)), peltier_lag, power)
-        proven, rows = _proof_and_rows(
-            monkeypatch, x, T_p_cmd, T_amb, g * 33.0 + dq, regime, dt,
-            int(rng.choice([3, 10])), g)
-        counts[int(proven), int(rows)] += 1
-    # proven but rejected by the rows: never
-    assert counts[1, 0] == 0
-    # the other three outcomes all occur
-    assert counts[0, 0] and counts[0, 1] and counts[1, 1], counts
+        cap = cap_status(T_p, T_co, params.R_co, power)
+        call = steady_call(*regime[:2], cap, *regime[2:], dt, n_sub)
+        z = (*x, T_p_cmd, T_amb, q, 1.0)
+        if any(abs(abs(flow) - power) <= 1e-9
+               for flow in _flows(call.slack, z)):
+            continue
+        steady = _steady_verdict(call, z)
+        assert steady == _advance_verdict(x, T_p_cmd, T_amb, q, regime, dt,
+                                          n_sub, cap)
+        counts[steady] += 1
+        if steady:
+            x0 = x if peltier_lag > 0.0 else (T_p_cmd, *x[1:])
+            new = plant._advance(x0, T_p_cmd, T_amb, q, regime, dt, n_sub,
+                                 0.0)
+            assert np.max(np.abs(call.rows @ z - new)) <= 1e-9
+    assert min(counts) >= 50, counts
 
 
-@_PROOF_CASES
+@_CAP_CASES
 def test_cap_proof_rejects_a_cap_just_inside_the_slack(
-        monkeypatch, heat_params, cool_params, mode, C_co, dt, peltier_lag):
-    # the cap set just inside the largest slack row of a call that starts
-    # slack: the rows reject the status, and so must the proof.  Half the
-    # states are of one temperature under a contact load that draws heat
-    # from the cover, whose slack lies in the rows' temperature sums alone
+        heat_params, cool_params, mode, C_co, dt, peltier_lag):
+    # a call that starts slack, with the cap at its largest plate flow and
+    # one ulp inside it: a flow equal to the cap is slack, so the steady
+    # call's rows and the plant accept the first and reject the second,
+    # each at its own largest flow.  Half the states are of one
+    # temperature, whose flows come from the held contact flow alone
     params = _case_params(mode, C_co, heat_params, cool_params)
     rng = np.random.default_rng(31)
     tried = 0
     for k in range(200):
-        T_co, dp, dw, dc, dcmd, dq = rng.uniform(
-            [-40.0, -20.0, -10.0, -5.0, -40.0, -2.0],
-            [80.0, 20.0, 10.0, 5.0, 40.0, 2.0]).tolist()
-        g = DEFAULT_CONDUCTANCE[ContactKind.GRASP]
-        # skin at 33 C, or at 0 C touching a cover of uniform temperature
-        q = g * 33.0 + dq
+        T_co, dp, dw, dc, dcmd, q = rng.uniform(
+            [-40.0, -20.0, -10.0, -5.0, -40.0, -30.0],
+            [80.0, 20.0, 10.0, 5.0, 40.0, 30.0]).tolist()
         if k % 2:
-            dp = dw = dc = dcmd = q = 0.0
+            dp = dw = dc = dcmd = 0.0
         T_p, T_w = T_co + dp, T_co + dw
         T_p_cmd = T_p + dcmd if peltier_lag > 0.0 else T_p
         x, T_amb = (T_p, T_co, T_w, T_w + dc), T_co + dw
         n_sub = int(rng.choice([3, 10]))
-        # the slack rows as _advance's loop evaluates them, to the bit
-        slack = _sample_map(params, True, 0, peltier_lag, 1e300, dt, n_sub,
-                            g).slack
-        largest = max(abs(a0 * x[0] + a1 * x[1] + a2 * x[2] + a3 * x[3]
-                          + a4 * T_p_cmd + a5 * T_amb + a6 * q + a7)
-                      for a0, a1, a2, a3, a4, a5, a6, a7 in slack)
-        # one ulp below the largest row, so that the rows reject
-        power = float(np.nextafter(largest, 0.0))
-        if not (power > 0.0 and abs(T_p - T_co) / params.R_co <= power):
+        z = (*x, T_p_cmd, T_amb, q, 1.0)
+        # the cap-0 maps are those of any cap
+        slack = steady_call(params, True, 0, peltier_lag, 1e300, dt,
+                            n_sub).slack
+        walked = _sample_map(params, True, 0, peltier_lag, 1e300, dt, n_sub,
+                             0.0).slack
+        sides = [
+            (max(map(abs, _flows(slack, z))),
+             lambda power: _steady_verdict(steady_call(
+                 params, True, 0, peltier_lag, power, dt, n_sub), z)),
+            (max(map(abs, _flows(walked, z))),
+             lambda power: _advance_verdict(
+                 x, T_p_cmd, T_amb, q, (params, True, peltier_lag, power),
+                 dt, n_sub, 0))]
+        start = abs(T_p - T_co) / params.R_co
+        if not all(start < largest for largest, _ in sides):
             continue
         tried += 1
-        assert _proof_and_rows(monkeypatch, x, T_p_cmd, T_amb, q,
-                               (params, True, peltier_lag, power), dt, n_sub,
-                               g) == (False, False)
-    assert tried >= 100
+        for largest, verdict in sides:
+            assert verdict(largest)
+            assert not verdict(float(np.nextafter(largest, 0.0)))
+    assert tried >= 80, tried
 
 
-def test_cap_proof_leaves_builtin_traces_bit_identical(monkeypatch):
-    # the six built-ins with the proof and with the row loop alone, every
-    # sample through step_plant
-    decline_steady(monkeypatch)
-    specs = builtin_scenarios()
-    proven = {name: simulate(spec) for name, spec in specs.items()}
-    monkeypatch.setattr(plant, "_proven", lambda *args: False)
-    for name, spec in specs.items():
-        rows = simulate(spec)
-        for c in COLUMNS:
-            assert getattr(rows, c).tobytes() == \
-                getattr(proven[name], c).tobytes(), (name, c)
+def test_cap_bounds_follow_cap_status():
+    # a flow lies within its cap status's bounds exactly where cap_status
+    # gives that status: a flow equal to the cap is slack
+    for power in (1e-300, 6.0, 60.0, 1e300):
+        flows = [0.0, -0.0, math.inf, -math.inf]
+        for edge in (power, -power, 2.0 * power, -2.0 * power):
+            flows += [edge, float(np.nextafter(edge, math.inf)),
+                      float(np.nextafter(edge, -math.inf))]
+        for flow in flows:
+            status = (flow > power) - (flow < -power)
+            for cap in (-1, 0, 1):
+                lo, hi = cap_bounds(cap, power)
+                assert (lo <= flow <= hi) == (status == cap), (power, flow)

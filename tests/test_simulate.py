@@ -278,8 +278,9 @@ _GRASP_AT_900 = ["contact.0.start=900", "contact.0.duration=5",
     ("exp1_heat", ["peltier_power=6"]),
     ("exp1_cool", _GRASP_AT_900),
     ("exp2_grasp", ["controller.penalty_form=increment"]),
+    ("exp1_heat", ["peltier_lag=0"]),
 ], ids=[*builtin_scenarios(), "increment", "natural-observer", "lag-0.01",
-        "power-6", "cool-grasp-at-900", "touch-increment"])
+        "power-6", "cool-grasp-at-900", "touch-increment", "lag-0"])
 def test_composed_maps_keep_every_decision(monkeypatch, name, overrides):
     # the same run with composed maps and with every sample through step
     # and step_plant: the same pump, mode, contact and held-pattern
@@ -364,12 +365,18 @@ def test_composed_sample_before_d_commands_matches_step(applied, pump_on,
     cmd, on = after.step(state[node], state.T_w, preview)
     assert on is pump_on and after.mode is ctrl.mode
     v = module._held_map(ctrl, base, after.held, node).G @ s
+    # v: the checks, the command, x_hat, p_hat, the nodes, 1, the plate
+    # flow after each substep
     m = 2 * spec.controller.H
     assert v[:m].min() >= 0.0
     expected = [cmd, *after.steady_state()[-2:],
                 *step_plant(state, cmd, on, 0.0, params, *plant,
-                            n_sub=n_sub)]
-    assert np.max(np.abs(v[m:m + 7] - expected)) <= 1e-12
+                            n_sub=n_sub), 1.0]
+    assert np.max(np.abs(v[m:m + 8] - expected)) <= 1e-12
+    flows = base.call.slack @ [*state, cmd, spec.ambient.T_amb, 0.0, 1.0]
+    assert len(flows) == n_sub
+    # the nodes' bound, in W
+    assert np.max(np.abs(v[m + 8:] - flows)) <= 1e-12 / params.R_co
 
 
 def _poisoned(monkeypatch):
