@@ -462,7 +462,8 @@ class ThermalController:
                 f"t_s = {self.cfg.t_s} s"
             )
         # the last d commands of the longest dead time, oldest first,
-        # shifted in place; only the last _count of them have been applied
+        # shifted in place; only the last _count of them have been applied,
+        # and step writes its measurement into the rest
         self._history = np.zeros(max(m.d for m in self._models.values()))
         self._count = 0
         self._x_hat: float | None = None
@@ -515,6 +516,9 @@ class ThermalController:
                     raise NumericError(
                         f"controller {name} is not finite: {value}")
         r_now = float(preview[0])
+        # the past commands not yet applied read as the measurement
+        history = self._history
+        history[:history.size - self._count] = measurement
 
         new_mode = self._select_mode(r_now, T_w)
         if new_mode is not self.mode:
@@ -541,28 +545,24 @@ class ThermalController:
         else:
             self._x_hat = measurement - self._p_hat
 
-        cmd = self._command(model, measurement, preview)
+        cmd = self._command(model, preview)
         if pump_on:
-            d = model.d
-            # the oldest of the d past commands, padded as in _command
-            u_delayed = (measurement if self._count < d
-                         else float(self._history[-d]))
-            self._x_hat = model.a * self._x_hat + model.b * u_delayed
-        history = self._history
+            # the oldest of the d past commands
+            self._x_hat = (model.a * self._x_hat
+                           + model.b * float(history[-model.d]))
         history[:-1] = history[1:]
         history[-1] = cmd
         self._count = min(self._count + 1, history.size)
         return cmd, pump_on
 
-    def _command(self, model: DiscreteFOPDT, measurement: float,
-                 preview: np.ndarray) -> float:
+    def _command(self, model: DiscreteFOPDT, preview: np.ndarray) -> float:
         """First command of the preview QP's minimizer.
 
-        The past d commands come from the history array; until d commands
-        have been applied, the missing oldest ones are the current
-        measurement.  What the controller knows, z, is written afresh each
-        call, and the maps (Bemporad, Morari, Dua & Pistikopoulos, 2002) of
-        the held patterns come from ``_region_map``'s cache.  Two patterns
+        The past d commands come from the history array, which ``step``
+        pads with the measurement where no command has been applied yet.
+        What the controller knows, z, is written afresh each call, and the
+        maps (Bemporad, Morari, Dua & Pistikopoulos, 2002) of the held
+        patterns come from ``_region_map``'s cache.  Two patterns
         are tried: the last sample's, then its update by ``_update_held``.
         Where both fail the KKT test, the QP is built and solved from the
         second, and the solution's active bounds are the next sample's
@@ -578,12 +578,7 @@ class ThermalController:
         z = np.empty(d + n + 2)
         z[0] = self._x_hat
         z_past, z_refs = z[1:d + 1], z[d + 1:-1]
-        recent = history[history.size - d:]
-        if count >= d:
-            z_past[...] = recent
-        else:
-            z_past[:d - count] = measurement
-            z_past[d - count:] = recent[d - count:]
+        z_past[...] = history[history.size - d:]
         p_hat = self._p_hat
         ahead = preview[d:d + n]
         np.subtract(ahead, p_hat, z_refs[:ahead.size])

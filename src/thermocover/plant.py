@@ -17,8 +17,11 @@ a substep whose cap status changes inside it in shorter parts.
 
 The map keeps the plate flow after each substep as one slack row, and a
 call checks each row against the bounds of its start's cap status
-(``cap_bounds``).  ``steady_call`` hands the same rows to the composed
-closed-loop maps, which check them within their own product.
+(``cap_bounds``).  Without a plate lag the map starts the plate at its
+command, and a first slack row checks the flow there.  ``sample_map``
+builds and caches each map once, as arrays for the composed closed-loop
+maps, which check the slack rows within their own product, and as tuples
+for ``step_plant``.
 """
 
 from __future__ import annotations
@@ -191,16 +194,26 @@ def _check_step(params, dt, peltier_lag, peltier_power, n_sub, conductance):
         )
 
 
-class _SampleMap(NamedTuple):
-    """One call's exact map, as coefficients over (T_p, T_co, T_w, T_c,
-    T_p_cmd, T_amb, q, 1), where the held contact flow is q - g T_c."""
+class SampleMap(NamedTuple):
+    """A call's exact map at cap status ``cap``, as coefficients over
+    (T_p, T_co, T_w, T_c, T_p_cmd, T_amb, q, 1), where the held contact
+    flow is q - g T_c.  Where every ``slack`` row lies within ``bounds``,
+    the call applies this map and returns ``rows``."""
 
-    rows: tuple     # the new T_p (lagged plate only), T_co, T_w, T_c
-    slack: tuple    # the plate flow (T_p - T_co) / R_co after each substep
+    rows: np.ndarray    # 4 x 8; the plate row is T_p_cmd's without a lag
+    # the plate flow after each substep, none without a cap; without a lag
+    # led by the flow at the start, from the plate at its command
+    slack: np.ndarray
+    cap: int
+    bounds: tuple       # cap_bounds(cap, peltier_power)
+    # rows and slack as tuples of floats, which _advance sums one by one
+    row_terms: tuple
+    slack_terms: tuple
 
 
 #: Maps kept: both modes and pump states of a run, each cap status, a few
-#: contact loads and plate settings, and the one-substep maps of the walk.
+#: contact loads and plate settings, and the one-substep maps of the walk;
+#: the six built-ins build 41.
 _MAP_CACHE_SIZE = 64
 
 #: Longest call served from one map, which keeps one slack row per
@@ -216,11 +229,14 @@ _CAP_PARTS = 8
 @functools.lru_cache(maxsize=_MAP_CACHE_SIZE, typed=True)
 # a constant large enough to overflow is reported by the check at the end
 @np.errstate(all="ignore")
-def _sample_map(params, pump_on, cap, peltier_lag, peltier_power, dt, n_sub,
-                conductance) -> _SampleMap:
-    """Read-only map of ``n_sub`` substeps at cap status ``cap`` (-1, 0 or
-    +1) with contacts of summed ``conductance`` open throughout."""
+def sample_map(params, pump_on, cap, peltier_lag, peltier_power, dt, n_sub,
+               conductance) -> SampleMap | None:
+    """The read-only ``SampleMap`` of ``n_sub`` substeps at cap status
+    ``cap`` (-1, 0 or +1) with contacts of summed ``conductance`` open
+    throughout; None above ``_MAX_MAP_SUBSTEPS``, where a call walks."""
     _check_step(params, dt, peltier_lag, peltier_power, n_sub, conductance)
+    if n_sub > _MAX_MAP_SUBSTEPS:
+        return None
     A, B = network_matrices(params.R_w, params.C_w, params.R_c, params.C_c,
                             params.R_aw, params.C_co, params.R_co, pump_on,
                             peltier_lag, at_cap=cap != 0)
@@ -236,16 +252,24 @@ def _sample_map(params, pump_on, cap, peltier_lag, peltier_power, dt, n_sub,
     capped = peltier_power < math.inf
     M = np.eye(8)
     slack = []
+    if not peltier_lag > 0.0:
+        # the plate snaps to its command, which no substep moves
+        M[0] = M[4]
+        if capped:
+            slack.append((M[0] - M[1]) / params.R_co)
     for _ in range(n_sub):
         M = S @ M
         if capped:
             slack.append((M[0] - M[1]) / params.R_co)
-    rows = M[:4] if peltier_lag > 0.0 else M[1:4]
+    rows, slack = M[:4], np.array(slack).reshape(-1, 8)
     if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(slack))):
         raise NumericError(f"the plant's map over {n_sub} substeps of "
                            f"{dt} s is not finite")
-    return _SampleMap(tuple(tuple(r.tolist()) for r in rows),
-                      tuple(tuple(r.tolist()) for r in slack))
+    for m in (rows, slack):
+        m.flags.writeable = False
+    return SampleMap(rows, slack, cap, cap_bounds(cap, peltier_power),
+                     tuple(map(tuple, rows.tolist())),
+                     tuple(map(tuple, slack.tolist())))
 
 
 def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
@@ -263,11 +287,12 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
     control sample.  ``peltier_lag`` = 0 snaps the plate to its command;
     ``peltier_power`` = inf removes the actuator limit.
 
-    The call applies its regime's cached exact map on plain floats, after
-    checking the map's slack rows against the cap status of its start.
-    Where a contact window opens or closes inside the call, a slack row
-    leaves that status, or the call is longer than ``_MAX_MAP_SUBSTEPS``,
-    it walks the substeps (``_walk``) instead.
+    The call applies its regime's cached ``sample_map`` on plain floats,
+    after checking the map's slack rows against the cap status of its
+    start, the plate at its command without a lag.  Where a contact window
+    opens or closes inside the call, a slack row leaves that status, or
+    the call is longer than ``_MAX_MAP_SUBSTEPS``, it walks the substeps
+    (``_walk``) instead.
     """
     # the held contact flow is q - g T_c; g_near adds the windows that
     # open or close inside the call
@@ -282,14 +307,14 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
                     q += c.contact_conductance * c.T_skin
                 else:
                     edge = True
-    x = state if peltier_lag > 0.0 else (T_p_cmd, *state[1:])
     regime = (params, pump_on, peltier_lag, peltier_power)
     new = None
-    if not edge and n_sub <= _MAX_MAP_SUBSTEPS:
-        new = _advance(x, T_p_cmd, ambient.T_amb, q, regime, dt, n_sub, g)
+    if not edge:
+        new = _advance(state, T_p_cmd, ambient.T_amb, q, regime, dt, n_sub,
+                       g)
     if new is None:
         _check_step(params, dt, peltier_lag, peltier_power, n_sub, g_near)
-        new = _walk(x, T_p_cmd, ambient.T_amb, q_i, regime, dt, n_sub,
+        new = _walk(state, T_p_cmd, ambient.T_amb, q_i, regime, dt, n_sub,
                     contacts, t)
     if not all(map(math.isfinite, new)):
         raise NumericError("non-finite plant state")
@@ -298,24 +323,27 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
 
 def _advance(x, T_p_cmd, T_amb, q, regime, dt, n_sub, conductance,
              strict=True):
-    """State ``x`` after ``n_sub`` substeps of the map of its cap status;
-    None where ``strict`` and a slack row leaves that status's
+    """State ``x`` after ``n_sub`` substeps of the map of its cap status,
+    taken from the plate's command without a lag; None where the call has
+    no map, or where ``strict`` and a slack row leaves that status's
     ``cap_bounds``."""
     T_p, T_co, T_w, T_c = x
     params, pump_on, peltier_lag, peltier_power = regime
-    cap = cap_status(T_p, T_co, params.R_co, peltier_power)
-    rows, slack = _sample_map(params, pump_on, cap, peltier_lag,
-                              peltier_power, dt, n_sub, conductance)
+    cap = cap_status(T_p if peltier_lag > 0.0 else T_p_cmd, T_co,
+                     params.R_co, peltier_power)
+    smap = sample_map(params, pump_on, cap, peltier_lag, peltier_power, dt,
+                      n_sub, conductance)
+    if smap is None:
+        return None
     if strict:
-        lo, hi = cap_bounds(cap, peltier_power)
-        for a0, a1, a2, a3, a4, a5, a6, a7 in slack:
+        lo, hi = smap.bounds
+        for a0, a1, a2, a3, a4, a5, a6, a7 in smap.slack_terms:
             if not lo <= (a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c
                           + a4 * T_p_cmd + a5 * T_amb + a6 * q + a7) <= hi:
                 return None
-    new = [a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c + a4 * T_p_cmd
-           + a5 * T_amb + a6 * q + a7
-           for a0, a1, a2, a3, a4, a5, a6, a7 in rows]
-    return new if peltier_lag > 0.0 else [T_p_cmd, *new]
+    return [a0 * T_p + a1 * T_co + a2 * T_w + a3 * T_c + a4 * T_p_cmd
+            + a5 * T_amb + a6 * q + a7
+            for a0, a1, a2, a3, a4, a5, a6, a7 in smap.row_terms]
 
 
 def cap_status(T_p, T_co, R_co, peltier_power) -> int:
@@ -333,49 +361,6 @@ def cap_bounds(cap, peltier_power) -> tuple:
     if cap < 0:
         return -math.inf, math.nextafter(-peltier_power, -math.inf)
     return -peltier_power, peltier_power
-
-
-class SteadyCall(NamedTuple):
-    """A contact-free ``step_plant`` call's exact map at one cap status,
-    over (T_p, T_co, T_w, T_c, T_p_cmd, T_amb, q, 1), q the held contact
-    flow.  Where every ``slack`` row lies within ``bounds``, the call
-    applies this map and returns ``rows``."""
-
-    rows: np.ndarray    # 4 x 8; the plate row is T_p_cmd's without a lag
-    # the plate flow after each substep, none without a cap; without a lag
-    # led by the flow at the start, from the plate at its command
-    slack: np.ndarray
-    cap: int
-    bounds: tuple       # cap_bounds(cap, peltier_power)
-
-
-#: Steady calls kept: both modes and pump states of a run at each cap
-#: status, about 1 KB of rows each.
-_STEADY_CACHE_SIZE = 16
-
-
-@functools.lru_cache(maxsize=_STEADY_CACHE_SIZE, typed=True)
-def steady_call(params, pump_on, cap, peltier_lag, peltier_power, dt,
-                n_sub) -> SteadyCall | None:
-    """The read-only ``SteadyCall`` of a contact-free call at cap status
-    ``cap``; None where ``step_plant`` walks such a call."""
-    if n_sub > _MAX_MAP_SUBSTEPS:
-        return None
-    rows, slack = _sample_map(params, pump_on, cap, peltier_lag,
-                              peltier_power, dt, n_sub, 0.0)
-    rows, slack = np.array(rows), np.array(slack).reshape(-1, 8)
-    if not peltier_lag > 0.0:
-        # the plate snaps to its command, before the substeps and after
-        for m in (rows, slack):
-            m[:, 4] += m[:, 0]
-            m[:, 0] = 0.0
-        e = np.eye(8)
-        rows = np.vstack((e[4], rows))
-        if len(slack):
-            slack = np.vstack(((e[4] - e[1]) / params.R_co, slack))
-    for m in (rows, slack):
-        m.flags.writeable = False
-    return SteadyCall(rows, slack, cap, cap_bounds(cap, peltier_power))
 
 
 def _walk(x, T_p_cmd, T_amb, q_i, regime, dt, n_sub, contacts, t):

@@ -10,7 +10,7 @@ deterministic: the same scenario always produces a bit-identical trace.
 Most samples keep what the one before decided: the controller's mode, pump
 state and held pattern, the plant's cap status, and the setpoint.  Such a
 sample is affine in s = [*history, x_hat, p_hat, T_p, T_co, T_w, T_c, 1],
-so the controller's rows and the plant's ``steady_call`` rows multiply
+so the controller's rows and the plant's ``sample_map`` rows multiply
 into one matrix G per such key, and a sample is one product v = G @ s:
 the held pattern's KKT checks, the command and the rest of the next s,
 whose history is s's shifted one place, and the plant's slack rows, the
@@ -22,7 +22,7 @@ and ``_held_map`` the command's terms in the plant's rows.  Until the
 controller has applied d commands, the history entries not yet applied
 hold the sample's measurement, as ``step`` pads them.  The sample checks
 its mode and pump bands on floats, the KKT checks, and its plate flows
-against the bounds of the cap status (``SteadyCall.bounds``); where the
+against the bounds of the cap status (``SampleMap.bounds``); where the
 KKT checks fail, it tries the pattern's one update, as the controller
 does.  The first sample, a sample that fails a check or whose result is
 not finite, and one that a contact window or a setpoint change reaches
@@ -51,8 +51,8 @@ from .errors import ThermocoverError
 from .mpc import SteadyStep, ThermalController, update_from_checks
 from .observer import build_observer, observer_step
 from .params import Mode, preset_params
-from .plant import (PlantState, SteadyCall, cap_status, contact_heat_flow,
-                    estimate_q_aw, pump_flow, steady_call, step_plant)
+from .plant import (PlantState, SampleMap, cap_status, contact_heat_flow,
+                    estimate_q_aw, pump_flow, sample_map, step_plant)
 from .scenario import ScenarioSpec
 from .trace import SimTrace
 
@@ -230,7 +230,7 @@ class _Composed(NamedTuple):
     G: np.ndarray
     held: tuple | None
     step: SteadyStep
-    call: SteadyCall
+    call: SampleMap
 
 
 def _compose(step, params, cap, node_index, T_amb, lag, power, dt,
@@ -238,7 +238,7 @@ def _compose(step, params, cap, node_index, T_amb, lag, power, dt,
     """The base of the composed maps of the controller's ``step`` and the
     plant's contact-free call at cap status ``cap``; None where the plant
     walks such a call."""
-    call = steady_call(params, step.pump_on, cap, lag, power, dt, n_sub)
+    call = sample_map(params, step.pump_on, cap, lag, power, dt, n_sub, 0.0)
     if call is None:
         return None
     K = step.rows

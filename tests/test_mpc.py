@@ -444,8 +444,8 @@ def _map_samples(monkeypatch, specs):
     reference), the command it returned, whether the past commands were
     padded at startup, and the path that gave the command: the first
     pattern tried, its update, or the solver."""
-    samples, events = [], []
-    command = ThermalController._command
+    samples, events, measured = [], [], []
+    step, command = ThermalController.step, ThermalController._command
     update_held, solve = mpc._update_held, mpc.solve_mpc
 
     def recording_update(*args):
@@ -456,16 +456,20 @@ def _map_samples(monkeypatch, specs):
         events.append("solve")
         return solve(*args, **kwargs)
 
-    def recording(ctrl, model, measurement, preview):
+    def recording_step(ctrl, measurement, *args):
+        measured.append(measurement)
+        return step(ctrl, measurement, *args)
+
+    def recording(ctrl, model, preview):
         events.clear()
         # the history before this sample's command is appended; until d
         # commands exist the past is padded with the measurement
         history, count = ctrl._history, ctrl._count
         applied = history[history.size - count:].tolist()
-        padded = [measurement] * (model.d - count) + applied
+        padded = [measured[-1]] * (model.d - count) + applied
         past = padded[len(padded) - model.d:]
         u_prev = applied[-1] if applied else None
-        cmd = command(ctrl, model, measurement, preview)
+        cmd = command(ctrl, model, preview)
         path = ("solver" if "solve" in events
                 else "update" if "update" in events else "first")
         samples.append((ctrl.cfg, model, ctrl._x_hat, ctrl._p_hat,
@@ -475,6 +479,7 @@ def _map_samples(monkeypatch, specs):
 
     monkeypatch.setattr(mpc, "_update_held", recording_update)
     monkeypatch.setattr(mpc, "solve_mpc", recording_solve)
+    monkeypatch.setattr(ThermalController, "step", recording_step)
     monkeypatch.setattr(ThermalController, "_command", recording)
     for spec in specs:
         simulate(spec)

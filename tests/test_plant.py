@@ -15,9 +15,9 @@ from thermocover.errors import ConfigError, NumericError
 from thermocover.params import AmbientConfig
 from thermocover.plant import (ContactEvent, ContactKind,
                                DEFAULT_CONDUCTANCE, PlantState,
-                               _MAX_MAP_SUBSTEPS, _sample_map, cap_bounds,
-                               cap_status, contact_heat_flow, max_stable_dt,
-                               network_matrices, pump_flow, steady_call,
+                               _MAX_MAP_SUBSTEPS, cap_bounds, cap_status,
+                               contact_heat_flow, max_stable_dt,
+                               network_matrices, pump_flow, sample_map,
                                step_plant)
 from thermocover.scenario import builtin_scenarios
 from thermocover.simulate import simulate
@@ -486,10 +486,10 @@ def test_builtins_rerun_from_cached_maps():
     specs = builtin_scenarios().values()
     for spec in specs:
         simulate(spec)
-    misses = _sample_map.cache_info().misses
+    misses = sample_map.cache_info().misses
     for spec in specs:
         simulate(spec)
-    assert _sample_map.cache_info().misses == misses
+    assert sample_map.cache_info().misses == misses
 
 
 def _flows(slack, z):
@@ -500,7 +500,7 @@ def _flows(slack, z):
 
 
 def _steady_verdict(call, z):
-    """Whether every slack row of the ``SteadyCall`` at z lies within its
+    """Whether every slack row of the ``SampleMap`` at z lies within its
     bounds."""
     lo, hi = call.bounds
     return all(lo <= flow <= hi for flow in _flows(call.slack, z))
@@ -532,7 +532,8 @@ def test_slack_rows_give_advance_verdict_on_builtin_calls(monkeypatch):
                 continue
             lag, power = kw["peltier_lag"], kw["peltier_power"]
             cap = cap_status(x.T_p, x.T_co, params.R_co, power)
-            call = steady_call(params, pump_on, cap, lag, power, dt, n_sub)
+            call = sample_map(params, pump_on, cap, lag, power, dt, n_sub,
+                              0.0)
             steady = _steady_verdict(call, (*x, cmd, ambient.T_amb, q, 1.0))
             assert steady == _advance_verdict(
                 x, cmd, ambient.T_amb, q, (params, pump_on, lag, power), dt,
@@ -581,7 +582,7 @@ def test_cap_proof_sound_on_random_states(heat_params, cool_params, mode,
         n_sub = int(rng.choice([3, 10]))
         regime = (params, bool(rng.integers(2)), peltier_lag, power)
         cap = cap_status(T_p, T_co, params.R_co, power)
-        call = steady_call(*regime[:2], cap, *regime[2:], dt, n_sub)
+        call = sample_map(*regime[:2], cap, *regime[2:], dt, n_sub, 0.0)
         z = (*x, T_p_cmd, T_amb, q, 1.0)
         if any(abs(abs(flow) - power) <= 1e-9
                for flow in _flows(call.slack, z)):
@@ -621,15 +622,13 @@ def test_cap_proof_rejects_a_cap_just_inside_the_slack(
         n_sub = int(rng.choice([3, 10]))
         z = (*x, T_p_cmd, T_amb, q, 1.0)
         # the cap-0 maps are those of any cap
-        slack = steady_call(params, True, 0, peltier_lag, 1e300, dt,
-                            n_sub).slack
-        walked = _sample_map(params, True, 0, peltier_lag, 1e300, dt, n_sub,
-                             0.0).slack
+        largest = max(map(abs, _flows(sample_map(
+            params, True, 0, peltier_lag, 1e300, dt, n_sub, 0.0).slack, z)))
         sides = [
-            (max(map(abs, _flows(slack, z))),
-             lambda power: _steady_verdict(steady_call(
-                 params, True, 0, peltier_lag, power, dt, n_sub), z)),
-            (max(map(abs, _flows(walked, z))),
+            (largest,
+             lambda power: _steady_verdict(sample_map(
+                 params, True, 0, peltier_lag, power, dt, n_sub, 0.0), z)),
+            (largest,
              lambda power: _advance_verdict(
                  x, T_p_cmd, T_amb, q, (params, True, peltier_lag, power),
                  dt, n_sub, 0))]

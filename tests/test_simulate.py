@@ -15,7 +15,8 @@ from thermocover.mpc import PumpHysteresis, ThermalController
 from thermocover.observer import build_observer, observer_step
 from thermocover.params import Mode, preset_params
 from thermocover.plant import (ContactEvent, ContactKind, PlantState,
-                               cap_status, estimate_q_aw, step_plant)
+                               cap_status, estimate_q_aw, sample_map,
+                               step_plant)
 from thermocover.scenario import (ScenarioSpec, apply_overrides,
                                   builtin_scenarios)
 from thermocover.simulate import simulate
@@ -279,8 +280,10 @@ _GRASP_AT_900 = ["contact.0.start=900", "contact.0.duration=5",
     ("exp1_cool", _GRASP_AT_900),
     ("exp2_grasp", ["controller.penalty_form=increment"]),
     ("exp1_heat", ["peltier_lag=0"]),
+    ("exp1_heat", ["peltier_lag=0", "peltier_power=6"]),
 ], ids=[*builtin_scenarios(), "increment", "natural-observer", "lag-0.01",
-        "power-6", "cool-grasp-at-900", "touch-increment", "lag-0"])
+        "power-6", "cool-grasp-at-900", "touch-increment", "lag-0",
+        "lag-0-power-6"])
 def test_composed_maps_keep_every_decision(monkeypatch, name, overrides):
     # the same run with composed maps and with every sample through step
     # and step_plant: the same pump, mode, contact and held-pattern
@@ -379,11 +382,53 @@ def test_composed_sample_before_d_commands_matches_step(applied, pump_on,
     assert np.max(np.abs(v[m + 8:] - flows)) <= 1e-12 / params.R_co
 
 
+@pytest.mark.parametrize("peltier_lag", [2.0, 0.0], ids=["lag-2", "lag-0"])
+def test_composed_maps_and_step_plant_read_one_cached_map(peltier_lag):
+    # one cache serves both paths: each base's plant map is the object that
+    # sample_map returns for a contact-free call, and step_plant reads it
+    # without a build.  A snapped plate's map starts the plate at its
+    # command: its T_p column is zero, its plate row is T_p_cmd's, and the
+    # plate flow there leads the slack rows
+    module = importlib.import_module("thermocover.simulate")
+    spec = apply_overrides(builtin_scenarios()["exp1_heat"],
+                           [f"peltier_lag={peltier_lag}"])
+    ctrl = ThermalController(cfg=spec.controller, ambient=spec.ambient,
+                             target=spec.target)
+    preview = spec.setpoint_preview(0.0, ctrl.preview_length)
+    state = PlantState.uniform(spec.start_temp)
+    node = PlantState._fields.index(spec.target.node)
+    _, on = ctrl.step(state[node], state.T_w, preview)
+    step, params = ctrl.steady_step(preview), preset_params(ctrl.mode)
+    n_sub = round(spec.t_s / spec.dt)
+    regime = (spec.peltier_lag, spec.peltier_power, spec.dt, n_sub)
+    e = np.eye(8)
+    for cap in (-1, 0, 1):
+        base = module._compose(step, params, cap, node, spec.ambient.T_amb,
+                               *regime)
+        call = sample_map(params, on, cap, *regime, 0.0)
+        assert base.call is call
+        assert call.rows.shape == (4, 8)
+        if peltier_lag:
+            assert len(call.slack) == n_sub
+        else:
+            assert len(call.slack) == n_sub + 1
+            assert not call.rows[:, 0].any() and not call.slack[:, 0].any()
+            assert call.rows[0].tolist() == e[4].tolist()
+            assert call.slack[0].tolist() == \
+                ((e[4] - e[1]) / params.R_co).tolist()
+    # a call whose plate flow stays far within the cap
+    built = sample_map.cache_info()
+    step_plant(state, state.T_p, on, 0.0, params, spec.ambient, spec.dt,
+               spec.peltier_lag, spec.peltier_power, n_sub=n_sub)
+    assert sample_map.cache_info().misses == built.misses
+    assert sample_map.cache_info().hits == built.hits + 1
+
+
 def _poisoned(monkeypatch):
     """Give every composed map a plant row that is not finite, so that
     each sample it would advance falls back to step and step_plant."""
     module = importlib.import_module("thermocover.simulate")
-    real = module.steady_call
+    real = module.sample_map
 
     def poisoned(*args):
         call = real(*args)
@@ -393,7 +438,7 @@ def _poisoned(monkeypatch):
         rows[-1, -1] = np.nan
         return call._replace(rows=rows)
 
-    monkeypatch.setattr(module, "steady_call", poisoned)
+    monkeypatch.setattr(module, "sample_map", poisoned)
 
 
 def test_non_finite_composed_result_reruns_the_sample(monkeypatch):
