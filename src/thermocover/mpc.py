@@ -10,18 +10,17 @@ positive definite.  For each pattern of commands held at a bound, none
 held included, the minimizer is affine in what the controller knows, the
 critical regions of explicit MPC.  One algorithm moves between patterns: the
 primal-dual active-set update (Hintermüller, Ito & Kunisch, 2002), which
-turns into Murty's least-index rule once a pattern comes back.  A
-controller sample tries the cached map of the last sample's pattern, then
-of its one update, at the cost of one matrix-vector product each; only
-where both fail does solve_mpc run the update to the end, starting from the
-second.  What depends only on the model, horizon, weights and held pattern
-is built once per process and cached read-only; what the controller knows
-is written afresh each sample.  Pump actuation is bang-bang with
-hysteresis, mirroring the stop-at-setpoint behaviour of the rig.  A sample
-that keeps the mode, the pump state and the held pattern is affine in the
-controller's state, from its first applied command on; ``steady_step``
-gives the rows that no pattern changes, and ``steady_rows`` adds a
-pattern's command and the checks that decide whether a sample keeps it.
+turns into Murty's least-index rule once a pattern comes back.  Each
+pattern's map is built once per process and cached read-only, under a byte
+budget; a controller sample applies that of the last sample's pattern to
+what it knows, written afresh each sample, and only where the pattern
+fails does solve_mpc run the update from it, reading the same maps.  Pump
+actuation is bang-bang with hysteresis, mirroring the stop-at-setpoint
+behaviour of the rig.  A sample that keeps the mode, the pump state and
+the held pattern is affine in the controller's state, from its first
+applied command on; ``steady_step`` gives the rows that no pattern
+changes, and ``steady_rows`` adds a pattern's command and the checks that
+decide whether a sample keeps it.
 """
 
 from __future__ import annotations
@@ -165,9 +164,9 @@ class MpcSolution:
 def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
                     W2: float, form: PenaltyForm):
     """Read-only Hessian of the QP in its n unknowns, the commands that
-    reach predictions d+1 ... d+n, its inverse, its largest eigenvalue and
-    the gradient offset per unit z = [x_hat, past (d), refs[d:] - p_hat (n),
-    u_ref or u_prev], ``dg0`` (the gradient at u is ``Hm @ u + dg0 @ z``)."""
+    reach predictions d+1 ... d+n, its largest eigenvalue and the gradient
+    offset per unit z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or
+    u_prev], ``dg0`` (the gradient at u is ``Hm @ u + dg0 @ z``)."""
     powers, Phi, G = _prediction_constants(a, b, d, d + n)
     Phi = Phi[d:, :n]
     # the penalty acts on P @ u: the commands themselves or their increments
@@ -175,7 +174,6 @@ def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
     if form is PenaltyForm.INCREMENT:
         P -= np.eye(n, k=-1)
     Hm = 2.0 * (W1 * Phi.T @ Phi + W2 * P.T @ P)
-    Hinv = np.linalg.inv(Hm)
     # the gradient offset g0 = 2 (W1 Phi.T (free - refs)[d:] - W2 v) is
     # linear in z: free[d:] = powers[d:] x_hat + G[:, d:].T @ past, and the
     # target v of P @ u is u_ref in every entry or u_prev in the first
@@ -185,14 +183,12 @@ def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
     dg0[:, d + 1:-1] = -2.0 * W1 * Phi.T
     dg0[:, -1] = -2.0 * W2 * (np.ones(n) if form is PenaltyForm.MAGNITUDE
                               else np.eye(n)[0])
-    # the inverse of an overflowed Hm may well be finite; the last product
-    # is the unconstrained minimizer per unit z, up to its sign
-    if not all(np.all(np.isfinite(m)) for m in (Hm, Hinv, Hinv @ dg0)):
+    if not all(np.isfinite(m).all() for m in (Hm, dg0)):
         raise ConfigError(f"controller weights W1 = {W1:.6g}, W2 = {W2:.6g} "
-                          f"overflow the QP's Hessian or its inverse")
-    for m in (Hm, Hinv, dg0):
+                          f"overflow the QP's Hessian")
+    for m in (Hm, dg0):
         m.flags.writeable = False
-    return Hm, Hinv, float(np.linalg.eigvalsh(Hm)[-1]), dg0
+    return Hm, float(np.linalg.eigvalsh(Hm)[-1]), dg0
 
 
 def _kkt_tol(lo: float, hi: float) -> float:
@@ -200,27 +196,72 @@ def _kkt_tol(lo: float, hi: float) -> float:
     return 1e-9 * max(1.0, hi - lo)
 
 
-def _critical_region(Hm: np.ndarray, eigmax: float, X: np.ndarray,
-                     lo: float, hi: float, lower: tuple[int, ...],
-                     upper: tuple[int, ...]):
-    """(Y, floor, ceil) of the QP's critical region where the unknowns
-    ``lower`` are held at lo, ``upper`` at hi and the rest free.
+#: Bytes of region maps kept per process: the six built-ins' 58 take 0.70
+#: MB, and one at ``MAX_HORIZON`` up to 8.75 MB, so the budget keeps three.
+_REGION_CACHE_BYTES = 32 << 20
 
-    For the gradient ``Hm @ u + X @ w``, y = Y @ [w, 1] holds the free
-    commands, where the gradient vanishes, and at the held indices the
-    gradient step g/λmax in K.  The pattern passes the KKT test exactly
-    where floor <= y <= ceil: every free command inside the box, and every
-    held command's step below the tolerance away from the box.
+
+_CacheInfo = NamedTuple("_CacheInfo", [("hits", int), ("misses", int),
+                                       ("currsize", int), ("nbytes", int)])
+
+
+class _RegionCache:
+    """``build``'s results by arguments, the least recently used dropped
+    past ``_REGION_CACHE_BYTES``; a result larger than that is not kept."""
+
+    def __init__(self, build):
+        self._build = build
+        self.cache_clear()
+
+    def __call__(self, *key):
+        maps = self._maps
+        value = maps.pop(key, None)
+        if value is not None:
+            self._hits += 1
+            maps[key] = value
+            return value
+        self._misses += 1
+        value = self._build(*key)
+        nbytes = sum(m.nbytes for m in value)
+        if nbytes <= _REGION_CACHE_BYTES:
+            while self._nbytes + nbytes > _REGION_CACHE_BYTES:
+                oldest = maps.pop(next(iter(maps)))
+                self._nbytes -= sum(m.nbytes for m in oldest)
+            maps[key] = value
+            self._nbytes += nbytes
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, len(self._maps),
+                          self._nbytes)
+
+    def cache_clear(self) -> None:
+        self._maps, self._hits, self._misses, self._nbytes = {}, 0, 0, 0
+
+
+@_RegionCache
+def _region_map(a: float, b: float, d: int, n: int, W1: float, W2: float,
+                form: PenaltyForm, lo: float, hi: float,
+                lower: tuple[int, ...], upper: tuple[int, ...]):
+    """Read-only (R, r, floor, ceil) of the QP's critical region where the
+    unknowns ``lower`` are held at lo, ``upper`` at hi and the rest free,
+    the one map that ``_command``, ``steady_rows`` and ``solve_mpc`` read.
+
+    y = R @ z + r holds the free commands, where the gradient vanishes, and
+    at the held indices the gradient step g/λmax in K.  The pattern passes
+    the KKT test exactly where floor <= y <= ceil: every free command inside
+    the box, and every held command's step below the tolerance away from
+    the box.
     """
-    n = len(Hm)
+    Hm, eigmax, dg0 = _cached_hessian(a, b, d, n, W1, W2, form)
     held = np.zeros(n, dtype=bool)
     held[list(lower + upper)] = True
     free = ~held
     u_held = np.zeros(n)
     u_held[list(lower)] = lo
     u_held[list(upper)] = hi
-    # the gradient with the free commands at zero, per column
-    X = np.column_stack((X, Hm @ u_held))
+    # the gradient with the free commands at zero, per unit [z, 1]
+    X = np.column_stack((dg0, Hm @ u_held))
     Y = np.empty_like(X)
     Y[free] = -np.linalg.solve(Hm[np.ix_(free, free)], X[free])
     Y[held] = (Hm[np.ix_(held, free)] @ Y[free] + X[held]) * (1.0 / eigmax)
@@ -230,24 +271,6 @@ def _critical_region(Hm: np.ndarray, eigmax: float, X: np.ndarray,
     ceil = np.where(free, hi, np.inf)
     floor[list(lower)] = -tol
     ceil[list(upper)] = tol
-    return Y, floor, ceil
-
-
-#: Held patterns kept per process, none held included, the only bound on
-#: the region maps: the six built-ins need 58 over both modes.  Each
-#: ``step`` reads one, or two where the first fails, and each
-#: ``steady_step`` one.
-_REGION_CACHE_SIZE = 128
-
-
-@functools.lru_cache(maxsize=_REGION_CACHE_SIZE)
-def _region_map(a: float, b: float, d: int, n: int, W1: float, W2: float,
-                form: PenaltyForm, lo: float, hi: float,
-                lower: tuple[int, ...], upper: tuple[int, ...]):
-    """Read-only (R, r, floor, ceil) of ``_critical_region`` per unit z:
-    y = R @ z + r."""
-    Hm, _, eigmax, dg0 = _cached_hessian(a, b, d, n, W1, W2, form)
-    Y, floor, ceil = _critical_region(Hm, eigmax, dg0, lo, hi, lower, upper)
     for m in (Y, floor, ceil):
         m.flags.writeable = False
     return Y[:, :-1], Y[:, -1], floor, ceil
@@ -293,31 +316,23 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
     its critical region's KKT test.  Plain updates can cycle, so once a
     pattern comes back every later update is ``_update_first``'s.
     """
-    model = qp.model
-    d = model.d
-    n = len(qp.refs) - d
-    form = cfg.penalty_form
-    Hm, Hinv, eigmax, dg0 = _cached_hessian(model.a, model.b, d, n,
-                                            cfg.W1, cfg.W2, form)
-    # the gradient offset dg0 @ z, where qp.free already holds the response
-    # to x_hat and the past commands
-    last = (u_ref if u_prev is None or form is PenaltyForm.MAGNITUDE
-            else u_prev)
-    g0 = dg0[:, d + 1:] @ np.append((qp.refs - qp.free)[d:], last)
+    model, form = qp.model, cfg.penalty_form
+    d, n = model.d, len(qp.refs) - model.d
     lo, hi = cfg.T_min_th, cfg.T_max_th
-
-    def region(held):
-        """y, floor and ceil of the pattern's critical region at this QP."""
-        if held == ((), ()):
-            # the free block is the whole Hessian, whose inverse is cached
-            return Hinv @ -g0, np.full(n, lo), np.full(n, hi)
-        Y, floor, ceil = _critical_region(Hm, eigmax, g0[:, None], lo, hi,
-                                          *held)
-        return Y[:, 0] + Y[:, 1], floor, ceil
-
-    y, floor, ceil = region(held)
+    key = (model.a, model.b, d, n, cfg.W1, cfg.W2, form, lo, hi)
+    Hm, eigmax, dg0 = _cached_hessian(*key[:7])
+    # z with x_hat and the past commands at zero: qp.free, their response,
+    # is folded into the setpoints
+    z = np.zeros(d + n + 2)
+    z[d + 1:-1] = (qp.refs - qp.free)[d:]
+    z[-1] = (u_ref if u_prev is None or form is PenaltyForm.MAGNITUDE
+             else u_prev)
     seen, least_index, iterations = set(), False, 0
-    while np.any((y < floor) | (y > ceil)):
+    while True:
+        R, r, floor, ceil = _region_map(*key, *held)
+        y = R.dot(z) + r
+        if not np.any((y < floor) | (y > ceil)):
+            break
         if iterations == _MAX_UPDATES:
             violation = float(np.max(np.maximum(floor - y, y - ceil)))
             raise ConvergenceError(
@@ -331,7 +346,6 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
         if least_index:
             update = _update_first(held, y, floor, ceil)
         held = update
-        y, floor, ceil = region(held)
         iterations += 1
 
     u = y
@@ -339,7 +353,7 @@ def solve_mpc(qp: PredictionData, cfg: MpcConfig, u_ref: float = 0.0,
     u[list(held[1])] = hi
     # the projected gradient step, in K: it is zero exactly at a KKT point,
     # and its scale does not follow the Hessian's
-    g = Hm @ u + g0
+    g = Hm @ u + dg0.dot(z)
     residual = float(np.max(np.abs(u - np.clip(u - g / eigmax, lo, hi))))
     if not math.isfinite(residual):
         # NaN in the data fails no test, and no update can make it finite
@@ -562,48 +576,39 @@ class ThermalController:
         pads with the measurement where no command has been applied yet.
         What the controller knows, z, is written afresh each call, and the
         maps (Bemporad, Morari, Dua & Pistikopoulos, 2002) of the held
-        patterns come from ``_region_map``'s cache.  Two patterns
-        are tried: the last sample's, then its update by ``_update_held``.
-        Where both fail the KKT test, the QP is built and solved from the
-        second, and the solution's active bounds are the next sample's
-        pattern.
+        patterns come from ``_region_map``'s cache.  One pattern is tried,
+        the last sample's.  Where it fails the KKT test, the QP is built
+        and solved from it, so the solver's first update is the pattern's,
+        and the solution's active bounds are the next sample's pattern.
         """
         cfg = self.cfg
         d, n = model.d, cfg.H
         history, count = self._history, self._count
         u_ref = self.ambient.T_amb
         u_prev = float(history[-1]) if count else None
-        # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev], the
-        # preview held at its last value past its end
-        z = np.empty(d + n + 2)
-        z[0] = self._x_hat
-        z_past, z_refs = z[1:d + 1], z[d + 1:-1]
-        z_past[...] = history[history.size - d:]
-        p_hat = self._p_hat
-        ahead = preview[d:d + n]
-        np.subtract(ahead, p_hat, z_refs[:ahead.size])
-        z_refs[ahead.size:] = preview[-1] - p_hat
-        z[-1] = (u_ref if u_prev is None
-                 or cfg.penalty_form is PenaltyForm.MAGNITUDE else u_prev)
-        lo, hi = cfg.T_min_th, cfg.T_max_th
-        held = self._held
-        for attempt in range(2):
-            R, r, floor, ceil = self._region(held)
-            y = R.dot(z) + r
-            if np.count_nonzero((y >= floor) & (y <= ceil)) == n:
-                self._held = held
-                lower, upper = held
-                return lo if 0 in lower else hi if 0 in upper else float(y[0])
-            if not attempt:
-                held = _update_held(held, y, floor, ceil)
-
+        # the offset-shifted setpoints, the preview held at its last value
+        # past its end
         refs = np.empty(d + n)
         m = min(d + n, preview.size)
         refs[:m] = preview[:m]
         refs[m:] = preview[-1]
-        qp = build_prediction(model, self._x_hat, z_past, refs - self._p_hat)
-        # the solver starts from the pattern that failed last, and so
-        # makes at least one update
+        refs -= self._p_hat
+        past = history[history.size - d:]
+        # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev]
+        z = np.concatenate((
+            [self._x_hat], past, refs[d:],
+            [u_ref if u_prev is None
+             or cfg.penalty_form is PenaltyForm.MAGNITUDE else u_prev]))
+        held = self._held
+        R, r, floor, ceil = self._region(held)
+        y = R.dot(z) + r
+        if np.count_nonzero((y >= floor) & (y <= ceil)) == n:
+            lower, upper = held
+            return (cfg.T_min_th if 0 in lower else cfg.T_max_th if 0 in upper
+                    else float(y[0]))
+        qp = build_prediction(model, self._x_hat, past, refs)
+        # the solver starts from the pattern that failed, and so makes at
+        # least one update
         sol = solve_mpc(qp, cfg, u_ref=u_ref, u_prev=u_prev, held=held)
         self._held = (tuple(np.flatnonzero(sol.active_lower[:n]).tolist()),
                       tuple(np.flatnonzero(sol.active_upper[:n]).tolist()))
@@ -658,7 +663,7 @@ class ThermalController:
         the constant, last; ``step`` is of the controller's current mode.
 
         Rows 0 to 2n - 1 get the pattern's KKT test on its
-        ``_critical_region`` vector y: y - floor, then ceil - y, a zero row
+        ``_region_map`` vector y: y - floor, then ceil - y, a zero row
         where a bound is infinite; the sample keeps the pattern where every
         check is >= 0.  Row 2n gets the command.  The rows
         compose the offset update, z, the region map's y = R z + r and the
@@ -674,15 +679,11 @@ class ThermalController:
         # u_prev]
         to_refs, to_p_hat = (R[:, d + 1:-1] @ step.ahead).T
         y[:, size - d:size] = R[:, 1:d + 1]
-        # z's x_hat and p_hat after the offset update (``_OFFSET_UPDATE``):
-        # with the pump on x_hat and measurement - x_hat, with it off
-        # measurement - p_hat and p_hat
-        if step.pump_on:
-            np.add(R[:, 0], to_p_hat, out=y[:, size])
-            np.negative(to_p_hat, out=y[:, measured])
-        else:
-            np.negative(R[:, 0] + to_p_hat, out=y[:, size + 1])
-            y[:, measured] = R[:, 0]
+        # z's x_hat and p_hat after the offset update, over (x_hat, p_hat,
+        # measurement)
+        U = _OFFSET_UPDATE[step.pump_on]
+        y[:, [size, size + 1, measured]] = (np.outer(R[:, 0], U[0])
+                                            - np.outer(to_p_hat, U[1]))
         y[:, -1] = to_refs + r
         if cfg.penalty_form is PenaltyForm.INCREMENT:
             y[:, size - 1] += R[:, -1]
@@ -698,10 +699,8 @@ class ThermalController:
         np.negative(y, out=above)
         above[:, -1] += ceil
         y[:, -1] -= floor
-        if upper:
-            y[list(upper)] = 0.0
-        if lower:
-            above[list(lower)] = 0.0
+        y[list(upper)] = 0.0
+        above[list(lower)] = 0.0
 
     @property
     def applied(self) -> int:

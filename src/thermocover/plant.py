@@ -224,6 +224,19 @@ _MAX_MAP_SUBSTEPS = 100
 #: differs from its start, each held at the status at the part's start.
 _CAP_PARTS = 8
 
+#: Plate lags shorter than this share of a substep snap the plate to its
+#: command.  A map's node rows differ from the snapped plate's in
+#: proportion to lag / dt, by 1e-9 here, while the exponential's error
+#: grows as dt / lag: to 4e-7 at 1e-9 substeps, and past the float range
+#: below about 1e-39.
+_SNAP_LAG = 1e-6
+
+
+def _plate_lag(peltier_lag, dt):
+    """The plate lag a map of substep dt takes: 0, the snapped plate, below
+    ``_SNAP_LAG`` substeps, else ``peltier_lag``."""
+    return 0.0 if 0.0 < peltier_lag < _SNAP_LAG * dt else peltier_lag
+
 
 # typed, so that a float n_sub misses every int key and reaches the check
 @functools.lru_cache(maxsize=_MAP_CACHE_SIZE, typed=True)
@@ -237,6 +250,7 @@ def sample_map(params, pump_on, cap, peltier_lag, peltier_power, dt, n_sub,
     _check_step(params, dt, peltier_lag, peltier_power, n_sub, conductance)
     if n_sub > _MAX_MAP_SUBSTEPS:
         return None
+    peltier_lag = _plate_lag(peltier_lag, dt)
     A, B = network_matrices(params.R_w, params.C_w, params.R_c, params.C_c,
                             params.R_aw, params.C_co, params.R_co, pump_on,
                             peltier_lag, at_cap=cap != 0)
@@ -284,8 +298,9 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
     event in ``contacts`` adds its ``contact_heat_flow`` to it, in order,
     re-evaluated before substep j from time ``t + j * dt`` and that
     substep's T_c, and held over the substep; so one call covers a whole
-    control sample.  ``peltier_lag`` = 0 snaps the plate to its command;
-    ``peltier_power`` = inf removes the actuator limit.
+    control sample.  ``peltier_lag`` = 0 snaps the plate to its command,
+    as does a lag below ``_SNAP_LAG`` substeps; ``peltier_power`` = inf
+    removes the actuator limit.
 
     The call applies its regime's cached ``sample_map`` on plain floats,
     after checking the map's slack rows against the cap status of its
@@ -307,7 +322,7 @@ def step_plant(state: PlantState, T_p_cmd: float, pump_on: bool, q_i: float,
                     q += c.contact_conductance * c.T_skin
                 else:
                     edge = True
-    regime = (params, pump_on, peltier_lag, peltier_power)
+    regime = (params, pump_on, _plate_lag(peltier_lag, dt), peltier_power)
     new = None
     if not edge:
         new = _advance(state, T_p_cmd, ambient.T_amb, q, regime, dt, n_sub,

@@ -23,12 +23,12 @@ controller has applied d commands, the history entries not yet applied
 hold the sample's measurement, as ``step`` pads them.  The sample checks
 its mode and pump bands on floats, the KKT checks, and its plate flows
 against the bounds of the cap status (``SampleMap.bounds``); where the
-KKT checks fail, it tries the pattern's one update, as the controller
-does.  The first sample, a sample that fails a check or whose result is
-not finite, and one that a contact window or a setpoint change reaches
-run the controller's ``step`` and ``step_plant`` instead, from the state
-loaded back out of s.  The decisions are those of the per-sample path;
-the values differ from it by rounding.
+KKT checks fail, it tries the pattern's one update, the solver's first
+from that pattern.  The first sample, a sample that fails a check or
+whose result is not finite, and one that a contact window or a setpoint
+change reaches run the controller's ``step`` and ``step_plant`` instead,
+from the state loaded back out of s.  The decisions are those of the
+per-sample path; the values differ from it by rounding.
 
 The setpoint changes where a sample's time reaches the end of its segment
 (``ScenarioSpec.segments``).  A new preview is made there and kept
@@ -322,7 +322,7 @@ def _steady_run(entry, lookup, s, k, stop, end, t_s, node_index, applied,
         v = G.dot(buf[i:i + D])
         new = v.tolist()
         if not min(new[:m]) >= 0.0:
-            # the pattern's one update, as the controller tries it
+            # the pattern's one update, as the solver would make it
             update = update_from_checks(pattern, new[:m])
             entry = lookup(update, call.cap) if update != pattern else None
             if entry is None:

@@ -212,6 +212,22 @@ def test_run_with_plate_lag_far_below_dt_exits_ok(tmp_path):
     assert np.max(np.abs(errors[0] - errors[1])) < 1e-3
 
 
+@pytest.mark.parametrize("lag", ["1e-9", "1e-30", "1e-50", "1e-300",
+                                 "5e-324"])
+def test_plate_lag_below_the_snap_floor_runs_as_lag_zero(tmp_path, lag):
+    # a lag below a millionth of dt snaps the plate: the run writes lag 0's
+    # trace, where the exact map's exponential loses its accuracy or is
+    # not finite
+    traces = []
+    for value in (lag, "0"):
+        out = tmp_path / value
+        assert main(["run", "exp1_heat", "--out-dir", str(out),
+                     "--set", "total_duration=300", "--set", "peltier_power=6",
+                     "--set", f"peltier_lag={value}"]) == 0
+        traces.append((out / "exp1_heat_trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
 @pytest.mark.parametrize("name, switches", [
     ("exp1_heat", 4), ("exp1_cool", 2), ("exp1_heat_after_cool", 3),
     ("exp2_grasp", 0), ("exp2_softtouch", 0), ("exp2_nocontact", 0)])
@@ -310,6 +326,36 @@ def test_any_override_value_exits_ok_or_config_error(key, value):
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+# zeros of both signs, huge and non-finite numbers, the empty string, enum
+# names and setpoint schedules
+HOSTILE_VALUES = ["0", "-0", "1e300", "-1e300", "nan", "inf", "-inf", "",
+                  "heat", "cool", "cover", "pipe", "magnitude", "increment",
+                  "grasp", "soft_touch", "ambient", "23:10", "23:1e300",
+                  "1e300:10", "nan:10", "21:5 30:5"]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(["exp1_heat", "exp2_nocontact"]),
+       overrides=st.lists(st.tuples(st.sampled_from(SCENARIO_KEYS),
+                                    st.sampled_from(HOSTILE_VALUES)),
+                          min_size=1, max_size=3))
+def test_any_run_override_exits_ok_config_or_numeric(name, overrides):
+    # a run forced short, then given hostile overrides, finishes, or fails
+    # with one error line as a config or a numeric error: nothing escapes
+    argv = ["run", name, "--set", "total_duration=20"]
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value}"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([*argv, "--out-dir", tmp])
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (code != 0)
+    assert all(line.startswith("error: ") for line in lines)
 
 
 @functools.lru_cache(maxsize=None)

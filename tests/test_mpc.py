@@ -80,8 +80,7 @@ def test_cached_constants_are_read_only():
                              PenaltyForm.MAGNITUDE)
     assert _cached_hessian(model.a, model.b, model.d, 5, 1.0, 1e-4,
                            PenaltyForm.MAGNITUDE) is cached
-    Hm, Hinv, _, dg0 = cached
-    assert np.allclose(Hinv @ Hm, np.eye(5), rtol=0.0, atol=1e-12)
+    Hm, _, dg0 = cached
     # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev]
     assert dg0.shape == (5, model.d + 5 + 2)
     key = (model.a, model.b, model.d, 5, 1.0, 1e-4, PenaltyForm.MAGNITUDE,
@@ -91,7 +90,7 @@ def test_cached_constants_are_read_only():
     R, r, floor, ceil = region
     assert R.shape == dg0.shape
     assert r.shape == floor.shape == ceil.shape == (5,)
-    for array in (qp.Phi, Hm, Hinv, dg0, *region):
+    for array in (qp.Phi, Hm, dg0, *region):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
 
@@ -180,7 +179,7 @@ def test_controller_previews_dead_time_plus_horizon(monkeypatch):
         # the gradient offset per unit z takes x_hat, the d past commands
         # and the n previewed setpoints past the dead time, and the
         # penalty's target
-        _, _, _, dg0 = cached
+        _, _, dg0 = cached
         mapped.append((d, dg0.shape[1] - 2))
         return cached
 
@@ -286,6 +285,47 @@ def test_region_maps_built_once_per_mode_and_pattern(monkeypatch):
     simulate(spec)
     assert region_map.cache_info().misses == built.misses
     assert region_map.cache_info().hits > built.hits
+
+
+def test_builtins_build_each_region_map_once():
+    # every pattern the six built-ins meet, in the controller's samples, the
+    # composed samples and the solver's updates, is built once into the one
+    # cache, which the budget leaves whole
+    region_map = mpc._region_map
+    region_map.cache_clear()
+    for spec in builtin_scenarios().values():
+        simulate(spec)
+    info = region_map.cache_info()
+    assert info.misses == info.currsize == 58
+    assert info.nbytes < 0.03 * mpc._REGION_CACHE_BYTES
+
+
+def test_region_cache_keeps_to_its_byte_budget(monkeypatch):
+    # past its budget the cache drops the least recently used maps, and a
+    # map larger than the budget is returned but not kept
+    region_map = mpc._region_map
+    key = (0.95, 0.05, 3, 5, 1.0, 1e-4, PenaltyForm.MAGNITUDE, 5.0, 60.0)
+    patterns = [((i,), ()) for i in range(5)]
+    size = sum(m.nbytes for m in region_map(*key, (), ()))
+    monkeypatch.setattr(mpc, "_REGION_CACHE_BYTES", 3 * size)
+    region_map.cache_clear()
+    for held in patterns[:3]:
+        region_map(*key, *held)
+    region_map(*key, *patterns[0])
+    region_map(*key, *patterns[3])
+    info = region_map.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.nbytes) == \
+        (1, 4, 3, 3 * size)
+    # patterns[0], read since it was built, stayed, and patterns[1] went
+    region_map(*key, *patterns[0])
+    assert region_map.cache_info()[:2] == (2, 4)
+    region_map(*key, *patterns[1])
+    assert region_map.cache_info()[:2] == (2, 5)
+    large = region_map(*key[:3], 40, *key[4:], (), ())
+    assert sum(m.nbytes for m in large) > 3 * size
+    assert region_map(*key[:3], 40, *key[4:], (), ()) is not large
+    assert region_map.cache_info() == (2, 7, 3, 3 * size)
+    region_map.cache_clear()
 
 
 @pytest.mark.parametrize("measurement, setpoint", [(float("nan"), 25.0),
@@ -442,15 +482,11 @@ def _map_samples(monkeypatch, specs):
     """Per control sample of the runs: what the controller's command step
     saw (config, model, x_hat, p_hat, past, preview, previous command,
     reference), the command it returned, whether the past commands were
-    padded at startup, and the path that gave the command: the first
-    pattern tried, its update, or the solver."""
+    padded at startup, and the path that gave the command: the pattern
+    tried, or the solver."""
     samples, events, measured = [], [], []
     step, command = ThermalController.step, ThermalController._command
-    update_held, solve = mpc._update_held, mpc.solve_mpc
-
-    def recording_update(*args):
-        events.append("update")
-        return update_held(*args)
+    solve = mpc.solve_mpc
 
     def recording_solve(*args, **kwargs):
         events.append("solve")
@@ -470,14 +506,12 @@ def _map_samples(monkeypatch, specs):
         past = padded[len(padded) - model.d:]
         u_prev = applied[-1] if applied else None
         cmd = command(ctrl, model, preview)
-        path = ("solver" if "solve" in events
-                else "update" if "update" in events else "first")
+        path = "solver" if "solve" in events else "first"
         samples.append((ctrl.cfg, model, ctrl._x_hat, ctrl._p_hat,
                         past, preview.copy(), u_prev, ctrl.ambient.T_amb,
                         cmd, count < model.d, path))
         return cmd
 
-    monkeypatch.setattr(mpc, "_update_held", recording_update)
     monkeypatch.setattr(mpc, "solve_mpc", recording_solve)
     monkeypatch.setattr(ThermalController, "step", recording_step)
     monkeypatch.setattr(ThermalController, "_command", recording)
@@ -493,10 +527,8 @@ def test_unconstrained_map_matches_solver_on_builtins(monkeypatch):
                                  "total_duration=600"])
     samples = _map_samples(monkeypatch, [scenarios["exp1_heat"],
                                          scenarios["exp2_grasp"], increment])
-    # the last sample's pattern, its update and the solver each give
-    # commands
-    assert {sample[-1] for sample in samples} == {"first", "update",
-                                                  "solver"}
+    # the last sample's pattern and the solver each give commands
+    assert {sample[-1] for sample in samples} == {"first", "solver"}
     modes, splits, padded, startup = set(), set(), 0, set()
     for (cfg, model, x_hat, p_hat, past, preview, u_prev, u_ref, cmd,
          startup_pad, _) in samples:
@@ -515,10 +547,10 @@ def test_unconstrained_map_matches_solver_on_builtins(monkeypatch):
         u_map = R @ z + r
 
         qp = build_prediction(model, x_hat, past, refs - p_hat)
-        _, Hinv, g0 = _reduced_problem(
+        Hm, g0 = _reduced_problem(
             qp, cfg, u_ref, u_ref if u_prev is None else u_prev)
         interior = bool(np.all(u_map >= lo) and np.all(u_map <= hi))
-        u_star = Hinv @ -g0
+        u_star = np.linalg.solve(Hm, -g0)
         assert interior == bool(np.all(u_star >= lo) and np.all(u_star <= hi))
         sol = solve_mpc(qp, cfg, u_ref=u_ref, u_prev=u_prev)
         if interior:
@@ -852,16 +884,18 @@ def _criterion_09_qps(n, seed):
 
 
 def _passes_test(qp, cfg, u_ref, u_prev, held):
-    """Whether the held pattern passes its critical region's KKT test."""
-    Hm, Hinv, g0 = _reduced_problem(qp, cfg, u_ref, u_prev)
-    lo, hi = cfg.T_min_th, cfg.T_max_th
-    if held == ((), ()):
-        y, floor, ceil = Hinv @ -g0, lo, hi
-    else:
-        eigmax = float(np.linalg.eigvalsh(Hm)[-1])
-        Y, floor, ceil = mpc._critical_region(Hm, eigmax, g0[:, None], lo,
-                                              hi, *held)
-        y = Y[:, 0] + Y[:, 1]
+    """Whether the held pattern passes its critical region's KKT test: its
+    region map at z with x_hat and the past commands at zero, and qp.free,
+    their response, folded into the setpoints."""
+    model, form = qp.model, cfg.penalty_form
+    d, n = model.d, len(qp.refs) - model.d
+    z = np.zeros(d + n + 2)
+    z[d + 1:-1] = (qp.refs - qp.free)[d:]
+    z[-1] = u_ref if form is PenaltyForm.MAGNITUDE else u_prev
+    R, r, floor, ceil = mpc._region_map(model.a, model.b, d, n, cfg.W1,
+                                        cfg.W2, form, cfg.T_min_th,
+                                        cfg.T_max_th, *held)
+    y = R @ z + r
     return bool(np.all((y >= floor) & (y <= ceil)))
 
 
@@ -874,17 +908,17 @@ def test_warm_start_from_any_pattern_meets_cold_solve(monkeypatch, qps):
     # from each pattern the cold solve evaluates, and from every command
     # held at one bound, the solver ends at the cold solve's minimizer; a
     # start that fails its test takes at least one update
-    critical_region = mpc._critical_region
+    region_map = mpc._region_map
     visited, starts_checked, failed_starts = [], 0, 0
 
     def recording(*args):
-        visited.append(args[5:])
-        return critical_region(*args)
+        visited.append(args[-2:])
+        return region_map(*args)
 
     for qp, cfg, u_ref, u_prev in qps():
         n = len(qp.refs) - qp.model.d
-        visited[:] = [((), ())]
-        monkeypatch.setattr(mpc, "_critical_region", recording)
+        visited.clear()
+        monkeypatch.setattr(mpc, "_region_map", recording)
         cold = solve_mpc(qp, cfg, u_ref, u_prev)
         monkeypatch.undo()
         assert len(visited) == cold.iterations + 1
@@ -953,11 +987,11 @@ def test_region_maps_match_solver_on_random_qps():
     # the solver's own active pattern passes the region test, and wherever
     # a pattern passes, the region map gives the solver's minimizer; a
     # pattern one command away that would give another point must fail.
-    # From a random pattern the controller's two tries, the pattern and its
-    # update, give the solver's minimizer wherever one passes, and from no
-    # held command the update is the clip pattern of the unconstrained
-    # minimizer.  Each start is the solver's pattern with about one
-    # command's state drawn at random.
+    # From a random pattern the composed samples' two tries, the pattern
+    # and its update, give the solver's minimizer wherever one passes, and
+    # from no held command the update is the clip pattern of the
+    # unconstrained minimizer.  Each start is the solver's pattern with
+    # about one command's state drawn at random.
     rng = np.random.default_rng(1)
     kinds, flipped, rejected = set(), 0, 0
     tries = {"first": 0, "update": 0, "neither": 0}
@@ -994,7 +1028,7 @@ def test_region_maps_match_solver_on_random_qps():
             else:
                 assert np.max(np.abs(u - sol.sequence[:n])) <= 1e-10
 
-        Hm, _, _, dg0 = _cached_hessian(*key[:-2])
+        Hm, _, dg0 = _cached_hessian(*key[:-2])
         u_star = np.linalg.solve(Hm, -(dg0 @ z))
         _, update = _region_command(z, key, ((), ()))
         assert update == (tuple(np.flatnonzero(u_star < lo).tolist()),
@@ -1022,8 +1056,8 @@ def test_region_maps_match_solver_on_random_qps():
 
 
 def _reduced_problem(qp, cfg, u_ref, u_prev):
-    """Cached Hessian, its inverse and the gradient offset of the QP in its
-    unknowns, the commands that reach a prediction."""
+    """Cached Hessian and the gradient offset of the QP in its unknowns, the
+    commands that reach a prediction."""
     model = qp.model
     d, n = model.d, len(qp.refs) - model.d
     if cfg.penalty_form is PenaltyForm.MAGNITUDE:
@@ -1031,23 +1065,33 @@ def _reduced_problem(qp, cfg, u_ref, u_prev):
     else:
         v = np.zeros(n)
         v[0] = u_prev
-    Hm, Hinv, _, _ = _cached_hessian(model.a, model.b, d, n, cfg.W1,
-                                     cfg.W2, cfg.penalty_form)
+    Hm, _, _ = _cached_hessian(model.a, model.b, d, n, cfg.W1, cfg.W2,
+                               cfg.penalty_form)
     e = (qp.free - qp.refs)[d:]
-    return Hm, Hinv, 2.0 * (cfg.W1 * qp.Phi[d:, :n].T @ e - cfg.W2 * v)
+    return Hm, 2.0 * (cfg.W1 * qp.Phi[d:, :n].T @ e - cfg.W2 * v)
 
 
-def test_inverse_fast_path_matches_lu_solve():
+def test_unconstrained_region_matches_lu_solve():
     # where W2 > 0 the minimizer is unique and the Hessian well conditioned:
-    # the cached inverse must give the LU solve's unconstrained minimizer,
-    # and where that lies in the box it is the answer, to the KKT tolerance
+    # the region map with none held must give the LU solve's unconstrained
+    # minimizer, and where that lies in the box it is the answer, to the
+    # KKT tolerance
     interior = 0
-    for qp, cfg, u_ref, u_prev in _random_qps(300, seed=0):
+    for model, cfg, x_hat, past, refs, u_ref, u_prev in \
+            _random_problems(300, seed=0):
         if cfg.W2 == 0.0:
             continue
-        Hm, Hinv, g0 = _reduced_problem(qp, cfg, u_ref, u_prev)
+        qp = build_prediction(model, x_hat, past, refs)
+        Hm, g0 = _reduced_problem(qp, cfg, u_ref, u_prev)
         u_star = np.linalg.solve(Hm, -g0)
-        assert np.max(np.abs(Hinv @ -g0 - u_star)) <= 1e-9
+        d, n, form = model.d, cfg.H, cfg.penalty_form
+        R, r, _, _ = mpc._region_map(model.a, model.b, d, n, cfg.W1, cfg.W2,
+                                     form, cfg.T_min_th, cfg.T_max_th, (),
+                                     ())
+        z = np.concatenate(([x_hat], past, refs[d:],
+                            [u_ref if form is PenaltyForm.MAGNITUDE
+                             else u_prev]))
+        assert np.max(np.abs(R @ z + r - u_star)) <= 1e-9
         if np.all(u_star >= cfg.T_min_th) and np.all(u_star <= cfg.T_max_th):
             sol = solve_mpc(qp, cfg, u_ref, u_prev)
             assert sol.iterations == 0

@@ -2,18 +2,23 @@
 
 import copy
 import importlib
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import decline_steady, observer_realization, run_realization
 from thermocover import mpc
 from thermocover.detect import detect_contacts
-from thermocover.errors import ConvergenceError, NumericError
-from thermocover.mpc import PumpHysteresis, ThermalController
+from thermocover.errors import (ConfigError, ConvergenceError, NumericError,
+                                ThermocoverError)
+from thermocover.mpc import (MpcConfig, PenaltyForm, PumpHysteresis,
+                             ThermalController)
 from thermocover.observer import build_observer, observer_step
-from thermocover.params import Mode, preset_params
+from thermocover.params import AmbientConfig, Mode, preset_params
 from thermocover.plant import (ContactEvent, ContactKind, PlantState,
                                cap_status, estimate_q_aw, sample_map,
                                step_plant)
@@ -266,6 +271,8 @@ def _held_patterns(monkeypatch, spec):
     return trace, held
 
 
+_BUILTINS = builtin_scenarios()
+
 _GRASP_AT_900 = ["contact.0.start=900", "contact.0.duration=5",
                  "contact.0.kind=grasp", "contact.0.conductance=0.8",
                  "contact.0.t_skin=33"]
@@ -281,9 +288,12 @@ _GRASP_AT_900 = ["contact.0.start=900", "contact.0.duration=5",
     ("exp2_grasp", ["controller.penalty_form=increment"]),
     ("exp1_heat", ["peltier_lag=0"]),
     ("exp1_heat", ["peltier_lag=0", "peltier_power=6"]),
+    # a box so tight that the solver takes several updates per solve
+    ("exp1_cool", ["controller.W2=1e-6", "controller.T_min_th=15",
+                   "controller.T_max_th=30"]),
 ], ids=[*builtin_scenarios(), "increment", "natural-observer", "lag-0.01",
         "power-6", "cool-grasp-at-900", "touch-increment", "lag-0",
-        "lag-0-power-6"])
+        "lag-0-power-6", "tight-box"])
 def test_composed_maps_keep_every_decision(monkeypatch, name, overrides):
     # the same run with composed maps and with every sample through step
     # and step_plant: the same pump, mode, contact and held-pattern
@@ -293,6 +303,14 @@ def test_composed_maps_keep_every_decision(monkeypatch, name, overrides):
     with monkeypatch.context() as m:
         decline_steady(m)
         plain, plain_held = _held_patterns(monkeypatch, spec)
+    _assert_same_decisions(spec, (fused, fused_held), (plain, plain_held))
+
+
+def _assert_same_decisions(spec, composed, per_sample):
+    """The (trace, held patterns) of a run with composed maps and of one
+    through step and step_plant alone keep every decision, and their values
+    agree to rounding."""
+    (fused, fused_held), (plain, plain_held) = composed, per_sample
     assert len(plain_held) == len(plain)
     assert np.array_equal(fused.pump_on, plain.pump_on)
     assert np.array_equal(fused.contact_flag, plain.contact_flag)
@@ -307,6 +325,88 @@ def test_composed_maps_keep_every_decision(monkeypatch, name, overrides):
         (b.intervals, b.true_positives, b.false_positives, b.misses)
     assert np.allclose(a.peak_per_event, b.peak_per_event, rtol=0.0,
                        atol=1e-6)
+
+
+@st.composite
+def _random_scenarios(draw):
+    """A built-in with random valid settings, or None where the draw is not
+    a valid scenario: penalty form, horizon, weights, command box, pump
+    bands, plate lag and power, room, start and setpoints, sampling time
+    and substeps, up to two contacts and a short run."""
+    base = _BUILTINS[draw(st.sampled_from(sorted(_BUILTINS)))]
+    duration = draw(st.floats(60.0, 400.0))
+    lo = draw(st.floats(5.0, 40.0))
+    off = draw(st.floats(0.0, 0.5))
+    t_s = draw(st.floats(0.25, 2.0))
+    try:
+        controller = MpcConfig(
+            H=draw(st.integers(1, 80)), W1=10.0 ** draw(st.floats(-2.0, 3.0)),
+            W2=10.0 ** draw(st.floats(-3.0, 2.0)), T_min_th=lo,
+            T_max_th=lo + draw(st.floats(1.0, 40.0)),
+            penalty_form=draw(st.sampled_from(list(PenaltyForm))))
+        contacts = tuple(
+            ContactEvent.preset(draw(st.sampled_from(list(ContactKind))),
+                                start=draw(st.floats(0.0, duration - 5.0)))
+            for _ in range(draw(st.integers(0, 2))))
+        return replace(
+            base, controller=controller, contacts=contacts,
+            pump=PumpHysteresis(on_band=off + draw(st.floats(0.0, 1.0)),
+                                off_band=off),
+            peltier_lag=draw(st.sampled_from([0.0, 0.01, 0.5, 2.0, 10.0])),
+            peltier_power=draw(st.sampled_from([3.0, 6.0, 10.0, 20.0,
+                                                math.inf])),
+            ambient=AmbientConfig(T_amb=draw(st.floats(15.0, 30.0))),
+            initial_temp=draw(st.floats(15.0, 40.0)),
+            setpoints=tuple((draw(st.floats(10.0, 45.0)),
+                             draw(st.floats(20.0, 200.0)))
+                            for _ in range(draw(st.integers(1, 4)))),
+            t_s=t_s, dt=t_s / draw(st.integers(10, 20)),
+            total_duration=duration)
+    except ConfigError:
+        return None
+
+
+def _run_or_error(monkeypatch, spec):
+    """(trace, held patterns, samples through step) of the run, or the
+    type and message of the error it raised."""
+    step, steps = ThermalController.step, []
+
+    def counting_step(ctrl, *args):
+        steps.append(None)
+        return step(ctrl, *args)
+
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(ThermalController, "step", counting_step)
+            return (*_held_patterns(monkeypatch, spec), len(steps))
+    except ThermocoverError as exc:
+        return type(exc), str(exc)
+
+
+def test_random_scenarios_keep_every_decision(monkeypatch):
+    # random valid scenarios run with composed maps and with every sample
+    # through step and step_plant keep every decision, as the fixed cases
+    # above do; where one path raises, the other raises the same error.
+    # Most samples go through composed maps, so the comparison shows.
+    samples, stepped = [0], [0]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_random_scenarios())
+    def check(spec):
+        assume(spec is not None)
+        composed = _run_or_error(monkeypatch, spec)
+        with monkeypatch.context() as m:
+            decline_steady(m)
+            per_sample = _run_or_error(monkeypatch, spec)
+        if len(composed) == 2 or len(per_sample) == 2:
+            assert composed == per_sample
+            return
+        _assert_same_decisions(spec, composed[:2], per_sample[:2])
+        samples[0] += len(composed[0])
+        stepped[0] += composed[2]
+
+    check()
+    assert stepped[0] < 0.2 * samples[0]
 
 
 @pytest.mark.parametrize("name, most", [("exp1_heat", 180),
