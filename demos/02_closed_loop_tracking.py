@@ -1,7 +1,7 @@
 """Closed-loop staircase tracking, heating and cooling.
 
-Runs the built-in heating and cooling protocols end to end (preview
-controller, pump hysteresis, full plant) and prints the per-segment
+Runs the built-in heating and cooling protocols end to end
+(receding-horizon controller, pump hysteresis, full plant) and prints the per-segment
 tracking summary, including the stop-the-water-at-setpoint behavior.
 """
 

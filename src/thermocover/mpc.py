@@ -1,26 +1,27 @@
 """Receding-horizon temperature control with box-bounded Peltier commands.
 
 The predictor is the discrete first-order-plus-dead-time model; the cost
-trades tracking error against a command penalty (either command magnitude
-relative to a reference temperature, or command increments).  With d samples
-of dead time the cost starts at prediction d + 1, as in generalized
-predictive control (Clarke, Mohtadi & Tuffs, 1987), so the QP's unknowns are
-the H commands that reach predictions d+1 ... d+H, and its Hessian is
-positive definite.  For each pattern of commands held at a bound, none
-held included, the minimizer is affine in what the controller knows, the
-critical regions of explicit MPC.  One algorithm moves between patterns: the
-primal-dual active-set update (Hintermüller, Ito & Kunisch, 2002), which
-turns into Murty's least-index rule once a pattern comes back.  Each
-pattern's map is built once per process and cached read-only, under a byte
-budget; a controller sample applies that of the last sample's pattern to
-what it knows, written afresh each sample, and only where the pattern
-fails does solve_mpc run the update from it, reading the same maps.  Pump
-actuation is bang-bang with hysteresis, mirroring the stop-at-setpoint
-behaviour of the rig.  A sample that keeps the mode, the pump state and
-the held pattern is affine in the controller's state, from its first
-applied command on; ``steady_step`` gives the rows that no pattern
-changes, and ``steady_rows`` adds a pattern's command and the checks that
-decide whether a sample keeps it.
+trades tracking error to one setpoint, held over the horizon because the
+operator's changes cannot be foreseen, against a command penalty (either
+command magnitude relative to a reference temperature, or command
+increments).  With d samples of dead time the cost starts at prediction
+d + 1, as in generalized predictive control (Clarke, Mohtadi & Tuffs,
+1987), so the QP's unknowns are the H commands that reach predictions
+d+1 ... d+H, and its Hessian is positive definite.  For each pattern of
+commands held at a bound, none held included, the minimizer is affine in
+what the controller knows, the critical regions of explicit MPC.  One
+algorithm moves between patterns: the primal-dual active-set update
+(Hintermüller, Ito & Kunisch, 2002), which turns into Murty's least-index
+rule once a pattern comes back.  Each pattern's map is built once per
+process and cached read-only, under a byte budget; a controller sample
+applies that of the last sample's pattern to what it knows, written afresh
+each sample, and only where the pattern fails does solve_mpc run the update
+from it, reading the same maps.  Pump actuation is bang-bang with
+hysteresis, mirroring the stop-at-setpoint behaviour of the rig.  A sample
+that keeps the mode, the pump state and the held pattern is affine in the
+controller's state, from its first applied command on; ``steady_step``
+gives the rows that no pattern changes, and ``steady_rows`` adds a
+pattern's command and the checks that decide whether a sample keeps it.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from .params import (AmbientConfig, Mode, Target, preset_params,
                      require_temperature)
 
 
-#: Largest horizon, and largest setpoint preview a controller accepts.  Each
-#: mode caches a square matrix of each size, 8 MB at this size.
+#: Largest horizon, and largest dead time plus horizon a controller
+#: accepts.  Each mode caches a square matrix of each size, 8 MB at this
+#: size.
 MAX_HORIZON = 1000
 
 
@@ -108,7 +110,7 @@ class PredictionData:
     """Affine map from future commands to predicted temperatures."""
 
     free: np.ndarray   # response to current state and past commands
-    refs: np.ndarray   # setpoint preview
+    refs: np.ndarray   # setpoint per prediction
     model: DiscreteFOPDT
 
     @property
@@ -125,13 +127,14 @@ def build_prediction(model: DiscreteFOPDT, T_now: float, past_inputs,
 
     ``past_inputs`` are the last d applied commands, oldest first; on
     startup they should be padded with the current measurement (the
-    steady-state-consistent value under unit DC gain).
+    steady-state-consistent value under unit DC gain).  ``setpoints`` may
+    vary along the horizon.
     """
     refs = np.asarray(setpoints, dtype=float)
     H = len(refs)
     if H <= model.d:
-        raise ConfigError(f"a preview of {H} samples leaves no command "
-                          f"past a dead time of {model.d} samples")
+        raise ConfigError(f"{H} setpoints leave no command past a dead "
+                          f"time of {model.d} samples")
     past = np.asarray(past_inputs, dtype=float)
     if len(past) != model.d:
         raise ConfigError(
@@ -159,7 +162,7 @@ class MpcSolution:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-# weights near the float range overflow; the check at the end names them
+# weights at either end of the float range fail the check at the end
 @np.errstate(over="ignore", invalid="ignore")
 def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
                     W2: float, form: PenaltyForm):
@@ -183,12 +186,17 @@ def _cached_hessian(a: float, b: float, d: int, n: int, W1: float,
     dg0[:, d + 1:-1] = -2.0 * W1 * Phi.T
     dg0[:, -1] = -2.0 * W2 * (np.ones(n) if form is PenaltyForm.MAGNITUDE
                               else np.eye(n)[0])
-    if not all(np.isfinite(m).all() for m in (Hm, dg0)):
+    finite = all(np.isfinite(m).all() for m in (Hm, dg0))
+    eig = np.linalg.eigvalsh(Hm) if finite else None
+    # an eigenvalue below the normal floats leaves the region maps' solve
+    # singular, or NaN
+    if eig is None or not eig[0] >= np.finfo(float).tiny:
         raise ConfigError(f"controller weights W1 = {W1:.6g}, W2 = {W2:.6g} "
-                          f"overflow the QP's Hessian")
+                          f"{'underflow' if finite else 'overflow'} the QP's "
+                          "Hessian")
     for m in (Hm, dg0):
         m.flags.writeable = False
-    return Hm, float(np.linalg.eigvalsh(Hm)[-1]), dg0
+    return Hm, float(eig[-1]), dg0
 
 
 def _kkt_tol(lo: float, hi: float) -> float:
@@ -424,14 +432,13 @@ class SteadyStep(NamedTuple):
     pattern's rows.  The history after the sample is w's shifted one
     place, the command last.  The rows read the last ``d`` history entries
     as the past d commands, the measurement in those not yet applied.
-    ``ahead`` is the preview block [refs[d:], 1] per unknown.  The sample
-    keeps the mode where ``mode_band`` holds setpoint - T_w, and the pump
-    state where ``pump_band`` holds |measurement - setpoint|, both bands
-    closed.
+    ``n`` is the horizon, the QP's unknowns.  The sample keeps the mode
+    where ``mode_band`` holds setpoint - T_w, and the pump state where
+    ``pump_band`` holds |measurement - setpoint|, both bands closed.
     """
 
     rows: np.ndarray
-    ahead: np.ndarray
+    n: int
     d: int
     setpoint: float
     pump_on: bool
@@ -452,7 +459,8 @@ def update_from_checks(held, checks) -> tuple:
 
 @dataclass
 class ThermalController:
-    """Composes the preview solver, mode switching and pump hysteresis.
+    """Composes the receding-horizon solver, mode switching and pump
+    hysteresis.
 
     One instance drives one simulation; all persistent state (command
     history, pump latch, offset estimate) lives here.
@@ -469,16 +477,17 @@ class ThermalController:
             m: discretize_fopdt(preset_params(m, self.target), self.cfg.t_s)
             for m in Mode
         }
-        if self.preview_length > MAX_HORIZON:
+        # the QP reads d past commands and d + H setpoints
+        d = max(m.d for m in self._models.values())
+        if d + self.cfg.H > MAX_HORIZON:
             raise ConfigError(
-                f"setpoint preview of {self.preview_length} samples exceeds "
+                f"dead time of {d} samples plus horizon {self.cfg.H} exceeds "
                 f"{MAX_HORIZON}: the dead time spans too many samples of "
-                f"t_s = {self.cfg.t_s} s"
-            )
+                f"t_s = {self.cfg.t_s} s")
         # the last d commands of the longest dead time, oldest first,
         # shifted in place; only the last _count of them have been applied,
         # and step writes its measurement into the rest
-        self._history = np.zeros(max(m.d for m in self._models.values()))
+        self._history = np.zeros(d)
         self._count = 0
         self._x_hat: float | None = None
         self._p_hat = 0.0
@@ -486,12 +495,6 @@ class ThermalController:
         self._held: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
         # the current mode's model, set at each mode switch
         self._model: DiscreteFOPDT | None = None
-
-    @property
-    def preview_length(self) -> int:
-        """Longest setpoint preview a mode consumes: its dead time in
-        samples plus the H commands that reach a prediction."""
-        return max(m.d for m in self._models.values()) + self.cfg.H
 
     @property
     def held(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -510,31 +513,22 @@ class ThermalController:
         return self.mode
 
     def step(self, measurement: float, T_w: float,
-             setpoint_preview) -> tuple[float, bool]:
-        """One control sample: returns (Peltier command, pump on).
+             setpoint: float) -> tuple[float, bool]:
+        """One control sample toward ``setpoint``, held over the horizon:
+        returns (Peltier command, pump on).
 
-        A measurement, ``T_w`` or preview entry that is not finite raises
-        ``NumericError`` naming it, before any state changes.  The preview
-        is scanned and read afresh on every call, so the caller may hand
-        back the same array, changed in place or not.
+        A measurement, ``T_w`` or setpoint that is not finite raises
+        ``NumericError`` naming it, before any state changes.
         """
-        preview = np.asarray(setpoint_preview, dtype=float)
-        if preview.size < 1:
-            raise ConfigError("setpoint preview must not be empty")
-        if not (math.isfinite(measurement) and math.isfinite(T_w)
-                and np.isfinite(preview).all()):
-            for name, value in [("measurement", measurement), ("T_w", T_w),
-                                *((f"setpoint preview entry {k}", v)
-                                  for k, v in enumerate(preview.tolist()))]:
-                if not math.isfinite(value):
-                    raise NumericError(
-                        f"controller {name} is not finite: {value}")
-        r_now = float(preview[0])
+        for name, value in (("measurement", measurement), ("T_w", T_w),
+                            ("setpoint", setpoint)):
+            if not math.isfinite(value):
+                raise NumericError(f"controller {name} is not finite: {value}")
         # the past commands not yet applied read as the measurement
         history = self._history
         history[:history.size - self._count] = measurement
 
-        new_mode = self._select_mode(r_now, T_w)
+        new_mode = self._select_mode(setpoint, T_w)
         if new_mode is not self.mode:
             self.mode = new_mode
             self._x_hat = None
@@ -543,7 +537,7 @@ class ThermalController:
         model = self._model
 
         self.hysteresis, pump_on = pump_step(self.hysteresis, measurement,
-                                             r_now)
+                                             setpoint)
 
         # Offset correction, the DMC output-disturbance update (Cutler &
         # Ramaker, 1980): the model state x_hat runs open loop and the whole
@@ -559,7 +553,7 @@ class ThermalController:
         else:
             self._x_hat = measurement - self._p_hat
 
-        cmd = self._command(model, preview)
+        cmd = self._command(model, setpoint)
         if pump_on:
             # the oldest of the d past commands
             self._x_hat = (model.a * self._x_hat
@@ -569,8 +563,8 @@ class ThermalController:
         self._count = min(self._count + 1, history.size)
         return cmd, pump_on
 
-    def _command(self, model: DiscreteFOPDT, preview: np.ndarray) -> float:
-        """First command of the preview QP's minimizer.
+    def _command(self, model: DiscreteFOPDT, setpoint: float) -> float:
+        """First command of the QP's minimizer.
 
         The past d commands come from the history array, which ``step``
         pads with the measurement where no command has been applied yet.
@@ -586,15 +580,10 @@ class ThermalController:
         history, count = self._history, self._count
         u_ref = self.ambient.T_amb
         u_prev = float(history[-1]) if count else None
-        # the offset-shifted setpoints, the preview held at its last value
-        # past its end
-        refs = np.empty(d + n)
-        m = min(d + n, preview.size)
-        refs[:m] = preview[:m]
-        refs[m:] = preview[-1]
-        refs -= self._p_hat
+        # the offset-shifted setpoint at every prediction
+        refs = np.full(d + n, setpoint - self._p_hat)
         past = history[history.size - d:]
-        # z = [x_hat, past (d), refs[d:] - p_hat (n), u_ref or u_prev]
+        # z = [x_hat, past (d), refs[d:] (n), u_ref or u_prev]
         z = np.concatenate((
             [self._x_hat], past, refs[d:],
             [u_ref if u_prev is None
@@ -621,19 +610,17 @@ class ThermalController:
                            cfg.penalty_form, cfg.T_min_th, cfg.T_max_th,
                            *held)
 
-    def steady_step(self, preview) -> SteadyStep | None:
+    def steady_step(self, setpoint: float) -> SteadyStep | None:
         """The next sample's ``SteadyStep``, in the mode and pump state the
-        last sample left and with its ``preview``.
+        last sample left and toward ``setpoint``.
 
         None before the first sample, which sets the mode and x_hat and
-        applies the command that the increment penalty reads.  A preview
-        entry that is not finite makes every check of ``steady_rows``
-        fail.
+        applies the command that the increment penalty reads.  A setpoint
+        that is not finite makes every check of ``steady_rows`` fail.
         """
         model = self._model
         if model is None or self._x_hat is None or not self._count:
             return None
-        preview = np.asarray(preview, dtype=float)
         d, n, size = model.d, self.cfg.H, self._history.size
         h = self.hysteresis
         pump_on = h.state
@@ -644,13 +631,8 @@ class ThermalController:
         if pump_on:
             rows[0] *= model.a
             rows[0, size - d] = model.b
-        # the preview held at its last value past its end
-        ahead = np.ones((n, 2))
-        ahead[:, 0] = preview[-1]
-        ahead[:preview[d:d + n].size, 0] = preview[d:d + n]
         return SteadyStep(
-            rows=rows, ahead=ahead, d=d, setpoint=float(preview[0]),
-            pump_on=pump_on,
+            rows=rows, n=n, d=d, setpoint=setpoint, pump_on=pump_on,
             mode_band=((-MODE_DEADBAND, math.inf) if self.mode is Mode.HEAT
                        else (-math.inf, MODE_DEADBAND)),
             pump_band=((h.off_band, math.inf) if pump_on
@@ -675,9 +657,11 @@ class ThermalController:
         R, r, floor, ceil = self._region(held)
         y, above = out[:n], out[n:2 * n]
         cmd = out[2 * n]
-        # y = R z + r, z = [x_hat, past (d), refs - p_hat (n), u_ref or
-        # u_prev]
-        to_refs, to_p_hat = (R[:, d + 1:-1] @ step.ahead).T
+        # y = R z + r, z = [x_hat, past (d), setpoint - p_hat (n), u_ref or
+        # u_prev]; a sum of R's columns in place of this product rounds
+        # otherwise, and moves q_i_hat by up to 8e-11 W
+        to_refs, to_p_hat = (R[:, d + 1:-1]
+                             @ np.array([[step.setpoint, 1.0]] * n)).T
         y[:, size - d:size] = R[:, 1:d + 1]
         # z's x_hat and p_hat after the offset update, over (x_hat, p_hat,
         # measurement)

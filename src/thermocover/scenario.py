@@ -143,11 +143,13 @@ class ScenarioSpec:
         return self.setpoints[-1][0]
 
     def setpoint_preview(self, t: float, n: int) -> np.ndarray:
-        """Reference preview handed to the controller.
+        """The setpoints of the n samples from time t, as the controller
+        sees them.
 
         The current setpoint is held over the whole window: setpoint changes
         come from the operator at run time, so the controller cannot
-        anticipate them.
+        anticipate them.  ``simulate`` reads n = 1 at each change, and the
+        benchmark's tracer times these calls as ``simulate.preview``.
         """
         return np.full(n, self.setpoint_at(t))
 

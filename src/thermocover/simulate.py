@@ -31,12 +31,10 @@ from the state loaded back out of s.  The decisions are those of the
 per-sample path; the values differ from it by rounding.
 
 The setpoint changes where a sample's time reaches the end of its segment
-(``ScenarioSpec.segments``).  A new preview is made there and kept
-read-only until the next change, because both paths share it: the
-setpoint's composed maps are built from it and dropped only at the
-change, and the controller's ``step`` reads it on every sample it runs.
-The plant constants are looked up where the controller switches mode, and
-a scenario without contacts skips the contact sums.
+(``ScenarioSpec.segments``); there it is read once, the setpoint's
+composed maps are dropped, and both paths take the new value.  The plant
+constants are looked up where the controller switches mode, and a
+scenario without contacts skips the contact sums.
 """
 
 from __future__ import annotations
@@ -81,7 +79,6 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
     )
     # the plant constants of each controller mode
     presets = {m: preset_params(m, scenario.target) for m in Mode}
-    preview_len = controller.preview_length
     node = scenario.target.node
     node_index = PlantState._fields.index(node)
     tc = scenario.observer_tc
@@ -103,9 +100,9 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
 
     # the controller's mode per sample, and the modes visited, in order
     rows, modes, visited = [], [], {}
-    # the setpoint and its preview, and the controller's mode and its
-    # plant constants, as of the last change
-    setpoint = preview = mode = params = None
+    # the setpoint, and the controller's mode and its plant constants, as
+    # of the last change
+    setpoint = mode = params = None
     # the composed maps of this setpoint, keyed on (mode, pump state, held
     # pattern, cap status), and their bases, on (mode, pump state, cap
     # status); None where a key has none
@@ -124,7 +121,7 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
         base_key = (mode, pump_on, cap)
         try:
             if base_key not in composed:
-                step = controller.steady_step(preview)
+                step = controller.steady_step(setpoint)
                 if step is None:
                     # not yet: the controller's state, not the key, decides
                     return None
@@ -148,9 +145,8 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
             while not t < ends[segment]:
                 segment += 1
             if values[segment] != setpoint:
-                setpoint = values[segment]
-                preview = scenario.setpoint_preview(t, preview_len)
-                preview.flags.writeable = False
+                # one call per change, which the benchmark's tracer times
+                setpoint, = scenario.setpoint_preview(t, 1).tolist()
                 composed.clear()
             while near and near[0][1] < k:
                 near.pop(0)
@@ -178,7 +174,7 @@ def simulate(scenario: ScenarioSpec) -> SimTrace:
                         continue
 
             cmd, pump_on = controller.step(getattr(state, node), state.T_w,
-                                           preview)
+                                           setpoint)
             if controller.mode is not mode:
                 mode = controller.mode
                 params = presets[mode]
@@ -242,7 +238,7 @@ def _compose(step, params, cap, node_index, T_amb, lag, power, dt,
     if call is None:
         return None
     K = step.rows
-    n, size = len(step.ahead), K.shape[1] - 4
+    n, size = step.n, K.shape[1] - 4
     G = np.zeros((2 * n + 8 + len(call.slack), size + 7))
     # x_hat and p_hat after the sample, w = [*s[:size + 2], s[size + 2 +
     # node], 1], under the checks and the command
@@ -267,7 +263,7 @@ def _held_map(controller, base, held, node_index) -> _Composed:
     G, _, step, call = base
     G = G.copy()
     controller.steady_rows(step, held, G, G.shape[1] - 5 + node_index)
-    m = 2 * len(step.ahead)
+    m = 2 * step.n
     G[m + 3:m + 7] += call.rows[:, 4:5] * G[m]
     G[m + 8:] += call.slack[:, 4:5] * G[m]
     return _Composed(G, held, step, call)
@@ -300,7 +296,7 @@ def _steady_run(entry, lookup, s, k, stop, end, t_s, node_index, applied,
     pump_lo, pump_hi = step.pump_band
     D = len(s)
     size = D - 7
-    m = 2 * len(step.ahead)
+    m = 2 * step.n
     room = min(stop - k, _WINDOWS)
     buf = np.empty(D + room)
     buf[:D] = s

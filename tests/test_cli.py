@@ -169,15 +169,24 @@ def test_run_bad_override(tmp_path, capsys, override):
     ("detection.min_hold=1e308", 0), ("detection.switch_gate=1e308", 0),
     # weights that overflow the QP's Hessian or the cached map
     ("controller.W1=1e308", 2), ("controller.W2=1e308", 2),
+    # with no command penalty, weights whose Hessian's smallest eigenvalue
+    # is below the normal floats, where the region maps' solve is singular
+    # or NaN; the heat mode's Hessian runs from W1 = 4.43e-302 on
+    *((f"controller.W2=0 controller.W1={W1}", 2)
+      for W1 in ("5e-324", "1e-320", "1e-310", "1e-303", "4.42e-302")),
+    ("controller.W2=0 controller.W1=4.43e-302", 0),
 ])
 def test_run_time_failure_exits_with_one_line(tmp_path, capsys, override,
                                               code):
     # these values pass the scenario checks and fail, if at all, in the run
+    sets = [arg for item in override.split() for arg in ("--set", item)]
     assert main(["run", "exp2_nocontact", "--out-dir", str(tmp_path),
-                 "--set", "total_duration=20", "--set", override]) == code
+                 "--set", "total_duration=20", *sets]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == (code != 0)
     assert all(line.startswith("error: ") for line in err)
+    if "W2=0 " in override and code:
+        assert "W1 = " in err[0] and "W2 = 0 underflow" in err[0]
 
 
 @pytest.mark.parametrize("scenario, override", [
@@ -333,7 +342,7 @@ def test_any_override_value_exits_ok_or_config_error(key, value):
 HOSTILE_VALUES = ["0", "-0", "1e300", "-1e300", "nan", "inf", "-inf", "",
                   "heat", "cool", "cover", "pipe", "magnitude", "increment",
                   "grasp", "soft_touch", "ambient", "23:10", "23:1e300",
-                  "1e300:10", "nan:10", "21:5 30:5"]
+                  "1e300:10", "nan:10", "21:5 30:5", "5e-324"]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -193,10 +193,8 @@ def test_controller_previews_dead_time_plus_horizon(monkeypatch):
         mpc._region_map.cache_clear()
         ctrl = ThermalController(cfg=MpcConfig(H=20, t_s=t_s),
                                  ambient=AmbientConfig())
-        n = ctrl.preview_length
-        assert n == max(dead_times) + 20
-        ctrl.step(21.0, 21.0, np.full(n, 25.0))
-        ctrl.step(25.0, 25.0, np.full(n, 20.0))
+        ctrl.step(21.0, 21.0, 25.0)
+        ctrl.step(25.0, 25.0, 20.0)
         assert {d for d, _ in mapped} == dead_times
         assert all(length == d + 20 for d, length in mapped + built)
 
@@ -221,7 +219,7 @@ def test_controller_settles_and_stops_pump():
                              target=Target.COVER)
     # measurement already at the setpoint: command stays bounded, pump off
     for _ in range(50):
-        cmd, pump_on = ctrl.step(25.0, 25.0, np.full(30, 25.0))
+        cmd, pump_on = ctrl.step(25.0, 25.0, 25.0)
         assert 5.0 <= cmd <= 60.0
         assert not pump_on
 
@@ -229,9 +227,9 @@ def test_controller_settles_and_stops_pump():
 def test_controller_mode_switch_resets_offset_state():
     ctrl = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig(),
                              target=Target.COVER)
-    ctrl.step(21.0, 21.0, np.full(30, 25.0))
+    ctrl.step(21.0, 21.0, 25.0)
     heat_mode = ctrl.mode
-    ctrl.step(25.0, 25.0, np.full(30, 20.0))
+    ctrl.step(25.0, 25.0, 20.0)
     assert ctrl.mode is not heat_mode
 
 
@@ -242,16 +240,16 @@ def test_history_array_matches_plain_list():
     # the in-place shift and the startup padding
     shifted = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
     rebuilt = ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
-    size, n = shifted._history.size, shifted.preview_length
+    size = shifted._history.size
     commands, seen = [], set()
     for k in range(2 * size + 10):
         measurement = 24.0 + 0.6 * np.sin(k / 7.0)
-        preview = np.full(n, 24.0 + 0.6 * np.cos(k / 11.0))
+        setpoint = 24.0 + 0.6 * np.cos(k / 11.0)
         # in place: the mode buffers hold views of the array
         rebuilt._history[:] = ([measurement] * size + commands)[-size:]
         rebuilt._count = size
-        out = shifted.step(measurement, measurement, preview)
-        assert rebuilt.step(measurement, measurement, preview) == out
+        out = shifted.step(measurement, measurement, setpoint)
+        assert rebuilt.step(measurement, measurement, setpoint) == out
         commands.append(out[0])
         seen.add((shifted.mode, out[1], out[0] in (5.0, 60.0)))
     # both modes, pump states, and commands at a bound and inside the box
@@ -345,100 +343,30 @@ def test_non_finite_input_stops_solver_at_once(measurement, setpoint):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                    float("-inf")])
-@pytest.mark.parametrize("name", ["measurement", "T_w", "preview"])
+@pytest.mark.parametrize("name", ["measurement", "T_w", "setpoint"])
 @pytest.mark.parametrize("startup", [True, False], ids=["startup", "later"])
 def test_step_rejects_non_finite_input_before_changing_state(name, value,
                                                              startup):
     # the input is named, and the controller goes on exactly as one that
     # never saw the bad sample
     def good(ctrl, k):
-        return ctrl.step(21.0 + 0.1 * k, 20.0 + 0.1 * k,
-                         np.full(ctrl.preview_length, 25.0))
+        return ctrl.step(21.0 + 0.1 * k, 20.0 + 0.1 * k, 25.0)
 
     ctrl, clean = (ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
                    for _ in range(2))
-    n = ctrl.preview_length
     samples = 0 if startup else 3
     for k in range(samples):
         good(ctrl, k)
         good(clean, k)
     mode = ctrl.mode
-    inputs = {"measurement": 21.0, "T_w": 21.0,
-              "preview": np.full(n, 25.0)}
-    if name == "preview":
-        inputs["preview"][n // 2] = value
-    else:
-        inputs[name] = value
-    match = ("preview entry" if name == "preview" else name) + \
-        ".* not finite"
-    with pytest.raises(NumericError, match=match):
-        ctrl.step(inputs["measurement"], inputs["T_w"], inputs["preview"])
+    inputs = {"measurement": 21.0, "T_w": 21.0, "setpoint": 25.0}
+    inputs[name] = value
+    with pytest.raises(NumericError, match=f"controller {name} is not finite"):
+        ctrl.step(inputs["measurement"], inputs["T_w"], inputs["setpoint"])
     assert ctrl.mode is mode
     for k in range(samples, samples + 3):
         assert good(ctrl, k) == good(clean, k)
     assert ctrl.mode is clean.mode
-
-
-def _preview_run(n):
-    """(measurement, T_w, setpoint) per sample: two heat segments, a cool
-    one, then back to the first, with the pump on and off in each."""
-    out = []
-    for k in range(n):
-        setpoint = (25.0, 26.0, 16.0, 25.0)[4 * k // n]
-        measurement = 21.0 + 4.0 * np.sin(k / 9.0)
-        out.append((measurement, measurement - 0.5, setpoint))
-    return out
-
-
-def test_preview_reused_or_changed_in_place_gives_fresh_commands():
-    # a writable preview changed in place between calls, and a read-only
-    # one handed back while the setpoint holds, each give the commands of
-    # a controller handed a fresh copy each sample
-    copied, in_place, copied_frozen, reused = (
-        ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
-        for _ in range(4))
-    n = copied.preview_length
-    buffer = np.empty(n)
-    setpoint = frozen = None
-    pumps, modes = set(), []
-    for k, (measurement, T_w, value) in enumerate(_preview_run(160)):
-        if value != setpoint:
-            setpoint = value
-            frozen = np.full(n, value)
-            frozen.flags.writeable = False
-        buffer[:] = value
-        buffer[k % n:] += 0.5
-        out = copied.step(measurement, T_w, buffer.copy())
-        assert in_place.step(measurement, T_w, buffer) == out
-        out = copied_frozen.step(measurement, T_w, frozen.copy())
-        assert reused.step(measurement, T_w, frozen) == out
-        pumps.add(out[1])
-        modes.append(reused.mode)
-    assert pumps == {False, True}
-    assert modes[0] is modes[-1] is Mode.HEAT and Mode.COOL in modes
-
-
-def test_nan_written_into_writable_preview_raises_before_state_changes():
-    # a writable preview is scanned on every call, however often it came
-    ctrl, clean = (ThermalController(cfg=MpcConfig(), ambient=AmbientConfig())
-                   for _ in range(2))
-    n = ctrl.preview_length
-    buffer = np.full(n, 25.0)
-    for k in range(3):
-        assert ctrl.step(21.0 + 0.1 * k, 20.0, buffer) == \
-            clean.step(21.0 + 0.1 * k, 20.0, np.full(n, 25.0))
-    state = (ctrl.mode, ctrl._x_hat, ctrl._p_hat, ctrl._history.tolist(),
-             ctrl._count, ctrl.hysteresis)
-    buffer[n - 2] = np.nan
-    with pytest.raises(NumericError,
-                       match=f"preview entry {n - 2} is not finite: nan"):
-        ctrl.step(21.3, 20.0, buffer)
-    assert (ctrl.mode, ctrl._x_hat, ctrl._p_hat, ctrl._history.tolist(),
-            ctrl._count, ctrl.hysteresis) == state
-    buffer[n - 2] = 25.0
-    for k in range(3, 6):
-        assert ctrl.step(21.0 + 0.1 * k, 20.0, buffer) == \
-            clean.step(21.0 + 0.1 * k, 20.0, np.full(n, 25.0))
 
 
 def _recorded_solves(monkeypatch, specs):
@@ -480,7 +408,7 @@ def test_no_command_penalty_solves_quickly(monkeypatch):
 
 def _map_samples(monkeypatch, specs):
     """Per control sample of the runs: what the controller's command step
-    saw (config, model, x_hat, p_hat, past, preview, previous command,
+    saw (config, model, x_hat, p_hat, past, setpoint, previous command,
     reference), the command it returned, whether the past commands were
     padded at startup, and the path that gave the command: the pattern
     tried, or the solver."""
@@ -496,7 +424,7 @@ def _map_samples(monkeypatch, specs):
         measured.append(measurement)
         return step(ctrl, measurement, *args)
 
-    def recording(ctrl, model, preview):
+    def recording(ctrl, model, setpoint):
         events.clear()
         # the history before this sample's command is appended; until d
         # commands exist the past is padded with the measurement
@@ -505,10 +433,10 @@ def _map_samples(monkeypatch, specs):
         padded = [measured[-1]] * (model.d - count) + applied
         past = padded[len(padded) - model.d:]
         u_prev = applied[-1] if applied else None
-        cmd = command(ctrl, model, preview)
+        cmd = command(ctrl, model, setpoint)
         path = "solver" if "solve" in events else "first"
         samples.append((ctrl.cfg, model, ctrl._x_hat, ctrl._p_hat,
-                        past, preview.copy(), u_prev, ctrl.ambient.T_amb,
+                        past, setpoint, u_prev, ctrl.ambient.T_amb,
                         cmd, count < model.d, path))
         return cmd
 
@@ -530,12 +458,10 @@ def test_unconstrained_map_matches_solver_on_builtins(monkeypatch):
     # the last sample's pattern and the solver each give commands
     assert {sample[-1] for sample in samples} == {"first", "solver"}
     modes, splits, padded, startup = set(), set(), 0, set()
-    for (cfg, model, x_hat, p_hat, past, preview, u_prev, u_ref, cmd,
+    for (cfg, model, x_hat, p_hat, past, setpoint, u_prev, u_ref, cmd,
          startup_pad, _) in samples:
         d, n = model.d, cfg.H
-        refs = np.concatenate((preview[:d + n],
-                               np.full(max(0, d + n - preview.size),
-                                       preview[-1])))
+        refs = np.full(d + n, setpoint)
         form = cfg.penalty_form
         last = u_ref if u_prev is None or form is PenaltyForm.MAGNITUDE \
             else u_prev

@@ -76,15 +76,14 @@ def test_trace_does_not_depend_on_region_cache():
                  t_s=0.5, dt=0.05),
 ], ids=["exp1_heat", "holds"])
 def test_one_preview_per_setpoint_change(monkeypatch, spec):
-    # each sample's controller sees the setpoint at its own time over the
-    # whole preview, from an array made where the setpoint changes
-    previews, made = [], []
+    # each sample's controller sees the setpoint at its own time, read once
+    # where the setpoint changes
+    seen, made = [], []
     step, preview = ThermalController.step, ScenarioSpec.setpoint_preview
 
-    def recording_step(ctrl, measurement, T_w, setpoint_preview):
-        previews.append((ctrl.preview_length, setpoint_preview.copy(),
-                         setpoint_preview.flags.writeable))
-        return step(ctrl, measurement, T_w, setpoint_preview)
+    def recording_step(ctrl, measurement, T_w, setpoint):
+        seen.append(setpoint)
+        return step(ctrl, measurement, T_w, setpoint)
 
     def counting_preview(self, t, n):
         made.append(t)
@@ -94,11 +93,9 @@ def test_one_preview_per_setpoint_change(monkeypatch, spec):
     monkeypatch.setattr(ThermalController, "step", recording_step)
     monkeypatch.setattr(ScenarioSpec, "setpoint_preview", counting_preview)
     simulate(spec)
-    values = [spec.setpoint_at(k * spec.t_s) for k in range(len(previews))]
-    assert len(previews) == round(spec.duration / spec.t_s)
-    for (length, seen, writeable), value in zip(previews, values):
-        assert np.array_equal(seen, np.full(length, value))
-        assert not writeable
+    values = [spec.setpoint_at(k * spec.t_s) for k in range(len(seen))]
+    assert len(seen) == round(spec.duration / spec.t_s)
+    assert seen == values
     changes = 1 + sum(a != b for a, b in zip(values, values[1:]))
     assert 1 <= len(made) <= changes
     assert len(set(values)) > 1
@@ -291,9 +288,12 @@ _GRASP_AT_900 = ["contact.0.start=900", "contact.0.duration=5",
     # a box so tight that the solver takes several updates per solve
     ("exp1_cool", ["controller.W2=1e-6", "controller.T_min_th=15",
                    "controller.T_max_th=30"]),
+    # setpoint changes between samples, one value held over two segments,
+    # and two mode switches
+    ("exp1_heat", ["setpoints=26:200.3 26:100.7 21:300.3 24:250.2"]),
 ], ids=[*builtin_scenarios(), "increment", "natural-observer", "lag-0.01",
         "power-6", "cool-grasp-at-900", "touch-increment", "lag-0",
-        "lag-0-power-6", "tight-box"])
+        "lag-0-power-6", "tight-box", "off-grid-holds"])
 def test_composed_maps_keep_every_decision(monkeypatch, name, overrides):
     # the same run with composed maps and with every sample through step
     # and step_plant: the same pump, mode, contact and held-pattern
@@ -444,15 +444,15 @@ def test_composed_sample_before_d_commands_matches_step(applied, pump_on,
     ctrl = ThermalController(cfg=spec.controller, ambient=spec.ambient,
                              target=spec.target, hysteresis=pump)
     node = PlantState._fields.index(spec.target.node)
-    preview = spec.setpoint_preview(0.0, ctrl.preview_length)
+    setpoint = spec.setpoint_at(0.0)
     n_sub = round(spec.t_s / spec.dt)
     plant = (spec.ambient, spec.dt, spec.peltier_lag, spec.peltier_power)
     state = PlantState.uniform(spec.start_temp)
     for _ in range(applied):
-        cmd, on = ctrl.step(state[node], state.T_w, preview)
+        cmd, on = ctrl.step(state[node], state.T_w, setpoint)
         params = preset_params(ctrl.mode)
         state = step_plant(state, cmd, on, 0.0, params, *plant, n_sub=n_sub)
-    step = ctrl.steady_step(preview)
+    step = ctrl.steady_step(setpoint)
     d = step.d
     assert on is pump_on and 1 <= ctrl.applied == applied < d
 
@@ -465,7 +465,7 @@ def test_composed_sample_before_d_commands_matches_step(applied, pump_on,
                            node, spec.ambient.T_amb, spec.peltier_lag,
                            spec.peltier_power, spec.dt, n_sub)
     after = copy.deepcopy(ctrl)
-    cmd, on = after.step(state[node], state.T_w, preview)
+    cmd, on = after.step(state[node], state.T_w, setpoint)
     assert on is pump_on and after.mode is ctrl.mode
     v = module._held_map(ctrl, base, after.held, node).G @ s
     # v: the checks, the command, x_hat, p_hat, the nodes, 1, the plate
@@ -494,11 +494,11 @@ def test_composed_maps_and_step_plant_read_one_cached_map(peltier_lag):
                            [f"peltier_lag={peltier_lag}"])
     ctrl = ThermalController(cfg=spec.controller, ambient=spec.ambient,
                              target=spec.target)
-    preview = spec.setpoint_preview(0.0, ctrl.preview_length)
+    setpoint = spec.setpoint_at(0.0)
     state = PlantState.uniform(spec.start_temp)
     node = PlantState._fields.index(spec.target.node)
-    _, on = ctrl.step(state[node], state.T_w, preview)
-    step, params = ctrl.steady_step(preview), preset_params(ctrl.mode)
+    _, on = ctrl.step(state[node], state.T_w, setpoint)
+    step, params = ctrl.steady_step(setpoint), preset_params(ctrl.mode)
     n_sub = round(spec.t_s / spec.dt)
     regime = (spec.peltier_lag, spec.peltier_power, spec.dt, n_sub)
     e = np.eye(8)
